@@ -8,16 +8,7 @@ pruned backtracking, generating-tree recurrences, and closed-form series
 expansion.
 """
 
-from .algebra import (
-    Rat,
-    TruncPoly,
-    TSeries,
-    poly_inverse,
-    poly_mul,
-    sqrt_one_minus_v,
-    tseries_inverse,
-    tseries_mul,
-)
+from .algebra import TruncPoly, TSeries, sqrt_one_minus_v
 from .core import (
     CountTable,
     EnergyParams,
@@ -58,14 +49,9 @@ from .verify import GOLDEN_ROWS, CheckResult, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rat",
     "TruncPoly",
     "TSeries",
-    "poly_mul",
-    "poly_inverse",
     "sqrt_one_minus_v",
-    "tseries_mul",
-    "tseries_inverse",
     "CountTable",
     "EnergyParams",
     "History",

@@ -3,7 +3,9 @@
 TruncPoly is the quotient ring Q[v]/(v^(D+1)); TSeries is the ring of
 power series in t over it, cut at t^(N+1).  Coefficients are Python ints
 or fractions.Fraction and every operation is exact; nothing in this
-module touches floating point.
+module touches floating point.  Integer inputs stay ints: a Fraction
+appears only in sqrt_one_minus_v and in the inverse of a unit whose lead
+is not +-1.
 """
 
 from __future__ import annotations
@@ -11,19 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = [
-    "Rat",
-    "TruncPoly",
-    "TSeries",
-    "poly_mul",
-    "poly_inverse",
-    "sqrt_one_minus_v",
-    "tseries_mul",
-    "tseries_inverse",
-]
-
-#: Exact rational scalars; plain ints embed as themselves.
-Rat = Fraction
+__all__ = ["TruncPoly", "TSeries", "sqrt_one_minus_v"]
 
 Coeff = int | Fraction
 
@@ -286,23 +276,3 @@ class TSeries:
                             conv[k] += x
             rows.append([-x for x in _mul_coeffs(inv0, conv, d)])
         return TSeries((TruncPoly(row, d) for row in rows), n_top, d)
-
-
-def poly_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    """Product in Q[v]/(v^(D+1)); both operands must share D."""
-    return a * b
-
-
-def poly_inverse(a: TruncPoly) -> TruncPoly:
-    """Inverse in Q[v]/(v^(D+1)); raises ZeroDivisionError on non-units."""
-    return a.inverse()
-
-
-def tseries_mul(a: TSeries, b: TSeries) -> TSeries:
-    """Product of truncated series; operands must share both orders."""
-    return a * b
-
-
-def tseries_inverse(a: TSeries) -> TSeries:
-    """Inverse of a truncated series whose t^0 coefficient is a unit."""
-    return a.inverse()

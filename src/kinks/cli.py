@@ -1,7 +1,9 @@
 """Command-line front end: compute, enumerate, verify, and export.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
-comparison finds a mismatch, 2 on usage or range errors.  All counts
+comparison finds a mismatch or an internal invariant check fails (an
+ArithmeticError such as CoefficientError, reported as one `error:` line
+on stderr, without a traceback), 2 on usage or range errors.  All counts
 serialize as decimal strings (they outgrow 64-bit integers quickly) and
 identical invocations produce byte-identical output.
 """
@@ -367,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI and return its exit code (0 ok, 1 mismatch, 2 usage)."""
+    """Run the CLI and return its exit code (0 ok, 1 mismatch or internal
+    error, 2 usage)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -378,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -2,19 +2,25 @@
 
 The bivariate generating function of the counts (v marks kinks, t marks
 chain length) has a closed form as a sum of algebraic terms indexed by
-j >= 0, each carrying a v^j prefactor; expanding the terms with exact
-truncated arithmetic recovers the count table.  Fixing the kink number
-gives rational functions of t with explicit formulas for d <= 3, and the
-counts grow like 2^(n-2d-1) (d+1)^n, which this module also evaluates
-and checks.
+j >= 0, each carrying a v^j prefactor.  Every denominator in it is a
+power of 2, so the substitution v = 4w turns each term into integer
+series (Catalan series for sqrt(1-4w) and its reciprocals), and the
+count table is read off with plain int arithmetic: no Fraction and no
+series inverse.  Fixing the kink number gives rational functions of t
+with explicit formulas for d <= 3, and the counts grow like
+2^(n-2d-1) (d+1)^n, which this module also evaluates and checks.
+Fraction remains only where a value is rational: the growth estimate,
+the d = 2, 3 formula prefactors, and, in the algebra module,
+sqrt_one_minus_v and the inverses of units whose lead is not +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .algebra import TruncPoly, TSeries, sqrt_one_minus_v
+from .algebra import TruncPoly, TSeries
 from .core import CountTable, max_kinks
 from .treedp import dp_table
 
@@ -33,9 +39,10 @@ __all__ = [
 class CoefficientError(ArithmeticError):
     """An extracted coefficient failed to be a nonnegative integer.
 
-    Count extraction is an internal consistency gate: the series algebra
-    works over rationals, but every count it produces must land back in
-    the nonnegative integers.
+    Count extraction is an internal consistency gate.  The series route
+    works over the integers in w = v/4, so each coefficient of t^n w^d
+    must be 4^d times a nonnegative count; the explicit formulas carry
+    rational prefactors and must land back in the nonnegative integers.
     """
 
 
@@ -48,41 +55,82 @@ def _as_count(value: int | Fraction, where: str) -> int:
     return int(f)
 
 
-def _series_term(j: int, t_order: int, v_order: int, root: TruncPoly) -> TSeries:
-    # One j-indexed summand of the closed form:
-    #   4 t^2 s (1 - (1+2j) s t - t(1-v)) v^j
-    #   / ((1+s)^(1+2j) (1-2jts)^2 (1-2(j+1)ts)^2),      s = sqrt(1-v)
-    d = v_order
-    one = TruncPoly.one(d)
-    one_minus_v = TruncPoly((1, -1), d)
-    linear = -((1 + 2 * j) * root + one_minus_v)
-    numer = TSeries((one, linear), t_order, d).scale(root * 4).scale(one.shift(j)).shift(2)
-    lin_a = TSeries((one, -2 * j * root), t_order, d)
-    lin_b = TSeries((one, -2 * (j + 1) * root), t_order, d)
-    denom = (lin_a * lin_a) * (lin_b * lin_b)
-    alg = (one + root) ** (1 + 2 * j)
-    return (numer * denom.inverse()).scale(alg.inverse())
+def _catalan_power(m: int, order: int) -> list[int]:
+    # [w^k] C(w)^m = m/(2k+m) binom(2k+m, k) for k = 0..order, m >= 1
+    return [m * comb(2 * k + m, k) // (2 * k + m) for k in range(order + 1)]
+
+
+def _pair_coefficients(j: int, top: int) -> list[int]:
+    # c_m = [x^m] 1/((1 - 2j x)^2 (1 - 2(j+1) x)^2) for m = 0..top, which is
+    # sum_i (i+1)(m-i+1) (2j)^i (2j+2)^(m-i).  The denominator is
+    # (1 - e x + f x^2)^2 with e = 4j+2, f = 4j(j+1), so the c_m obey
+    # c_m = 2e c_(m-1) - (e^2+2f) c_(m-2) + 2ef c_(m-3) - f^2 c_(m-4).
+    e, f = 4 * j + 2, 4 * j * (j + 1)
+    steps = (2 * e, -(e * e + 2 * f), 2 * e * f, -f * f)
+    c = [1]
+    for m in range(1, top + 1):
+        c.append(sum(q * c[m - i] for i, q in enumerate(steps, 1) if i <= m))
+    return c
 
 
 def bivariate_series(t_order: int, v_order: int) -> TSeries:
     """Expansion of the closed-form count series to the given orders.
 
-    Terms with j > v_order vanish under truncation thanks to their v^j
-    prefactor, so the sum is finite; the first omitted term is checked to
-    be zero.
+    The closed form is a sum over j >= 0 of
+
+        4 t^2 s (1 - (1+2j) s t - t (1-v)) v^j
+        / ((1+s)^(1+2j) (1 - 2j s t)^2 (1 - 2(j+1) s t)^2),   s = sqrt(1-v).
+
+    It is expanded in w = v/4, where every piece is an integer series:
+    s = sqrt(1-4w) = 1 - 2 sum_k Cat(k-1) w^k, and (1+s)/2 = 1/C(w) for
+    the Catalan series C, so the prefactor 4 v^j / (1+s)^(1+2j) becomes
+    2 w^j C^(1+2j), with [w^k] C^m = m/(2k+m) binom(2k+m, k).  The squared
+    t-factors expand as sum_m c_m s^m t^m with integer c_m, and s^2 = 1-4w
+    folds the (1-v) factor into one more power of s, so
+
+        [t^n] term_j = 2 w^j C^(1+2j) (a s^(n-1) - b s^n),
+        a = c_(n-2) - (1+2j) c_(n-3),   b = c_(n-3).
+
+    Terms with j > v_order vanish under the truncation because of their
+    w^j factor, so the sum stops at j = v_order.  The counts come back as
+    [t^n v^d] = [t^n w^d] / 4^d; a nonzero remainder or a negative value
+    raises CoefficientError.  Every coefficient of the result is an int.
     """
     if t_order < 2:
         raise ValueError("the series starts at t^2; need t_order >= 2")
     if v_order < 0:
         raise ValueError("v_order must be nonnegative")
-    root = sqrt_one_minus_v(v_order)
-    total = TSeries.zero(t_order, v_order)
-    for j in range(v_order + 1):
-        total = total + _series_term(j, t_order, v_order, root)
-    assert _series_term(v_order + 1, t_order, v_order, root) == TSeries.zero(
-        t_order, v_order
-    ), "truncated-away term is not zero"
-    return total
+    d_top = v_order
+    root = TruncPoly([1] + [-2 * x for x in _catalan_power(1, d_top - 1)], d_top)
+    pairs = [_pair_coefficients(j, t_order - 2) for j in range(d_top + 1)]
+    prefactors = [_catalan_power(1 + 2 * j, d_top - j) for j in range(d_top + 1)]
+    rows = [TruncPoly.zero(d_top)] * 2
+    power = TruncPoly.one(d_top)  # s^(n-1)
+    for n in range(2, t_order + 1):
+        power = power * root
+        # weight the prefactors by a and b first, so that each row takes
+        # two products in w instead of two per j
+        lead = [0] * (d_top + 1)
+        tail = [0] * (d_top + 1)
+        for j, (c, pre) in enumerate(zip(pairs, prefactors)):
+            b = c[n - 3] if n >= 3 else 0
+            a = c[n - 2] - (1 + 2 * j) * b
+            for k, p in enumerate(pre, j):
+                lead[k] += a * p
+                tail[k] += b * p
+        rows.append((TruncPoly(lead, d_top) - TruncPoly(tail, d_top) * root) * power * 2)
+    counts = []
+    for n, poly in enumerate(rows):
+        row = []
+        for d, x in enumerate(poly.coeffs):
+            count, rest = divmod(x, 4**d)
+            if rest or count < 0:
+                raise CoefficientError(
+                    f"coefficient of t^{n} w^{d} is {x}, not 4^{d} times a count"
+                )
+            row.append(count)
+        counts.append(TruncPoly(row, d_top))
+    return TSeries(counts, t_order, d_top)
 
 
 def series_table(t_order: int, v_order: int) -> CountTable:
@@ -90,22 +138,19 @@ def series_table(t_order: int, v_order: int) -> CountTable:
 
     Rows cover n = 2..t_order; each row stores d up to
     min(v_order, max_kinks(n)), so rows are complete whenever v_order
-    reaches max_kinks(n).  Every extracted coefficient is checked to be a
-    nonnegative integer before it enters the table.
+    reaches max_kinks(n).  bivariate_series has already checked every
+    coefficient to be a nonnegative integer.
 
     >>> series_table(4, 1).row(4)
     (8, 16)
     """
     series = bivariate_series(t_order, v_order)
-    rows: dict[int, tuple[int, ...]] = {}
-    for n in range(2, t_order + 1):
-        poly = series.coefficient(n)
-        top = min(v_order, max_kinks(n))
-        rows[n] = tuple(
-            _as_count(poly.coefficient(d), f"coefficient of t^{n} v^{d}")
-            for d in range(top + 1)
-        )
-    return CountTable(rows)
+    return CountTable(
+        {
+            n: series.coefficient(n).coeffs[: min(v_order, max_kinks(n)) + 1]
+            for n in range(2, t_order + 1)
+        }
+    )
 
 
 #: Rational generating functions of the counts at fixed d <= 3: numerator

@@ -143,7 +143,8 @@ def advance_level(state: LevelState) -> LevelState:
     top = max_kinks(m)
     for k in range(top + 1, alloc + 1):
         # the stated k bound is loose; the tight one must hold
-        assert not any(new0[k]) and not any(new1[k]), (m, k)
+        if any(new0[k]) or any(new1[k]):
+            raise ArithmeticError(f"nonzero count above max_kinks at (m, k) = ({m}, {k})")
     return LevelState(
         n=m,
         counts=(

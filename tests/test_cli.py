@@ -5,7 +5,7 @@ import json
 import pytest
 
 import kinks.verify
-from kinks import CountTable, dp_table, series_table
+from kinks import CoefficientError, CountTable, dp_table, series_table
 from kinks.cli import (
     format_table_csv,
     format_table_json,
@@ -48,6 +48,18 @@ def test_count_method_disagreement_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "closed: 17" in out
     assert "disagree" in err
+
+
+def test_internal_error_exits_one_with_one_line(capsys, monkeypatch):
+    def broken(t_order, v_order):
+        raise CoefficientError("coefficient of t^6 w^2 is 3, not 4^2 times a count")
+
+    monkeypatch.setattr("kinks.cli.series_table", broken)
+    code, out, err = run_cli(capsys, "count", "--n", "6", "--d", "2", "--method", "gf")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: coefficient of t^6 w^2 is 3, not 4^2 times a count"]
+    assert "Traceback" not in err
 
 
 def test_count_above_max_kinks_is_zero(capsys):

@@ -4,7 +4,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kinks.genfunc
 from kinks import (
     CoefficientError,
     asymptotic_estimate,
@@ -16,8 +19,11 @@ from kinks import (
     max_kinks,
     series_table,
 )
-from kinks.genfunc import _as_count
+from kinks.genfunc import _as_count, _pair_coefficients
 from helpers import GOLDEN
+
+#: Reference rows for the property tests, from the level recurrences.
+DP40 = dp_table(40)
 
 
 def test_series_table_reference_coefficients():
@@ -38,6 +44,38 @@ def test_series_vanishes_above_max_kinks():
         assert ninth.coefficient(d) == 0
     assert series.coefficient(0).is_zero()
     assert series.coefficient(1).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), d=st.integers(0, 12))
+def test_series_table_matches_truncated_recurrence_rows(n, d):
+    table = series_table(n, d)
+    assert table.lengths() == list(range(2, n + 1))
+    for m in range(2, n + 1):
+        assert table.row(m) == DP40.row(m)[: d + 1], (m, n, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.integers(2, 30), v=st.integers(0, 10))
+def test_bivariate_series_has_int_coefficients(t, v):
+    series = bivariate_series(t, v)
+    assert (series.t_order, series.v_order) == (t, v)
+    for poly in series.coeffs:
+        assert all(type(c) is int for c in poly.coeffs)
+    assert series.coefficient(0).is_zero()
+    assert series.coefficient(1).is_zero()
+
+
+def test_pair_coefficients_match_their_convolution_sum():
+    for j in range(6):
+        expected = [
+            sum(
+                (i + 1) * (m - i + 1) * (2 * j) ** i * (2 * j + 2) ** (m - i)
+                for i in range(m + 1)
+            )
+            for m in range(26)
+        ]
+        assert _pair_coefficients(j, 25) == expected
 
 
 def test_series_table_matches_recurrences_and_partitions():
@@ -118,6 +156,20 @@ def test_extraction_gate_rejects_non_counts():
     with pytest.raises(CoefficientError):
         _as_count(-3, "probe")
     assert _as_count(Fraction(8, 2), "probe") == 4
+
+
+def test_series_gate_rejects_a_corrupted_expansion(monkeypatch):
+    exact = kinks.genfunc._catalan_power
+
+    def off_by_one(m, order):
+        coeffs = exact(m, order)
+        if m == 3 and order >= 1:
+            coeffs[1] += 1  # [w] C^3 is 3; 4 here breaks the 4^d divisibility
+        return coeffs
+
+    monkeypatch.setattr(kinks.genfunc, "_catalan_power", off_by_one)
+    with pytest.raises(CoefficientError, match=r"t\^2 w\^2"):
+        bivariate_series(8, 3)
 
 
 def test_asymptotic_estimate_values():

@@ -78,6 +78,15 @@ def test_advance_level_grows_by_level_plus_one():
         state = child
 
 
+def test_advance_level_rejects_counts_above_max_kinks():
+    level3 = advance_level(root_state())
+    # a max_first = 0 node at one kink on level 3 would put a level-4 node
+    # at two kinks, above max_kinks(4) = 1
+    corrupt = LevelState(3, (level3.counts[0][:1] + ((1, 1, 1),), level3.counts[1]))
+    with pytest.raises(ArithmeticError, match=r"\(m, k\) = \(4, 2\)"):
+        advance_level(corrupt)
+
+
 def _rule_applied_level(state: LevelState) -> LevelState:
     # independent level step: apply the succession rule label by label
     n = state.n
