@@ -11,10 +11,8 @@ expansion.
 from .algebra import TruncPoly, TSeries, sqrt_one_minus_v
 from .core import (
     CountTable,
-    EnergyParams,
     History,
     TreeLabel,
-    energy,
     kink_count,
     max_kinks,
     tree_label,
@@ -53,10 +51,8 @@ __all__ = [
     "TSeries",
     "sqrt_one_minus_v",
     "CountTable",
-    "EnergyParams",
     "History",
     "TreeLabel",
-    "energy",
     "kink_count",
     "max_kinks",
     "tree_label",

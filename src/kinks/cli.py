@@ -1,9 +1,14 @@
 """Command-line front end: compute, enumerate, verify, and export.
 
+Each counting method is one entry of `ROUTES`: the (n, d) it covers, a
+single count and a whole table.  KINKS_BRUTE_CEILING (default 11) bounds
+both oracle routes, the exhaustive scan and the backtracking, in n.
+
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
 ArithmeticError such as CoefficientError, reported as one `error:` line
-on stderr, without a traceback), 2 on usage or range errors.  All counts
+on stderr, without a traceback), 2 on usage or range errors, including a
+`count` or `table` request outside the method's domain.  All counts
 serialize as decimal strings (they outgrow 64-bit integers quickly) and
 identical invocations produce byte-identical output.
 """
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, Iterable, NamedTuple
 
 from .core import CountTable, max_kinks
 from .genfunc import closed_form, convergence_report, series_table
@@ -28,7 +34,6 @@ from .treedp import dp_table
 from .verify import run_verification
 
 ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
-METHODS = ("brute", "backtrack", "dp", "gf", "closed")
 FORMATS = ("csv", "json", "text")
 
 
@@ -50,39 +55,76 @@ def _brute_ceiling() -> int:
 
 
 # ---------------------------------------------------------------------------
+# counting routes
+
+
+class Route(NamedTuple):
+    """One counting method: the (n, d) it covers under the brute ceiling,
+    one count, the table for n = 1..max_n, and its domain in words."""
+
+    covers: Callable[[int, int, int], bool]
+    count: Callable[[int, int, int], int]
+    table: Callable[[int, int], CountTable]
+    domain: str
+
+
+def _by_entry(
+    max_n: int, top: Callable[[int], int], count: Callable[[int, int], int]
+) -> CountTable:
+    # count(n, d) for n = 1..max_n and d = 0..top(n)
+    return CountTable(
+        {n: tuple(count(n, d) for d in range(top(n) + 1)) for n in range(1, max_n + 1)}
+    )
+
+
+_BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
+
+#: Every method, named once.  The entries look the route functions up in
+#: this module when they run, so rebinding a name here reaches every path.
+ROUTES = {
+    "brute": Route(
+        lambda n, d, ceiling: n <= ceiling,
+        lambda n, d, ceiling: brute_force_table(n, ceiling=ceiling).count(n, d),
+        lambda max_n, ceiling: brute_force_table(max_n, ceiling=ceiling),
+        _BOUNDED,
+    ),
+    "backtrack": Route(
+        lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
+        lambda n, d, ceiling: backtrack_count(n, d),
+        lambda max_n, ceiling: _by_entry(max_n, max_kinks, backtrack_count),
+        _BOUNDED + " and d <= (n - 1) // 2",
+    ),
+    "dp": Route(
+        lambda n, d, ceiling: True,
+        lambda n, d, ceiling: dp_table(n).count(n, d),
+        lambda max_n, ceiling: dp_table(max_n),
+        "every n and d",
+    ),
+    "gf": Route(
+        lambda n, d, ceiling: n >= 2,
+        lambda n, d, ceiling: series_table(n, d).count(n, d) if d <= max_kinks(n) else 0,
+        lambda max_n, ceiling: series_table(max_n, max_kinks(max_n)),
+        "n >= 2",
+    ),
+    "closed": Route(
+        lambda n, d, ceiling: d <= 3,
+        lambda n, d, ceiling: closed_form(n, d),
+        lambda max_n, ceiling: _by_entry(max_n, lambda n: min(3, max_kinks(n)), closed_form),
+        "d <= 3",
+    ),
+}
+METHODS = tuple(ROUTES)
+
+
+def _route(method: str, n: int, d: int, ceiling: int) -> Route:
+    route = ROUTES[method]
+    if not route.covers(n, d, ceiling):
+        raise UsageError(f"the {method} method needs {route.domain.format(ceiling=ceiling)}")
+    return route
+
+
+# ---------------------------------------------------------------------------
 # count
-
-
-def _count_via(method: str, n: int, d: int, ceiling: int) -> int:
-    if method == "brute":
-        return brute_force_table(n, ceiling=ceiling).count(n, d)
-    if method == "backtrack":
-        return backtrack_count(n, d)
-    if method == "dp":
-        return dp_table(n).count(n, d)
-    if method == "gf":
-        if n < 2:
-            raise UsageError("the series method starts at n = 2")
-        if d > max_kinks(n):
-            return 0
-        return series_table(n, d).count(n, d)
-    if method == "closed":
-        return closed_form(n, d)
-    raise UsageError(f"unknown method {method!r}")
-
-
-def _applicable_methods(n: int, d: int, ceiling: int) -> list[str]:
-    methods = []
-    if n <= ceiling:
-        methods.append("brute")
-        if d <= max_kinks(n):
-            methods.append("backtrack")
-    methods.append("dp")
-    if n >= 2:
-        methods.append("gf")
-    if d <= 3:
-        methods.append("closed")
-    return methods
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -90,13 +132,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise UsageError("--n must be at least 1")
     if args.d < 0:
         raise UsageError("--d must be nonnegative")
-    ceiling = _brute_ceiling()
+    n, d, ceiling = args.n, args.d, _brute_ceiling()
     if not args.all_methods:
-        print(_count_via(args.method, args.n, args.d, ceiling))
+        print(_route(args.method, n, d, ceiling).count(n, d, ceiling))
         return 0
     values = [
-        (method, _count_via(method, args.n, args.d, ceiling))
-        for method in _applicable_methods(args.n, args.d, ceiling)
+        (method, route.count(n, d, ceiling))
+        for method, route in ROUTES.items()
+        if route.covers(n, d, ceiling)
     ]
     for method, value in values:
         print(f"{method}: {value}")
@@ -110,32 +153,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 # table serialization (counts as decimal strings; lossless round trips)
 
 
-def _table_via(method: str, max_n: int, ceiling: int) -> CountTable:
-    if method == "brute":
-        return brute_force_table(max_n, ceiling=ceiling)
-    if method == "backtrack":
-        return CountTable(
-            {
-                n: tuple(backtrack_count(n, d) for d in range(max_kinks(n) + 1))
-                for n in range(1, max_n + 1)
-            }
-        )
-    if method == "dp":
-        return dp_table(max_n)
-    if method == "gf":
-        if max_n < 2:
-            raise UsageError("the series method starts at n = 2")
-        return series_table(max_n, max_kinks(max_n))
-    if method == "closed":
-        return CountTable(
-            {
-                n: tuple(closed_form(n, d) for d in range(min(3, max_kinks(n)) + 1))
-                for n in range(1, max_n + 1)
-            }
-        )
-    raise UsageError(f"unknown method {method!r}")
-
-
 def _export_lengths(table: CountTable, n_lo: int = 2) -> list[int]:
     return [n for n in table.lengths() if n >= n_lo]
 
@@ -147,20 +164,28 @@ def format_table_csv(table: CountTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _table_from_cells(cells: Iterable[tuple[int, int, int]]) -> CountTable:
+    # Each row runs d = 0, 1, 2, ... in order, as the formatters write it,
+    # so a repeated, missing or shuffled cell is caught by one check.
+    rows: dict[int, list[int]] = {}
+    for n, d, count in cells:
+        row = rows.setdefault(n, [])
+        if n < 1 or count < 0 or d != len(row):
+            raise ValueError(f"cell (n={n}, d={d}, count={count}) is out of place")
+        row.append(count)
+    return CountTable({n: tuple(row) for n, row in rows.items()})
+
+
 def parse_table_csv(text: str) -> CountTable:
+    """Inverse of `format_table_csv`; ValueError on any malformed input."""
     lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != "n,d,count":
+    if lines[0] != "n,d,count":
         raise ValueError("missing n,d,count header")
-    cells: dict[int, dict[int, int]] = {}
+    cells = []
     for line in lines[1:]:
         n_str, d_str, c_str = line.split(",")
-        cells.setdefault(int(n_str), {})[int(d_str)] = int(c_str)
-    rows = {}
-    for n, by_d in cells.items():
-        if sorted(by_d) != list(range(len(by_d))):
-            raise ValueError(f"row {n} has gaps in its d values")
-        rows[n] = tuple(by_d[d] for d in range(len(by_d)))
-    return CountTable(rows)
+        cells.append((int(n_str), int(d_str), int(c_str)))
+    return _table_from_cells(cells)
 
 
 def format_table_json(table: CountTable) -> str:
@@ -174,10 +199,19 @@ def format_table_json(table: CountTable) -> str:
 
 
 def parse_table_json(text: str) -> CountTable:
-    data = json.loads(text)
-    return CountTable(
-        {int(row["n"]): tuple(int(c) for c in row["counts"]) for row in data["rows"]}
-    )
+    """Inverse of `format_table_json`; ValueError on any malformed input."""
+    cells = []
+    try:
+        for row in json.loads(text)["rows"]:
+            n, counts = row["n"], row["counts"]
+            if type(n) is not int or type(counts) is not list:
+                raise TypeError(f"row {row!r} needs an integer n and a list of counts")
+            if not all(type(c) is str for c in counts):
+                raise TypeError(f"counts of row {n} are not all decimal strings")
+            cells.extend((n, d, int(c)) for d, c in enumerate(counts))
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed table JSON: {exc!r}") from exc
+    return _table_from_cells(cells)
 
 
 def _poly_text(row: tuple[int, ...]) -> str:
@@ -220,7 +254,8 @@ def _write_output(text: str, path: str | None) -> None:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
-    table = _table_via(args.method, args.max_n, _brute_ceiling())
+    ceiling = _brute_ceiling()
+    table = _route(args.method, args.max_n, 0, ceiling).table(args.max_n, ceiling)
     _write_output(_TABLE_FORMATTERS[args.format](table), args.output)
     return 0
 

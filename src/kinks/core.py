@@ -11,7 +11,6 @@ d means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
@@ -19,10 +18,8 @@ __all__ = [
     "History",
     "TreeLabel",
     "CountTable",
-    "EnergyParams",
     "kink_count",
     "tree_label",
-    "energy",
     "max_kinks",
 ]
 
@@ -125,28 +122,6 @@ def tree_label(h: History) -> TreeLabel:
     pos_max = word.index(n)
     pos_second = word.index(n - 1)
     return TreeLabel(pos_max + 1, _word_kinks(word), 1 if pos_max < pos_second else 0)
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Coupling constant of the chain energy model.
-
-    Flipping one isolated site costs ``4 * coupling``; each further kink
-    costs the same again.
-    """
-
-    coupling: int | float | Fraction = 1
-
-    def __post_init__(self) -> None:
-        if not self.coupling > 0:
-            raise ValueError("coupling must be positive")
-
-
-def energy(d: int, params: EnergyParams) -> int | float | Fraction:
-    """Energy of a history creating d kinks: ``4 * coupling * (d + 1)``."""
-    if d < 0:
-        raise ValueError("kink count cannot be negative")
-    return 4 * params.coupling * (d + 1)
 
 
 @dataclass(frozen=True)

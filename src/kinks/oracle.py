@@ -97,6 +97,36 @@ def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[Hi
     return islice(_emit_words(n, d), limit)
 
 
+def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> list[tuple[int, int, int]]:
+    """The flips that can follow `seen` without losing the wanted kinks.
+
+    `rem` counts the blocks still to open and `cap` the most that the
+    unflipped runs can still hold.  A flip next to a flipped site grows a
+    block for free; any other flip spends one block.  Flips that leave
+    more blocks to open than there is room for are pruned.  Returns one
+    `(bit, rem, cap)` per kept flip, in ascending site order.  From
+    `seen = 0`, with `rem = d + 1` and `cap = _gap_capacity(0, n + 1, n)`,
+    the first flip opens the initial block, which is not a kink.  The
+    result is a list because a generator here slows `backtrack_count`.
+    """
+    grown = (seen << 1) | (seen >> 1)
+    fresh = ~grown & ~seen & full
+    cand = (grown & ~seen & full) | fresh
+    moves = []
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        rem2 = rem - 1 if low & fresh else rem
+        if rem2 < 0:
+            continue
+        s = low.bit_length() - 1
+        lo, hi = _nearest_flipped(seen, s, n)
+        cap2 = cap + _gap_capacity(lo, s, n) + _gap_capacity(s, hi, n) - _gap_capacity(lo, hi, n)
+        if cap2 >= rem2:
+            moves.append((low, rem2, cap2))
+    return moves
+
+
 def _emit_words(n: int, d: int) -> Iterator[History]:
     full = ((1 << n) - 1) << 1
     word: list[int] = []
@@ -105,32 +135,12 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
         if seen == full:
             yield History(tuple(word))
             return
-        grown = (seen << 1) | (seen >> 1)
-        free = grown & ~seen & full
-        fresh = ~grown & ~seen & full
-        cand = free | fresh
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            s = low.bit_length() - 1
-            rem2 = rem - 1 if low & fresh else rem
-            if rem2 < 0:
-                continue
-            lo, hi = _nearest_flipped(seen, s, n)
-            cap2 = cap + _gap_capacity(lo, s, n) + _gap_capacity(s, hi, n) - _gap_capacity(lo, hi, n)
-            if cap2 < rem2:
-                continue
-            word.append(s)
-            yield from walk(seen | low, rem2, cap2)
+        for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
+            word.append(bit.bit_length() - 1)
+            yield from walk(seen | bit, rem2, cap2)
             word.pop()
 
-    for s in range(1, n + 1):
-        # the first flip opens the initial block, which never counts
-        cap = _gap_capacity(0, s, n) + _gap_capacity(s, n + 1, n)
-        if d <= cap:
-            word.append(s)
-            yield from walk(1 << s, d, cap)
-            word.pop()
+    return walk(0, d + 1, _gap_capacity(0, n + 1, n))
 
 
 def backtrack_count(n: int, d: int) -> int:
@@ -175,28 +185,9 @@ def backtrack_count(n: int, d: int) -> int:
     def walk(seen: int, rem: int, cap: int) -> int:
         if rem == 0:
             return free_completions(seen)
-        grown = (seen << 1) | (seen >> 1)
-        free = grown & ~seen & full
-        fresh = ~grown & ~seen & full
-        cand = free | fresh
         total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            s = low.bit_length() - 1
-            rem2 = rem - 1 if low & fresh else rem
-            if rem2 < 0:
-                continue
-            lo, hi = _nearest_flipped(seen, s, n)
-            cap2 = cap + _gap_capacity(lo, s, n) + _gap_capacity(s, hi, n) - _gap_capacity(lo, hi, n)
-            if cap2 < rem2:
-                continue
-            total += walk(seen | low, rem2, cap2)
+        for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
+            total += walk(seen | bit, rem2, cap2)
         return total
 
-    total = 0
-    for s in range(1, n + 1):
-        cap = _gap_capacity(0, s, n) + _gap_capacity(s, n + 1, n)
-        if d <= cap:
-            total += walk(1 << s, d, cap)
-    return total
+    return walk(0, d + 1, _gap_capacity(0, n + 1, n))

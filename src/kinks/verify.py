@@ -58,9 +58,9 @@ def run_verification(
     """Run every cross-check and return one result per named check.
 
     Scopes: the exhaustive scan and backtracking run to max_n_brute, the
-    level recurrences to max_n_dp, and the series expansion to
-    (t_order, v_order).  `golden_rows` overrides the reference table
-    (used to prove the suite notices corrupted references).
+    level recurrences to max_n_dp, and the series expansion and the inverse
+    round trips of `exact_algebra` to (t_order, v_order).  `golden_rows`
+    overrides the reference table (to prove the suite notices corruption).
     """
     if max_n_brute < 2 or max_n_dp < 2:
         raise ValueError("verification needs scopes of at least 2")
@@ -180,10 +180,9 @@ def run_verification(
             if root * root != TruncPoly((1, -1), order):
                 return f"square root of 1 - v fails at order {order}"
         rng = random.Random(1905)
-        n_top, d_top = 16, 8
-        one = TSeries.one(n_top, d_top)
+        one = TSeries.one(t_order, v_order)
         for trial in range(10):
-            series = _random_unit_series(rng, n_top, d_top)
+            series = _random_unit_series(rng, t_order, v_order)
             if series * series.inverse() != one:
                 return f"series inverse round-trip fails (trial {trial})"
         return None

@@ -1,12 +1,16 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kinks.verify
-from kinks import CoefficientError, CountTable, dp_table, series_table
+from kinks import CoefficientError, CountTable, dp_table, max_kinks, series_table
 from kinks.cli import (
+    METHODS,
     format_table_csv,
     format_table_json,
     format_word,
@@ -87,6 +91,78 @@ def test_brute_ceiling_env_override(capsys, monkeypatch):
     assert run_cli(capsys, "count", "--n", "4", "--d", "0", "--method", "brute")[0] == 2
 
 
+def _covering_methods(n, d, ceiling):
+    # Which methods answer count at (n, d), spelled out independently of ROUTES.
+    names = []
+    if n <= ceiling:
+        names.append("brute")
+        if d <= max_kinks(n):
+            names.append("backtrack")
+    names.append("dp")
+    if n >= 2:
+        names.append("gf")
+    if d <= 3:
+        names.append("closed")
+    return names
+
+
+def test_all_methods_prints_exactly_the_covering_methods(capsys, monkeypatch):
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "6")
+    for n in range(1, 10):
+        for d in range(7):
+            code, out, _ = run_cli(capsys, "count", "--n", str(n), "--d", str(d), "--all-methods")
+            assert code == 0, (n, d)
+            names = [line.split(":")[0] for line in out.splitlines()]
+            assert names == _covering_methods(n, d, 6), (n, d)
+
+
+def test_single_method_outside_its_domain_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "6")
+    dp = dp_table(9)
+    for n in range(1, 10):
+        for d in range(7):
+            inside = _covering_methods(n, d, 6)
+            for method in METHODS:
+                argv = ("count", "--n", str(n), "--d", str(d), "--method", method)
+                code, out, err = run_cli(capsys, *argv)
+                if method in inside:
+                    assert (code, out) == (0, f"{dp.count(n, d)}\n"), argv
+                else:
+                    assert (code, out) == (2, ""), argv
+                    assert err.startswith(f"error: the {method} method needs"), argv
+
+
+def test_table_routes_look_functions_up_when_called(capsys, monkeypatch):
+    argv = ("table", "--max-n", "5", "--format", "csv")
+    before = {m: run_cli(capsys, *argv, "--method", m)[1] for m in ("closed", "backtrack")}
+    monkeypatch.setattr("kinks.cli.closed_form", lambda n, d: 7)
+    monkeypatch.setattr("kinks.cli.backtrack_count", lambda n, d: 9)
+    for method, stub in (("closed", "7"), ("backtrack", "9")):
+        code, out, _ = run_cli(capsys, *argv, "--method", method)
+        assert code == 0
+        assert out != before[method]
+        assert {line.split(",")[2] for line in out.splitlines()[1:]} == {stub}
+
+
+def test_backtracking_is_bounded_by_the_brute_ceiling(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--n", "40", "--d", "5", "--method", "backtrack")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "KINKS_BRUTE_CEILING = 11" in err
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "8")
+    code, out, err = run_cli(capsys, "count", "--n", "9", "--d", "1", "--method", "backtrack")
+    assert (code, out) == (2, "")
+    assert "KINKS_BRUTE_CEILING = 8" in err
+    code, out, _ = run_cli(capsys, "table", "--max-n", "9", "--method", "backtrack")
+    assert (code, out) == (2, "")
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "9")
+    assert run_cli(capsys, "count", "--n", "9", "--d", "1", "--method", "backtrack")[:2] == (
+        0,
+        "31616\n",
+    )
+
+
 def test_table_csv_smallest(capsys):
     code, out, _ = run_cli(capsys, "table", "--max-n", "2")
     assert code == 0
@@ -124,6 +200,73 @@ def test_table_parse_rejects_malformed():
         parse_table_csv("bogus header\n1,2,3\n")
     with pytest.raises(ValueError):
         parse_table_csv("n,d,count\n5,0,16\n5,2,16\n")  # gap at d = 1
+    with pytest.raises(ValueError):
+        parse_table_csv("n,d,count\n5,0,16\n5,0,17\n")  # (5, 0) twice
+    with pytest.raises(ValueError):
+        parse_table_csv("n,d,count\n5,1,88\n5,0,16\n5,2,16\n")  # d out of order
+    with pytest.raises(ValueError):
+        parse_table_csv("n,d,count\n5,0\n")
+    with pytest.raises(ValueError):
+        parse_table_csv("n,d,count\n0,0,1\n")
+    for text in (
+        "[]",
+        '{"rows": 3}',
+        '{"rows": ["x"]}',
+        '{"rows": [{"n": 2}]}',
+        '{"rows": [{"n": 2, "counts": "22"}]}',
+        '{"rows": [{"n": Infinity, "counts": ["1"]}]}',
+        '{"rows": [{"n": 2.5, "counts": ["1"]}]}',
+        '{"rows": [{"n": 2, "counts": [true]}]}',
+        '{"rows": [{"n": 2, "counts": [2.5]}]}',
+        '{"rows": [{"n": 2, "counts": ["2"]}, {"n": 2, "counts": ["2"]}]}',
+        "not json",
+    ):
+        with pytest.raises(ValueError):
+            parse_table_json(text)
+
+
+_tables = st.dictionaries(
+    st.integers(2, 80),
+    st.lists(st.integers(0, 10**60), min_size=1, max_size=8).map(tuple),
+    min_size=1,
+).map(CountTable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_tables)
+def test_csv_and_json_round_trip_any_table(table):
+    assert parse_table_csv(format_table_csv(table)).rows == table.rows
+    assert parse_table_json(format_table_json(table)).rows == table.rows
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["rows", "n", "counts", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.text(alphabet="nd,count0123456789-\n x", max_size=40).flatmap(
+        lambda body: st.sampled_from([body, "n,d,count\n" + body])
+    )
+)
+def test_csv_parser_fails_only_with_value_error(text):
+    try:
+        parse_table_csv(text)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_json_values)
+def test_json_parser_fails_only_with_value_error(value):
+    try:
+        parse_table_json(json.dumps(value))
+    except ValueError:
+        pass
 
 
 def test_table_text_format(capsys):

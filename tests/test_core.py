@@ -1,16 +1,15 @@
 """Core domain types and the kink statistic."""
 
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinks import (
     CountTable,
-    EnergyParams,
     History,
     TreeLabel,
-    energy,
     kink_count,
     max_kinks,
     tree_label,
@@ -45,6 +44,23 @@ def test_kink_count_site_reversal_symmetry():
         for word in permutations(range(1, n + 1)):
             mirrored = tuple(n + 1 - s for s in word)
             assert kink_count(History(word)) == kink_count(History(mirrored))
+
+
+_words = st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=_words)
+def test_kink_count_matches_naive_replay_on_random_words(word):
+    assert kink_count(History(word)) == naive_kink_count(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=_words)
+def test_kink_count_is_invariant_under_site_reversal(word):
+    n = len(word)
+    mirrored = tuple(n + 1 - s for s in word)
+    assert kink_count(History(word)) == kink_count(History(mirrored))
 
 
 def test_kink_count_monotone_sweeps_have_no_extra_kinks():
@@ -98,17 +114,6 @@ def test_max_kinks_values():
     assert max_kinks(1) == 0
     with pytest.raises(ValueError):
         max_kinks(0)
-
-
-def test_energy_model():
-    assert energy(0, EnergyParams(1)) == 4
-    assert energy(1, EnergyParams(1)) == 8
-    assert energy(0, EnergyParams(0.5)) == 2
-    assert energy(2, EnergyParams(Fraction(1, 3))) == 4
-    with pytest.raises(ValueError):
-        energy(-1, EnergyParams(1))
-    with pytest.raises(ValueError):
-        EnergyParams(0)
 
 
 def test_count_table_lookup_and_bounds():
