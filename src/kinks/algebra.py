@@ -113,30 +113,6 @@ class TruncPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> TruncPoly:
-        if exponent < 0:
-            raise ValueError("use inverse() for negative powers")
-        result = TruncPoly.one(self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
-    def shift(self, k: int) -> TruncPoly:
-        """Multiply by v^k (coefficients past the order fall away)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return TruncPoly((0,) * k + self.coeffs, self.order)
-
-    def truncate(self, order: int) -> TruncPoly:
-        """Image of the polynomial at a lower truncation order."""
-        if order > self.order:
-            raise ValueError("can only truncate downwards")
-        return TruncPoly(self.coeffs, order)
-
     def inverse(self) -> TruncPoly:
         """Multiplicative inverse; requires a nonzero constant term."""
         return TruncPoly(_inv_coeffs(self.coeffs, self.order), self.order)
@@ -178,10 +154,6 @@ class TSeries:
         ps.extend(TruncPoly.zero(v_order) for _ in range(t_order + 1 - len(ps)))
         self.coeffs = tuple(ps)
         self.v_order = v_order
-
-    @classmethod
-    def zero(cls, t_order: int, v_order: int) -> TSeries:
-        return cls((), t_order, v_order)
 
     @classmethod
     def one(cls, t_order: int, v_order: int) -> TSeries:
@@ -248,17 +220,6 @@ class TSeries:
         return TSeries(
             (TruncPoly(row, d) for row in acc), n_top, d
         )
-
-    def scale(self, factor: TruncPoly | Coeff) -> TSeries:
-        """Multiply every t coefficient by a fixed polynomial or scalar."""
-        return TSeries((p * factor for p in self.coeffs), self.t_order, self.v_order)
-
-    def shift(self, k: int) -> TSeries:
-        """Multiply by t^k (coefficients past the order fall away)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        zero = TruncPoly.zero(self.v_order)
-        return TSeries((zero,) * k + self.coeffs, self.t_order, self.v_order)
 
     def inverse(self) -> TSeries:
         """Multiplicative inverse; the t^0 coefficient must be a unit."""

@@ -6,12 +6,11 @@ j >= 0, each carrying a v^j prefactor.  Every denominator in it is a
 power of 2, so the substitution v = 4w turns each term into integer
 series (Catalan series for sqrt(1-4w) and its reciprocals), and the
 count table is read off with plain int arithmetic: no Fraction and no
-series inverse.  Fixing the kink number gives rational functions of t
-with explicit formulas for d <= 3, and the counts grow like
-2^(n-2d-1) (d+1)^n, which this module also evaluates and checks.
-Fraction remains only where a value is rational: the growth estimate,
-the d = 2, 3 formula prefactors, and, in the algebra module,
-sqrt_one_minus_v and the inverses of units whose lead is not +-1.
+series inverse.  Fixing the kink number gives a rational function of t
+for every d, derived here from that series, with explicit formulas for
+d <= 3, and the counts grow like 2^(n-2d-1) (d+1)^n, which this module
+also evaluates and checks.  Every count is computed in plain ints;
+Fraction remains only in the growth estimate, whose value is rational.
 """
 
 from __future__ import annotations
@@ -41,18 +40,17 @@ class CoefficientError(ArithmeticError):
 
     Count extraction is an internal consistency gate.  The series route
     works over the integers in w = v/4, so each coefficient of t^n w^d
-    must be 4^d times a nonnegative count; the explicit formulas carry
-    rational prefactors and must land back in the nonnegative integers.
+    must be 4^d times a nonnegative count; the d = 2, 3 formulas are
+    integer numerators over 32 and 384 that must divide exactly, and the
+    fixed-d rational forms must fit their denominators.
     """
 
 
-def _as_count(value: int | Fraction, where: str) -> int:
-    f = Fraction(value)
-    if f.denominator != 1:
-        raise CoefficientError(f"{where} is not an integer: {f}")
-    if f < 0:
-        raise CoefficientError(f"{where} is negative: {f}")
-    return int(f)
+def _exact_count(numer: int, denom: int, where: str) -> int:
+    count, rest = divmod(numer, denom)
+    if rest or count < 0:
+        raise CoefficientError(f"{where} is {numer}, not {denom} times a count")
+    return count
 
 
 def _catalan_power(m: int, order: int) -> list[int]:
@@ -121,14 +119,10 @@ def bivariate_series(t_order: int, v_order: int) -> TSeries:
         rows.append((TruncPoly(lead, d_top) - TruncPoly(tail, d_top) * root) * power * 2)
     counts = []
     for n, poly in enumerate(rows):
-        row = []
-        for d, x in enumerate(poly.coeffs):
-            count, rest = divmod(x, 4**d)
-            if rest or count < 0:
-                raise CoefficientError(
-                    f"coefficient of t^{n} w^{d} is {x}, not 4^{d} times a count"
-                )
-            row.append(count)
+        row = [
+            _exact_count(x, 4**d, f"coefficient of t^{n} w^{d}")
+            for d, x in enumerate(poly.coeffs)
+        ]
         counts.append(TruncPoly(row, d_top))
     return TSeries(counts, t_order, d_top)
 
@@ -153,52 +147,54 @@ def series_table(t_order: int, v_order: int) -> CountTable:
     )
 
 
-#: Rational generating functions of the counts at fixed d <= 3: numerator
-#: coefficients in t, and the denominator as (scale, multiplicity) pairs
-#: for factors (1 - scale*t)^multiplicity.
-_RATIONAL_FORMS: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {
-    0: ((0, 0, 2), ((2, 1),)),
-    1: ((0, 0, 0, 2), ((2, 2), (4, 1))),
-    2: ((0, 0, 0, 0, 0, 16, -48), ((2, 3), (4, 2), (6, 1))),
-    3: ((0, 0, 0, 0, 0, 0, 0, 272, -2944, 10176, -11520), ((2, 4), (4, 3), (6, 2), (8, 1))),
-}
-
-
 def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
     """Counts at fixed kink number d for n = 2..n_max, from the rational form.
 
-    Only d = 0..3 have published rational generating functions; the entry
-    at index i is the count for n = i + 2.
+    Column d of the counts has a rational generating function in t with
+    denominator Q = prod_(i=1..d+1) (1 - 2i t)^(d+2-i), of degree
+    D = (d+1)(d+2)/2.  The numerator is Q times the column of
+    `series_table`, cut at t^E with E = max(D, 2) (the t^2 term carries
+    d = 0); the product must vanish on t^(E+1)..t^(E+D), else
+    CoefficientError.  The counts then follow from the order-D integer
+    recurrence.  The entry at index i is the count for n = i + 2.
 
     >>> fixed_kinks_series(1, 5)
     (0, 2, 16, 88)
+    >>> fixed_kinks_series(4, 11)[-2:]
+    (353792, 9061376)
     """
-    if d not in _RATIONAL_FORMS:
-        raise ValueError(f"rational forms cover d = 0..3, got {d}")
+    if d < 0:
+        raise ValueError("kink count cannot be negative")
     if n_max < 2:
         raise ValueError("the series starts at n = 2")
-    numer_coeffs, factors = _RATIONAL_FORMS[d]
-    numer = TSeries(
-        (TruncPoly((c,), 0) for c in numer_coeffs), n_max, 0
-    )
-    denom = TSeries.one(n_max, 0)
-    for scale, mult in factors:
-        linear = TSeries((TruncPoly.one(0), TruncPoly((-scale,), 0)), n_max, 0)
-        for _ in range(mult):
-            denom = denom * linear
-    series = numer * denom.inverse()
-    return tuple(
-        _as_count(series.coefficient(n).coefficient(0), f"series count at n={n}, d={d}")
-        for n in range(2, n_max + 1)
-    )
+    denom = [1]
+    for i in range(1, d + 2):
+        for _ in range(d + 2 - i):
+            denom = [a - 2 * i * b for a, b in zip(denom + [0], [0] + denom)]
+    top = max(len(denom) - 1, 2)
+    table = series_table(top + len(denom) - 1, d)
+    column = [0, 0] + [table.count(n, d) for n in range(2, table.max_n + 1)]
+    numer = [
+        sum(q * column[n - i] for i, q in enumerate(denom[: n + 1])) for n in range(len(column))
+    ]
+    if any(numer[top + 1 :]):
+        raise CoefficientError(f"column d = {d} of the series does not fit its denominator")
+    numer = numer[: top + 1] + [0] * (n_max - top)
+    counts: list[int] = []
+    for n in range(n_max + 1):
+        recur = sum(q * counts[n - i] for i, q in enumerate(denom[1 : n + 1], 1))
+        counts.append(numer[n] - recur)
+    if min(counts) < 0:
+        raise CoefficientError(f"the rational form gives a negative count at d = {d}")
+    return tuple(counts[2:])
 
 
 def closed_form(n: int, d: int) -> int:
     """Exact count from the explicit formulas, valid for d = 0..3.
 
     Below n = 2d + 1 there is no room for d extra blocks and the count is
-    zero.  The d = 2, 3 formulas carry rational prefactors (1/32, 1/64,
-    1/128, 1/192); exact divisibility is checked before returning.
+    zero.  The d = 2, 3 formulas are evaluated as one integer numerator
+    over 32 and 384; exact divisibility is checked before returning.
 
     >>> closed_form(5, 1)
     88
@@ -214,19 +210,19 @@ def closed_form(n: int, d: int) -> int:
     if d == 1:
         return 2 ** (n - 2) * (2 ** (n - 1) - n)
     if d == 2:
-        value = (
-            Fraction(6**n, 32)
-            - Fraction(4**n * (n - 1), 16)
-            + Fraction(2**n * (2 * n * n - 4 * n - 1), 32)
+        return _exact_count(
+            6**n - 2 * (n - 1) * 4**n + (2 * n * n - 4 * n - 1) * 2**n,
+            32,
+            f"closed form at n={n}, d={d}",
         )
-    else:
-        value = (
-            Fraction(8**n, 128)
-            - Fraction(6**n * (n - 2), 64)
-            + Fraction(4**n * (n * n - 4 * n + 2), 64)
-            - Fraction(2**n * (2 * n**3 - 12 * n * n + 13 * n + 6), 192)
-        )
-    return _as_count(value, f"closed form at n={n}, d={d}")
+    return _exact_count(
+        3 * 8**n
+        - 6 * (n - 2) * 6**n
+        + 6 * (n * n - 4 * n + 2) * 4**n
+        - 2 * (2 * n**3 - 12 * n * n + 13 * n + 6) * 2**n,
+        384,
+        f"closed form at n={n}, d={d}",
+    )
 
 
 def asymptotic_estimate(n: int, d: int) -> Fraction:

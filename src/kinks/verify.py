@@ -9,12 +9,12 @@ consistency, growth-estimate decay, exact series arithmetic).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import TSeries, TruncPoly, sqrt_one_minus_v
+from . import genfunc
+from .algebra import TruncPoly
 from .core import max_kinks
 from .genfunc import closed_form, convergence_report, fixed_kinks_series, series_table
 from .oracle import DEFAULT_BRUTE_CEILING, backtrack_count, brute_force_table
@@ -58,12 +58,15 @@ def run_verification(
     """Run every cross-check and return one result per named check.
 
     Scopes: the exhaustive scan and backtracking run to max_n_brute, the
-    level recurrences to max_n_dp, and the series expansion and the inverse
-    round trips of `exact_algebra` to (t_order, v_order).  `golden_rows`
-    overrides the reference table (to prove the suite notices corruption).
+    level recurrences to max_n_dp, the series expansion to (t_order,
+    v_order) and the integer identities behind it (`exact_algebra`) to
+    v_order.  `golden_rows` overrides the reference table (to prove the
+    suite notices corruption).
     """
     if max_n_brute < 2 or max_n_dp < 2:
         raise ValueError("verification needs scopes of at least 2")
+    if t_order < 2 or v_order < 0:
+        raise ValueError("the series needs t_order >= 2 and v_order >= 0")
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
     results: list[CheckResult] = []
 
@@ -175,16 +178,17 @@ def run_verification(
         return None
 
     def exact_algebra():
-        for order in range(17):
-            root = sqrt_one_minus_v(order)
-            if root * root != TruncPoly((1, -1), order):
-                return f"square root of 1 - v fails at order {order}"
-        rng = random.Random(1905)
-        one = TSeries.one(t_order, v_order)
-        for trial in range(10):
-            series = _random_unit_series(rng, t_order, v_order)
-            if series * series.inverse() != one:
-                return f"series inverse round-trip fails (trial {trial})"
+        # the integer pieces of bivariate_series: s = 1 - 2w C(w) squares
+        # to 1 - 4w, and the prefactor series are the powers C^(1+2j)
+        catalan = TruncPoly(genfunc._catalan_power(1, v_order), v_order)
+        root = TruncPoly.one(v_order) - TruncPoly((0, 2), v_order) * catalan
+        if root * root != TruncPoly((1, -4), v_order):
+            return f"s = 1 - 2w C(w) does not square to 1 - 4w at order {v_order}"
+        power = catalan
+        for j in range(v_order + 1):
+            if power != TruncPoly(genfunc._catalan_power(1 + 2 * j, v_order), v_order):
+                return f"C(w)^{1 + 2 * j} differs from its coefficient formula"
+            power = power * catalan * catalan
         return None
 
     run("golden_dp", golden_dp)
@@ -200,17 +204,3 @@ def run_verification(
     run("exact_algebra", exact_algebra)
     return results
 
-
-def _random_unit_series(rng: random.Random, t_order: int, v_order: int) -> TSeries:
-    """Random series with small mixed int/rational coefficients and a unit lead."""
-    def poly(unit: bool) -> TruncPoly:
-        coeffs: list[int | Fraction] = [
-            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(v_order + 1)
-        ]
-        if unit:
-            coeffs[0] = rng.choice((1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
-        return TruncPoly(coeffs, v_order)
-
-    return TSeries(
-        [poly(unit=True)] + [poly(unit=False) for _ in range(t_order)], t_order, v_order
-    )

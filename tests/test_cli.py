@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinks.genfunc
 import kinks.verify
 from kinks import CoefficientError, CountTable, dp_table, max_kinks, series_table
 from kinks.cli import (
@@ -360,6 +361,32 @@ def test_verify_notices_corrupted_reference(capsys, monkeypatch):
     )
     assert code == 1
     assert "FAIL golden_dp" in out
+
+
+@pytest.mark.parametrize("option, value", [("--t-order", "1"), ("--v-order", "-1")])
+def test_verify_rejects_a_series_scope_it_cannot_run(capsys, option, value):
+    code, out, err = run_cli(
+        capsys, "verify", "--max-n-brute", "4", "--max-n-dp", "12", option, value
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_verify_exact_algebra_notices_a_corrupted_catalan_power(monkeypatch):
+    exact = kinks.genfunc._catalan_power
+
+    def off_by_one(m, order):
+        coeffs = exact(m, order)
+        if m == 3 and order >= 1:
+            coeffs[1] += 1
+        return coeffs
+
+    monkeypatch.setattr(kinks.genfunc, "_catalan_power", off_by_one)
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    by_name = {r.name: r for r in results}
+    assert not by_name["exact_algebra"].passed
+    assert "C(w)^3" in by_name["exact_algebra"].detail
 
 
 def test_verify_library_surface_reports_named_checks():

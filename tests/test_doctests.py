@@ -2,7 +2,10 @@
 
 import ast
 import doctest
+import fractions
 from pathlib import Path
+
+import pytest
 
 import kinks.algebra
 import kinks.core
@@ -36,3 +39,23 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_counting_routes_construct_no_fraction(monkeypatch):
+    # every count is an integer, so no route may build a Fraction on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("a counting route constructed a Fraction")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        fractions.Fraction(1, 2)
+    for d in range(4):
+        for n in range(1, 301):
+            kinks.genfunc.closed_form(n, d)
+    for d in range(9):
+        kinks.genfunc.fixed_kinks_series(d, 60)
+    kinks.genfunc.series_table(30, 8)
+    kinks.treedp.dp_table(60)
+    for d in range(5):
+        kinks.oracle.backtrack_count(9, d)
+    kinks.oracle.brute_force_table(8)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import kinks.genfunc
 from kinks import (
     CoefficientError,
+    CountTable,
     asymptotic_estimate,
     bivariate_series,
     closed_form,
@@ -19,11 +20,22 @@ from kinks import (
     max_kinks,
     series_table,
 )
-from kinks.genfunc import _as_count, _pair_coefficients
+from kinks.genfunc import _exact_count, _pair_coefficients
 from helpers import GOLDEN
 
 #: Reference rows for the property tests, from the level recurrences.
 DP40 = dp_table(40)
+DP60 = dp_table(60)
+
+#: The published rational generating functions at d <= 3: numerator
+#: coefficients in t, and the denominator as (scale, multiplicity) pairs
+#: for factors (1 - scale*t)^multiplicity.
+PUBLISHED_FORMS = {
+    0: ((0, 0, 2), ((2, 1),)),
+    1: ((0, 0, 0, 2), ((2, 2), (4, 1))),
+    2: ((0, 0, 0, 0, 0, 16, -48), ((2, 3), (4, 2), (6, 1))),
+    3: ((0, 0, 0, 0, 0, 0, 0, 272, -2944, 10176, -11520), ((2, 4), (4, 3), (6, 2), (8, 1))),
+}
 
 
 def test_series_table_reference_coefficients():
@@ -115,9 +127,43 @@ def test_fixed_kinks_series_matches_recurrence_columns():
             assert sequence[n - 2] == dp.count(n, d), (n, d)
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(0, 8), n_max=st.integers(2, 60))
+def test_fixed_kinks_series_matches_recurrence_columns_to_d8(d, n_max):
+    expected = tuple(DP60.count(n, d) for n in range(2, n_max + 1))
+    assert fixed_kinks_series(d, n_max) == expected
+
+
+def test_fixed_kinks_series_reproduces_the_published_rational_forms():
+    for d, (numer, factors) in PUBLISHED_FORMS.items():
+        denom = [1]
+        for scale, mult in factors:
+            for _ in range(mult):
+                denom = [a - scale * b for a, b in zip(denom + [0], [0] + denom)]
+        counts = []
+        for n in range(101):
+            lead = numer[n] if n < len(numer) else 0
+            counts.append(lead - sum(q * counts[n - i] for i, q in enumerate(denom[1 : n + 1], 1)))
+        assert fixed_kinks_series(d, 100) == tuple(counts[2:]), d
+
+
+def test_fixed_kinks_series_rejects_a_corrupted_column(monkeypatch):
+    exact = kinks.genfunc.series_table
+
+    def bumped(t_order, v_order):
+        table = exact(t_order, v_order)
+        rows = dict(table.rows)
+        rows[8] = rows[8][:-1] + (rows[8][-1] + 1,)
+        return CountTable(rows)
+
+    monkeypatch.setattr(kinks.genfunc, "series_table", bumped)
+    with pytest.raises(CoefficientError, match="d = 2 of the series does not fit"):
+        fixed_kinks_series(2, 30)
+
+
 def test_fixed_kinks_series_guards():
     with pytest.raises(ValueError):
-        fixed_kinks_series(4, 10)
+        fixed_kinks_series(-1, 10)
     with pytest.raises(ValueError):
         fixed_kinks_series(1, 1)
 
@@ -150,12 +196,19 @@ def test_closed_form_matches_recurrences():
             assert closed_form(n, d) == dp.count(n, d), (n, d)
 
 
+def test_closed_form_matches_the_rational_forms_to_400():
+    for d in range(4):
+        column = fixed_kinks_series(d, 399)
+        for n in range(2, 400):
+            assert closed_form(n, d) == column[n - 2], (n, d)
+
+
 def test_extraction_gate_rejects_non_counts():
     with pytest.raises(CoefficientError):
-        _as_count(Fraction(1, 2), "probe")
+        _exact_count(1, 2, "probe")
     with pytest.raises(CoefficientError):
-        _as_count(-3, "probe")
-    assert _as_count(Fraction(8, 2), "probe") == 4
+        _exact_count(-3, 1, "probe")
+    assert _exact_count(8, 2, "probe") == 4
 
 
 def test_series_gate_rejects_a_corrupted_expansion(monkeypatch):

@@ -3,6 +3,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinks import (
     History,
@@ -100,6 +102,18 @@ def test_backtrack_matches_enumeration_sizes():
     for n in range(1, 9):
         for d in range(max_kinks(n) + 1):
             assert backtrack_count(n, d) == sum(1 for _ in enumerate_histories(n, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_kinks(n)))),
+    st.one_of(st.none(), st.integers(0, 3000)),
+)
+def test_backtrack_counts_the_enumerated_stream(nd, limit):
+    n, d = nd
+    total = backtrack_count(n, d)
+    stream = list(enumerate_histories(n, d, limit))
+    assert len(stream) == (total if limit is None else min(limit, total))
 
 
 def test_backtrack_partition_sums_to_factorial():
