@@ -25,6 +25,7 @@ from .genfunc import (
     closed_form,
     convergence_report,
     fixed_kinks_series,
+    series_count,
     series_table,
 )
 from .oracle import (
@@ -63,6 +64,7 @@ __all__ = [
     "closed_form",
     "convergence_report",
     "fixed_kinks_series",
+    "series_count",
     "series_table",
     "DEFAULT_BRUTE_CEILING",
     "backtrack_count",

@@ -20,10 +20,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from contextlib import contextmanager
+from functools import cache
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import CountTable, max_kinks
-from .genfunc import closed_form, convergence_report, series_table
+from .genfunc import closed_form, convergence_report, series_count, series_table
 from .oracle import (
     DEFAULT_BRUTE_CEILING,
     backtrack_count,
@@ -96,13 +98,14 @@ ROUTES = {
     ),
     "dp": Route(
         lambda n, d, ceiling: True,
-        lambda n, d, ceiling: dp_table(n).count(n, d),
+        lambda n, d, ceiling: dp_table(n, d).count(n, d),
         lambda max_n, ceiling: dp_table(max_n),
         "every n and d",
     ),
     "gf": Route(
         lambda n, d, ceiling: n >= 2,
-        lambda n, d, ceiling: series_table(n, d).count(n, d) if d <= max_kinks(n) else 0,
+        # series_count is 0 above max_kinks too, but at O(d^2) cost
+        lambda n, d, ceiling: series_count(n, d) if d <= max_kinks(n) else 0,
         lambda max_n, ceiling: series_table(max_n, max_kinks(max_n)),
         "n >= 2",
     ),
@@ -355,6 +358,7 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 # parser and entry points
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kinks",
@@ -403,6 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    # Exact counts outgrow the int <-> str digit limit (4300 digits, from
+    # Python 3.11 on) near n = 1500; lift it for one request only.
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI and return its exit code (0 ok, 1 mismatch or internal
     error, 2 usage)."""
@@ -412,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ j >= 0, each carrying a v^j prefactor.  Every denominator in it is a
 power of 2, so the substitution v = 4w turns each term into integer
 series (Catalan series for sqrt(1-4w) and its reciprocals), and the
 count table is read off with plain int arithmetic: no Fraction and no
-series inverse.  Fixing the kink number gives a rational function of t
+series inverse, and `series_count` extracts a single count in O(d^2)
+operations at any n.  Fixing the kink number gives a rational function of t
 for every d, derived here from that series, with explicit formulas for
 d <= 3, and the counts grow like 2^(n-2d-1) (d+1)^n, which this module
 also evaluates and checks.  Every count is computed in plain ints;
@@ -27,6 +28,7 @@ __all__ = [
     "CoefficientError",
     "bivariate_series",
     "series_table",
+    "series_count",
     "fixed_kinks_series",
     "closed_form",
     "asymptotic_estimate",
@@ -69,6 +71,21 @@ def _pair_coefficients(j: int, top: int) -> list[int]:
     for m in range(1, top + 1):
         c.append(sum(q * c[m - i] for i, q in enumerate(steps, 1) if i <= m))
     return c
+
+
+def _pair_coefficient(j: int, m: int) -> int:
+    # c_m of _pair_coefficients in partial fractions, with a = 2j, b = 2j+2:
+    # c_m = ((m+1)(b^(m+2) + a^(m+2)) - ab(b^(m+1) - a^(m+1))) / 4, exact, and 0 at m = -1
+    a, b = 2 * j, 2 * j + 2
+    return ((m + 1) * (b ** (m + 2) + a ** (m + 2)) - a * b * (b ** (m + 1) - a ** (m + 1))) // 4
+
+
+def _root_power(m: int, order: int) -> list[int]:
+    # [w^k] s^m = [w^k] (1 - 4w)^(m/2) for k = 0..order; each division is exact
+    e = [1]
+    for k in range(order):
+        e.append(-2 * (m - 2 * k) * e[k] // (k + 1))
+    return e
 
 
 def bivariate_series(t_order: int, v_order: int) -> TSeries:
@@ -145,6 +162,33 @@ def series_table(t_order: int, v_order: int) -> CountTable:
             for n in range(2, t_order + 1)
         }
     )
+
+
+def series_count(n: int, d: int) -> int:
+    """One count of the closed-form series, extracted directly.
+
+    By the identity in `bivariate_series`, [t^n w^d] is the sum over
+    j <= d of 2 [w^(d-j)] C^(1+2j) (a_j s^(n-1) - b_j s^n).  The small
+    products [w^(d-j)] C^(1+2j) s^m are taken first and weighted by the
+    big a_j, b_j after, so the cost is O(d^2) operations at any n; the
+    result must be 4^d times a nonnegative count, else CoefficientError.
+
+    >>> series_count(10, 3)
+    1841152
+    """
+    if n < 2:
+        raise ValueError("the series starts at t^2; need n >= 2")
+    if d < 0:
+        raise ValueError("kink count cannot be negative")
+    lead, tail = _root_power(n - 1, d), _root_power(n, d)
+    total = 0
+    for j in range(d + 1):
+        pre = _catalan_power(1 + 2 * j, d - j)
+        b = _pair_coefficient(j, n - 3)
+        a = _pair_coefficient(j, n - 2) - (1 + 2 * j) * b
+        total += a * sum(p * lead[d - j - k] for k, p in enumerate(pre))
+        total -= b * sum(p * tail[d - j - k] for k, p in enumerate(pre))
+    return _exact_count(2 * total, 4**d, f"coefficient of t^{n} w^{d}")
 
 
 def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ site.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice, permutations
 from math import factorial
 from typing import Iterator
@@ -150,6 +151,7 @@ def backtrack_count(n: int, d: int) -> int:
     free-move completions are counted in closed form instead of walked:
     runs between blocks interleave multinomially and an inner run of
     length L flips in 2**(L-1) orders (1 when it touches a chain end).
+    Sub-walks from the same flipped set and credits are counted once.
 
     >>> backtrack_count(5, 1)
     88
@@ -182,7 +184,10 @@ def backtrack_count(n: int, d: int) -> int:
                 total <<= length - 1
         return total
 
+    @cache
     def walk(seen: int, rem: int, cap: int) -> int:
+        # cap follows from seen, so the key is (seen, rem); rem does not,
+        # since a flip that joins two blocks spends no credit
         if rem == 0:
             return free_completions(seen)
         total = 0

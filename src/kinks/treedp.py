@@ -56,7 +56,9 @@ class LevelState:
 
     ``counts[r][k][j - 1]`` is the number of level-n nodes labelled
     (j, k, r).  The k axis is allocated up to floor(n/2); the band above
-    max_kinks(n) is kept, and checked, identically zero.
+    max_kinks(n) is kept, and checked, identically zero.  A state advanced
+    with a kink cap is cut: its k axis stops at the cap, and the bands it
+    keeps are exact, since no child has fewer kinks than its parent.
     """
 
     n: int
@@ -70,25 +72,31 @@ class LevelState:
         band = self.counts[r]
         return band[k][j - 1] if k < len(band) else 0
 
+    @property
+    def top(self) -> int:
+        """Highest kink number held: max_kinks(n), or the cap of a cut state."""
+        return min(max_kinks(self.n), len(self.counts[0]) - 1)
+
     def total(self) -> int:
-        """Number of nodes at this level; equals n! when the state is valid."""
+        """Number of nodes held; equals n! when the state is valid and uncut."""
         return sum(sum(row) for band in self.counts for row in band)
 
     def kink_marginal(self) -> tuple[int, ...]:
-        """Counts by kink number, summed over max_pos and max_first."""
-        top = max_kinks(self.n)
+        """Counts by kink number up to `top`, summed over max_pos and max_first."""
         return tuple(
-            sum(self.counts[0][k]) + sum(self.counts[1][k]) for k in range(top + 1)
+            sum(self.counts[0][k]) + sum(self.counts[1][k]) for k in range(self.top + 1)
         )
 
     def validate(self) -> None:
-        """Raise ValueError unless the level counts are consistent."""
+        """Raise ValueError unless the level counts are consistent.
+
+        An uncut state holds n! nodes; a cut one holds at most n!.
+        """
         if any(c < 0 for band in self.counts for row in band for c in row):
             raise ValueError(f"negative node count at level {self.n}")
-        if self.total() != factorial(self.n):
-            raise ValueError(
-                f"level {self.n} holds {self.total()} nodes, expected {self.n}!"
-            )
+        total, whole = self.total(), factorial(self.n)
+        if total > whole or (self.top == max_kinks(self.n) and total != whole):
+            raise ValueError(f"level {self.n} holds {total} nodes, expected {self.n}!")
 
 
 def root_state() -> LevelState:
@@ -102,20 +110,26 @@ def root_state() -> LevelState:
     )
 
 
-def advance_level(state: LevelState) -> LevelState:
+def advance_level(state: LevelState, d_max: int | None = None) -> LevelState:
     """Push the node counts one level down the tree.
 
     Children with max_first = 0 at position m collect every parent with
     max_pos < m; children with max_first = 1 at position m collect the
     max_first = 1 parents with max_pos >= m at the same kink count plus
     the max_first = 0 parents with max_pos >= m at one kink less.  Prefix
-    and suffix running sums keep the step at O(n * k) additions.
+    and suffix running sums keep the step at O(n * k) additions.  With
+    `d_max`, only the bands k <= d_max are kept; they need no band above
+    them, so a cut state advances exactly under its own cap or a lower one.
     """
     n = state.n
     if n < 2:
         raise ValueError("level states start at 2")
     m = n + 1
-    alloc = m // 2
+    alloc = m // 2 if d_max is None else min(m // 2, d_max)
+    if alloc < 0:
+        raise ValueError(f"d_max must be nonnegative, got {d_max}")
+    if alloc > state.top < max_kinks(n):
+        raise ValueError(f"a state cut at k = {state.top} cannot advance to k = {alloc}")
     old0, old1 = state.counts
     new0 = [[0] * m for _ in range(alloc + 1)]
     new1 = [[0] * m for _ in range(alloc + 1)]
@@ -154,25 +168,31 @@ def advance_level(state: LevelState) -> LevelState:
     )
 
 
-def dp_table(n_max: int) -> CountTable:
+def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
     """Exact counts for every n up to n_max via the level recurrences.
 
     Row 1 is the single one-site history; rows from 2 are the kink
     marginals of the evolving level states.  Entries are exact at any
-    size (the arithmetic is big-integer throughout).
+    size (the arithmetic is big-integer throughout).  With `d_max`, the
+    levels keep only the bands k <= d_max, and row n is cut at
+    min(d_max, max_kinks(n)), as `series_table` cuts at its v_order.
 
     >>> dp_table(4).row(4)
     (8, 16)
+    >>> dp_table(10, 2).row(10)
+    (512, 128512, 1304832)
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if d_max is not None and d_max < 0:
+        raise ValueError(f"d_max must be nonnegative, got {d_max}")
     rows: dict[int, tuple[int, ...]] = {1: (1,)}
     if n_max == 1:
         return CountTable(rows)
     state = root_state()
     rows[2] = state.kink_marginal()
     while state.n < n_max:
-        state = advance_level(state)
+        state = advance_level(state, d_max)
         rows[state.n] = state.kink_marginal()
     return CountTable(rows)
 

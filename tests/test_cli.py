@@ -1,7 +1,11 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +64,18 @@ def test_internal_error_exits_one_with_one_line(capsys, monkeypatch):
         raise CoefficientError("coefficient of t^6 w^2 is 3, not 4^2 times a count")
 
     monkeypatch.setattr("kinks.cli.series_table", broken)
+    code, out, err = run_cli(capsys, "table", "--method", "gf", "--max-n", "6")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: coefficient of t^6 w^2 is 3, not 4^2 times a count"]
+    assert "Traceback" not in err
+
+
+def test_internal_error_in_a_single_count_exits_one_with_one_line(capsys, monkeypatch):
+    def broken(n, d):
+        raise CoefficientError("coefficient of t^6 w^2 is 3, not 4^2 times a count")
+
+    monkeypatch.setattr("kinks.cli.series_count", broken)
     code, out, err = run_cli(capsys, "count", "--n", "6", "--d", "2", "--method", "gf")
     assert code == 1
     assert out == ""
@@ -439,6 +455,49 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_reused_parser_answers_like_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process; a usage error must leave it as new
+    requests = [
+        ("count", "--n", "4"),
+        ("count", "--n", "10", "--d", "3", "--method", "dp"),
+        ("table", "--max-n", "4", "--format", "bogus"),
+        ("count", "--n", "5", "--d", "1", "--all-methods"),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.genfunc.__file__).parents[1])}
+    for argv in requests:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "kinks", *argv], capture_output=True, text=True, env=env
+        )
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert run_cli(capsys, *requests[0])[0] == 2
+    assert run_cli(capsys, *requests[1]) == (0, "1841152\n", "")
+
+
+@pytest.mark.parametrize("n, d", [(400, 3), (300, 2)])
+def test_all_methods_agree_at_large_n(capsys, n, d):
+    code, out, err = run_cli(capsys, "count", "--n", str(n), "--d", str(d), "--all-methods")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["dp", "gf", "closed"]
+    assert len({line.split(": ")[1] for line in lines}) == 1
+    assert lines[-1] == f"closed: {kinks.genfunc.closed_form(n, d)}"
+
+
+def test_counts_past_the_int_digit_limit_print_in_full(capsys):
+    # 8^5000 / 128 has about 4500 digits, past the 4300-digit str() limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    outs = [
+        run_cli(capsys, "count", "--n", "5000", "--d", "3", "--method", method)
+        for method in ("gf", "closed")
+    ]
+    assert outs[0] == outs[1]
+    code, out, err = outs[0]
+    assert (code, err) == (0, "")
+    assert 4300 < len(out.strip()) < 4600 and out.strip().isdigit()
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_byte_identical_reruns(capsys):

@@ -55,6 +55,9 @@ def test_counting_routes_construct_no_fraction(monkeypatch):
     for d in range(9):
         kinks.genfunc.fixed_kinks_series(d, 60)
     kinks.genfunc.series_table(30, 8)
+    for d in range(9):
+        kinks.genfunc.series_count(60, d)
+        kinks.treedp.dp_table(60, d)
     kinks.treedp.dp_table(60)
     for d in range(5):
         kinks.oracle.backtrack_count(9, d)

@@ -18,9 +18,10 @@ from kinks import (
     dp_table,
     fixed_kinks_series,
     max_kinks,
+    series_count,
     series_table,
 )
-from kinks.genfunc import _exact_count, _pair_coefficients
+from kinks.genfunc import _exact_count, _pair_coefficient, _pair_coefficients
 from helpers import GOLDEN
 
 #: Reference rows for the property tests, from the level recurrences.
@@ -76,6 +77,30 @@ def test_bivariate_series_has_int_coefficients(t, v):
         assert all(type(c) is int for c in poly.coeffs)
     assert series.coefficient(0).is_zero()
     assert series.coefficient(1).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), d=st.integers(0, 12))
+def test_series_count_matches_the_series_table(n, d):
+    # two extractions of one closed form: direct, and the whole expansion
+    assert series_count(n, d) == series_table(n, d).count(n, d)
+
+
+def test_series_count_reference_values_and_guards():
+    assert [series_count(10, d) for d in range(5)] == list(GOLDEN[10])
+    assert series_count(9, 5) == series_count(4, 2) == 0  # above max_kinks
+    assert series_count(400, 3) == closed_form(400, 3)
+    with pytest.raises(ValueError):
+        series_count(1, 0)
+    with pytest.raises(ValueError):
+        series_count(5, -1)
+
+
+@settings(max_examples=8, deadline=None)
+@given(j=st.integers(0, 7))
+def test_pair_coefficient_partial_fractions_match_the_recurrence(j):
+    assert _pair_coefficient(j, -1) == 0
+    assert [_pair_coefficient(j, m) for m in range(31)] == _pair_coefficients(j, 30)
 
 
 def test_pair_coefficients_match_their_convolution_sum():
@@ -223,6 +248,8 @@ def test_series_gate_rejects_a_corrupted_expansion(monkeypatch):
     monkeypatch.setattr(kinks.genfunc, "_catalan_power", off_by_one)
     with pytest.raises(CoefficientError, match=r"t\^2 w\^2"):
         bivariate_series(8, 3)
+    with pytest.raises(CoefficientError, match=r"t\^7 w\^3"):
+        series_count(7, 3)
 
 
 def test_asymptotic_estimate_values():

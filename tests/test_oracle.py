@@ -10,6 +10,7 @@ from kinks import (
     History,
     backtrack_count,
     brute_force_table,
+    dp_table,
     enumerate_histories,
     kink_count,
     max_kinks,
@@ -126,3 +127,10 @@ def test_backtrack_agrees_with_brute_force_to_ten():
     for n in range(1, 11):
         for d in range(max_kinks(n) + 1):
             assert backtrack_count(n, d) == brute.count(n, d), (n, d)
+
+
+def test_backtrack_matches_the_recurrences_at_every_n_to_eleven():
+    dp = dp_table(11)
+    for n in range(1, 12):
+        for d in range(max_kinks(n) + 1):
+            assert backtrack_count(n, d) == dp.count(n, d), (n, d)

@@ -3,6 +3,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinks import (
     History,
@@ -12,6 +14,7 @@ from kinks import (
     brute_force_table,
     closed_form,
     dp_table,
+    max_kinks,
     root_state,
     succession_children,
     tree_label,
@@ -155,6 +158,52 @@ def test_dp_accepts_tiny_scopes():
     assert dp_table(2).row(2) == (2,)
     with pytest.raises(ValueError):
         dp_table(0)
+
+
+DP80 = dp_table(80)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 80), d=st.integers(0, 42))
+def test_capped_dp_rows_are_the_full_rows_cut_at_d(n, d):
+    capped = dp_table(n, d)
+    assert capped.lengths() == list(range(1, n + 1))
+    for m in range(1, n + 1):
+        assert capped.row(m) == DP80.row(m)[: d + 1], (m, n, d)
+    assert capped.count(n, d) == DP80.count(n, d)
+
+
+def test_capped_levels_are_cut_states():
+    state = root_state()
+    for _ in range(8):
+        state = advance_level(state, 1)
+    assert (state.n, state.top) == (10, 1)
+    assert state.kink_marginal() == (512, 128512)
+    state.validate()  # a cut state holds fewer than n! nodes
+    assert state.total() < factorial(10)
+    with pytest.raises(ValueError):
+        advance_level(state)  # the bands above the cut are unknown
+    with pytest.raises(ValueError):
+        advance_level(state, 2)
+    assert advance_level(state, 0).kink_marginal() == (1024,)
+    with pytest.raises(ValueError):
+        advance_level(root_state(), -1)
+    with pytest.raises(ValueError):
+        dp_table(2, -1)
+    wide = advance_level(advance_level(root_state(), 9), 9)
+    assert wide == advance_level(advance_level(root_state()))
+    assert wide.top == max_kinks(4)
+
+
+def test_cut_state_validation_rejects_a_surplus():
+    state = root_state()
+    for _ in range(4):
+        state = advance_level(state, 1)
+    assert (state.n, state.top, state.total()) == (6, 1, 32 + 416)
+    rows = state.counts[0]
+    bloated = LevelState(6, ((rows[0][:-1] + (rows[0][-1] + 300,),) + rows[1:], state.counts[1]))
+    with pytest.raises(ValueError, match="level 6 holds 748 nodes"):
+        bloated.validate()
 
 
 def test_level_state_label_lookup_guards():
