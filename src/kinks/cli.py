@@ -28,6 +28,7 @@ from .core import CountTable, max_kinks
 from .genfunc import closed_form, convergence_report, series_count, series_table
 from .oracle import (
     DEFAULT_BRUTE_CEILING,
+    _brute_row,
     backtrack_count,
     brute_force_table,
     enumerate_histories,
@@ -86,7 +87,9 @@ _BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
 ROUTES = {
     "brute": Route(
         lambda n, d, ceiling: n <= ceiling,
-        lambda n, d, ceiling: brute_force_table(n, ceiling=ceiling).count(n, d),
+        # the scan of length n alone, bounded by `covers` as backtrack is;
+        # brute_force_table would also scan every shorter length
+        lambda n, d, ceiling: CountTable({n: tuple(_brute_row(n))}).count(n, d),
         lambda max_n, ceiling: brute_force_table(max_n, ceiling=ceiling),
         _BOUNDED,
     ),

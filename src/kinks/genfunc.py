@@ -4,10 +4,12 @@ The bivariate generating function of the counts (v marks kinks, t marks
 chain length) has a closed form as a sum of algebraic terms indexed by
 j >= 0, each carrying a v^j prefactor.  Every denominator in it is a
 power of 2, so the substitution v = 4w turns each term into integer
-series (Catalan series for sqrt(1-4w) and its reciprocals), and the
-count table is read off with plain int arithmetic: no Fraction and no
-series inverse, and `series_count` extracts a single count in O(d^2)
-operations at any n.  Fixing the kink number gives a rational function of t
+series (Catalan series for sqrt(1-4w) and its reciprocals).  One
+generator, `_series_rows`, reads the coefficients of t^n w^k off that
+identity with plain int arithmetic, no Fraction and no series inverse:
+`bivariate_series` takes whole rows from it, O(D^2) operations per row
+at v-order D, and `series_count` takes a single entry, O(d^2) operations
+at any n.  Fixing the kink number gives a rational function of t
 for every d, derived here from that series, with explicit formulas for
 d <= 3, and the counts grow like 2^(n-2d-1) (d+1)^n, which this module
 also evaluates and checks.  Every count is computed in plain ints;
@@ -19,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
+from typing import Iterable, Iterator
 
 from .algebra import TruncPoly, TSeries
 from .core import CountTable, max_kinks
@@ -60,24 +64,12 @@ def _catalan_power(m: int, order: int) -> list[int]:
     return [m * comb(2 * k + m, k) // (2 * k + m) for k in range(order + 1)]
 
 
-def _pair_coefficients(j: int, top: int) -> list[int]:
-    # c_m = [x^m] 1/((1 - 2j x)^2 (1 - 2(j+1) x)^2) for m = 0..top, which is
-    # sum_i (i+1)(m-i+1) (2j)^i (2j+2)^(m-i).  The denominator is
-    # (1 - e x + f x^2)^2 with e = 4j+2, f = 4j(j+1), so the c_m obey
-    # c_m = 2e c_(m-1) - (e^2+2f) c_(m-2) + 2ef c_(m-3) - f^2 c_(m-4).
-    e, f = 4 * j + 2, 4 * j * (j + 1)
-    steps = (2 * e, -(e * e + 2 * f), 2 * e * f, -f * f)
-    c = [1]
-    for m in range(1, top + 1):
-        c.append(sum(q * c[m - i] for i, q in enumerate(steps, 1) if i <= m))
-    return c
-
-
 def _pair_coefficient(j: int, m: int) -> int:
-    # c_m of _pair_coefficients in partial fractions, with a = 2j, b = 2j+2:
-    # c_m = ((m+1)(b^(m+2) + a^(m+2)) - ab(b^(m+1) - a^(m+1))) / 4, exact, and 0 at m = -1
+    # c_m = [x^m] 1/((1 - a x)^2 (1 - b x)^2) with a = 2j, b = 2j+2, which is
+    # sum_i (i+1)(m-i+1) a^i b^(m-i); in partial fractions
+    # c_m = ((m+1-a) b^(m+2) + (m+1+b) a^(m+2)) / 4, exact, and 0 at m = -1
     a, b = 2 * j, 2 * j + 2
-    return ((m + 1) * (b ** (m + 2) + a ** (m + 2)) - a * b * (b ** (m + 1) - a ** (m + 1))) // 4
+    return ((m + 1 - a) * b ** (m + 2) + (m + 1 + b) * a ** (m + 2)) // 4
 
 
 def _root_power(m: int, order: int) -> list[int]:
@@ -86,6 +78,24 @@ def _root_power(m: int, order: int) -> list[int]:
     for k in range(order):
         e.append(-2 * (m - 2 * k) * e[k] // (k + 1))
     return e
+
+
+def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
+    # [t^n w^k] for k = lo..top and each n in lengths, as 2 (L - T s) s^(n-1)
+    # with L = sum_j a_j w^j C^(1+2j) and T = sum_j b_j w^j C^(1+2j); see
+    # bivariate_series.  weights[k][j] = [w^k] w^j C^(1+2j) is built once,
+    # and only the entries k >= lo of the last product are formed.
+    prefactors = [_catalan_power(1 + 2 * j, top - j) for j in range(top + 1)]
+    weights = [[prefactors[j][k - j] for j in range(k + 1)] for k in range(top + 1)]
+    root = _root_power(1, top)
+    for n in lengths:
+        b = [_pair_coefficient(j, n - 3) for j in range(top + 1)]
+        a = [_pair_coefficient(j, n - 2) - (1 + 2 * j) * bj for j, bj in enumerate(b)]
+        lead = [sum(map(mul, a, w)) for w in weights]
+        tail = [sum(map(mul, b, w)) for w in weights]
+        diff = [x - sum(map(mul, tail, root[k::-1])) for k, x in enumerate(lead)]
+        power = _root_power(n - 1, top)
+        yield [2 * sum(map(mul, diff, power[k::-1])) for k in range(lo, top + 1)]
 
 
 def bivariate_series(t_order: int, v_order: int) -> TSeries:
@@ -107,41 +117,23 @@ def bivariate_series(t_order: int, v_order: int) -> TSeries:
         a = c_(n-2) - (1+2j) c_(n-3),   b = c_(n-3).
 
     Terms with j > v_order vanish under the truncation because of their
-    w^j factor, so the sum stops at j = v_order.  The counts come back as
-    [t^n v^d] = [t^n w^d] / 4^d; a nonzero remainder or a negative value
-    raises CoefficientError.  Every coefficient of the result is an int.
+    w^j factor, so the sum stops at j = v_order, and row n is
+    2 (L - T s) s^(n-1) with L = sum_j a_j w^j C^(1+2j), T likewise with
+    b_j.  Each row costs O(v_order^2) operations, the last product with
+    s^(n-1) being the only one between two big factors.  The counts come
+    back as [t^n v^d] = [t^n w^d] / 4^d; a nonzero remainder or a
+    negative value raises CoefficientError.  Every coefficient of the
+    result is an int.
     """
     if t_order < 2:
         raise ValueError("the series starts at t^2; need t_order >= 2")
     if v_order < 0:
         raise ValueError("v_order must be nonnegative")
-    d_top = v_order
-    root = TruncPoly([1] + [-2 * x for x in _catalan_power(1, d_top - 1)], d_top)
-    pairs = [_pair_coefficients(j, t_order - 2) for j in range(d_top + 1)]
-    prefactors = [_catalan_power(1 + 2 * j, d_top - j) for j in range(d_top + 1)]
-    rows = [TruncPoly.zero(d_top)] * 2
-    power = TruncPoly.one(d_top)  # s^(n-1)
-    for n in range(2, t_order + 1):
-        power = power * root
-        # weight the prefactors by a and b first, so that each row takes
-        # two products in w instead of two per j
-        lead = [0] * (d_top + 1)
-        tail = [0] * (d_top + 1)
-        for j, (c, pre) in enumerate(zip(pairs, prefactors)):
-            b = c[n - 3] if n >= 3 else 0
-            a = c[n - 2] - (1 + 2 * j) * b
-            for k, p in enumerate(pre, j):
-                lead[k] += a * p
-                tail[k] += b * p
-        rows.append((TruncPoly(lead, d_top) - TruncPoly(tail, d_top) * root) * power * 2)
-    counts = []
-    for n, poly in enumerate(rows):
-        row = [
-            _exact_count(x, 4**d, f"coefficient of t^{n} w^{d}")
-            for d, x in enumerate(poly.coeffs)
-        ]
-        counts.append(TruncPoly(row, d_top))
-    return TSeries(counts, t_order, d_top)
+    counts = [TruncPoly.zero(v_order)] * 2
+    for n, row in enumerate(_series_rows(range(2, t_order + 1), 0, v_order), 2):
+        gated = [_exact_count(x, 4**d, f"coefficient of t^{n} w^{d}") for d, x in enumerate(row)]
+        counts.append(TruncPoly(gated, v_order))
+    return TSeries(counts, t_order, v_order)
 
 
 def series_table(t_order: int, v_order: int) -> CountTable:
@@ -167,11 +159,11 @@ def series_table(t_order: int, v_order: int) -> CountTable:
 def series_count(n: int, d: int) -> int:
     """One count of the closed-form series, extracted directly.
 
-    By the identity in `bivariate_series`, [t^n w^d] is the sum over
-    j <= d of 2 [w^(d-j)] C^(1+2j) (a_j s^(n-1) - b_j s^n).  The small
-    products [w^(d-j)] C^(1+2j) s^m are taken first and weighted by the
-    big a_j, b_j after, so the cost is O(d^2) operations at any n; the
-    result must be 4^d times a nonnegative count, else CoefficientError.
+    The entry k = d of row n of the generator behind `bivariate_series`:
+    L - T s is formed to order d and only its product with s^(n-1) at
+    w^d, so the cost is O(d^2) operations at any n, with d + 1 products
+    of two big factors.  The result must be 4^d times a nonnegative
+    count, else CoefficientError.
 
     >>> series_count(10, 3)
     1841152
@@ -180,15 +172,8 @@ def series_count(n: int, d: int) -> int:
         raise ValueError("the series starts at t^2; need n >= 2")
     if d < 0:
         raise ValueError("kink count cannot be negative")
-    lead, tail = _root_power(n - 1, d), _root_power(n, d)
-    total = 0
-    for j in range(d + 1):
-        pre = _catalan_power(1 + 2 * j, d - j)
-        b = _pair_coefficient(j, n - 3)
-        a = _pair_coefficient(j, n - 2) - (1 + 2 * j) * b
-        total += a * sum(p * lead[d - j - k] for k, p in enumerate(pre))
-        total -= b * sum(p * tail[d - j - k] for k, p in enumerate(pre))
-    return _exact_count(2 * total, 4**d, f"coefficient of t^{n} w^{d}")
+    [[entry]] = _series_rows((n,), d, d)
+    return _exact_count(entry, 4**d, f"coefficient of t^{n} w^{d}")
 
 
 def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:

@@ -15,8 +15,8 @@ from typing import Iterator
 
 from .core import CountTable, History, max_kinks
 
-#: 11! is about 4e7 schedule scans, a few seconds of work; anything larger
-#: needs an explicit opt-in via the `ceiling` argument.
+#: 11! is about 4e7 schedule scans at about 1 us each, some 40 s of work;
+#: anything larger needs an explicit opt-in via the `ceiling` argument.
 DEFAULT_BRUTE_CEILING = 11
 
 
@@ -38,9 +38,6 @@ def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> Co
 
 def _brute_row(n: int) -> list[int]:
     counts = [0] * (max_kinks(n) + 1)
-    if n == 1:
-        counts[0] = 1
-        return counts
     sites = range(1, n + 1)
     probe = [0] + [5 << (s - 1) for s in sites]  # neighbour bits of each site
     bit = [0] + [1 << s for s in sites]

@@ -10,8 +10,9 @@ big integers therefore counts histories without enumerating them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial
+from operator import add
 
 from .core import CountTable, History, TreeLabel, max_kinks, tree_label
 
@@ -130,42 +131,21 @@ def advance_level(state: LevelState, d_max: int | None = None) -> LevelState:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
     if alloc > state.top < max_kinks(n):
         raise ValueError(f"a state cut at k = {state.top} cannot advance to k = {alloc}")
-    old0, old1 = state.counts
-    new0 = [[0] * m for _ in range(alloc + 1)]
-    new1 = [[0] * m for _ in range(alloc + 1)]
-    for k in range(alloc + 1):
-        same0 = old0[k] if k < len(old0) else None
-        same1 = old1[k] if k < len(old1) else None
-        below0 = old0[k - 1] if 1 <= k <= len(old0) else None
-        row0 = new0[k]
-        run = 0
-        for i in range(m):  # j = i + 1
-            row0[i] = run
-            if i < n:
-                if same0 is not None:
-                    run += same0[i]
-                if same1 is not None:
-                    run += same1[i]
-        row1 = new1[k]
-        run = 0
-        for i in range(n - 1, -1, -1):
-            if below0 is not None:
-                run += below0[i]
-            if same1 is not None:
-                run += same1[i]
-            row1[i] = run
+    zero = (0,) * n
+    pad = [zero] * (alloc + 1)
+    band0, band1 = [*state.counts[0], *pad], [*state.counts[1], *pad]
+    below0 = [zero, *band0]
+    new0 = [tuple(accumulate(map(add, band0[k], band1[k]), initial=0)) for k in range(alloc + 1)]
+    new1 = [
+        tuple(accumulate(map(add, reversed(below0[k]), reversed(band1[k])), initial=0))[::-1]
+        for k in range(alloc + 1)
+    ]
     top = max_kinks(m)
     for k in range(top + 1, alloc + 1):
         # the stated k bound is loose; the tight one must hold
         if any(new0[k]) or any(new1[k]):
             raise ArithmeticError(f"nonzero count above max_kinks at (m, k) = ({m}, {k})")
-    return LevelState(
-        n=m,
-        counts=(
-            tuple(tuple(row) for row in new0),
-            tuple(tuple(row) for row in new1),
-        ),
-    )
+    return LevelState(n=m, counts=(tuple(new0), tuple(new1)))
 
 
 def dp_table(n_max: int, d_max: int | None = None) -> CountTable:

@@ -60,8 +60,8 @@ def run_verification(
     Scopes: the exhaustive scan and backtracking run to max_n_brute, the
     level recurrences to max_n_dp, the series expansion to (t_order,
     v_order) and the integer identities behind it (`exact_algebra`) to
-    v_order.  `golden_rows` overrides the reference table (to prove the
-    suite notices corruption).
+    v_order, with the root powers s^m for m <= t_order.  `golden_rows`
+    overrides the reference table (to prove the suite notices corruption).
     """
     if max_n_brute < 2 or max_n_dp < 2:
         raise ValueError("verification needs scopes of at least 2")
@@ -179,11 +179,18 @@ def run_verification(
 
     def exact_algebra():
         # the integer pieces of bivariate_series: s = 1 - 2w C(w) squares
-        # to 1 - 4w, and the prefactor series are the powers C^(1+2j)
+        # to 1 - 4w, its powers s^m match their coefficient recurrence (so
+        # s^1 = 1 - 2w C(w) and s^2 = 1 - 4w there too), and the prefactor
+        # series are the powers C^(1+2j)
         catalan = TruncPoly(genfunc._catalan_power(1, v_order), v_order)
         root = TruncPoly.one(v_order) - TruncPoly((0, 2), v_order) * catalan
         if root * root != TruncPoly((1, -4), v_order):
             return f"s = 1 - 2w C(w) does not square to 1 - 4w at order {v_order}"
+        power = TruncPoly.one(v_order)
+        for m in range(1, t_order + 1):
+            power = power * root
+            if power != TruncPoly(genfunc._root_power(m, v_order), v_order):
+                return f"s^{m} differs from its coefficient recurrence at order {v_order}"
         power = catalan
         for j in range(v_order + 1):
             if power != TruncPoly(genfunc._catalan_power(1 + 2 * j, v_order), v_order):

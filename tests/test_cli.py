@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinks.cli
 import kinks.genfunc
 import kinks.verify
 from kinks import CoefficientError, CountTable, dp_table, max_kinks, series_table
@@ -106,6 +107,15 @@ def test_brute_ceiling_env_override(capsys, monkeypatch):
     assert out == "32\n"
     monkeypatch.setenv("KINKS_BRUTE_CEILING", "junk")
     assert run_cli(capsys, "count", "--n", "4", "--d", "0", "--method", "brute")[0] == 2
+
+
+def test_brute_count_scans_only_its_own_length(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single brute count built the whole table")
+
+    monkeypatch.setattr(kinks.cli, "brute_force_table", refuse)
+    assert run_cli(capsys, "count", "--n", "7", "--d", "2", "--method", "brute") == (0, "2880\n", "")
+    assert run_cli(capsys, "count", "--n", "7", "--d", "5", "--method", "brute") == (0, "0\n", "")
 
 
 def _covering_methods(n, d, ceiling):
@@ -403,6 +413,22 @@ def test_verify_exact_algebra_notices_a_corrupted_catalan_power(monkeypatch):
     by_name = {r.name: r for r in results}
     assert not by_name["exact_algebra"].passed
     assert "C(w)^3" in by_name["exact_algebra"].detail
+
+
+def test_verify_exact_algebra_notices_a_corrupted_root_power(monkeypatch):
+    exact = kinks.genfunc._root_power
+
+    def off_by_one(m, order):
+        coeffs = exact(m, order)
+        if m == 5 and order >= 2:
+            coeffs[2] += 1
+        return coeffs
+
+    monkeypatch.setattr(kinks.genfunc, "_root_power", off_by_one)
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    by_name = {r.name: r for r in results}
+    assert not by_name["exact_algebra"].passed
+    assert by_name["exact_algebra"].detail.startswith("s^5 differs")
 
 
 def test_verify_library_surface_reports_named_checks():

@@ -21,12 +21,13 @@ from kinks import (
     series_count,
     series_table,
 )
-from kinks.genfunc import _exact_count, _pair_coefficient, _pair_coefficients
+from kinks.genfunc import _exact_count, _pair_coefficient
 from helpers import GOLDEN
 
 #: Reference rows for the property tests, from the level recurrences.
 DP40 = dp_table(40)
 DP60 = dp_table(60)
+DP150_12 = dp_table(150, 12)
 
 #: The published rational generating functions at d <= 3: numerator
 #: coefficients in t, and the denominator as (scale, multiplicity) pairs
@@ -86,6 +87,12 @@ def test_series_count_matches_the_series_table(n, d):
     assert series_count(n, d) == series_table(n, d).count(n, d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 150), d=st.integers(0, 12))
+def test_series_count_matches_the_truncated_recurrences(n, d):
+    assert series_count(n, d) == DP150_12.count(n, d)
+
+
 def test_series_count_reference_values_and_guards():
     assert [series_count(10, d) for d in range(5)] == list(GOLDEN[10])
     assert series_count(9, 5) == series_count(4, 2) == 0  # above max_kinks
@@ -96,23 +103,17 @@ def test_series_count_reference_values_and_guards():
         series_count(5, -1)
 
 
-@settings(max_examples=8, deadline=None)
-@given(j=st.integers(0, 7))
-def test_pair_coefficient_partial_fractions_match_the_recurrence(j):
-    assert _pair_coefficient(j, -1) == 0
-    assert [_pair_coefficient(j, m) for m in range(31)] == _pair_coefficients(j, 30)
-
-
 def test_pair_coefficients_match_their_convolution_sum():
-    for j in range(6):
+    # c_m = [x^m] 1/((1 - 2j x)^2 (1 - (2j+2) x)^2), from the product of the two series
+    for j in range(8):
         expected = [
             sum(
                 (i + 1) * (m - i + 1) * (2 * j) ** i * (2 * j + 2) ** (m - i)
                 for i in range(m + 1)
             )
-            for m in range(26)
+            for m in range(-1, 31)
         ]
-        assert _pair_coefficients(j, 25) == expected
+        assert [_pair_coefficient(j, m) for m in range(-1, 31)] == expected
 
 
 def test_series_table_matches_recurrences_and_partitions():

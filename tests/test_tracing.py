@@ -1,0 +1,30 @@
+"""The benchmark tracer's targets must still exist in the package.
+
+`perfbench/tracing.py` wraps library functions by (module, attribute) and
+`TSeries` methods by name.  A target that a refactor removes or renames
+would drop a traced layer without any error, so each one is resolved
+here.  The tracer is loaded from its file and never edited.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import kinks.algebra
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve_on_the_package():
+    tracing = _load_tracing()
+    for name, (module, attr) in tracing.FUNCTIONS.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), name
+    for name, attr in tracing.METHODS.items():
+        assert callable(getattr(kinks.algebra.TSeries, attr, None)), name
