@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from fractions import Fraction
 from contextlib import contextmanager
 from functools import cache
@@ -33,7 +34,7 @@ from .oracle import (
     brute_force_table,
     enumerate_histories,
 )
-from .treedp import dp_table
+from .treedp import _kink_rows, dp_table
 from .verify import run_verification
 
 ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
@@ -101,7 +102,10 @@ ROUTES = {
     ),
     "dp": Route(
         lambda n, d, ceiling: True,
-        lambda n, d, ceiling: dp_table(n, d).count(n, d),
+        # the last row alone: O(d) integers held, not n rows
+        lambda n, d, ceiling: CountTable(
+            {n: deque(_kink_rows(n, d), maxlen=1).pop()}
+        ).count(n, d),
         lambda max_n, ceiling: dp_table(max_n),
         "every n and d",
     ),

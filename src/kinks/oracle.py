@@ -126,19 +126,26 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> list[tuple[int, 
 
 
 def _emit_words(n: int, d: int) -> Iterator[History]:
+    # depth-first over `_moves` with an explicit stack of the flips still
+    # to try at each depth, so every word is yielded from this one frame
     full = ((1 << n) - 1) << 1
     word: list[int] = []
-
-    def walk(seen: int, rem: int, cap: int) -> Iterator[History]:
-        if seen == full:
-            yield History(tuple(word))
-            return
-        for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
+    seen = 0
+    pending = [iter(_moves(0, d + 1, _gap_capacity(0, n + 1, n), n, full))]
+    while pending:
+        for bit, rem, cap in pending[-1]:
+            seen |= bit
             word.append(bit.bit_length() - 1)
-            yield from walk(seen | bit, rem2, cap2)
+            if seen != full:
+                pending.append(iter(_moves(seen, rem, cap, n, full)))
+                break
+            yield History(tuple(word))
+            seen ^= bit
             word.pop()
-
-    return walk(0, d + 1, _gap_capacity(0, n + 1, n))
+        else:
+            pending.pop()
+            if word:
+                seen ^= 1 << word.pop()
 
 
 def backtrack_count(n: int, d: int) -> int:

@@ -5,6 +5,15 @@ by inserting the new largest site into the flip schedule, and the label
 (max_pos, kinks, max_first) of the child depends only on the label of the
 parent and the insertion position.  Counting labels level by level with
 big integers therefore counts histories without enumerating them.
+
+The kink marginals of the tree need no labels: a node (j, k, 0) has j
+children at k + 1 kinks, and over the level the max_pos j of the
+max_first = 0 nodes with k kinks sums to (n - 1 - 2k) c(n, k), so
+
+    c(n+1, k) = (2k + 2) c(n, k) + (n + 1 - 2k) c(n, k-1).
+
+`dp_table` counts by that row recurrence; `advance_level` keeps the
+label tree itself, which the verify suite compares the rows against.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import factorial
 from operator import add
+from typing import Iterator
 
 from .core import CountTable, History, TreeLabel, max_kinks, tree_label
 
@@ -57,9 +67,7 @@ class LevelState:
 
     ``counts[r][k][j - 1]`` is the number of level-n nodes labelled
     (j, k, r).  The k axis is allocated up to floor(n/2); the band above
-    max_kinks(n) is kept, and checked, identically zero.  A state advanced
-    with a kink cap is cut: its k axis stops at the cap, and the bands it
-    keeps are exact, since no child has fewer kinks than its parent.
+    max_kinks(n) is kept, and checked, identically zero.
     """
 
     n: int
@@ -73,30 +81,21 @@ class LevelState:
         band = self.counts[r]
         return band[k][j - 1] if k < len(band) else 0
 
-    @property
-    def top(self) -> int:
-        """Highest kink number held: max_kinks(n), or the cap of a cut state."""
-        return min(max_kinks(self.n), len(self.counts[0]) - 1)
-
     def total(self) -> int:
-        """Number of nodes held; equals n! when the state is valid and uncut."""
+        """Number of nodes held; equals n! when the state is valid."""
         return sum(sum(row) for band in self.counts for row in band)
 
     def kink_marginal(self) -> tuple[int, ...]:
-        """Counts by kink number up to `top`, summed over max_pos and max_first."""
-        return tuple(
-            sum(self.counts[0][k]) + sum(self.counts[1][k]) for k in range(self.top + 1)
-        )
+        """Counts by kink number up to max_kinks(n), summed over the other labels."""
+        band0, band1 = self.counts
+        return tuple(sum(band0[k]) + sum(band1[k]) for k in range(max_kinks(self.n) + 1))
 
     def validate(self) -> None:
-        """Raise ValueError unless the level counts are consistent.
-
-        An uncut state holds n! nodes; a cut one holds at most n!.
-        """
+        """Raise ValueError unless the level counts are nonnegative and sum to n!."""
         if any(c < 0 for band in self.counts for row in band for c in row):
             raise ValueError(f"negative node count at level {self.n}")
-        total, whole = self.total(), factorial(self.n)
-        if total > whole or (self.top == max_kinks(self.n) and total != whole):
+        total = self.total()
+        if total != factorial(self.n):
             raise ValueError(f"level {self.n} holds {total} nodes, expected {self.n}!")
 
 
@@ -111,29 +110,22 @@ def root_state() -> LevelState:
     )
 
 
-def advance_level(state: LevelState, d_max: int | None = None) -> LevelState:
+def advance_level(state: LevelState) -> LevelState:
     """Push the node counts one level down the tree.
 
     Children with max_first = 0 at position m collect every parent with
     max_pos < m; children with max_first = 1 at position m collect the
     max_first = 1 parents with max_pos >= m at the same kink count plus
     the max_first = 0 parents with max_pos >= m at one kink less.  Prefix
-    and suffix running sums keep the step at O(n * k) additions.  With
-    `d_max`, only the bands k <= d_max are kept; they need no band above
-    them, so a cut state advances exactly under its own cap or a lower one.
+    and suffix running sums keep the step at O(n * k) additions.
     """
     n = state.n
     if n < 2:
         raise ValueError("level states start at 2")
     m = n + 1
-    alloc = m // 2 if d_max is None else min(m // 2, d_max)
-    if alloc < 0:
-        raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    if alloc > state.top < max_kinks(n):
-        raise ValueError(f"a state cut at k = {state.top} cannot advance to k = {alloc}")
+    alloc = m // 2
     zero = (0,) * n
-    pad = [zero] * (alloc + 1)
-    band0, band1 = [*state.counts[0], *pad], [*state.counts[1], *pad]
+    band0, band1 = [*state.counts[0], zero], [*state.counts[1], zero]
     below0 = [zero, *band0]
     new0 = [tuple(accumulate(map(add, band0[k], band1[k]), initial=0)) for k in range(alloc + 1)]
     new1 = [
@@ -148,14 +140,39 @@ def advance_level(state: LevelState, d_max: int | None = None) -> LevelState:
     return LevelState(n=m, counts=(tuple(new0), tuple(new1)))
 
 
-def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
-    """Exact counts for every n up to n_max via the level recurrences.
+def _kink_rows(n_max: int, d_max: int | None) -> Iterator[tuple[int, ...]]:
+    # rows n = 1..n_max of the kink marginals, each cut at
+    # min(d_max, max_kinks(n)); a band needs only itself and the one below,
+    # so a cut row is exact.  Row sums are the fault check: n! when whole,
+    # at most n! when cut.
+    row: tuple[int, ...] = (1,)
+    fact = 1
+    for n in range(1, n_max + 1):
+        most = max_kinks(n)
+        top = most if d_max is None else min(d_max, most)
+        if n > 1:
+            fact *= n
+            row = tuple(
+                (2 * k + 2) * c + (n - 2 * k) * b
+                for k, c, b in zip(range(top + 1), (*row, 0), (0, *row))
+            )
+        total = sum(row)
+        if total > fact or (top == most and total != fact):
+            raise ArithmeticError(f"recurrence row {n} fails its sum check against {n}!")
+        yield row
 
-    Row 1 is the single one-site history; rows from 2 are the kink
-    marginals of the evolving level states.  Entries are exact at any
-    size (the arithmetic is big-integer throughout).  With `d_max`, the
-    levels keep only the bands k <= d_max, and row n is cut at
-    min(d_max, max_kinks(n)), as `series_table` cuts at its v_order.
+
+def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
+    """Exact counts for every n up to n_max via the kink-marginal recurrence.
+
+    Row 1 is the single one-site history, and row n + 1 follows from row n
+    by the recurrence of the module docstring: about n * d products of a
+    big integer by a small one, for rows of at most d + 1 entries.
+    Entries are exact at any size (the arithmetic is big-integer
+    throughout).  With `d_max`, row n is cut at min(d_max, max_kinks(n)),
+    as `series_table` cuts at its v_order; the bands k <= d_max need no
+    band above them.  A row that fails its sum check (n! when whole, at
+    most n! when cut) raises ArithmeticError.
 
     >>> dp_table(4).row(4)
     (8, 16)
@@ -166,15 +183,7 @@ def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if d_max is not None and d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    rows: dict[int, tuple[int, ...]] = {1: (1,)}
-    if n_max == 1:
-        return CountTable(rows)
-    state = root_state()
-    rows[2] = state.kink_marginal()
-    while state.n < n_max:
-        state = advance_level(state, d_max)
-        rows[state.n] = state.kink_marginal()
-    return CountTable(rows)
+    return CountTable(dict(enumerate(_kink_rows(n_max, d_max), start=1)))
 
 
 @dataclass(frozen=True)

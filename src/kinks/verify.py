@@ -4,7 +4,8 @@ Every route to the counts (exhaustive scan, pruned backtracking, level
 recurrences, series expansion, explicit formulas) must agree with the
 published reference rows and with each other; the suite also exercises
 the structural identities (partition into kink classes, succession-rule
-consistency, growth-estimate decay, exact series arithmetic).
+consistency, the label tree's marginals against the recurrence rows,
+growth-estimate decay, exact series arithmetic).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .algebra import TruncPoly
 from .core import max_kinks
 from .genfunc import closed_form, convergence_report, fixed_kinks_series, series_table
 from .oracle import DEFAULT_BRUTE_CEILING, backtrack_count, brute_force_table
-from .treedp import dp_table, tree_label_consistency
+from .treedp import advance_level, dp_table, root_state, tree_label_consistency
 
 __all__ = ["GOLDEN_ROWS", "CheckResult", "run_verification"]
 
@@ -57,11 +58,13 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run every cross-check and return one result per named check.
 
-    Scopes: the exhaustive scan and backtracking run to max_n_brute, the
-    level recurrences to max_n_dp, the series expansion to (t_order,
-    v_order) and the integer identities behind it (`exact_algebra`) to
-    v_order, with the root powers s^m for m <= t_order.  `golden_rows`
-    overrides the reference table (to prove the suite notices corruption).
+    Scopes: the exhaustive scan and backtracking run to max_n_brute; the
+    kink-marginal recurrence, and the label tree whose marginals must
+    equal its rows level by level (`tree_labels`), run to max_n_dp; the
+    series expansion runs to (t_order, v_order) and the integer identities
+    behind it (`exact_algebra`) to v_order, with the root powers s^m for
+    m <= t_order.  `golden_rows` overrides the reference table (to prove
+    the suite notices corruption).
     """
     if max_n_brute < 2 or max_n_dp < 2:
         raise ValueError("verification needs scopes of at least 2")
@@ -149,6 +152,8 @@ def run_verification(
         return None
 
     def tree_labels():
+        # the succession rule against direct labels, then the label tree
+        # it generates against the recurrence rows
         report = tree_label_consistency(min(8, max_n_brute))
         if not report.ok:
             first = report.mismatches[0]
@@ -156,7 +161,12 @@ def run_verification(
                 f"word {first.word} at position {first.position}: "
                 f"rule {first.expected}, direct {first.actual}"
             )
-        return None
+        state = root_state()
+        while state.kink_marginal() == dp.row(state.n):
+            if state.n == max_n_dp:
+                return None
+            state = advance_level(state)
+        return f"label-tree level {state.n} differs from recurrence row {state.n}"
 
     def growth_estimate():
         convergence_report(0, min(30, max_n_dp), table=dp)

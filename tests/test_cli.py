@@ -431,6 +431,21 @@ def test_verify_exact_algebra_notices_a_corrupted_root_power(monkeypatch):
     assert by_name["exact_algebra"].detail.startswith("s^5 differs")
 
 
+def test_verify_tree_labels_notices_a_corrupted_recurrence_row(monkeypatch):
+    exact = kinks.verify.dp_table
+
+    def corrupted(n_max, d_max=None):
+        rows = dict(exact(n_max, d_max).rows)
+        rows[11] = (rows[11][0] + 1, *rows[11][1:])
+        return CountTable(rows)
+
+    monkeypatch.setattr(kinks.verify, "dp_table", corrupted)
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    by_name = {r.name: r for r in results}
+    assert not by_name["tree_labels"].passed
+    assert by_name["tree_labels"].detail == "label-tree level 11 differs from recurrence row 11"
+
+
 def test_verify_library_surface_reports_named_checks():
     results = kinks.verify.run_verification(
         max_n_brute=4, max_n_dp=12, t_order=8, v_order=3,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinks.treedp
 from kinks import (
     History,
     LevelState,
@@ -14,7 +15,6 @@ from kinks import (
     brute_force_table,
     closed_form,
     dp_table,
-    max_kinks,
     root_state,
     succession_children,
     tree_label,
@@ -158,6 +158,8 @@ def test_dp_accepts_tiny_scopes():
     assert dp_table(2).row(2) == (2,)
     with pytest.raises(ValueError):
         dp_table(0)
+    with pytest.raises(ValueError):
+        dp_table(2, -1)
 
 
 DP80 = dp_table(80)
@@ -173,37 +175,40 @@ def test_capped_dp_rows_are_the_full_rows_cut_at_d(n, d):
     assert capped.count(n, d) == DP80.count(n, d)
 
 
-def test_capped_levels_are_cut_states():
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 80))
+def test_label_tree_marginals_and_moments_match_the_recurrence(n):
+    # the row recurrence rests on one moment of the label tree: over the
+    # max_first = 0 nodes with k kinks, max_pos sums to (n - 1 - 2k) c(n, k)
     state = root_state()
-    for _ in range(8):
-        state = advance_level(state, 1)
-    assert (state.n, state.top) == (10, 1)
-    assert state.kink_marginal() == (512, 128512)
-    state.validate()  # a cut state holds fewer than n! nodes
-    assert state.total() < factorial(10)
-    with pytest.raises(ValueError):
-        advance_level(state)  # the bands above the cut are unknown
-    with pytest.raises(ValueError):
-        advance_level(state, 2)
-    assert advance_level(state, 0).kink_marginal() == (1024,)
-    with pytest.raises(ValueError):
-        advance_level(root_state(), -1)
-    with pytest.raises(ValueError):
-        dp_table(2, -1)
-    wide = advance_level(advance_level(root_state(), 9), 9)
-    assert wide == advance_level(advance_level(root_state()))
-    assert wide.top == max_kinks(4)
+    while state.n < n:
+        state = advance_level(state)
+    row = DP80.row(n)
+    assert state.kink_marginal() == row
+    for k, c in enumerate(row):
+        moment = sum(j * count for j, count in enumerate(state.counts[0][k], start=1))
+        assert moment == (n - 1 - 2 * k) * c, (n, k)
 
 
-def test_cut_state_validation_rejects_a_surplus():
-    state = root_state()
-    for _ in range(4):
-        state = advance_level(state, 1)
-    assert (state.n, state.top, state.total()) == (6, 1, 32 + 416)
-    rows = state.counts[0]
-    bloated = LevelState(6, ((rows[0][:-1] + (rows[0][-1] + 300,),) + rows[1:], state.counts[1]))
-    with pytest.raises(ValueError, match="level 6 holds 748 nodes"):
-        bloated.validate()
+def test_recurrence_row_sum_check_raises(monkeypatch):
+    # a kink bound one short at n = 7 drops the top band of a row taken
+    # as whole, so the row no longer sums to 7!
+    monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 - (n == 7))
+    with pytest.raises(ArithmeticError, match="row 7 fails its sum check"):
+        dp_table(9)
+    dp_table(6)
+
+
+def test_recurrence_cut_row_surplus_raises(monkeypatch):
+    # a kink bound one too high leaves the rows exact but cut from n = 3 at
+    # d_max = 1; doubling the band-below term then puts row 3 at 4 + 4 > 3!
+    monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 + 1)
+    dp_table(9, 1)
+    monkeypatch.setattr(
+        kinks.treedp, "zip", lambda ks, cs, bs: zip(ks, cs, [2 * b for b in bs]), raising=False
+    )
+    with pytest.raises(ArithmeticError, match="row 3 fails its sum check"):
+        dp_table(9, 1)
 
 
 def test_level_state_label_lookup_guards():
