@@ -3,9 +3,9 @@
 A chain of n spin sites flips from all minus to all plus one site at a
 time; the order of flips is a history.  Flips that open a new plus block
 are kinks, and histories are counted by chain length n and kink number d
-through four independent routes that must agree: exhaustive scanning,
-pruned backtracking, generating-tree recurrences, and closed-form series
-expansion.
+through five independent routes that must agree: exhaustive scanning,
+pruned backtracking, generating-tree recurrences, closed-form series
+expansion, and an explicit formula over the Eulerian numbers.
 """
 
 from .algebra import TruncPoly, TSeries, sqrt_one_minus_v

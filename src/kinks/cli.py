@@ -26,7 +26,7 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import CountTable, max_kinks
-from .genfunc import closed_form, convergence_report, series_count, series_table
+from .genfunc import _closed_rows, closed_form, convergence_report, series_count, series_table
 from .oracle import (
     DEFAULT_BRUTE_CEILING,
     _brute_row,
@@ -72,12 +72,10 @@ class Route(NamedTuple):
     domain: str
 
 
-def _by_entry(
-    max_n: int, top: Callable[[int], int], count: Callable[[int, int], int]
-) -> CountTable:
-    # count(n, d) for n = 1..max_n and d = 0..top(n)
+def _by_entry(max_n: int, count: Callable[[int, int], int]) -> CountTable:
+    # count(n, d) for n = 1..max_n and d = 0..max_kinks(n)
     return CountTable(
-        {n: tuple(count(n, d) for d in range(top(n) + 1)) for n in range(1, max_n + 1)}
+        {n: tuple(count(n, d) for d in range(max_kinks(n) + 1)) for n in range(1, max_n + 1)}
     )
 
 
@@ -97,7 +95,7 @@ ROUTES = {
     "backtrack": Route(
         lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
         lambda n, d, ceiling: backtrack_count(n, d),
-        lambda max_n, ceiling: _by_entry(max_n, max_kinks, backtrack_count),
+        lambda max_n, ceiling: _by_entry(max_n, backtrack_count),
         _BOUNDED + " and d <= (n - 1) // 2",
     ),
     "dp": Route(
@@ -117,10 +115,13 @@ ROUTES = {
         "n >= 2",
     ),
     "closed": Route(
-        lambda n, d, ceiling: d <= 3,
+        lambda n, d, ceiling: True,
         lambda n, d, ceiling: closed_form(n, d),
-        lambda max_n, ceiling: _by_entry(max_n, lambda n: min(3, max_kinks(n)), closed_form),
-        "d <= 3",
+        # whole rows: the Eulerian numbers once per row, not once per entry
+        lambda max_n, ceiling: CountTable(
+            dict(enumerate(_closed_rows(range(1, max_n + 1), 0, max_n), start=1))
+        ),
+        "every n and d",
     ),
 }
 METHODS = tuple(ROUTES)

@@ -10,10 +10,11 @@ identity with plain int arithmetic, no Fraction and no series inverse:
 `bivariate_series` takes whole rows from it, O(D^2) operations per row
 at v-order D, and `series_count` takes a single entry, O(d^2) operations
 at any n.  Fixing the kink number gives a rational function of t
-for every d, derived here from that series, with explicit formulas for
-d <= 3, and the counts grow like 2^(n-2d-1) (d+1)^n, which this module
-also evaluates and checks.  Every count is computed in plain ints;
-Fraction remains only in the growth estimate, whose value is rational.
+for every d, derived here from that series, one explicit formula over
+the Eulerian numbers gives every count (`closed_form`), and the counts
+grow like 2^(n-2d-1) (d+1)^n, which this module also evaluates and
+checks.  Every count is computed in plain ints; Fraction remains only
+in the growth estimate, whose value is rational.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class CoefficientError(ArithmeticError):
 
     Count extraction is an internal consistency gate.  The series route
     works over the integers in w = v/4, so each coefficient of t^n w^d
-    must be 4^d times a nonnegative count; the d = 2, 3 formulas are
-    integer numerators over 32 and 384 that must divide exactly, and the
+    must be 4^d times a nonnegative count; the Eulerian sum of the
+    explicit formula must be 2^d times a nonnegative integer, and the
     fixed-d rational forms must fit their denominators.
     """
 
@@ -218,40 +219,55 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
     return tuple(counts[2:])
 
 
-def closed_form(n: int, d: int) -> int:
-    """Exact count from the explicit formulas, valid for d = 0..3.
+def _closed_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[tuple[int, ...]]:
+    # count(n, k) for k = lo..min(top, max_kinks(n)) and each n in lengths, by
+    # closed_form's Eulerian sum: j^n and A(n, m) once per row, then O(k) per
+    # entry, whose weights [t^i] (1-t)(1+t)^(2k-n) follow C(a, i+1) = C(a, i)(a-i)/(i+1).
+    for n in lengths:
+        cut = min(top, max_kinks(n))
+        powers = [j**n for j in range(1, cut + 2)]
+        signed = [(-1) ** j * comb(n + 1, j) for j in range(cut + 1)]
+        euler = [sum(map(mul, signed, powers[m::-1])) for m in range(cut + 1)]
+        row = []
+        for k in range(lo, cut + 1):
+            weights, binom = [1], 1
+            for i in range(k):
+                binom, prev = binom * (2 * k - n - i) // (i + 1), binom
+                weights.append(binom - prev)
+            gamma = sum(map(mul, euler, reversed(weights)))
+            row.append(_exact_count(gamma, 2**k, f"Eulerian sum at n={n}, d={k}") << (n - 1 - k))
+        yield tuple(row)
 
-    Below n = 2d + 1 there is no room for d extra blocks and the count is
-    zero.  The d = 2, 3 formulas are evaluated as one integer numerator
-    over 32 and 384; exact divisibility is checked before returning.
+
+def closed_form(n: int, d: int) -> int:
+    """Exact count from one explicit formula, valid at every (n, d).
+
+    The counts are the interior-peak numbers (OEIS A008303).  Stembridge's
+    identity A_n(t) = ((1+t)/2)^(n-1) W_n(4t/(1+t)^2) ties the Eulerian
+    polynomial A_n(t) = sum_m A(n, m) t^m to W_n(x) = sum_d count(n, d) x^d,
+    and Lagrange inversion at t = w (1+t)^2 reads count(n, d) off it:
+
+        count(n, d) = 2^(n-1-2d) sum_(m=0..d) A(n, m) (C(a, d-m) - C(a, d-m-1)),
+        A(n, m) = sum_(j=0..m) (-1)^j C(n+1, j) (m+1-j)^n,   a = 2d - n,
+
+    with C(a, k) = (-1)^k C(k-a-1, k) at a < 0.  The sum is a gamma
+    coefficient of A_n(t), 2^d times a nonnegative integer (Foata-Strehl),
+    so it must divide by 2^d exactly, else CoefficientError.  The cost is
+    O(d^2) operations at any n; above max_kinks(n) the count is zero at once.
 
     >>> closed_form(5, 1)
     88
+    >>> closed_form(12, 5)
+    22368256
     """
     if n < 1:
         raise ValueError(f"chain length must be at least 1, got {n}")
-    if d < 0 or d > 3:
-        raise ValueError(f"closed forms cover d = 0..3, got {d}")
-    if d == 0:
-        return 2 ** (n - 1)
-    if n < 2 * d + 1:
+    if d < 0:
+        raise ValueError("kink count cannot be negative")
+    if d > max_kinks(n):
         return 0
-    if d == 1:
-        return 2 ** (n - 2) * (2 ** (n - 1) - n)
-    if d == 2:
-        return _exact_count(
-            6**n - 2 * (n - 1) * 4**n + (2 * n * n - 4 * n - 1) * 2**n,
-            32,
-            f"closed form at n={n}, d={d}",
-        )
-    return _exact_count(
-        3 * 8**n
-        - 6 * (n - 2) * 6**n
-        + 6 * (n * n - 4 * n + 2) * 4**n
-        - 2 * (2 * n**3 - 12 * n * n + 13 * n + 6) * 2**n,
-        384,
-        f"closed form at n={n}, d={d}",
-    )
+    [[count]] = _closed_rows((n,), d, d)
+    return count
 
 
 def asymptotic_estimate(n: int, d: int) -> Fraction:
@@ -292,7 +308,7 @@ def convergence_report(
     must shrink strictly at every step, except at d = 0 where it is
     identically zero; when a threshold is supplied, the final deviation
     must not exceed it.  Violations raise ValueError.  `table` supplies
-    precomputed exact counts, else they come from the level recurrences.
+    precomputed exact counts, else dp_table(n_max, d) gives column d.
     """
     if d < 0:
         raise ValueError("kink count cannot be negative")
@@ -300,7 +316,7 @@ def convergence_report(
     if n_max < start:
         raise ValueError(f"no nonzero counts below n = {start}")
     if table is None:
-        table = dp_table(n_max)
+        table = dp_table(n_max, d)
     rows = []
     for n in range(start, n_max + 1):
         exact = table.count(n, d)

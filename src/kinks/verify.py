@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 
 from . import genfunc
 from .algebra import TruncPoly
 from .core import max_kinks
-from .genfunc import closed_form, convergence_report, fixed_kinks_series, series_table
+from .genfunc import convergence_report, fixed_kinks_series, series_table
 from .oracle import DEFAULT_BRUTE_CEILING, backtrack_count, brute_force_table
 from .treedp import advance_level, dp_table, root_state, tree_label_consistency
 
@@ -60,7 +61,8 @@ def run_verification(
 
     Scopes: the exhaustive scan and backtracking run to max_n_brute; the
     kink-marginal recurrence, and the label tree whose marginals must
-    equal its rows level by level (`tree_labels`), run to max_n_dp; the
+    equal its rows level by level (`tree_labels`), run to max_n_dp, and so
+    does the explicit formula (`closed_forms`) at d <= v_order; the
     series expansion runs to (t_order, v_order) and the integer identities
     behind it (`exact_algebra`) to v_order, with the root powers s^m for
     m <= t_order.  `golden_rows` overrides the reference table (to prove
@@ -84,24 +86,12 @@ def run_verification(
     dp = dp_table(max_n_dp)
     brute = brute_force_table(min(max_n_brute, brute_ceiling), ceiling=brute_ceiling)
 
-    def golden_dp():
-        for n in range(2, min(10, max_n_dp) + 1):
-            if dp.row(n) != golden[n]:
-                return f"recurrence row {n} = {dp.row(n)}, reference {golden[n]}"
-        return None
-
-    def golden_brute():
-        for n in range(2, min(10, brute.max_n) + 1):
-            if brute.row(n) != golden[n]:
-                return f"scan row {n} = {brute.row(n)}, reference {golden[n]}"
-        return None
-
-    def golden_series():
-        table = series_table(min(10, t_order), v_order)
-        for n in range(2, min(10, t_order) + 1):
-            stored = table.row(n)
-            if stored != golden[n][: len(stored)]:
-                return f"series row {n} = {stored}, reference {golden[n][: len(stored)]}"
+    def golden_match(label, table, stop=None):
+        # rows n = 2..10 against the reference, cut before d = stop for a truncated table
+        for n in range(2, min(10, table.max_n) + 1):
+            reference = golden[n][:stop]
+            if table.row(n) != reference:
+                return f"{label} row {n} = {table.row(n)}, reference {reference}"
         return None
 
     def method_agreement():
@@ -144,11 +134,12 @@ def run_verification(
         return None
 
     def closed_forms():
-        for d in range(4):
-            for n in range(2 * d + 1, max_n_dp + 1):
-                cf = closed_form(n, d)
-                if cf != dp.count(n, d):
-                    return f"closed form gives {cf} at (n={n}, d={d}), recurrence {dp.count(n, d)}"
+        # whole rows of the formula, d <= v_order, as the closed table reads them
+        rows = genfunc._closed_rows(range(1, max_n_dp + 1), 0, v_order)
+        for n, row in enumerate(rows, 1):
+            for d, (cf, exact) in enumerate(zip_longest(row, dp.row(n)[: v_order + 1])):
+                if cf != exact:
+                    return f"closed form gives {cf} at (n={n}, d={d}), recurrence {exact}"
         return None
 
     def tree_labels():
@@ -208,9 +199,12 @@ def run_verification(
             power = power * catalan * catalan
         return None
 
-    run("golden_dp", golden_dp)
-    run("golden_brute", golden_brute)
-    run("golden_series", golden_series)
+    run("golden_dp", lambda: golden_match("recurrence", dp))
+    run("golden_brute", lambda: golden_match("scan", brute))
+    run(
+        "golden_series",
+        lambda: golden_match("series", series_table(min(10, t_order), v_order), v_order + 1),
+    )
     run("method_agreement", method_agreement)
     run("partition_identity", partition_identity)
     run("series_partition", series_partition)

@@ -91,7 +91,12 @@ def test_count_above_max_kinks_is_zero(capsys):
 
 
 def test_count_range_errors(capsys):
-    assert run_cli(capsys, "count", "--n", "12", "--d", "5", "--method", "closed")[0] == 2
+    # closed covers every (n, d)
+    assert run_cli(capsys, "count", "--n", "12", "--d", "5", "--method", "closed") == (
+        0,
+        f"{dp_table(12).count(12, 5)}\n",
+        "",
+    )
     assert run_cli(capsys, "count", "--n", "12", "--d", "2", "--method", "brute")[0] == 2
     assert run_cli(capsys, "count", "--n", "1", "--d", "0", "--method", "gf")[0] == 2
     assert run_cli(capsys, "count", "--n", "4", "--d", "-1")[0] == 2
@@ -128,8 +133,7 @@ def _covering_methods(n, d, ceiling):
     names.append("dp")
     if n >= 2:
         names.append("gf")
-    if d <= 3:
-        names.append("closed")
+    names.append("closed")
     return names
 
 
@@ -162,7 +166,11 @@ def test_single_method_outside_its_domain_exits_two(capsys, monkeypatch):
 def test_table_routes_look_functions_up_when_called(capsys, monkeypatch):
     argv = ("table", "--max-n", "5", "--format", "csv")
     before = {m: run_cli(capsys, *argv, "--method", m)[1] for m in ("closed", "backtrack")}
-    monkeypatch.setattr("kinks.cli.closed_form", lambda n, d: 7)
+    # the closed table reads whole rows, not closed_form entry by entry
+    def sevens(lengths, lo, top):
+        return ((7,) * (max_kinks(n) + 1) for n in lengths)
+
+    monkeypatch.setattr("kinks.cli._closed_rows", sevens)
     monkeypatch.setattr("kinks.cli.backtrack_count", lambda n, d: 9)
     for method, stub in (("closed", "7"), ("backtrack", "9")):
         code, out, _ = run_cli(capsys, *argv, "--method", method)
@@ -304,9 +312,13 @@ def test_table_text_format(capsys):
 
 def test_table_methods_agree(capsys):
     base = run_cli(capsys, "table", "--max-n", "8", "--method", "dp")
-    for method in ("brute", "backtrack", "gf"):
+    for method in ("brute", "backtrack", "gf", "closed"):
         other = run_cli(capsys, "table", "--max-n", "8", "--method", method)
         assert other == base
+    # the closed table's whole rows, past the oracles' reach
+    argv = ("table", "--max-n", "60", "--format", "json")
+    closed = run_cli(capsys, *argv, "--method", "closed")
+    assert closed == run_cli(capsys, *argv, "--method", "dp")
 
 
 def test_table_output_file(tmp_path, capsys):
@@ -444,6 +456,56 @@ def test_verify_tree_labels_notices_a_corrupted_recurrence_row(monkeypatch):
     by_name = {r.name: r for r in results}
     assert not by_name["tree_labels"].passed
     assert by_name["tree_labels"].detail == "label-tree level 11 differs from recurrence row 11"
+
+
+def test_verify_golden_checks_name_the_row_and_both_values():
+    golden = {**kinks.verify.GOLDEN_ROWS, 7: (64, 1824, 2881, 272)}
+    results = kinks.verify.run_verification(
+        max_n_brute=7, max_n_dp=12, t_order=8, v_order=2, golden_rows=golden
+    )
+    details = {r.name: r.detail for r in results if not r.passed}
+    assert details == {
+        "golden_dp": "recurrence row 7 = (64, 1824, 2880, 272), reference (64, 1824, 2881, 272)",
+        "golden_brute": "scan row 7 = (64, 1824, 2880, 272), reference (64, 1824, 2881, 272)",
+        "golden_series": "series row 7 = (64, 1824, 2880), reference (64, 1824, 2881)",
+    }
+
+
+@pytest.mark.parametrize(
+    "name, check, label",
+    [("dp_table", "golden_dp", "recurrence"), ("brute_force_table", "golden_brute", "scan")],
+)
+def test_verify_golden_checks_fail_a_short_row(monkeypatch, name, check, label):
+    exact = getattr(kinks.verify, name)
+
+    def short(*args, **kwargs):
+        rows = dict(exact(*args, **kwargs).rows)
+        rows[7] = rows[7][:-1]
+        return CountTable(rows)
+
+    monkeypatch.setattr(kinks.verify, name, short)
+    results = kinks.verify.run_verification(max_n_brute=7, max_n_dp=12, t_order=8, v_order=3)
+    assert {r.name: r.detail for r in results}[check] == (
+        f"{label} row 7 = (64, 1824, 2880), reference (64, 1824, 2880, 272)"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, corrupt, cf",
+    [(9, lambda row: (*row[:2], row[2] + 1), 185857), (11, lambda row: row[:2], None)],
+)
+def test_verify_closed_forms_notices_a_corrupted_or_short_row(monkeypatch, n, corrupt, cf):
+    exact = kinks.genfunc._closed_rows
+
+    def corrupted(lengths, lo, top):
+        for m, row in zip(lengths, exact(lengths, lo, top)):
+            yield corrupt(row) if m == n else row
+
+    monkeypatch.setattr(kinks.genfunc, "_closed_rows", corrupted)
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=2)
+    assert {r.name: r.detail for r in results}["closed_forms"] == (
+        f"closed form gives {cf} at (n={n}, d=2), recurrence {dp_table(n).count(n, 2)}"
+    )
 
 
 def test_verify_library_surface_reports_named_checks():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kinks.algebra
+import kinks.cli
 import kinks.core
 import kinks.genfunc
 import kinks.oracle
@@ -49,9 +50,10 @@ def test_counting_routes_construct_no_fraction(monkeypatch):
     monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
     with pytest.raises(AssertionError):
         fractions.Fraction(1, 2)
-    for d in range(4):
+    for d in range(9):
         for n in range(1, 301):
             kinks.genfunc.closed_form(n, d)
+    kinks.cli.ROUTES["closed"].table(60, kinks.oracle.DEFAULT_BRUTE_CEILING)
     for d in range(9):
         kinks.genfunc.fixed_kinks_series(d, 60)
     kinks.genfunc.series_table(30, 8)

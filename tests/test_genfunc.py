@@ -28,6 +28,7 @@ from helpers import GOLDEN
 DP40 = dp_table(40)
 DP60 = dp_table(60)
 DP150_12 = dp_table(150, 12)
+DP200_12 = dp_table(200, 12)
 
 #: The published rational generating functions at d <= 3: numerator
 #: coefficients in t, and the denominator as (scale, multiplicity) pairs
@@ -97,6 +98,7 @@ def test_series_count_reference_values_and_guards():
     assert [series_count(10, d) for d in range(5)] == list(GOLDEN[10])
     assert series_count(9, 5) == series_count(4, 2) == 0  # above max_kinks
     assert series_count(400, 3) == closed_form(400, 3)
+    assert series_count(10000, 5) == closed_form(10000, 5)
     with pytest.raises(ValueError):
         series_count(1, 0)
     with pytest.raises(ValueError):
@@ -206,27 +208,46 @@ def test_closed_form_below_validity_is_zero():
     assert closed_form(4, 2) == 0
     assert closed_form(6, 3) == 0
     assert closed_form(1, 0) == 1  # the one-site history
+    assert closed_form(5, 4) == closed_form(3, 10**9) == 0  # at once, whatever d
 
 
 def test_closed_form_guards():
     with pytest.raises(ValueError):
-        closed_form(5, 4)
+        closed_form(5, -1)
     with pytest.raises(ValueError):
         closed_form(0, 0)
 
 
 def test_closed_form_matches_recurrences():
     dp = dp_table(30)
-    for d in range(4):
+    for d in range(9):
         for n in range(2 * d + 1, 31):
             assert closed_form(n, d) == dp.count(n, d), (n, d)
 
 
 def test_closed_form_matches_the_rational_forms_to_400():
-    for d in range(4):
+    for d in range(9):
         column = fixed_kinks_series(d, 399)
         for n in range(2, 400):
             assert closed_form(n, d) == column[n - 2], (n, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 200), d=st.integers(0, 12))
+def test_closed_form_matches_the_truncated_recurrences(n, d):
+    # zeros above max_kinks(n) included
+    assert closed_form(n, d) == DP200_12.count(n, d)
+
+
+def test_closed_form_gate_rejects_a_corrupted_eulerian_term(monkeypatch):
+    exact = kinks.genfunc.comb
+
+    def off_by_one(n, k):
+        return exact(n, k) + ((n, k) == (13, 2))  # one term of A(12, m), m >= 2
+
+    monkeypatch.setattr(kinks.genfunc, "comb", off_by_one)
+    with pytest.raises(CoefficientError, match="Eulerian sum at n=12, d=2"):
+        closed_form(12, 2)
 
 
 def test_extraction_gate_rejects_non_counts():
