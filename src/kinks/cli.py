@@ -309,6 +309,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             failed += 1
             print(f"FAIL {result.name}: {result.detail}")
+        # timings and traces go to stderr, so stdout stays byte-identical
+        if args.timings:
+            print(f"{result.name} {result.seconds:.6f}", file=sys.stderr)
+        if result.traceback:
+            print(result.traceback, end="", file=sys.stderr)
     print(f"{len(results)} checks, {len(results) - failed} passed, {failed} failed")
     return 1 if failed else 0
 
@@ -403,6 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-n-dp", type=int, default=60)
     verify.add_argument("--t-order", type=int, default=20)
     verify.add_argument("--v-order", type=int, default=6)
+    verify.add_argument(
+        "--timings",
+        action="store_true",
+        help="write one 'name seconds' line per check to stderr",
+    )
     verify.set_defaults(func=_cmd_verify)
 
     asym = sub.add_parser("asym", help="exact counts against the growth estimate")

@@ -115,7 +115,11 @@ def tree_label(h: History) -> TreeLabel:
     >>> tree_label(History((1, 3, 4, 2)))
     TreeLabel(max_pos=3, kinks=1, max_first=0)
     """
-    word = h.word
+    return _word_label(h.word)
+
+
+def _word_label(word: Sequence[int]) -> TreeLabel:
+    # the label of a word already known to be a permutation of 1..n
     n = len(word)
     if n < 2:
         raise ValueError("labels need length >= 2: max_first is undefined at n = 1")

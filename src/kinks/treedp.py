@@ -24,7 +24,7 @@ from math import factorial
 from operator import add
 from typing import Iterator
 
-from .core import CountTable, History, TreeLabel, max_kinks, tree_label
+from .core import CountTable, TreeLabel, _word_label, max_kinks
 
 __all__ = [
     "LevelState",
@@ -222,11 +222,13 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     checked = 0
     mismatches: list[LabelMismatch] = []
     for n in range(2, n_max):
+        top = (n + 1,)
         for word in permutations(range(1, n + 1)):
-            children = succession_children(tree_label(History(word)), n)
+            # words and children are permutations by construction, so
+            # their labels are read off the words without validation
+            children = succession_children(_word_label(word), n)
             for pos in range(1, n + 2):
-                child = word[: pos - 1] + (n + 1,) + word[pos - 1 :]
-                actual = tree_label(History(child))
+                actual = _word_label(word[: pos - 1] + top + word[pos - 1 :])
                 checked += 1
                 if actual != children[pos - 1]:
                     mismatches.append(

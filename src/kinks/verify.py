@@ -10,10 +10,11 @@ growth-estimate decay, exact series arithmetic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial
+from time import perf_counter
 
 from . import genfunc
 from .algebra import TruncPoly
@@ -41,11 +42,18 @@ GOLDEN_ROWS: dict[int, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named verification outcome; detail holds the counterexample."""
+    """One named verification outcome; detail holds the counterexample.
+
+    `seconds` is the check's wall time and `traceback` the full trace of a
+    check that crashed ("" otherwise).  Neither takes part in equality or
+    the repr, which stay deterministic.
+    """
 
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False, repr=False)
+    traceback: str = field(default="", compare=False, repr=False)
 
 
 def run_verification(
@@ -76,12 +84,16 @@ def run_verification(
     results: list[CheckResult] = []
 
     def run(name, func):
+        start = perf_counter()
         try:
             detail = func()
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            from traceback import format_exc  # imported by a crash only: start-up pays nothing
+
+            passed, detail, trace = False, f"{type(exc).__name__}: {exc}", format_exc()
         else:
-            results.append(CheckResult(name, detail is None, detail or ""))
+            passed, detail, trace = detail is None, detail or "", ""
+        results.append(CheckResult(name, passed, detail, perf_counter() - start, trace))
 
     dp = dp_table(max_n_dp)
     brute = brute_force_table(min(max_n_brute, brute_ceiling), ceiling=brute_ceiling)

@@ -508,6 +508,38 @@ def test_verify_closed_forms_notices_a_corrupted_or_short_row(monkeypatch, n, co
     )
 
 
+SMALL_VERIFY = ("--max-n-brute", "4", "--max-n-dp", "12", "--t-order", "8", "--v-order", "3")
+
+
+def test_verify_timings_go_to_stderr_and_leave_stdout_unchanged(capsys):
+    code, out, err = run_cli(capsys, "verify", *SMALL_VERIFY)
+    assert (code, err) == (0, "")
+    timed_code, timed_out, timings = run_cli(capsys, "verify", *SMALL_VERIFY, "--timings")
+    assert (timed_code, timed_out) == (0, out)
+    names = [line.split(" ")[1] for line in out.splitlines()[:-1]]
+    lines = [line.split(" ") for line in timings.splitlines()]
+    assert [name for name, _ in lines] == names
+    assert all(float(seconds) >= 0 for _, seconds in lines)
+
+
+def test_verify_crashed_check_keeps_its_traceback(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(kinks.verify, "convergence_report", boom)
+    code, out, err = run_cli(capsys, "verify", *SMALL_VERIFY)
+    assert code == 1
+    assert "FAIL growth_estimate: RuntimeError: boom\n" in out
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in growth_estimate\n" in err and err.endswith("RuntimeError: boom\n")
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    crashed = {r.name: r for r in results}["growth_estimate"]
+    assert crashed.traceback.endswith("RuntimeError: boom\n")
+    # time and trace stay out of equality and the repr
+    twin = kinks.verify.CheckResult("growth_estimate", False, "RuntimeError: boom")
+    assert crashed == twin and repr(crashed) == repr(twin)
+
+
 def test_verify_library_surface_reports_named_checks():
     results = kinks.verify.run_verification(
         max_n_brute=4, max_n_dp=12, t_order=8, v_order=3,

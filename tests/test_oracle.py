@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinks.oracle
 from kinks import (
     History,
     backtrack_count,
@@ -15,6 +16,8 @@ from kinks import (
     kink_count,
     max_kinks,
 )
+from kinks.core import _word_kinks
+from kinks.oracle import _opened
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -28,7 +31,40 @@ def test_brute_force_reference_rows():
 
 
 def test_brute_force_matches_naive_oracle():
-    assert brute_force_table(6).rows == naive_table(6)
+    # n >= 4 is where heads leaving the same flipped set share one tail scan
+    assert brute_force_table(8).rows == naive_table(8)
+
+
+def test_split_scan_partitions_every_length_to_eleven():
+    table = brute_force_table(11, ceiling=11)
+    assert all(sum(table.row(k)) == factorial(k) for k in range(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(0, n))
+    )
+)
+def test_head_and_tail_kinks_add_up_at_any_cut(word_cut):
+    word, cut = word_cut
+    head_opens, seen = _opened(0, word[:cut])
+    tail_opens, _ = _opened(seen, word[cut:])
+    assert (head_opens - 1) + tail_opens == _word_kinks(word)
+
+
+def test_split_scan_fault_check_catches_a_corrupted_tail(monkeypatch):
+    exact = kinks.oracle._tail_kinks
+
+    def corrupted(seen, n):
+        histogram = exact(seen, n)
+        if n == 5:
+            histogram[0] += 1
+        return histogram
+
+    monkeypatch.setattr(kinks.oracle, "_tail_kinks", corrupted)
+    with pytest.raises(ArithmeticError, match="length 5 "):
+        brute_force_table(6)
 
 
 def test_brute_force_ceiling_guard():

@@ -20,6 +20,7 @@ from kinks import (
     tree_label,
     tree_label_consistency,
 )
+from kinks.treedp import LabelMismatch
 
 
 def test_succession_rule_reference_cases():
@@ -227,6 +228,24 @@ def test_label_consistency_small_scopes():
     assert report.ok
     assert report.checked == 2 * 3 + 6 * 4  # all insertions at levels 2 and 3
     assert tree_label_consistency(6).ok
+
+
+def test_label_consistency_reports_a_wrong_rule_child(monkeypatch):
+    # (4, 3, 2, 1) is the only level-4 word labelled (1, 0, 1)
+    exact = kinks.treedp.succession_children
+
+    def wrong(label, n):
+        children = exact(label, n)
+        if n == 4 and label == TreeLabel(1, 0, 1):
+            children[2] = children[2]._replace(kinks=1)
+        return children
+
+    monkeypatch.setattr(kinks.treedp, "succession_children", wrong)
+    report = tree_label_consistency(5)
+    assert report.mismatches == (
+        LabelMismatch(4, (4, 3, 2, 1), 3, TreeLabel(3, 1, 0), TreeLabel(3, 0, 0)),
+    )
+    assert report.checked == sum(factorial(n) * (n + 1) for n in range(2, 5))
 
 
 def test_label_consistency_guards_factorial_scan():
