@@ -14,6 +14,8 @@ max_first = 0 nodes with k kinks sums to (n - 1 - 2k) c(n, k), so
 
 `dp_table` counts by that row recurrence; `advance_level` keeps the
 label tree itself, which the verify suite compares the rows against.
+`tree_label_consistency` checks the succession rule against the labels
+of the child words, read for all n + 1 children of a word in O(n) steps.
 """
 
 from __future__ import annotations
@@ -209,29 +211,68 @@ class ConsistencyReport:
         return not self.mismatches
 
 
+def _child_labels(word: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    # (max_pos, kinks, max_first) of c_i = word[:i] + (top,) + word[i:] for
+    # i = 0..n, each flip of c_i tested against the set c_i flipped before
+    # it: word[t] sees P_t (the set of word[:t]) when t < i and P_t | {top}
+    # when t >= i, and top sees P_i.  Prefix sums of the first kind and
+    # suffix sums of the second give every kink count in O(n) steps.
+    n = len(word)
+    with_top = 1 << (n + 1)
+    flipped = 0
+    before: list[int] = []  # P_t as site bits, t = 0..n
+    head = [0]  # head[t]: flips of word[:t] that open a block on P_t
+    for s in word:
+        before.append(flipped)
+        head.append(head[-1] + (not flipped & (5 << (s - 1))))
+        flipped |= 1 << s
+    before.append(flipped)
+    tail = [0] * (n + 1)  # tail[t]: flips of word[t:] that open a block with top flipped
+    for t in range(n - 1, -1, -1):
+        tail[t] = tail[t + 1] + (not (before[t] | with_top) & (5 << (word[t] - 1)))
+    last = word.index(n)
+    return [
+        (i + 1, head[i] + (not before[i] & (5 << n)) + tail[i] - 1, 1 if i <= last else 0)
+        for i in range(n + 1)
+    ]
+
+
 def tree_label_consistency(n_max: int) -> ConsistencyReport:
     """Cross-check the succession rules against directly computed labels.
 
-    For every word of length 2..n_max - 1 and every insertion position of
-    the new largest site, compares the label of the child word (computed
-    from scratch) with the label the rule predicts at that position.
-    Mismatches are report content, not errors; a correct rule yields none.
+    For every word w of length n = 2..n_max - 1 and every insertion
+    position of the new largest site top = n + 1, compares the label of
+    the child word with the label the rule predicts at that position.
+    The child labels are read off the child words alone: in the child
+    with top at position i + 1, the flips w[t] before top are tested
+    against the set P_t that w[:t] flipped, top against P_i, and the flips
+    behind it against P_t with top added, each flip against what the child
+    itself flipped before it.  The check never takes a child label from
+    the rule nor from the parent's label, so the rule, whose only input
+    is that label, cannot vouch for itself.  Prefix and suffix sums over w
+    give all n + 1 child labels in O(n) steps, and the rule is asked once
+    per distinct parent label of a level.  Mismatches are report content,
+    not errors; a correct rule yields none.
     """
     if n_max > 9:
         raise ValueError("the cross-check scans (n+1)! children per level; keep n_max <= 9")
     checked = 0
     mismatches: list[LabelMismatch] = []
     for n in range(2, n_max):
-        top = (n + 1,)
+        rule: dict[TreeLabel, list[TreeLabel]] = {}
         for word in permutations(range(1, n + 1)):
-            # words and children are permutations by construction, so
-            # their labels are read off the words without validation
-            children = succession_children(_word_label(word), n)
-            for pos in range(1, n + 2):
-                actual = _word_label(word[: pos - 1] + top + word[pos - 1 :])
-                checked += 1
-                if actual != children[pos - 1]:
-                    mismatches.append(
-                        LabelMismatch(n, word, pos, children[pos - 1], actual)
-                    )
+            # words are permutations by construction, so the parent label
+            # is read off the word without validation
+            label = _word_label(word)
+            children = rule.get(label)
+            if children is None:
+                children = rule[label] = succession_children(label, n)
+            actual = _child_labels(word)
+            checked += n + 1
+            if actual != children:  # a TreeLabel equals the plain tuple of its fields
+                mismatches.extend(
+                    LabelMismatch(n, word, i + 1, children[i], TreeLabel(*actual[i]))
+                    for i in range(n + 1)
+                    if actual[i] != children[i]
+                )
     return ConsistencyReport(checked, tuple(mismatches))

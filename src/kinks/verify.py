@@ -173,11 +173,11 @@ def run_verification(
 
     def growth_estimate():
         convergence_report(0, min(30, max_n_dp), table=dp)
+        # |c(n, 1) / 2^(2n-3) - 1| = 2n/2^n, multiplied through by 2^(2n-3)
         for n in range(2, min(40, max_n_dp) + 1):
-            exact = Fraction(dp.count(n, 1))
-            deviation = abs(exact / (Fraction(2) ** (n - 3) * 2**n) - 1)
-            if deviation != Fraction(2 * n, 2**n):
-                return f"single-kink deviation at n = {n} is {deviation}, not 2n/2^n"
+            gap = abs(2 ** (2 * n - 3) - dp.count(n, 1))
+            if gap != n * 2 ** (n - 2):
+                return f"single-kink count at n = {n} is {gap} off 2^(2n-3), not n 2^(n-2)"
         # thresholds known to hold at n = 60: ~3.2e-9 (d=2), ~3.7e-6 (d=3)
         thresholds = {2: Fraction(1, 10**6), 3: Fraction(1, 10**5)}
         for d in (2, 3):

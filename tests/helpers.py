@@ -3,12 +3,18 @@
 `naive_kink_count` is an independent formulation of the kink statistic:
 it replays the flip schedule on an explicit configuration and counts the
 steps where the number of maximal plus blocks grows.  The library never
-computes it this way, so agreement is meaningful.
+computes it this way, so agreement is meaningful.  `naive_label_consistency`
+is the succession-rule check written the plain way: it builds every child
+word and reads its label from scratch.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+
+import kinks.treedp
+from kinks.core import _word_label
+from kinks.treedp import ConsistencyReport, LabelMismatch
 
 # Reference counts rows[n][d] for n = 2..10 (published table).
 GOLDEN = {
@@ -88,3 +94,19 @@ def naive_table(n_max: int) -> dict[int, tuple[int, ...]]:
             counts[naive_kink_count(word)] += 1
         rows[n] = tuple(counts)
     return rows
+
+
+def naive_label_consistency(n_max: int) -> ConsistencyReport:
+    """The rule check built child word by child word, asking the rule per parent."""
+    checked = 0
+    mismatches = []
+    for n in range(2, n_max):
+        top = (n + 1,)
+        for word in permutations(range(1, n + 1)):
+            children = kinks.treedp.succession_children(_word_label(word), n)
+            for pos in range(1, n + 2):
+                actual = _word_label(word[: pos - 1] + top + word[pos - 1 :])
+                checked += 1
+                if actual != children[pos - 1]:
+                    mismatches.append(LabelMismatch(n, word, pos, children[pos - 1], actual))
+    return ConsistencyReport(checked, tuple(mismatches))

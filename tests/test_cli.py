@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import kinks.cli
 import kinks.genfunc
+import kinks.treedp
 import kinks.verify
-from kinks import CoefficientError, CountTable, dp_table, max_kinks, series_table
+from kinks import CoefficientError, CountTable, TreeLabel, dp_table, max_kinks, series_table
 from kinks.cli import (
     METHODS,
     format_table_csv,
@@ -456,6 +457,43 @@ def test_verify_tree_labels_notices_a_corrupted_recurrence_row(monkeypatch):
     by_name = {r.name: r for r in results}
     assert not by_name["tree_labels"].passed
     assert by_name["tree_labels"].detail == "label-tree level 11 differs from recurrence row 11"
+
+
+def test_verify_tree_labels_notices_a_wrong_rule_child(monkeypatch):
+    # (4, 3, 2, 1) is the only level-4 word labelled (1, 0, 1)
+    exact = kinks.treedp.succession_children
+
+    def wrong(label, n):
+        children = exact(label, n)
+        if n == 4 and label == TreeLabel(1, 0, 1):
+            children[2] = children[2]._replace(kinks=1)
+        return children
+
+    monkeypatch.setattr(kinks.treedp, "succession_children", wrong)
+    results = kinks.verify.run_verification(max_n_brute=5, max_n_dp=12, t_order=8, v_order=3)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert failed == {
+        "tree_labels": "word (4, 3, 2, 1) at position 3: "
+        "rule TreeLabel(max_pos=3, kinks=1, max_first=0), "
+        "direct TreeLabel(max_pos=3, kinks=0, max_first=0)"
+    }
+    assert len(results) == 11
+
+
+def test_verify_growth_estimate_notices_a_corrupted_single_kink_count(monkeypatch):
+    exact = kinks.verify.dp_table
+
+    def corrupted(n_max, d_max=None):
+        rows = dict(exact(n_max, d_max).rows)
+        rows[30] = (rows[30][0], rows[30][1] + 1, *rows[30][2:])
+        return CountTable(rows)
+
+    monkeypatch.setattr(kinks.verify, "dp_table", corrupted)
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=40, t_order=8, v_order=3)
+    gap = abs(2**57 - exact(30).count(30, 1) - 1)
+    assert {r.name: r.detail for r in results}["growth_estimate"] == (
+        f"single-kink count at n = 30 is {gap} off 2^(2n-3), not n 2^(n-2)"
+    )
 
 
 def test_verify_golden_checks_name_the_row_and_both_values():

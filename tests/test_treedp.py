@@ -1,6 +1,8 @@
 """Generating-tree level recurrences and succession rules."""
 
+from itertools import permutations
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from kinks import (
     tree_label,
     tree_label_consistency,
 )
-from kinks.treedp import LabelMismatch
+from kinks.core import _word_label
+from kinks.treedp import LabelMismatch, _child_labels
+from helpers import naive_label_consistency
 
 
 def test_succession_rule_reference_cases():
@@ -246,6 +250,61 @@ def test_label_consistency_reports_a_wrong_rule_child(monkeypatch):
         LabelMismatch(4, (4, 3, 2, 1), 3, TreeLabel(3, 1, 0), TreeLabel(3, 0, 0)),
     )
     assert report.checked == sum(factorial(n) * (n + 1) for n in range(2, 5))
+
+
+def _children_read_off_words(word):
+    top = (len(word) + 1,)
+    return [_word_label(word[:i] + top + word[i:]) for i in range(len(word) + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.integers(1, 14).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_child_labels_match_the_child_words(word):
+    word = tuple(word)
+    assert _child_labels(word) == _children_read_off_words(word)
+
+
+def test_child_labels_match_the_child_words_exhaustively():
+    for n in range(1, 8):
+        for word in permutations(range(1, n + 1)):
+            assert _child_labels(word) == _children_read_off_words(word), word
+
+
+@pytest.mark.parametrize("n_max", range(2, 9))
+def test_label_consistency_matches_the_child_by_child_check(n_max):
+    report = tree_label_consistency(n_max)
+    assert report == naive_label_consistency(n_max)
+    assert report.ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    parent=st.integers(2, 6).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    field=st.sampled_from(TreeLabel._fields),
+    data=st.data(),
+)
+def test_label_consistency_reports_a_corrupted_rule_as_the_naive_check(parent, field, data):
+    # corrupt one field of one child of a label that occurs at level n
+    n = len(parent)
+    target = _word_label(tuple(parent))
+    index = data.draw(st.integers(0, n), label="index")
+    exact = kinks.treedp.succession_children
+
+    def wrong(label, level):
+        children = exact(label, level)
+        if (label, level) == (target, n):
+            value = getattr(children[index], field)
+            value = 1 - value if field == "max_first" else value + 1
+            children[index] = children[index]._replace(**{field: value})
+        return children
+
+    with mock.patch.object(kinks.treedp, "succession_children", wrong):
+        fast = tree_label_consistency(n + 1)
+        naive = naive_label_consistency(n + 1)
+    assert fast.checked == naive.checked == sum(factorial(m) * (m + 1) for m in range(2, n + 1))
+    assert fast.mismatches == naive.mismatches
+    assert repr(fast) == repr(naive)
+    assert fast.mismatches and all(m.n == n and m.position == index + 1 for m in fast.mismatches)
 
 
 def test_label_consistency_guards_factorial_scan():
