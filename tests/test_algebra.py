@@ -134,3 +134,39 @@ def test_everything_stays_exact(s):
     for poly in product.coeffs:
         for coefficient in poly.coeffs:
             assert isinstance(coefficient, (int, Fraction))
+
+
+LEADS = st.sampled_from((1, -1, 2, -2, Fraction(1, 3)))
+
+
+def sparse_series(t_order, v_order):
+    # zero polynomials mixed in, and a t^0 v^0 lead from LEADS
+    zero = TruncPoly.zero(v_order)
+    poly = st.one_of(st.just(zero), polys(v_order))
+    lead = st.tuples(LEADS, poly).map(lambda lp: TruncPoly((lp[0],) + lp[1].coeffs[1:], v_order))
+    return st.tuples(lead, *[poly] * t_order).map(lambda p: TSeries(p, t_order, v_order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(0, 5), st.integers(0, 3)).flatmap(
+        lambda o: st.tuples(sparse_series(*o), sparse_series(*o))
+    )
+)
+def test_tseries_product_is_the_double_convolution(ab):
+    a, b = ab
+    product = a * b
+    for n in range(a.t_order + 1):
+        for k in range(a.v_order + 1):
+            expected = 0
+            for i in range(n + 1):
+                for j in range(k + 1):
+                    expected += a.coeffs[i].coeffs[j] * b.coeffs[n - i].coeffs[k - j]
+            assert product.coeffs[n].coeffs[k] == expected, (n, k)
+
+
+def test_tseries_never_equals_a_truncpoly_of_its_coefficients():
+    series = TSeries.one(2, 1)
+    poly = TruncPoly(series.coeffs, 2)
+    assert series != poly
+    assert poly != series

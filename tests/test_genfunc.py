@@ -57,8 +57,8 @@ def test_series_vanishes_above_max_kinks():
     ninth = series.coefficient(9)
     for d in range(max_kinks(9) + 1, 10):
         assert ninth.coefficient(d) == 0
-    assert series.coefficient(0).is_zero()
-    assert series.coefficient(1).is_zero()
+    assert not series.coefficient(0)
+    assert not series.coefficient(1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,8 +77,8 @@ def test_bivariate_series_has_int_coefficients(t, v):
     assert (series.t_order, series.v_order) == (t, v)
     for poly in series.coeffs:
         assert all(type(c) is int for c in poly.coeffs)
-    assert series.coefficient(0).is_zero()
-    assert series.coefficient(1).is_zero()
+    assert not series.coefficient(0)
+    assert not series.coefficient(1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,3 +28,21 @@ def test_tracer_targets_resolve_on_the_package():
         assert callable(getattr(importlib.import_module(module), attr, None)), name
     for name, attr in tracing.METHODS.items():
         assert callable(getattr(kinks.algebra.TSeries, attr, None)), name
+
+
+def test_tracer_wraps_and_restores_the_inherited_series_methods():
+    tracing = _load_tracing()
+    TSeries, TruncPoly = kinks.algebra.TSeries, kinks.algebra.TruncPoly
+    methods = (TSeries.__mul__, TSeries.inverse, TruncPoly.__mul__, TruncPoly.inverse)
+    series = TSeries((TruncPoly.one(2), TruncPoly((1, 2), 2)), 3, 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        series * series
+        series.inverse()
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    assert layers["algebra.tseries_mul.calls"] == 1
+    assert layers["algebra.tseries_inverse.calls"] == 1
+    assert (TSeries.__mul__, TSeries.inverse, TruncPoly.__mul__, TruncPoly.inverse) == methods
