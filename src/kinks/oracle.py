@@ -128,18 +128,23 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> list[tuple[int, 
     more blocks to open than there is room for are pruned.  Returns one
     `(bit, rem, cap)` per kept flip, in ascending site order.  From
     `seen = 0`, with `rem = d + 1` and `cap = _gap_capacity(0, n + 1, n)`,
-    the first flip opens the initial block, which is not a kink.  The
-    result is a list because a generator here slows `backtrack_count`.
+    the first flip opens the initial block, which is not a kink.  `cap`
+    is tracked only while a block remains to open: a flip that leaves
+    `rem = 0` always has a completion, by growth alone, so it is kept
+    unchecked and carries `cap = 0`.  At `rem = 0` growth is the only
+    move.  The result is a list because a generator here slows
+    `backtrack_count`.
     """
     grown = (seen << 1) | (seen >> 1)
-    fresh = ~grown & ~seen & full
+    fresh = ~grown & ~seen & full if rem else 0
     cand = (grown & ~seen & full) | fresh
     moves = []
     while cand:
         low = cand & -cand
         cand ^= low
         rem2 = rem - 1 if low & fresh else rem
-        if rem2 < 0:
+        if not rem2:
+            moves.append((low, 0, 0))
             continue
         s = low.bit_length() - 1
         lo, hi = _nearest_flipped(seen, s, n)
@@ -151,7 +156,10 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> list[tuple[int, 
 
 def _emit_words(n: int, d: int) -> Iterator[History]:
     # depth-first over `_moves` with an explicit stack of the flips still
-    # to try at each depth, so every word is yielded from this one frame
+    # to try at each depth, so every word is yielded from this one frame.
+    # The last free site needs no search: it touches a flipped site (the
+    # sites are a chain) and a lone unflipped site holds no block, so
+    # `rem` is already 0 and that growth flip is the only move.
     full = ((1 << n) - 1) << 1
     word: list[int] = []
     seen = 0
@@ -160,10 +168,11 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
         for bit, rem, cap in pending[-1]:
             seen |= bit
             word.append(bit.bit_length() - 1)
-            if seen != full:
+            last = full ^ seen
+            if last & (last - 1):
                 pending.append(iter(_moves(seen, rem, cap, n, full)))
                 break
-            yield History(tuple(word))
+            yield History((*word, last.bit_length() - 1) if last else tuple(word))
             seen ^= bit
             word.pop()
         else:
@@ -214,8 +223,9 @@ def backtrack_count(n: int, d: int) -> int:
 
     @cache
     def walk(seen: int, rem: int, cap: int) -> int:
-        # cap follows from seen, so the key is (seen, rem); rem does not,
-        # since a flip that joins two blocks spends no credit
+        # cap follows from seen while rem > 0 and is 0 after, so the key
+        # is (seen, rem); rem does not follow from seen, since a flip
+        # that joins two blocks spends no credit
         if rem == 0:
             return free_completions(seen)
         total = 0

@@ -1,9 +1,12 @@
 """Exhaustive and backtracking enumeration oracles."""
 
+from collections import defaultdict
+from functools import cache
+from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kinks.oracle
@@ -17,7 +20,7 @@ from kinks import (
     max_kinks,
 )
 from kinks.core import _word_kinks
-from kinks.oracle import _opened
+from kinks.oracle import _moves, _opened
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -103,9 +106,25 @@ def test_enumerate_streams_have_the_requested_kinks():
             assert count == (GOLDEN[n][d] if n >= 2 else 1)
 
 
-def test_enumerate_sampled_above_exhaustive_range():
-    for h in enumerate_histories(10, 2, limit=500):
-        assert kink_count(h) == 2
+@cache
+def _dp12():
+    return dp_table(12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(9, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_kinks(n)))),
+    st.integers(1, 2000),
+)
+@example((10, 2), 500)
+@example((12, 3), 2000)
+def test_enumerate_sampled_above_exhaustive_range(nd, limit):
+    # the sizes the `queries` benchmark asks for, checked by replay
+    n, d = nd
+    words = [h.word for h in enumerate_histories(n, d, limit)]
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert all(_word_kinks(w) == d for w in words)
+    assert len(words) == min(limit, _dp12().count(n, d))
 
 
 def test_enumerate_limit():
@@ -170,3 +189,48 @@ def test_backtrack_matches_the_recurrences_at_every_n_to_eleven():
     for n in range(1, 12):
         for d in range(max_kinks(n) + 1):
             assert backtrack_count(n, d) == dp.count(n, d), (n, d)
+
+
+def _wanted_states(n, d):
+    # One prefix for each (seen, rem) state on the way to a word with d
+    # kinks; rem is the blocks still to open, d + 1 before the first flip.
+    states = {}
+    for word in permutations(range(1, n + 1)):
+        if _word_kinks(word) != d:
+            continue
+        for i in range(n):
+            prefix = word[:i]
+            seen = sum(1 << s for s in prefix)
+            states.setdefault((seen, d - _word_kinks(prefix)), prefix)
+    return states
+
+
+def test_moves_keep_exactly_the_flips_that_can_still_reach_d():
+    # Brute force over every completion of every state the walk can pass:
+    # a flip is kept iff some order of the sites left after it gives d
+    # kinks, and `cap` is the most blocks the sites left can still open,
+    # carried as 0 once no block remains to open.
+    for n in range(1, 8):
+        full = ((1 << n) - 1) << 1
+        for d in range(max_kinks(n) + 1):
+            for (seen, rem), prefix in _wanted_states(n, d).items():
+                kinks_after = defaultdict(set)  # first free site -> totals
+                for order in permutations(sorted(set(range(1, n + 1)) - set(prefix))):
+                    kinks_after[order[0]].add(_word_kinks(prefix + order))
+                done = _word_kinks(prefix)
+                cap = max(map(max, kinks_after.values())) - done if rem else 0
+                moves = _moves(seen, rem, cap, n, full)
+                kept = [s for s in sorted(kinks_after) if d in kinks_after[s]]
+                assert [bit.bit_length() - 1 for bit, _, _ in moves] == kept, (n, d, prefix)
+                for bit, rem2, cap2 in moves:
+                    s = bit.bit_length() - 1
+                    opened = _word_kinks(prefix + (s,))
+                    assert rem2 == d - opened, (n, d, prefix, s)
+                    room = max(kinks_after[s]) - opened
+                    assert cap2 == (room if rem2 else 0), (n, d, prefix, s)
+                if rem == 0:
+                    touching = [
+                        s for s in range(1, n + 1)
+                        if not seen >> s & 1 and seen & (5 << (s - 1))
+                    ]
+                    assert [bit.bit_length() - 1 for bit, _, _ in moves] == touching
