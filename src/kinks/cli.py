@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import deque
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .verify import run_verification
 
 ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
 FORMATS = ("csv", "json", "text")
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
 class UsageError(Exception):
@@ -172,7 +174,16 @@ def format_table_csv(table: CountTable) -> str:
     lines = ["n,d,count"]
     for n in _export_lengths(table):
         lines.extend(f"{n},{d},{c}" for d, c in enumerate(table.row(n)))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
+
+
+def _decimal(text: str) -> int:
+    # exactly the digits the writers emit: ASCII, no sign, underscore,
+    # space or leading zero, which int() alone would let through
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not a decimal count")
+    return int(text)
 
 
 def _table_from_cells(cells: Iterable[tuple[int, int, int]]) -> CountTable:
@@ -181,7 +192,7 @@ def _table_from_cells(cells: Iterable[tuple[int, int, int]]) -> CountTable:
     rows: dict[int, list[int]] = {}
     for n, d, count in cells:
         row = rows.setdefault(n, [])
-        if n < 1 or count < 0 or d != len(row):
+        if n < 1 or d != len(row):
             raise ValueError(f"cell (n={n}, d={d}, count={count}) is out of place")
         row.append(count)
     return CountTable({n: tuple(row) for n, row in rows.items()})
@@ -195,18 +206,25 @@ def parse_table_csv(text: str) -> CountTable:
     cells = []
     for line in lines[1:]:
         n_str, d_str, c_str = line.split(",")
-        cells.append((int(n_str), int(d_str), int(c_str)))
+        cells.append((_decimal(n_str), _decimal(d_str), _decimal(c_str)))
     return _table_from_cells(cells)
 
 
 def format_table_json(table: CountTable) -> str:
-    payload = {
-        "rows": [
-            {"n": n, "counts": [str(c) for c in table.row(n)]}
-            for n in _export_lengths(table)
-        ]
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # The bytes of json.dumps({"rows": [{"n": n, "counts": [str(c), ...]},
+    # ...]}, indent=2) + "\n", written directly: str(c) is made once per
+    # count and needs no escaping, and one join makes the whole text (every
+    # further copy of it would be a fresh multi-megabyte allocation).
+    rows = []
+    for n in _export_lengths(table):
+        digits = '",\n        "'.join(map(str, table.row(n)))
+        counts = f'[\n        "{digits}"\n      ]' if digits else "[]"
+        rows.append(f'    {{\n      "n": {n},\n      "counts": {counts}\n    }}')
+    if not rows:
+        return '{\n  "rows": []\n}\n'
+    rows[0] = '{\n  "rows": [\n' + rows[0]
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n".join(rows)
 
 
 def parse_table_json(text: str) -> CountTable:
@@ -217,9 +235,7 @@ def parse_table_json(text: str) -> CountTable:
             n, counts = row["n"], row["counts"]
             if type(n) is not int or type(counts) is not list:
                 raise TypeError(f"row {row!r} needs an integer n and a list of counts")
-            if not all(type(c) is str for c in counts):
-                raise TypeError(f"counts of row {n} are not all decimal strings")
-            cells.extend((n, d, int(c)) for d, c in enumerate(counts))
+            cells.extend((n, d, _decimal(c)) for d, c in enumerate(counts))
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed table JSON: {exc!r}") from exc
     return _table_from_cells(cells)
@@ -238,10 +254,9 @@ def _poly_text(row: tuple[int, ...]) -> str:
 
 
 def format_table_text(table: CountTable) -> str:
-    width = len(str(table.max_n))
-    return "".join(
-        f"n={n:>{width}}: {_poly_text(table.row(n))}\n" for n in _export_lengths(table)
-    )
+    lengths = _export_lengths(table)
+    width = len(str(max(lengths, default=0)))
+    return "".join(f"n={n:>{width}}: {_poly_text(table.row(n))}\n" for n in lengths)
 
 
 _TABLE_FORMATTERS = {

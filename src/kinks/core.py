@@ -58,7 +58,9 @@ class History:
         n = len(word)
         if n < 1:
             raise ValueError("a history must flip at least one site")
-        if sorted(word) != list(range(1, n + 1)):
+        # equal values alone would let 1.0 or Fraction(1) stand for site 1;
+        # a sum that stays an int rules out every non-int site at once
+        if sorted(word) != list(range(1, n + 1)) or type(sum(word)) is not int:
             raise ValueError(f"word is not a permutation of 1..{n}: {word!r}")
 
     @property

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from kinks.cli import (
     METHODS,
     format_table_csv,
     format_table_json,
+    format_table_text,
     format_word,
     main,
     parse_table_csv,
@@ -244,6 +246,9 @@ def test_table_parse_rejects_malformed():
         parse_table_csv("n,d,count\n5,0\n")
     with pytest.raises(ValueError):
         parse_table_csv("n,d,count\n0,0,1\n")
+    for text in ("n,d,count\n2,0,1_0\n3, 0 ,+4\n", "n,d,count\n+2,0,2\n", "n,d,count\n2,00,2\n"):
+        with pytest.raises(ValueError):
+            parse_table_csv(text)  # int() would read each of these
     for text in (
         "[]",
         '{"rows": 3}',
@@ -303,6 +308,89 @@ def test_json_parser_fails_only_with_value_error(value):
         parse_table_json(json.dumps(value))
     except ValueError:
         pass
+
+
+# SHA-256 of `kinks table --max-n 200 --method dp` stdout, taken before the
+# JSON writer stopped going through json.dumps
+_MAX_N_200_SHA256 = {
+    "csv": "7d8920ae26db2f61030753534846b26a6717434fae7623f66c0541b92ff53acc",
+    "json": "f19e76f98ea478ce4878069555d94370f488adbb92a895f49efe554ea6648ee4",
+    "text": "77274a18a871fe59d469d3b14bd3ecf8622476a6975f557649dff7ea7b2dbe98",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_MAX_N_200_SHA256))
+def test_table_bytes_at_max_n_200_are_pinned(capsys, fmt):
+    code, out, err = run_cli(capsys, "table", "--max-n", "200", "--method", "dp", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _MAX_N_200_SHA256[fmt]
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [("csv", "n,d,count\n"), ("json", '{\n  "rows": []\n}\n'), ("text", "")],
+)
+def test_table_bytes_at_max_n_1(capsys, fmt, expected):
+    assert run_cli(capsys, "table", "--max-n", "1", "--format", fmt) == (0, expected, "")
+
+
+_any_tables = st.dictionaries(
+    st.integers(1, 999),  # n = 1 is never exported; n of 1 to 3 digits
+    st.lists(st.integers(0, 10**60), max_size=6).map(tuple),
+    max_size=6,
+).map(CountTable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_any_tables)
+def test_json_writer_matches_json_dumps(table):
+    payload = {
+        "rows": [
+            {"n": n, "counts": [str(c) for c in table.row(n)]}
+            for n in table.lengths()
+            if n >= 2
+        ]
+    }
+    assert format_table_json(table) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_writers_on_the_empty_table():
+    empty = CountTable({})
+    assert parse_table_csv(format_table_csv(dp_table(1))) == empty
+    assert parse_table_json('{"rows": []}') == empty
+    assert format_table_csv(empty) == "n,d,count\n"
+    assert format_table_json(empty) == '{\n  "rows": []\n}\n'
+    assert format_table_text(empty) == ""
+
+
+@pytest.mark.parametrize(
+    "count", ["1_0", "+4", "-0", " 2", "2 ", "02", "00", "\u0662", "\uff12", "", "0x1", "1e3"]
+)
+def test_parsers_reject_counts_no_writer_emits(count):
+    with pytest.raises(ValueError):
+        parse_table_csv(f"n,d,count\n2,0,{count}\n")
+    with pytest.raises(ValueError):
+        parse_table_json(json.dumps({"rows": [{"n": 2, "counts": [count]}]}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count=st.text(alphabet="0123456789 +-_.e\u0662\uff12", max_size=5)
+    | st.text(max_size=3)
+    | st.integers(-5, 10**30).map(str)
+)
+def test_parsers_accept_exactly_the_written_digits(count):
+    written = count.isascii() and count.isdigit() and str(int(count)) == count
+    cells = {2: (int(count),)} if written else None
+    for parse, text in (
+        (parse_table_csv, f"n,d,count\n2,0,{count}\n"),
+        (parse_table_json, json.dumps({"rows": [{"n": 2, "counts": [count]}]})),
+    ):
+        try:
+            rows = parse(text).rows
+        except ValueError:
+            rows = None
+        assert rows == cells, (parse.__name__, count)
 
 
 def test_table_text_format(capsys):

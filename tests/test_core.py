@@ -1,5 +1,6 @@
 """Core domain types and the kink statistic."""
 
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -101,6 +102,17 @@ def test_history_validation():
         History((0, 1, 2))
     with pytest.raises(ValueError):
         History((2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "word",
+    [(1.0, 2.0), (1, 2.0), (2.0, 1), (Fraction(1), 2), (2, 1, Fraction(3)), (Fraction(1),)],
+)
+def test_history_rejects_non_integer_sites(word):
+    # each word equals a permutation of 1..n by value
+    assert sorted(word) == list(range(1, len(word) + 1))
+    with pytest.raises(ValueError):
+        History(word)
 
 
 def test_history_equality_is_word_equality():
