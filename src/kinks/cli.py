@@ -69,7 +69,7 @@ class Route(NamedTuple):
     one count, the table for n = 1..max_n, and its domain in words."""
 
     covers: Callable[[int, int, int], bool]
-    count: Callable[[int, int, int], int]
+    count: Callable[[int, int], int]
     table: Callable[[int, int], CountTable]
     domain: str
 
@@ -90,35 +90,33 @@ ROUTES = {
         lambda n, d, ceiling: n <= ceiling,
         # the scan of length n alone, bounded by `covers` as backtrack is;
         # brute_force_table would also scan every shorter length
-        lambda n, d, ceiling: CountTable({n: tuple(_brute_row(n))}).count(n, d),
+        lambda n, d: CountTable({n: tuple(_brute_row(n))}).count(n, d),
         lambda max_n, ceiling: brute_force_table(max_n, ceiling=ceiling),
         _BOUNDED,
     ),
     "backtrack": Route(
         lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
-        lambda n, d, ceiling: backtrack_count(n, d),
+        lambda n, d: backtrack_count(n, d),
         lambda max_n, ceiling: _by_entry(max_n, backtrack_count),
         _BOUNDED + " and d <= (n - 1) // 2",
     ),
     "dp": Route(
         lambda n, d, ceiling: True,
         # the last row alone: O(d) integers held, not n rows
-        lambda n, d, ceiling: CountTable(
-            {n: deque(_kink_rows(n, d), maxlen=1).pop()}
-        ).count(n, d),
+        lambda n, d: CountTable({n: deque(_kink_rows(n, d), maxlen=1).pop()}).count(n, d),
         lambda max_n, ceiling: dp_table(max_n),
         "every n and d",
     ),
     "gf": Route(
         lambda n, d, ceiling: n >= 2,
         # series_count is 0 above max_kinks too, but at O(d^2) cost
-        lambda n, d, ceiling: series_count(n, d) if d <= max_kinks(n) else 0,
+        lambda n, d: series_count(n, d) if d <= max_kinks(n) else 0,
         lambda max_n, ceiling: series_table(max_n, max_kinks(max_n)),
         "n >= 2",
     ),
     "closed": Route(
         lambda n, d, ceiling: True,
-        lambda n, d, ceiling: closed_form(n, d),
+        lambda n, d: closed_form(n, d),
         # whole rows: the Eulerian numbers once per row, not once per entry
         lambda max_n, ceiling: CountTable(
             dict(enumerate(_closed_rows(range(1, max_n + 1), 0, max_n), start=1))
@@ -147,10 +145,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise UsageError("--d must be nonnegative")
     n, d, ceiling = args.n, args.d, _brute_ceiling()
     if not args.all_methods:
-        print(_route(args.method, n, d, ceiling).count(n, d, ceiling))
+        print(_route(args.method, n, d, ceiling).count(n, d))
         return 0
     values = [
-        (method, route.count(n, d, ceiling))
+        (method, route.count(n, d))
         for method, route in ROUTES.items()
         if route.covers(n, d, ceiling)
     ]
@@ -166,10 +164,29 @@ def _cmd_count(args: argparse.Namespace) -> int:
 # table serialization (counts as decimal strings; lossless round trips)
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    # Exact counts outgrow the int <-> str digit limit (4300 digits, from
+    # Python 3.11 on) near n = 1500; lift it for one request or one call
+    # of a table writer or parser (a context manager from @contextmanager
+    # also decorates).
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _export_lengths(table: CountTable, n_lo: int = 2) -> list[int]:
     return [n for n in table.lengths() if n >= n_lo]
 
 
+@_unlimited_int_digits()
 def format_table_csv(table: CountTable) -> str:
     lines = ["n,d,count"]
     for n in _export_lengths(table):
@@ -198,11 +215,13 @@ def _table_from_cells(cells: Iterable[tuple[int, int, int]]) -> CountTable:
     return CountTable({n: tuple(row) for n, row in rows.items()})
 
 
+@_unlimited_int_digits()
 def parse_table_csv(text: str) -> CountTable:
     """Inverse of `format_table_csv`; ValueError on any malformed input."""
-    lines = text.strip("\n").split("\n")
-    if lines[0] != "n,d,count":
-        raise ValueError("missing n,d,count header")
+    # the header first and every line ended by exactly one newline
+    lines = text.split("\n")
+    if lines[0] != "n,d,count" or lines.pop() != "":
+        raise ValueError("missing n,d,count header or final newline")
     cells = []
     for line in lines[1:]:
         n_str, d_str, c_str = line.split(",")
@@ -210,6 +229,7 @@ def parse_table_csv(text: str) -> CountTable:
     return _table_from_cells(cells)
 
 
+@_unlimited_int_digits()
 def format_table_json(table: CountTable) -> str:
     # The bytes of json.dumps({"rows": [{"n": n, "counts": [str(c), ...]},
     # ...]}, indent=2) + "\n", written directly: str(c) is made once per
@@ -227,6 +247,7 @@ def format_table_json(table: CountTable) -> str:
     return ",\n".join(rows)
 
 
+@_unlimited_int_digits()
 def parse_table_json(text: str) -> CountTable:
     """Inverse of `format_table_json`; ValueError on any malformed input."""
     cells = []
@@ -253,6 +274,7 @@ def _poly_text(row: tuple[int, ...]) -> str:
     return " + ".join(terms)
 
 
+@_unlimited_int_digits()
 def format_table_text(table: CountTable) -> str:
     lengths = _export_lengths(table)
     width = len(str(max(lengths, default=0)))
@@ -342,11 +364,6 @@ def _format_deviation(value: Fraction) -> str:
 
 
 def _cmd_asym(args: argparse.Namespace) -> int:
-    if args.d < 0:
-        raise UsageError("--d must be nonnegative")
-    start = 2 * args.d + 1 if args.d else 1
-    if args.max_n < start:
-        raise UsageError(f"counts at d = {args.d} start at n = {start}")
     rows = convergence_report(args.d, args.max_n)
     if args.format == "csv":
         lines = ["n,exact,estimate,deviation"]
@@ -438,22 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     asym.set_defaults(func=_cmd_asym)
 
     return parser
-
-
-@contextmanager
-def _unlimited_int_digits() -> Iterator[None]:
-    # Exact counts outgrow the int <-> str digit limit (4300 digits, from
-    # Python 3.11 on) near n = 1500; lift it for one request only.
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:
-        yield
-        return
-    limit = get()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def main(argv: list[str] | None = None) -> int:

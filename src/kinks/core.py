@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "History",
@@ -82,18 +82,22 @@ class TreeLabel(NamedTuple):
     max_first: int
 
 
-def _word_kinks(word: Sequence[int]) -> int:
-    # Bit s of `seen` marks site s as flipped; `5 << (s - 1)` probes the
-    # two neighbour bits s - 1 and s + 1.  A flip with no flipped
-    # neighbour starts a new block; the first flip always does and is not
-    # counted.
-    seen = 0
-    d = -1
-    for s in word:
+def _opened(seen: int, flips: Iterable[int]) -> tuple[int, int]:
+    # Blocks opened by the flips, in order, after the sites in `seen`, and
+    # the set flipped after them.  Bit s marks site s; `5 << (s - 1)`
+    # probes its neighbours s - 1 and s + 1, and a flip with neither
+    # flipped opens a block.
+    opens = 0
+    for s in flips:
         if not seen & (5 << (s - 1)):
-            d += 1
+            opens += 1
         seen |= 1 << s
-    return d
+    return opens, seen
+
+
+def _word_kinks(word: Sequence[int]) -> int:
+    # the first flip always opens a block and is not a kink
+    return _opened(0, word)[0] - 1
 
 
 def kink_count(h: History) -> int:

@@ -14,9 +14,9 @@ from collections import Counter, defaultdict
 from functools import cache
 from itertools import islice, permutations
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .core import CountTable, History, max_kinks
+from .core import CountTable, History, _opened, max_kinks
 
 #: The head/tail scan of all 11! words takes about 0.4-0.7 s and of all
 #: 12! about 1.8 s (2-core VM, Python 3.11), and the work grows
@@ -57,18 +57,6 @@ def _brute_row(n: int) -> list[int]:
     if sum(counts) != factorial(n):
         raise ArithmeticError(f"exhaustive scan of length {n} does not count {n}! words")
     return counts
-
-
-def _opened(seen: int, flips: Iterable[int]) -> tuple[int, int]:
-    # Blocks opened by the flips, in order, after the sites in `seen`, and
-    # the set flipped after them.  Bit s marks site s; `5 << (s - 1)`
-    # probes its neighbours s - 1 and s + 1.
-    opens = 0
-    for s in flips:
-        if not seen & (5 << (s - 1)):
-            opens += 1
-        seen |= 1 << s
-    return opens, seen
 
 
 def _tail_kinks(seen: int, n: int) -> Counter[int]:
@@ -184,11 +172,10 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
 def backtrack_count(n: int, d: int) -> int:
     """Number of histories `enumerate_histories(n, d)` would yield.
 
-    Same pruned search, but once the kink credits are spent the remaining
-    free-move completions are counted in closed form instead of walked:
-    runs between blocks interleave multinomially and an inner run of
-    length L flips in 2**(L-1) orders (1 when it touches a chain end).
-    Sub-walks from the same flipped set and credits are counted once.
+    The same pruned search over `_moves`, counted instead of yielded: a
+    walk returns 1 once every site is flipped and otherwise sums the
+    walks after each kept flip.  Sub-walks from the same flipped set and
+    credits are counted once.
 
     >>> backtrack_count(5, 1)
     88
@@ -197,37 +184,15 @@ def backtrack_count(n: int, d: int) -> int:
         raise ValueError(f"chain length must be at least 1, got {n}")
     if not 0 <= d <= max_kinks(n):
         raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
-    fact = [factorial(i) for i in range(n + 1)]
     full = ((1 << n) - 1) << 1
-
-    def free_completions(seen: int) -> int:
-        runs: list[tuple[int, bool]] = []  # (length, touches a chain end)
-        run = 0
-        at_wall = True
-        for site in range(1, n + 1):
-            if seen >> site & 1:
-                if run:
-                    runs.append((run, at_wall))
-                    run = 0
-                at_wall = False
-            else:
-                run += 1
-        if run:
-            runs.append((run, True))
-        total = fact[sum(r for r, _ in runs)]
-        for length, boundary in runs:
-            total //= fact[length]
-            if not boundary:
-                total <<= length - 1
-        return total
 
     @cache
     def walk(seen: int, rem: int, cap: int) -> int:
         # cap follows from seen while rem > 0 and is 0 after, so the key
         # is (seen, rem); rem does not follow from seen, since a flip
         # that joins two blocks spends no credit
-        if rem == 0:
-            return free_completions(seen)
+        if seen == full:
+            return 1
         total = 0
         for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
             total += walk(seen | bit, rem2, cap2)

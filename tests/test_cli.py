@@ -249,6 +249,9 @@ def test_table_parse_rejects_malformed():
     for text in ("n,d,count\n2,0,1_0\n3, 0 ,+4\n", "n,d,count\n+2,0,2\n", "n,d,count\n2,00,2\n"):
         with pytest.raises(ValueError):
             parse_table_csv(text)  # int() would read each of these
+    for text in ("\n\nn,d,count\n2,0,2\n\n\n", "n,d,count\n2,0,2"):
+        with pytest.raises(ValueError):
+            parse_table_csv(text)  # blank lines, or no final newline
     for text in (
         "[]",
         '{"rows": 3}',
@@ -703,8 +706,10 @@ def test_asym_json_format(capsys):
 
 
 def test_asym_range_error(capsys):
-    assert run_cli(capsys, "asym", "--d", "2", "--max-n", "3")[0] == 2
-    assert run_cli(capsys, "asym", "--d", "-1", "--max-n", "5")[0] == 2
+    for argv in (("--d", "2", "--max-n", "3"), ("--d", "-1", "--max-n", "5")):
+        code, out, err = run_cli(capsys, "asym", *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -758,6 +763,22 @@ def test_counts_past_the_int_digit_limit_print_in_full(capsys):
     code, out, err = outs[0]
     assert (code, err) == (0, "")
     assert 4300 < len(out.strip()) < 4600 and out.strip().isdigit()
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_table_writers_and_parsers_past_the_int_digit_limit():
+    # each writer and parser lifts the 4300-digit str() limit for its own call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    table = CountTable({2: (10**5000,)})
+    for write, parse in (
+        (format_table_csv, parse_table_csv),
+        (format_table_json, parse_table_json),
+    ):
+        text = write(table)
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        assert parse(text) == table
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert format_table_text(table) == "n=2: 1" + "0" * 5000 + "\n"
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
