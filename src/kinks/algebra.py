@@ -82,10 +82,6 @@ class TruncPoly:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Any:
-        """Coefficient of the k-th power."""
-        return self.coeffs[k]
-
     def _check(self, other: TruncPoly) -> None:
         if self.order != other.order:
             raise ValueError(f"mixed truncation orders {self.order} and {other.order}")

@@ -182,8 +182,9 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _export_lengths(table: CountTable, n_lo: int = 2) -> list[int]:
-    return [n for n in table.lengths() if n >= n_lo]
+def _export_lengths(table: CountTable) -> list[int]:
+    # every method exports n = 2..max_n alike: the series has no row n = 1
+    return [n for n in table.lengths() if n >= 2]
 
 
 @_unlimited_int_digits()

@@ -11,7 +11,6 @@ d means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -158,10 +157,6 @@ class CountTable:
         """Stored counts for chain length n, indexed by d."""
         return self.rows[n]
 
-    def is_complete(self, n: int) -> bool:
-        """True when row n stores every d up to max_kinks(n)."""
-        return len(self.rows[n]) == max_kinks(n) + 1
-
     def count(self, n: int, d: int) -> int:
         """Exact count for (n, d); zero above max_kinks(n).
 
@@ -176,19 +171,3 @@ class CountTable:
         if d <= max_kinks(n):
             raise ValueError(f"row {n} is truncated at d = {len(row) - 1}, asked for d = {d}")
         return 0
-
-    def validate(self) -> None:
-        """Check table invariants; raises ValueError on the first violation.
-
-        All entries are nonnegative, and every complete row sums to n!
-        with a nonzero top entry.
-        """
-        for n in self.lengths():
-            row = self.rows[n]
-            if any(c < 0 for c in row):
-                raise ValueError(f"negative count in row {n}: {row}")
-            if self.is_complete(n):
-                if sum(row) != factorial(n):
-                    raise ValueError(f"row {n} sums to {sum(row)}, expected {n}!")
-                if row[-1] <= 0:
-                    raise ValueError(f"row {n} has empty top kink class")

@@ -6,9 +6,10 @@ j >= 0, each carrying a v^j prefactor.  Every denominator in it is a
 power of 2, so the substitution v = 4w turns each term into integer
 series (Catalan series for sqrt(1-4w) and its reciprocals).  One
 generator, `_series_rows`, reads the coefficients of t^n w^k off that
-identity with plain int arithmetic, no Fraction and no series inverse:
-`bivariate_series` takes whole rows from it, O(D^2) operations per row
-at v-order D, and `series_count` takes a single entry, O(d^2) operations
+identity with plain int arithmetic, no Fraction and no series inverse,
+and gates each as 4^k times a count: `bivariate_series` and
+`series_table` take whole rows from it, O(D^2) operations per row at
+v-order D, and `series_count` takes a single entry, O(d^2) operations
 at any n.  Fixing the kink number gives a rational function of t
 for every d, derived here from that series, one explicit formula over
 the Eulerian numbers gives every count (`closed_form`), and the counts
@@ -82,9 +83,10 @@ def _root_power(m: int, order: int) -> list[int]:
 
 
 def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
-    # [t^n w^k] for k = lo..top and each n in lengths, as 2 (L - T s) s^(n-1)
-    # with L = sum_j a_j w^j C^(1+2j) and T = sum_j b_j w^j C^(1+2j); see
-    # bivariate_series.  weights[k][j] = [w^k] w^j C^(1+2j) is built once,
+    # [t^n v^k] = [t^n w^k] / 4^k for k = lo..top and each n in lengths, with
+    # [t^n w^k] = 2 (L - T s) s^(n-1), L = sum_j a_j w^j C^(1+2j) and
+    # T = sum_j b_j w^j C^(1+2j); see bivariate_series.  Every entry passes
+    # the 4^k gate here.  weights[k][j] = [w^k] w^j C^(1+2j) is built once,
     # and only the entries k >= lo of the last product are formed.
     prefactors = [_catalan_power(1 + 2 * j, top - j) for j in range(top + 1)]
     weights = [[prefactors[j][k - j] for j in range(k + 1)] for k in range(top + 1)]
@@ -96,7 +98,19 @@ def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int
         tail = [sum(map(mul, b, w)) for w in weights]
         diff = [x - sum(map(mul, tail, root[k::-1])) for k, x in enumerate(lead)]
         power = _root_power(n - 1, top)
-        yield [2 * sum(map(mul, diff, power[k::-1])) for k in range(lo, top + 1)]
+        yield [
+            _exact_count(2 * sum(map(mul, diff, power[k::-1])), 4**k, f"coefficient of t^{n} w^{k}")
+            for k in range(lo, top + 1)
+        ]
+
+
+def _whole_rows(t_order: int, v_order: int) -> Iterator[list[int]]:
+    # rows n = 2..t_order, entries d = 0..v_order, after the order checks
+    if t_order < 2:
+        raise ValueError("the series starts at t^2; need t_order >= 2")
+    if v_order < 0:
+        raise ValueError("v_order must be nonnegative")
+    return _series_rows(range(2, t_order + 1), 0, v_order)
 
 
 def bivariate_series(t_order: int, v_order: int) -> TSeries:
@@ -126,14 +140,8 @@ def bivariate_series(t_order: int, v_order: int) -> TSeries:
     negative value raises CoefficientError.  Every coefficient of the
     result is an int.
     """
-    if t_order < 2:
-        raise ValueError("the series starts at t^2; need t_order >= 2")
-    if v_order < 0:
-        raise ValueError("v_order must be nonnegative")
-    counts = [TruncPoly.zero(v_order)] * 2
-    for n, row in enumerate(_series_rows(range(2, t_order + 1), 0, v_order), 2):
-        gated = [_exact_count(x, 4**d, f"coefficient of t^{n} w^{d}") for d, x in enumerate(row)]
-        counts.append(TruncPoly(gated, v_order))
+    rows = _whole_rows(t_order, v_order)
+    counts = [TruncPoly.zero(v_order)] * 2 + [TruncPoly(row, v_order) for row in rows]
     return TSeries(counts, t_order, v_order)
 
 
@@ -142,19 +150,15 @@ def series_table(t_order: int, v_order: int) -> CountTable:
 
     Rows cover n = 2..t_order; each row stores d up to
     min(v_order, max_kinks(n)), so rows are complete whenever v_order
-    reaches max_kinks(n).  bivariate_series has already checked every
-    coefficient to be a nonnegative integer.
+    reaches max_kinks(n).  The rows are those of `bivariate_series`, read
+    from the same generator, which gates every entry, the zeros above
+    max_kinks(n) included, as 4^d times a nonnegative count.
 
     >>> series_table(4, 1).row(4)
     (8, 16)
     """
-    series = bivariate_series(t_order, v_order)
-    return CountTable(
-        {
-            n: series.coefficient(n).coeffs[: min(v_order, max_kinks(n)) + 1]
-            for n in range(2, t_order + 1)
-        }
-    )
+    rows = _whole_rows(t_order, v_order)
+    return CountTable({n: tuple(row[: max_kinks(n) + 1]) for n, row in enumerate(rows, 2)})
 
 
 def series_count(n: int, d: int) -> int:
@@ -173,8 +177,8 @@ def series_count(n: int, d: int) -> int:
         raise ValueError("the series starts at t^2; need n >= 2")
     if d < 0:
         raise ValueError("kink count cannot be negative")
-    [[entry]] = _series_rows((n,), d, d)
-    return _exact_count(entry, 4**d, f"coefficient of t^{n} w^{d}")
+    [[count]] = _series_rows((n,), d, d)
+    return count
 
 
 def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
@@ -260,12 +264,10 @@ def closed_form(n: int, d: int) -> int:
     >>> closed_form(12, 5)
     22368256
     """
-    if n < 1:
-        raise ValueError(f"chain length must be at least 1, got {n}")
+    if d > max_kinks(n):  # first, so that n < 1 raises max_kinks' error at any d
+        return 0
     if d < 0:
         raise ValueError("kink count cannot be negative")
-    if d > max_kinks(n):
-        return 0
     [[count]] = _closed_rows((n,), d, d)
     return count
 

@@ -100,9 +100,7 @@ def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[Hi
     >>> ["".join(map(str, h.word)) for h in enumerate_histories(3, 1)]
     ['132', '312']
     """
-    if n < 1:
-        raise ValueError(f"chain length must be at least 1, got {n}")
-    if not 0 <= d <= max_kinks(n):
+    if not 0 <= d <= max_kinks(n):  # max_kinks raises at n < 1, in the message too
         raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
     return islice(_emit_words(n, d), limit)
 
@@ -180,9 +178,7 @@ def backtrack_count(n: int, d: int) -> int:
     >>> backtrack_count(5, 1)
     88
     """
-    if n < 1:
-        raise ValueError(f"chain length must be at least 1, got {n}")
-    if not 0 <= d <= max_kinks(n):
+    if not 0 <= d <= max_kinks(n):  # max_kinks raises at n < 1, in the message too
         raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
     full = ((1 << n) - 1) << 1
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, permutations
-from math import factorial
 from operator import add
 from typing import Iterator
 
@@ -75,14 +74,6 @@ class LevelState:
     n: int
     counts: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
-    def label_count(self, label: TreeLabel) -> int:
-        """Number of level nodes carrying the given label."""
-        j, k, r = label
-        if not 1 <= j <= self.n or r not in (0, 1) or k < 0:
-            raise ValueError(f"label {label} cannot occur at level {self.n}")
-        band = self.counts[r]
-        return band[k][j - 1] if k < len(band) else 0
-
     def total(self) -> int:
         """Number of nodes held; equals n! when the state is valid."""
         return sum(sum(row) for band in self.counts for row in band)
@@ -91,14 +82,6 @@ class LevelState:
         """Counts by kink number up to max_kinks(n), summed over the other labels."""
         band0, band1 = self.counts
         return tuple(sum(band0[k]) + sum(band1[k]) for k in range(max_kinks(self.n) + 1))
-
-    def validate(self) -> None:
-        """Raise ValueError unless the level counts are nonnegative and sum to n!."""
-        if any(c < 0 for band in self.counts for row in band for c in row):
-            raise ValueError(f"negative node count at level {self.n}")
-        total = self.total()
-        if total != factorial(self.n):
-            raise ValueError(f"level {self.n} holds {total} nodes, expected {self.n}!")
 
 
 def root_state() -> LevelState:

@@ -71,10 +71,11 @@ def run_verification(
     kink-marginal recurrence, and the label tree whose marginals must
     equal its rows level by level (`tree_labels`), run to max_n_dp, and so
     does the explicit formula (`closed_forms`) at d <= v_order; the
-    series expansion runs to (t_order, v_order) and the integer identities
-    behind it (`exact_algebra`) to v_order, with the root powers s^m for
-    m <= t_order.  `golden_rows` overrides the reference table (to prove
-    the suite notices corruption).
+    series expansion runs to (t_order, v_order), its rows compared with the
+    recurrence's up to max_n_dp (`series_partition`), and the integer
+    identities behind it (`exact_algebra`) to v_order, with the root powers
+    s^m for m <= t_order.  `golden_rows` overrides the reference table (to
+    prove the suite notices corruption).
     """
     if max_n_brute < 2 or max_n_dp < 2:
         raise ValueError("verification needs scopes of at least 2")
@@ -125,12 +126,13 @@ def run_verification(
         return None
 
     def series_partition():
-        top = min(12, t_order, 2 * v_order + 2)  # complete rows only
-        table = series_table(max(top, 2), v_order)
+        # every series row, cut or whole, against the recurrence's, summed to n! above
+        top = min(t_order, max_n_dp)
+        table = series_table(top, v_order)
         for n in range(2, top + 1):
-            total = sum(table.row(n))
-            if total != factorial(n):
-                return f"series row {n} sums to {total}, not {n}!"
+            reference = dp.row(n)[: v_order + 1]
+            if table.row(n) != reference:
+                return f"series row {n} = {table.row(n)}, recurrence {reference}"
         return None
 
     def rational_forms():

@@ -91,7 +91,7 @@ def test_tseries_geometric_inverse():
         )
         geometric = linear.inverse()
         for m in range(9):
-            assert geometric.coefficient(m).coefficient(0) == constant**m
+            assert geometric.coeffs[m].coeffs[0] == constant**m
 
 
 @settings(max_examples=20, deadline=None)

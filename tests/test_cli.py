@@ -637,6 +637,32 @@ def test_verify_closed_forms_notices_a_corrupted_or_short_row(monkeypatch, n, co
     )
 
 
+@pytest.mark.parametrize(
+    "scope",
+    [{}, {"max_n_brute": 6, "max_n_dp": 35, "t_order": 16, "v_order": 5}],
+    ids=["default", "reduced"],
+)
+def test_verify_series_partition_notices_a_count_moved_between_kink_classes(monkeypatch, scope):
+    # one count of row 15 moves from d = 5 to d = 4: the row sum and every
+    # 4^d gate still hold, and the rows the rational forms read stop at d = 3
+    exact = kinks.genfunc._series_rows
+
+    def moved(lengths, lo, top):
+        for n, row in zip(lengths, exact(lengths, lo, top)):
+            if n == 15 and lo <= 4 and top >= 5:
+                row[4 - lo] += 1
+                row[5 - lo] -= 1
+            yield row
+
+    monkeypatch.setattr(kinks.genfunc, "_series_rows", moved)
+    results = kinks.verify.run_verification(**scope)
+    reference = dp_table(15).row(15)[: scope.get("v_order", 6) + 1]
+    series = (*reference[:4], reference[4] + 1, reference[5] - 1, *reference[6:])
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "series_partition": f"series row 15 = {series}, recurrence {reference}"
+    }
+
+
 SMALL_VERIFY = ("--max-n-brute", "4", "--max-n-dp", "12", "--t-order", "8", "--v-order", "3")
 
 
@@ -780,6 +806,41 @@ def test_table_writers_and_parsers_past_the_int_digit_limit():
         assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
     assert format_table_text(table) == "n=2: 1" + "0" * 5000 + "\n"
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_digit_limit_fallback_without_the_limit_functions(capsys, monkeypatch):
+    # interpreters before 3.11 have neither sys.get_int_max_str_digits nor
+    # its setter; the writers and main() then run without touching a limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    table = dp_table(30)
+    argv = ("count", "--n", "40", "--d", "2")
+    usual = format_table_csv(table), run_cli(capsys, *argv)
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert (format_table_csv(table), run_cli(capsys, *argv)) == usual
+    assert usual[1][0] == 0
+    monkeypatch.undo()
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-n-brute", "5", "--max-n-dp", "20", "--t-order", "8", "--v-order", "3"),
+        ("count", "--n", "15", "--d", "4", "--all-methods"),
+    ],
+)
+def test_cli_under_python_O_prints_the_same(argv):
+    # python -O strips assert statements; the invariant checks must not be asserts
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.genfunc.__file__).parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "kinks", *argv], capture_output=True, text=True, env=env
+        )
+        for flags in ((), ("-O",))
+    ]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_byte_identical_reruns(capsys):

@@ -136,7 +136,7 @@ def test_count_table_lookup_and_bounds():
     assert table.row(4) == (8, 16)
     assert table.lengths() == [1, 4]
     assert table.max_n == 4
-    assert table.is_complete(4)
+    assert len(table.row(4)) == max_kinks(4) + 1  # a whole row
     with pytest.raises(ValueError):
         table.count(4, -1)
     with pytest.raises(KeyError):
@@ -145,18 +145,8 @@ def test_count_table_lookup_and_bounds():
 
 def test_count_table_truncated_row_is_not_zero():
     table = CountTable({9: (256, 31616)})  # stored only d <= 1
-    assert not table.is_complete(9)
+    assert len(table.row(9)) < max_kinks(9) + 1  # a cut row
     assert table.count(9, 1) == 31616
     with pytest.raises(ValueError):
         table.count(9, 3)  # unknown, not zero
     assert table.count(9, 7) == 0  # above max_kinks(9): still zero
-
-
-def test_count_table_validate():
-    CountTable({1: (1,), 2: (2,), 3: (4, 2)}).validate()
-    with pytest.raises(ValueError):
-        CountTable({3: (4, 3)}).validate()  # wrong sum
-    with pytest.raises(ValueError):
-        CountTable({3: (6, 0)}).validate()  # empty top class
-    with pytest.raises(ValueError):
-        CountTable({3: (8, -2)}).validate()  # negative entry

@@ -54,11 +54,11 @@ def test_series_table_reproduces_reference_rows():
 
 def test_series_vanishes_above_max_kinks():
     series = bivariate_series(9, 9)
-    ninth = series.coefficient(9)
+    ninth = series.coeffs[9]
     for d in range(max_kinks(9) + 1, 10):
-        assert ninth.coefficient(d) == 0
-    assert not series.coefficient(0)
-    assert not series.coefficient(1)
+        assert ninth.coeffs[d] == 0
+    assert not series.coeffs[0]
+    assert not series.coeffs[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,8 +77,8 @@ def test_bivariate_series_has_int_coefficients(t, v):
     assert (series.t_order, series.v_order) == (t, v)
     for poly in series.coeffs:
         assert all(type(c) is int for c in poly.coeffs)
-    assert not series.coefficient(0)
-    assert not series.coefficient(1)
+    assert not series.coeffs[0]
+    assert not series.coeffs[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,8 +129,8 @@ def test_series_table_matches_recurrences_and_partitions():
 def test_series_table_truncated_rows():
     table = series_table(9, 2)
     assert table.row(9) == (256, 31616, 185856)  # d <= 2 only
-    assert not table.is_complete(9)
-    assert table.is_complete(5)
+    assert len(table.row(9)) < max_kinks(9) + 1  # cut
+    assert len(table.row(5)) == max_kinks(5) + 1  # whole
 
 
 def test_series_table_guards():
@@ -212,10 +212,12 @@ def test_closed_form_below_validity_is_zero():
 
 
 def test_closed_form_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kink count cannot be negative"):
         closed_form(5, -1)
-    with pytest.raises(ValueError):
-        closed_form(0, 0)
+    # n < 1 gets the chain-length error at any d, a negative d included
+    for n, d in ((0, 0), (-3, 0), (0, -1), (-3, -1), (0, 5)):
+        with pytest.raises(ValueError, match=f"chain length must be at least 1, got {n}$"):
+            closed_form(n, d)
 
 
 def test_closed_form_matches_recurrences():

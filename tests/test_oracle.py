@@ -30,7 +30,10 @@ def test_brute_force_reference_rows():
     assert table.row(2) == (2,)
     assert table.row(4) == (8, 16)
     assert table.row(7) == (64, 1824, 2880, 272)
-    table.validate()
+    for n in table.lengths():
+        row = table.row(n)
+        assert len(row) == max_kinks(n) + 1 and sum(row) == factorial(n)
+        assert min(row) >= 0 and row[-1] > 0
 
 
 def test_brute_force_matches_naive_oracle():
@@ -138,20 +141,31 @@ def test_enumerate_yields_history_values():
     assert all(isinstance(h, History) for h in enumerate_histories(3, 0))
 
 
+#: (n, d) pairs below the shortest chain, a negative d included: each must
+#: get the chain-length error, whatever d is
+SHORT_CHAINS = ((0, 0), (-3, 0), (0, -1), (-3, -1), (0, 5))
+
+
 def test_enumerate_range_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"kink count 2 out of range 0\.\.1 for n = 4$"):
         list(enumerate_histories(4, 2))  # max_kinks(4) == 1
-    with pytest.raises(ValueError):
-        list(enumerate_histories(0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"kink count -1 out of range 0\.\.1 for n = 4$"):
         list(enumerate_histories(4, -1))
+    for n, d in SHORT_CHAINS:
+        with pytest.raises(ValueError, match=f"chain length must be at least 1, got {n}$"):
+            enumerate_histories(n, d)
 
 
 def test_backtrack_reference_counts():
     assert backtrack_count(5, 1) == 88
     assert backtrack_count(6, 2) == 272
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"kink count 3 out of range 0\.\.2 for n = 6$"):
         backtrack_count(6, max_kinks(6) + 1)
+    with pytest.raises(ValueError, match=r"kink count -1 out of range 0\.\.2 for n = 6$"):
+        backtrack_count(6, -1)
+    for n, d in SHORT_CHAINS:
+        with pytest.raises(ValueError, match=f"chain length must be at least 1, got {n}$"):
+            backtrack_count(n, d)
 
 
 def test_backtrack_matches_enumeration_sizes():

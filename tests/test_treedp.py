@@ -17,6 +17,7 @@ from kinks import (
     brute_force_table,
     closed_form,
     dp_table,
+    max_kinks,
     root_state,
     succession_children,
     tree_label,
@@ -64,10 +65,11 @@ def test_every_node_has_level_plus_one_children():
 def test_root_state_holds_the_two_smallest_words():
     state = root_state()
     assert state.n == 2
-    assert state.label_count(tree_label(History((1, 2)))) == 1
-    assert state.label_count(tree_label(History((2, 1)))) == 1
+    for word in ((1, 2), (2, 1)):
+        j, k, r = tree_label(History(word))
+        assert state.counts[r][k][j - 1] == 1
     assert state.total() == 2
-    state.validate()
+    assert min(c for band in state.counts for row in band for c in row) >= 0
 
 
 def test_advance_level_marginals():
@@ -81,8 +83,8 @@ def test_advance_level_grows_by_level_plus_one():
     state = root_state()
     for _ in range(6):
         child = advance_level(state)
-        assert child.total() == (state.n + 1) * state.total()
-        child.validate()
+        assert child.total() == (state.n + 1) * state.total() == factorial(child.n)
+        assert min(c for band in child.counts for row in band for c in row) >= 0
         state = child
 
 
@@ -129,7 +131,10 @@ def test_dp_reference_rows():
     assert table.row(10) == (512, 128512, 1304832, 1841152, 353792)
     assert table.row(9) == (256, 31616, 185856, 137216, 7936)
     assert table.row(1) == (1,)
-    table.validate()
+    for n in table.lengths():
+        row = table.row(n)
+        assert len(row) == max_kinks(n) + 1 and sum(row) == factorial(n)
+        assert min(row) >= 0 and row[-1] > 0
 
 
 def test_dp_row_twelve_cross_checks():
@@ -214,16 +219,6 @@ def test_recurrence_cut_row_surplus_raises(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="row 3 fails its sum check"):
         dp_table(9, 1)
-
-
-def test_level_state_label_lookup_guards():
-    state = advance_level(root_state())
-    assert state.label_count(TreeLabel(3, 0, 0)) == 2
-    assert state.label_count(TreeLabel(1, 1, 1)) == 1
-    with pytest.raises(ValueError):
-        state.label_count(TreeLabel(4, 0, 0))  # beyond the level
-    with pytest.raises(ValueError):
-        state.label_count(TreeLabel(1, 0, 2))
 
 
 def test_label_consistency_small_scopes():
