@@ -16,7 +16,6 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -251,6 +250,7 @@ def format_table_json(table: CountTable) -> str:
 @_unlimited_int_digits()
 def parse_table_json(text: str) -> CountTable:
     """Inverse of `format_table_json`; ValueError on any malformed input."""
+    import json  # imported by a JSON reader only: start-up pays nothing
     cells = []
     try:
         for row in json.loads(text)["rows"]:
@@ -374,6 +374,7 @@ def _cmd_asym(args: argparse.Namespace) -> int:
         )
         text = "\n".join(lines) + "\n"
     elif args.format == "json":
+        import json  # imported by a JSON request only: start-up pays nothing
         payload = {
             "d": args.d,
             "rows": [

@@ -10,7 +10,6 @@ d means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -37,8 +36,11 @@ def max_kinks(n: int) -> int:
     return (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class History:
+class _HistoryWord(NamedTuple):  # History's fields: a NamedTuple body may not define __new__
+    word: tuple[int, ...]
+
+
+class History(_HistoryWord):
     """A flip schedule: ``word[i]`` is the site flipped at time step i + 1.
 
     The word uses every site of the chain exactly once, i.e. it is a
@@ -49,11 +51,11 @@ class History:
     3
     """
 
-    word: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    def __new__(cls, word: Iterable[int]) -> History:
+        word = tuple(word)
         n = len(word)
         if n < 1:
             raise ValueError("a history must flip at least one site")
@@ -61,6 +63,7 @@ class History:
         # a sum that stays an int rules out every non-int site at once
         if sorted(word) != list(range(1, n + 1)) or type(sum(word)) is not int:
             raise ValueError(f"word is not a permutation of 1..{n}: {word!r}")
+        return super().__new__(cls, word)
 
     @property
     def n(self) -> int:
@@ -133,8 +136,7 @@ def _word_label(word: Sequence[int]) -> TreeLabel:
     return TreeLabel(pos_max + 1, _word_kinks(word), 1 if pos_max < pos_second else 0)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Exact history counts indexed by chain length n and kink count d.
 
     ``rows[n][d]`` is the number of length-n histories creating exactly d

@@ -20,11 +20,10 @@ in the growth estimate, whose value is rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import TruncPoly, TSeries
 from .core import CountTable, max_kinks
@@ -286,8 +285,7 @@ def asymptotic_estimate(n: int, d: int) -> Fraction:
     return Fraction(2) ** (n - 2 * d - 1) * (d + 1) ** n
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """Exact count against its growth estimate at one chain length."""
 
     n: int

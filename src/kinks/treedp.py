@@ -20,10 +20,9 @@ of the child words, read for all n + 1 children of a word in O(n) steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 from operator import add
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import CountTable, TreeLabel, _word_label, max_kinks
 
@@ -62,8 +61,7 @@ def succession_children(label: TreeLabel, n: int) -> list[TreeLabel]:
     return head + tail
 
 
-@dataclass(frozen=True)
-class LevelState:
+class LevelState(NamedTuple):
     """Node counts of one generating-tree level, indexed by label.
 
     ``counts[r][k][j - 1]`` is the number of level-n nodes labelled
@@ -171,8 +169,7 @@ def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
     return CountTable(dict(enumerate(_kink_rows(n_max, d_max), start=1)))
 
 
-@dataclass(frozen=True)
-class LabelMismatch:
+class LabelMismatch(NamedTuple):
     """One insertion child whose direct label differs from the rule's."""
 
     n: int
@@ -182,8 +179,7 @@ class LabelMismatch:
     actual: TreeLabel
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Outcome of an exhaustive succession-rule cross-check."""
 
     checked: int

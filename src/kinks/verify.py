@@ -10,7 +10,6 @@ growth-estimate decay, exact series arithmetic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial
@@ -40,20 +39,37 @@ GOLDEN_ROWS: dict[int, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
 class CheckResult:
     """One named verification outcome; detail holds the counterexample.
 
     `seconds` is the check's wall time and `traceback` the full trace of a
-    check that crashed ("" otherwise).  Neither takes part in equality or
-    the repr, which stay deterministic.
+    check that crashed ("" otherwise).  Neither takes part in equality, the
+    hash or the repr, which stay deterministic.  Results are immutable.
     """
 
-    name: str
-    passed: bool
-    detail: str = ""
-    seconds: float = field(default=0.0, compare=False, repr=False)
-    traceback: str = field(default="", compare=False, repr=False)
+    __slots__ = ("name", "passed", "detail", "seconds", "traceback")
+
+    def __init__(self, name: str, passed: bool, detail="", seconds=0.0, traceback=""):
+        for slot, value in zip(self.__slots__, (name, passed, detail, seconds, traceback)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return CheckResult, tuple(getattr(self, slot) for slot in self.__slots__)
+
+    def _key(self) -> tuple[str, bool, str]:
+        return self.name, self.passed, self.detail
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is CheckResult else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CheckResult(name={!r}, passed={!r}, detail={!r})".format(*self._key())
 
 
 def run_verification(
@@ -70,12 +86,13 @@ def run_verification(
     Scopes: the exhaustive scan and backtracking run to max_n_brute; the
     kink-marginal recurrence, and the label tree whose marginals must
     equal its rows level by level (`tree_labels`), run to max_n_dp, and so
-    does the explicit formula (`closed_forms`) at d <= v_order; the
+    does the explicit formula (`closed_forms`) at every d; the
     series expansion runs to (t_order, v_order), its rows compared with the
     recurrence's up to max_n_dp (`series_partition`), and the integer
     identities behind it (`exact_algebra`) to v_order, with the root powers
     s^m for m <= t_order.  `golden_rows` overrides the reference table (to
-    prove the suite notices corruption).
+    prove the suite notices corruption).  `golden_dp` and `golden_brute` are
+    charged for the shared tables they build, so the seconds sum to the run.
     """
     if max_n_brute < 2 or max_n_dp < 2:
         raise ValueError("verification needs scopes of at least 2")
@@ -84,8 +101,8 @@ def run_verification(
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
     results: list[CheckResult] = []
 
-    def run(name, func):
-        start = perf_counter()
+    def run(name, func, start=None):
+        start = perf_counter() if start is None else start
         try:
             detail = func()
         except Exception as exc:  # a crashed check is a failed check
@@ -95,9 +112,6 @@ def run_verification(
         else:
             passed, detail, trace = detail is None, detail or "", ""
         results.append(CheckResult(name, passed, detail, perf_counter() - start, trace))
-
-    dp = dp_table(max_n_dp)
-    brute = brute_force_table(min(max_n_brute, brute_ceiling), ceiling=brute_ceiling)
 
     def golden_match(label, table, stop=None):
         # rows n = 2..10 against the reference, cut before d = stop for a truncated table
@@ -148,10 +162,10 @@ def run_verification(
         return None
 
     def closed_forms():
-        # whole rows of the formula, d <= v_order, as the closed table reads them
-        rows = genfunc._closed_rows(range(1, max_n_dp + 1), 0, v_order)
+        # whole rows of the formula, every d, as the closed table reads them
+        rows = genfunc._closed_rows(range(1, max_n_dp + 1), 0, max_n_dp)
         for n, row in enumerate(rows, 1):
-            for d, (cf, exact) in enumerate(zip_longest(row, dp.row(n)[: v_order + 1])):
+            for d, (cf, exact) in enumerate(zip_longest(row, dp.row(n))):
                 if cf != exact:
                     return f"closed form gives {cf} at (n={n}, d={d}), recurrence {exact}"
         return None
@@ -213,8 +227,12 @@ def run_verification(
             power = power * catalan * catalan
         return None
 
-    run("golden_dp", lambda: golden_match("recurrence", dp))
-    run("golden_brute", lambda: golden_match("scan", brute))
+    start = perf_counter()
+    dp = dp_table(max_n_dp)
+    run("golden_dp", lambda: golden_match("recurrence", dp), start)
+    start = perf_counter()
+    brute = brute_force_table(min(max_n_brute, brute_ceiling), ceiling=brute_ceiling)
+    run("golden_brute", lambda: golden_match("scan", brute), start)
     run(
         "golden_series",
         lambda: golden_match("series", series_table(min(10, t_order), v_order), v_order + 1),

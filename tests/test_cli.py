@@ -639,6 +639,31 @@ def test_verify_closed_forms_notices_a_corrupted_or_short_row(monkeypatch, n, co
 
 @pytest.mark.parametrize(
     "scope",
+    [{}, {"max_n_brute": 6, "max_n_dp": 45, "t_order": 12, "v_order": 4}],
+    ids=["default", "reduced"],
+)
+def test_verify_closed_forms_notices_a_count_moved_between_kink_classes(monkeypatch, scope):
+    # one count of row 40 moves from d = 9 to d = 8: the row sum and every
+    # 2^d gate still hold, and both classes lie above v_order
+    exact = kinks.genfunc._closed_rows
+
+    def moved(lengths, lo, top):
+        for n, row in zip(lengths, exact(lengths, lo, top)):
+            if n == 40 and lo <= 8 and top >= 9:
+                row = (*row[: 8 - lo], row[8 - lo] + 1, row[9 - lo] - 1, *row[10 - lo :])
+            yield row
+
+    monkeypatch.setattr(kinks.genfunc, "_closed_rows", moved)
+    results = kinks.verify.run_verification(**scope)
+    exact_count = dp_table(40).count(40, 8)
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "closed_forms": f"closed form gives {exact_count + 1} at (n=40, d=8), "
+        f"recurrence {exact_count}"
+    }
+
+
+@pytest.mark.parametrize(
+    "scope",
     [{}, {"max_n_brute": 6, "max_n_dp": 35, "t_order": 16, "v_order": 5}],
     ids=["default", "reduced"],
 )
@@ -675,6 +700,23 @@ def test_verify_timings_go_to_stderr_and_leave_stdout_unchanged(capsys):
     lines = [line.split(" ") for line in timings.splitlines()]
     assert [name for name, _ in lines] == names
     assert all(float(seconds) >= 0 for _, seconds in lines)
+
+
+def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
+    exact = kinks.verify.brute_force_table
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(kinks.verify, "brute_force_table", slow)
+    start = time.perf_counter()
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    wall = time.perf_counter() - start
+    seconds = {r.name: r.seconds for r in results}
+    assert all(r.passed for r in results)
+    assert seconds["golden_brute"] >= 0.05
+    assert wall - 0.01 < sum(seconds.values()) <= wall
 
 
 def test_verify_crashed_check_keeps_its_traceback(capsys, monkeypatch):

@@ -94,14 +94,17 @@ def test_tree_label_kinks_match_kink_count():
 def test_history_validation():
     assert History([2, 1, 3]).word == (2, 1, 3)  # lists are coerced
     assert History((1,)).n == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a history must flip at least one site$"):
         History(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^word is not a permutation of 1\.\.3: \(1, 1, 2\)$"):
         History((1, 1, 2))
     with pytest.raises(ValueError):
         History((0, 1, 2))
     with pytest.raises(ValueError):
         History((2, 3, 4))
+    with pytest.raises(ValueError):
+        History((1, 2))._replace(word=(1, 1))
+    assert History((1, 2))._replace(word=[2, 1]) == History((2, 1))
 
 
 @pytest.mark.parametrize(
@@ -111,12 +114,13 @@ def test_history_validation():
 def test_history_rejects_non_integer_sites(word):
     # each word equals a permutation of 1..n by value
     assert sorted(word) == list(range(1, len(word) + 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^word is not a permutation of 1\.\.{len(word)}: "):
         History(word)
 
 
 def test_history_equality_is_word_equality():
     assert History((1, 2)) == History([1, 2])
+    assert hash(History((3, 1, 2))) == hash(History([3, 1, 2]))
     assert History((1, 2)) != History((2, 1))
 
 
