@@ -8,9 +8,11 @@ Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
 ArithmeticError such as CoefficientError, reported as one `error:` line
 on stderr, without a traceback), 2 on usage or range errors, including a
-`count` or `table` request outside the method's domain.  All counts
-serialize as decimal strings (they outgrow 64-bit integers quickly) and
-identical invocations produce byte-identical output.
+`count` or `table` request outside the method's domain.  A reader that
+closes stdout early (`kinks enumerate ... | head -1`) also gives exit 1,
+with nothing on stderr.  All counts serialize as decimal strings (they
+outgrow 64-bit integers quickly) and identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import deque
 from fractions import Fraction
 from contextlib import contextmanager
 from functools import cache
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import CountTable, max_kinks
@@ -313,18 +316,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # enumerate
 
 
-def format_word(word: tuple[int, ...]) -> str:
-    """Digits run together up to n = 9, comma-separated beyond."""
-    if len(word) <= 9:
-        return "".join(map(str, word))
-    return ",".join(map(str, word))
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be nonnegative")
-    for history in enumerate_histories(args.n, args.d, args.limit):
-        print(format_word(history.word))
+    histories = enumerate_histories(args.n, args.d, args.limit)
+    if args.limit == 0:
+        return 0  # the site table below costs O(n) and no word needs it
+    # Digits run together up to n = 9, comma-separated beyond.  Each site is
+    # made a string once, and a stream holds one block of 1024 lines at most.
+    sep, sites = "" if args.n <= 9 else ",", [str(s) for s in range(args.n + 1)]
+    lines = (sep.join([sites[s] for s in h.word]) for h in histories)
+    while block := list(islice(lines, 1024)):
+        block.append("")
+        sys.stdout.write("\n".join(block))  # looked up per block: redirect_stdout sees it
     return 0
 
 
@@ -479,4 +483,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `| head -1` does
+        # what is left goes to devnull, so that the flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

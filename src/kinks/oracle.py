@@ -11,7 +11,7 @@ one tail are scanned once for every head that leaves the same set behind.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice, permutations
 from math import factorial
 from typing import Iterator
@@ -22,6 +22,12 @@ from .core import CountTable, History, _opened, max_kinks
 #: 12! about 1.8 s (2-core VM, Python 3.11), and the work grows
 #: factorially; anything larger needs an explicit opt-in via `ceiling`.
 DEFAULT_BRUTE_CEILING = 11
+
+#: Enumeration reads every completion of a state with at most _TAIL_SITES
+#: free sites from a memo of _TAIL_MEMO states, least recently used
+#: dropped first.  An entry holds at most 5! = 120 completions (10.6 KiB),
+#: so the memo never holds more than about 5.3 MiB; unbounded, it grows on.
+_TAIL_SITES, _TAIL_MEMO = 5, 512
 
 
 def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> CountTable:
@@ -143,28 +149,40 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> list[tuple[int, 
 def _emit_words(n: int, d: int) -> Iterator[History]:
     # depth-first over `_moves` with an explicit stack of the flips still
     # to try at each depth, so every word is yielded from this one frame.
-    # The last free site needs no search: it touches a flipped site (the
-    # sites are a chain) and a lone unflipped site holds no block, so
-    # `rem` is already 0 and that growth flip is the only move.
+    # Once at most _TAIL_SITES sites are free, every completion of the
+    # state comes from `tails`, shared by every head that leaves it.
     full = ((1 << n) - 1) << 1
-    word: list[int] = []
+
+    @lru_cache(maxsize=_TAIL_MEMO)
+    def tails(seen: int, rem: int, cap: int) -> tuple[tuple[int, ...], ...]:
+        # keyed like `backtrack_count`'s walk: rem does not follow from seen
+        if seen == full:
+            return ((),)
+        return tuple(
+            (bit.bit_length() - 1, *tail)
+            for bit, rem2, cap2 in _moves(seen, rem, cap, n, full)
+            for tail in tails(seen | bit, rem2, cap2)
+        )
+
+    head: list[int] = []
     seen = 0
     pending = [iter(_moves(0, d + 1, _gap_capacity(0, n + 1, n), n, full))]
     while pending:
         for bit, rem, cap in pending[-1]:
             seen |= bit
-            word.append(bit.bit_length() - 1)
-            last = full ^ seen
-            if last & (last - 1):
+            head.append(bit.bit_length() - 1)
+            if len(head) < n - _TAIL_SITES:
                 pending.append(iter(_moves(seen, rem, cap, n, full)))
                 break
-            yield History((*word, last.bit_length() - 1) if last else tuple(word))
+            prefix = tuple(head)
+            for tail in tails(seen, rem, cap):
+                yield History(prefix + tail)
             seen ^= bit
-            word.pop()
+            head.pop()
         else:
             pending.pop()
-            if word:
-                seen ^= 1 << word.pop()
+            if head:
+                seen ^= 1 << head.pop()
 
 
 def backtrack_count(n: int, d: int) -> int:

@@ -16,13 +16,20 @@ import kinks.cli
 import kinks.genfunc
 import kinks.treedp
 import kinks.verify
-from kinks import CoefficientError, CountTable, TreeLabel, dp_table, max_kinks, series_table
+from kinks import (
+    CoefficientError,
+    CountTable,
+    TreeLabel,
+    dp_table,
+    enumerate_histories,
+    max_kinks,
+    series_table,
+)
 from kinks.cli import (
     METHODS,
     format_table_csv,
     format_table_json,
     format_table_text,
-    format_word,
     main,
     parse_table_csv,
     parse_table_json,
@@ -454,7 +461,42 @@ def test_enumerate_long_words_use_commas(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "10", "--d", "0", "--limit", "2")
     assert code == 0
     assert out.split("\n")[0] == "1,2,3,4,5,6,7,8,9,10"
-    assert format_word((1, 2, 3)) == "123"
+    assert run_cli(capsys, "enumerate", "--n", "9", "--d", "0", "--limit", "1")[1] == "123456789\n"
+
+
+def _reference_stdout(n, d, limit):
+    # written apart from the CLI: one str per site, one line per word
+    sep = "" if n <= 9 else ","
+    return "".join(sep.join(map(str, h.word)) + "\n" for h in enumerate_histories(n, d, limit))
+
+
+@pytest.mark.parametrize(
+    "n, d, limit",
+    [(12, 3, limit) for limit in (0, 1, 1023, 1024, 1025, 2048, 2049)]
+    + [(9, 2, 1500), (10, 2, 1500), (8, 2, None)],
+)
+def test_enumerate_writes_the_same_bytes_across_blocks(capsys, n, d, limit):
+    # (8, 2) without --limit streams all 24,576 words, many blocks of lines
+    argv = ["enumerate", "--n", str(n), "--d", str(d)]
+    argv += [] if limit is None else ["--limit", str(limit)]
+    assert run_cli(capsys, *argv) == (0, _reference_stdout(n, d, limit), "")
+
+
+def test_enumerate_into_a_closed_pipe_exits_one_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.genfunc.__file__).parents[1])}
+    argv = ["enumerate", "--n", "12", "--d", "3", "--limit", "100000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kinks", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1,2,3,4,5,6,8,7,10,9,12,11\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_enumerate_range_error(capsys):
@@ -870,6 +912,7 @@ def test_digit_limit_fallback_without_the_limit_functions(capsys, monkeypatch):
     [
         ("verify", "--max-n-brute", "5", "--max-n-dp", "20", "--t-order", "8", "--v-order", "3"),
         ("count", "--n", "15", "--d", "4", "--all-methods"),
+        ("enumerate", "--n", "12", "--d", "3", "--limit", "2000"),
     ],
 )
 def test_cli_under_python_O_prints_the_same(argv):

@@ -1,8 +1,9 @@
 """Exhaustive and backtracking enumeration oracles."""
 
+import tracemalloc
 from collections import defaultdict
 from functools import cache
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
@@ -20,7 +21,7 @@ from kinks import (
     max_kinks,
 )
 from kinks.core import _word_kinks
-from kinks.oracle import _moves, _opened
+from kinks.oracle import _gap_capacity, _moves, _opened
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -128,6 +129,52 @@ def test_enumerate_sampled_above_exhaustive_range(nd, limit):
     assert all(a < b for a, b in zip(words, words[1:]))
     assert all(_word_kinks(w) == d for w in words)
     assert len(words) == min(limit, _dp12().count(n, d))
+
+
+def test_enumerate_is_every_word_of_d_kinks_in_word_order():
+    for n in range(1, 9):
+        for d in range(max_kinks(n) + 1):
+            wanted = sorted(w for w in permutations(range(1, n + 1)) if _word_kinks(w) == d)
+            assert [h.word for h in enumerate_histories(n, d)] == wanted, (n, d)
+
+
+def _plain_walk(n, d):
+    # the pruned search written the plain way: recursion over `_moves`,
+    # with no memo and no shared completions
+    full = ((1 << n) - 1) << 1
+
+    def walk(seen, rem, cap, word):
+        if seen == full:
+            yield word
+        for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
+            yield from walk(seen | bit, rem2, cap2, word + (bit.bit_length() - 1,))
+
+    return walk(0, d + 1, _gap_capacity(0, n + 1, n), ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(9, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_kinks(n)))),
+    st.integers(0, 3000),
+)
+@example((9, 2), 3000)
+@example((16, 7), 3000)
+def test_enumerate_matches_the_plain_walk_above_exhaustive_range(nd, limit):
+    n, d = nd
+    words = [h.word for h in enumerate_histories(n, d, limit)]
+    assert words == list(islice(_plain_walk(n, d), limit))
+
+
+def test_enumerate_memory_stays_bounded_on_a_long_stream():
+    # a stream holds a bounded memo of completions, not the words it yielded
+    tracemalloc.start()
+    try:
+        for _ in enumerate_histories(30, 3, 100_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_enumerate_limit():
