@@ -18,8 +18,8 @@ from typing import Iterator
 
 from .core import CountTable, History, _opened, max_kinks
 
-#: The head/tail scan of all 11! words takes about 0.4-0.7 s and of all
-#: 12! about 1.8 s (2-core VM, Python 3.11), and the work grows
+#: The head/tail scan of all 11! words takes about 0.24-0.28 s and of all
+#: 12! about 1.0-1.2 s (2-core VM, Python 3.11), and the work grows
 #: factorially; anything larger needs an explicit opt-in via `ceiling`.
 DEFAULT_BRUTE_CEILING = 11
 
@@ -50,12 +50,8 @@ def _brute_row(n: int) -> list[int]:
     # Each word is a head of n - n//2 flips and a tail of the rest.  Heads
     # are grouped by the set they leave flipped, and every order of each
     # group's tail is scanned once, so each of the n! words counts once.
-    heads: defaultdict[int, Counter[int]] = defaultdict(Counter)
-    for head in permutations(range(1, n + 1), n - n // 2):
-        opens, seen = _opened(0, head)
-        heads[seen][opens - 1] += 1  # the first flip opens no kink
     counts = [0] * (max_kinks(n) + 1)
-    for seen, head_kinks in heads.items():
+    for seen, head_kinks in _head_kinks(n).items():
         tail_kinks = _tail_kinks(seen, n)
         for d, c in head_kinks.items():
             for e, m in tail_kinks.items():
@@ -63,6 +59,38 @@ def _brute_row(n: int) -> list[int]:
     if sum(counts) != factorial(n):
         raise ArithmeticError(f"exhaustive scan of length {n} does not count {n}! words")
     return counts
+
+
+def _head_kinks(n: int) -> defaultdict[int, Counter[int]]:
+    # kink histogram of every head of n - n//2 flips, by the set it leaves
+    # flipped.  A depth-first walk with an explicit stack of (flipped set,
+    # opens, flips) builds each prefix once for every head that extends
+    # it, takes the last two flips in place and counts each head's
+    # (flipped set, opens) pair.
+    size = n - n // 2
+    pairs: dict[tuple[int, int], int] = {}
+    stack = [(0, 0, 0)]
+    while stack:
+        seen, opens, depth = stack.pop()
+        free = [s for s in range(1, n + 1) if not seen >> s & 1]
+        if depth < size - 2:
+            stack.extend(
+                (seen | 1 << s, opens + (not seen & (5 << (s - 1))), depth + 1) for s in free
+            )
+            continue
+        for s in free:
+            once, once_opens = seen | 1 << s, opens + (not seen & (5 << (s - 1)))
+            if depth == size - 1:  # a head of one flip, at n <= 2
+                pairs[once, once_opens] = 1
+                continue
+            for t in free:
+                if t != s:
+                    pair = once | 1 << t, once_opens + (not once & (5 << (t - 1)))
+                    pairs[pair] = pairs.get(pair, 0) + 1
+    heads: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    for (seen, opens), c in pairs.items():
+        heads[seen][opens - 1] += c  # the first flip opens no kink
+    return heads
 
 
 def _tail_kinks(seen: int, n: int) -> Counter[int]:

@@ -15,16 +15,18 @@ max_first = 0 nodes with k kinks sums to (n - 1 - 2k) c(n, k), so
 `dp_table` counts by that row recurrence; `advance_level` keeps the
 label tree itself, which the verify suite compares the rows against.
 `tree_label_consistency` checks the succession rule against the labels
-of the child words, read for all n + 1 children of a word in O(n) steps.
+of the child words, read off a depth-first walk that shares each prefix
+among the words extending it and packs a word's n + 1 child labels into
+one integer.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations
+from itertools import accumulate
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .core import CountTable, TreeLabel, _word_label, max_kinks
+from .core import CountTable, TreeLabel, max_kinks
 
 __all__ = [
     "LevelState",
@@ -190,30 +192,44 @@ class ConsistencyReport(NamedTuple):
         return not self.mismatches
 
 
-def _child_labels(word: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    # (max_pos, kinks, max_first) of c_i = word[:i] + (top,) + word[i:] for
-    # i = 0..n, each flip of c_i tested against the set c_i flipped before
+def _level_codes(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int], int]]:
+    # Every word of 1..n in permutations order, with its label and the code
+    # of its children c_i = word[:i] + (top,) + word[i:], i = 0..n, top =
+    # n + 1.  Each flip of c_i is tested against the set c_i flipped before
     # it: word[t] sees P_t (the set of word[:t]) when t < i and P_t | {top}
-    # when t >= i, and top sees P_i.  Prefix sums of the first kind and
-    # suffix sums of the second give every kink count in O(n) steps.
-    n = len(word)
+    # when t >= i, and top sees P_i.  So c_i has K_i = head_i + [n not in
+    # P_i] + (ht_n - ht_i) - 1 kinks, where head_t counts the flips of
+    # word[:t] that open a block on P_t and ht_t the same flips on P_t |
+    # {top}; c_i packs as the base-16 digit K_i + 8 [i <= index of n].  A
+    # depth-first walk builds each prefix's P_i, head_i, ht_i and code part
+    # (the sum of (head_t + [n not in P_t] - ht_t) 16^t over t < i) once for
+    # every word that extends it and takes the last two flips in place.
     with_top = 1 << (n + 1)
-    flipped = 0
-    before: list[int] = []  # P_t as site bits, t = 0..n
-    head = [0]  # head[t]: flips of word[:t] that open a block on P_t
-    for s in word:
-        before.append(flipped)
-        head.append(head[-1] + (not flipped & (5 << (s - 1))))
-        flipped |= 1 << s
-    before.append(flipped)
-    tail = [0] * (n + 1)  # tail[t]: flips of word[t:] that open a block with top flipped
-    for t in range(n - 1, -1, -1):
-        tail[t] = tail[t + 1] + (not (before[t] | with_top) & (5 << (word[t] - 1)))
-    last = word.index(n)
-    return [
-        (i + 1, head[i] + (not before[i] & (5 << n)) + tail[i] - 1, 1 if i <= last else 0)
-        for i in range(n + 1)
-    ]
+    ones = (16 ** (n + 1) - 1) // 15  # digit 1 at every place
+    firsts = [8 * ((16 ** (i + 1) - 1) // 15) for i in range(n + 1)]  # 8 at places 0..i
+    stack = [((), 0, 0, 0, 0)]
+    while stack:
+        word, flipped, head, ht, part = stack.pop()
+        part += (head + (not flipped & (5 << n)) - ht) << (4 * len(word))
+        free = [s for s in range(n, 0, -1) if not flipped >> s & 1]
+        if len(word) < n - 2:
+            stack.extend(
+                (word + (s,), flipped | 1 << s, head + (not flipped & (5 << (s - 1))),
+                 ht + (not (flipped | with_top) & (5 << (s - 1))), part)
+                for s in free
+            )
+            continue
+        for s, t in (free[::-1], free):
+            once = flipped | 1 << s
+            head1 = head + (not flipped & (5 << (s - 1)))
+            ht1 = ht + (not (flipped | with_top) & (5 << (s - 1)))
+            head2 = head1 + (not once & (5 << (t - 1)))
+            ht2 = ht1 + (not (once | with_top) & (5 << (t - 1)))
+            whole = word + (s, t)
+            last = whole.index(n)
+            code = part + ((head1 + (not once & (5 << n)) - ht1) << (4 * n - 4))
+            code += ((head2 - ht2) << (4 * n)) + (ht2 - 1) * ones + firsts[last]
+            yield whole, (last + 1, head2 - 1, 1 if last < whole.index(n - 1) else 0), code
 
 
 def tree_label_consistency(n_max: int) -> ConsistencyReport:
@@ -222,36 +238,41 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     For every word w of length n = 2..n_max - 1 and every insertion
     position of the new largest site top = n + 1, compares the label of
     the child word with the label the rule predicts at that position.
-    The child labels are read off the child words alone: in the child
-    with top at position i + 1, the flips w[t] before top are tested
-    against the set P_t that w[:t] flipped, top against P_i, and the flips
-    behind it against P_t with top added, each flip against what the child
-    itself flipped before it.  The check never takes a child label from
-    the rule nor from the parent's label, so the rule, whose only input
-    is that label, cannot vouch for itself.  Prefix and suffix sums over w
-    give all n + 1 child labels in O(n) steps, and the rule is asked once
-    per distinct parent label of a level.  Mismatches are report content,
-    not errors; a correct rule yields none.
+    Each child label is read off the child word alone, every flip tested
+    against what the child itself flipped before it, so the rule, whose
+    only input is the parent's label, cannot vouch for itself.  A
+    depth-first walk over the words of a level shares each prefix's
+    counts among the words that extend it and packs the n + 1 child
+    labels of a word into one integer; the rule's children are packed
+    once per distinct parent label.  Mismatches are report content, not
+    errors; a correct rule yields none.
     """
+    # K_i <= max_kinks(9) = 4 < 8, so every child fits its base-16 digit
     if n_max > 9:
         raise ValueError("the cross-check scans (n+1)! children per level; keep n_max <= 9")
     checked = 0
     mismatches: list[LabelMismatch] = []
     for n in range(2, n_max):
-        rule: dict[TreeLabel, list[TreeLabel]] = {}
-        for word in permutations(range(1, n + 1)):
-            # words are permutations by construction, so the parent label
-            # is read off the word without validation
-            label = _word_label(word)
-            children = rule.get(label)
-            if children is None:
-                children = rule[label] = succession_children(label, n)
-            actual = _child_labels(word)
+        rule: dict[tuple[int, int, int], tuple[list[TreeLabel], int | None]] = {}
+        for word, label, code in _level_codes(n):
+            expected = rule.get(label)
+            if expected is None:
+                # a max_pos off its place or a field too wide for its digit
+                # packs to None, which no word's code equals
+                children = succession_children(TreeLabel(*label), n)
+                packed = None
+                if len(children) == n + 1 and all(
+                    j == i + 1 and k in range(8) and r in (0, 1)
+                    for i, (j, k, r) in enumerate(children)
+                ):
+                    packed = sum((k + 8 * r) << (4 * i) for i, (_, k, r) in enumerate(children))
+                expected = rule[label] = children, packed
             checked += n + 1
-            if actual != children:  # a TreeLabel equals the plain tuple of its fields
-                mismatches.extend(
-                    LabelMismatch(n, word, i + 1, children[i], TreeLabel(*actual[i]))
-                    for i in range(n + 1)
-                    if actual[i] != children[i]
-                )
+            if code != expected[1]:
+                children = expected[0]
+                for i in range(n + 1):
+                    digit = code >> (4 * i) & 15
+                    actual = TreeLabel(i + 1, digit & 7, digit >> 3)
+                    if actual != children[i]:
+                        mismatches.append(LabelMismatch(n, word, i + 1, children[i], actual))
     return ConsistencyReport(checked, tuple(mismatches))

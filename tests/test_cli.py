@@ -913,6 +913,8 @@ def test_digit_limit_fallback_without_the_limit_functions(capsys, monkeypatch):
         ("verify", "--max-n-brute", "5", "--max-n-dp", "20", "--t-order", "8", "--v-order", "3"),
         ("count", "--n", "15", "--d", "4", "--all-methods"),
         ("enumerate", "--n", "12", "--d", "3", "--limit", "2000"),
+        ("verify",),  # the head walk at n = 9, the label walk up to n = 7
+        ("count", "--n", "11", "--d", "3", "--method", "brute"),
     ],
 )
 def test_cli_under_python_O_prints_the_same(argv):

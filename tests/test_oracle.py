@@ -1,7 +1,7 @@
 """Exhaustive and backtracking enumeration oracles."""
 
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cache
 from itertools import islice, permutations
 from math import factorial
@@ -21,7 +21,7 @@ from kinks import (
     max_kinks,
 )
 from kinks.core import _word_kinks
-from kinks.oracle import _gap_capacity, _moves, _opened
+from kinks.oracle import _gap_capacity, _head_kinks, _moves, _opened
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -72,6 +72,29 @@ def test_split_scan_fault_check_catches_a_corrupted_tail(monkeypatch):
     monkeypatch.setattr(kinks.oracle, "_tail_kinks", corrupted)
     with pytest.raises(ArithmeticError, match="length 5 "):
         brute_force_table(6)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_head_walk_counts_every_head_as_a_permutation_scan(n):
+    scan = defaultdict(Counter)
+    for head in permutations(range(1, n + 1), n - n // 2):
+        opens, seen = _opened(0, head)
+        scan[seen][opens - 1] += 1
+    assert _head_kinks(n) == scan
+
+
+def test_split_scan_fault_check_catches_a_corrupted_head(monkeypatch):
+    exact = kinks.oracle._head_kinks
+
+    def corrupted(n):
+        heads = exact(n)
+        if n == 7:
+            next(iter(heads.values()))[0] += 1
+        return heads
+
+    monkeypatch.setattr(kinks.oracle, "_head_kinks", corrupted)
+    with pytest.raises(ArithmeticError, match="length 7 "):
+        brute_force_table(8)
 
 
 def test_brute_force_ceiling_guard():

@@ -24,7 +24,7 @@ from kinks import (
     tree_label_consistency,
 )
 from kinks.core import _word_label
-from kinks.treedp import LabelMismatch, _child_labels
+from kinks.treedp import LabelMismatch, _level_codes
 from helpers import naive_label_consistency
 
 
@@ -252,17 +252,20 @@ def _children_read_off_words(word):
     return [_word_label(word[:i] + top + word[i:]) for i in range(len(word) + 1)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(word=st.integers(1, 14).flatmap(lambda n: st.permutations(range(1, n + 1))))
-def test_child_labels_match_the_child_words(word):
-    word = tuple(word)
-    assert _child_labels(word) == _children_read_off_words(word)
-
-
-def test_child_labels_match_the_child_words_exhaustively():
-    for n in range(1, 8):
-        for word in permutations(range(1, n + 1)):
-            assert _child_labels(word) == _children_read_off_words(word), word
+def test_level_codes_match_the_child_words():
+    # the walk's words come in permutations order, and each code packs the
+    # labels read off the n + 1 child words, child i as the base-16 digit
+    # kinks + 8 max_first at 16^i
+    for n in range(2, 9):
+        words = []
+        for word, label, code in _level_codes(n):
+            words.append(word)
+            assert label == _word_label(word), word
+            children = _children_read_off_words(word)
+            assert [c.max_pos for c in children] == list(range(1, n + 2))
+            packed = sum((c.kinks + 8 * c.max_first) << (4 * i) for i, c in enumerate(children))
+            assert code == packed, word
+        assert words == list(permutations(range(1, n + 1)))
 
 
 @pytest.mark.parametrize("n_max", range(2, 9))
@@ -300,6 +303,76 @@ def test_label_consistency_reports_a_corrupted_rule_as_the_naive_check(parent, f
     assert fast.mismatches == naive.mismatches
     assert repr(fast) == repr(naive)
     assert fast.mismatches and all(m.n == n and m.position == index + 1 for m in fast.mismatches)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        {"kinks": 8},
+        {"kinks": 16},
+        {"kinks": -1},
+        {"kinks": 8, "max_first": 0},  # the digit of (kinks 0, max_first 1)
+        {"max_pos": 1},
+        {"max_pos": -1},
+        {"max_first": 2},
+    ],
+)
+def test_label_consistency_reports_an_unpackable_rule_child_as_the_naive_check(corrupt):
+    # a child that does not fit its digit, or sits off its place, must not
+    # alias a word's code; the child (1, 0, 1) of (1, 0, 1) at level 3 has
+    # the digit 8 that (kinks 8, max_first 0) would pack to, and (2, 0, 0)
+    # at level 4 adds children with one kink
+    exact = kinks.treedp.succession_children
+    for n, target in ((3, TreeLabel(1, 0, 1)), (4, TreeLabel(2, 0, 0))):
+        for index in range(n + 1):
+
+            def wrong(label, level):
+                children = exact(label, level)
+                if (label, level) == (target, n):
+                    child = children[index]
+                    fields = {
+                        field: getattr(child, field) + value if field == "max_pos" else value
+                        for field, value in corrupt.items()
+                    }
+                    children[index] = child._replace(**fields)
+                return children
+
+            with mock.patch.object(kinks.treedp, "succession_children", wrong):
+                fast = tree_label_consistency(n + 1)
+                naive = naive_label_consistency(n + 1)
+            assert fast.checked == naive.checked
+            assert fast.mismatches == naive.mismatches, (n, index)
+            assert repr(fast) == repr(naive)
+            assert fast.mismatches and {m.position for m in fast.mismatches} == {index + 1}
+
+
+def test_label_consistency_reports_a_carrying_or_short_rule_as_the_naive_check():
+    # (3, 1, 0) at level 4 (the words 1342 and 3142) has the children
+    # (4, 1, 0) and (5, 1, 0) at indexes 3 and 4: packed as they come,
+    # max_first 2 at index 3 carries into index 4 and makes up for one
+    # kink less there
+    exact = kinks.treedp.succession_children
+
+    def carrying(label, level):
+        children = exact(label, level)
+        if (label, level) == (TreeLabel(3, 1, 0), 4):
+            children[3] = children[3]._replace(max_first=2)
+            children[4] = children[4]._replace(kinks=0)
+        return children
+
+    with mock.patch.object(kinks.treedp, "succession_children", carrying):
+        fast = tree_label_consistency(5)
+        naive = naive_label_consistency(5)
+    assert repr(fast) == repr(naive)
+    assert [(m.word, m.position) for m in fast.mismatches] == [
+        (word, position) for word in ((1, 3, 4, 2), (3, 1, 4, 2)) for position in (4, 5)
+    ]
+    # a rule one child short is asked for the child at top's last place;
+    # at level 2 that child is (3, 0, 0), whose digit 0 packing would drop
+    with mock.patch.object(kinks.treedp, "succession_children", lambda *a: exact(*a)[:-1]):
+        for check in (tree_label_consistency, naive_label_consistency):
+            with pytest.raises(IndexError):
+                check(3)
 
 
 def test_label_consistency_guards_factorial_scan():
