@@ -6,8 +6,9 @@ both oracle routes, the exhaustive scan and the backtracking, in n.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
-ArithmeticError such as CoefficientError, reported as one `error:` line
-on stderr, without a traceback), 2 on usage or range errors, including a
+ArithmeticError such as CoefficientError, or `enumerate`'s walk flipping
+a site twice or outside 1..n, reported as one `error:` line on stderr,
+without a traceback), 2 on usage or range errors, including a
 `count` or `table` request outside the method's domain.  A reader that
 closes stdout early (`kinks enumerate ... | head -1`) also gives exit 1,
 with nothing on stderr.  All counts serialize as decimal strings (they

@@ -45,7 +45,10 @@ class History(_HistoryWord):
 
     The word uses every site of the chain exactly once, i.e. it is a
     permutation of 1..n in one-line notation.  Histories are immutable
-    values; two histories are equal iff their words are equal.
+    values; two histories are equal iff their words are equal.  Every
+    constructor checks the word, except the one for words that
+    `enumerate_histories` builds: its walk checks each flip as it appends
+    it (one new site of 1..n), so a finished word is not sorted again.
 
     >>> History((2, 1, 3)).n
     3
@@ -64,6 +67,12 @@ class History(_HistoryWord):
         if sorted(word) != list(range(1, n + 1)) or type(sum(word)) is not int:
             raise ValueError(f"word is not a permutation of 1..{n}: {word!r}")
         return super().__new__(cls, word)
+
+    @classmethod
+    def _proven(cls, word: tuple[int, ...]) -> History:
+        # unchecked: the caller must have proved `word` a tuple of the int
+        # sites 1..n, each once (the enumeration walk does so flip by flip)
+        return tuple.__new__(cls, (word,))
 
     @property
     def n(self) -> int:

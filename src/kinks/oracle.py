@@ -4,8 +4,9 @@ Two independent routes: an exhaustive scan that classifies every
 permutation by kink count, and a backtracking generator that builds only
 the histories with a prescribed kink count by growing plus blocks site by
 site.  The scan splits each word into a head and a tail: whether a flip
-opens a block depends only on the set flipped before it, so the orders of
-one tail are scanned once for every head that leaves the same set behind.
+opens a block depends only on the set flipped before it, and reflecting
+the chain keeps the kinks, so the orders of one tail are scanned once for
+every head that leaves the same set, or its mirror image, behind.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Iterator
 
 from .core import CountTable, History, _opened, max_kinks
 
-#: The head/tail scan of all 11! words takes about 0.24-0.28 s and of all
-#: 12! about 1.0-1.2 s (2-core VM, Python 3.11), and the work grows
+#: The head/tail scan of all 11! words takes about 0.07 s and of all 12!
+#: about 0.32 s (2-core VM, Python 3.11), and the work grows
 #: factorially; anything larger needs an explicit opt-in via `ceiling`.
 DEFAULT_BRUTE_CEILING = 11
 
@@ -48,8 +49,9 @@ def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> Co
 
 def _brute_row(n: int) -> list[int]:
     # Each word is a head of n - n//2 flips and a tail of the rest.  Heads
-    # are grouped by the set they leave flipped, and every order of each
-    # group's tail is scanned once, so each of the n! words counts once.
+    # are grouped by the mirror orbit of the set they leave flipped, and
+    # every order of each orbit's tail is scanned once, so each of the n!
+    # words counts once.
     counts = [0] * (max_kinks(n) + 1)
     for seen, head_kinks in _head_kinks(n).items():
         tail_kinks = _tail_kinks(seen, n)
@@ -62,34 +64,41 @@ def _brute_row(n: int) -> list[int]:
 
 
 def _head_kinks(n: int) -> defaultdict[int, Counter[int]]:
-    # kink histogram of every head of n - n//2 flips, by the set it leaves
-    # flipped.  A depth-first walk with an explicit stack of (flipped set,
-    # opens, flips) builds each prefix once for every head that extends
-    # it, takes the last two flips in place and counts each head's
-    # (flipped set, opens) pair.
+    # kink histogram of every head of n - n//2 flips, by the mirror orbit
+    # of the set it leaves flipped.  Reflection s -> n + 1 - s keeps
+    # adjacency and so kinks: only heads whose first flip s has
+    # 2s <= n + 1 are walked, weighed 2 for the unwalked mirror image or 1
+    # at the middle site (whose mirror images are walked too), and each
+    # set is filed under min(set, mirror set), whose tails have the same
+    # histogram.  A depth-first walk with an explicit stack of (flipped
+    # set, opens, flips, weight) builds each prefix once for every head
+    # that extends it, takes the last two flips in place and sums each
+    # head's weight by its (flipped set, opens) pair.
     size = n - n // 2
     pairs: dict[tuple[int, int], int] = {}
-    stack = [(0, 0, 0)]
+    stack = [(1 << s, 1, 1, 1 if 2 * s == n + 1 else 2) for s in range(1, (n + 1) // 2 + 1)]
     while stack:
-        seen, opens, depth = stack.pop()
+        seen, opens, depth, weight = stack.pop()
+        if depth == size:  # a head of one or two flips, at n <= 4
+            pairs[seen, opens] = pairs.get((seen, opens), 0) + weight
+            continue
         free = [s for s in range(1, n + 1) if not seen >> s & 1]
-        if depth < size - 2:
+        if depth != size - 2:  # more than two flips to go, or one at n <= 4
             stack.extend(
-                (seen | 1 << s, opens + (not seen & (5 << (s - 1))), depth + 1) for s in free
+                (seen | 1 << s, opens + (not seen & (5 << (s - 1))), depth + 1, weight)
+                for s in free
             )
             continue
         for s in free:
             once, once_opens = seen | 1 << s, opens + (not seen & (5 << (s - 1)))
-            if depth == size - 1:  # a head of one flip, at n <= 2
-                pairs[once, once_opens] = 1
-                continue
             for t in free:
                 if t != s:
                     pair = once | 1 << t, once_opens + (not once & (5 << (t - 1)))
-                    pairs[pair] = pairs.get(pair, 0) + 1
+                    pairs[pair] = pairs.get(pair, 0) + weight
     heads: defaultdict[int, Counter[int]] = defaultdict(Counter)
     for (seen, opens), c in pairs.items():
-        heads[seen][opens - 1] += c  # the first flip opens no kink
+        mirror = int(f"{seen >> 1:0{n}b}"[::-1], 2) << 1
+        heads[min(seen, mirror)][opens - 1] += c  # the first flip opens no kink
     return heads
 
 
@@ -136,6 +145,8 @@ def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[Hi
     """
     if not 0 <= d <= max_kinks(n):  # max_kinks raises at n < 1, in the message too
         raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
+    if limit is not None and (not isinstance(limit, int) or limit < 0):
+        raise ValueError(f"limit must be None or a nonnegative int, got {limit!r}")
     return islice(_emit_words(n, d), limit)
 
 
@@ -179,32 +190,43 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
     # to try at each depth, so every word is yielded from this one frame.
     # Once at most _TAIL_SITES sites are free, every completion of the
     # state comes from `tails`, shared by every head that leaves it.
+    # `site` checks each flip as it is appended, to a head or to a
+    # completion: a single bit, of a site of 1..n not yet flipped.  Each
+    # word is then a permutation of 1..n by induction, so it is wrapped
+    # by `History._proven` without sorting it again, and the check costs
+    # one test per walk step, shared by every word that extends it.
     full = ((1 << n) - 1) << 1
+    proven = History._proven
+
+    def site(seen: int, bit: int) -> int:
+        if bit & (bit - 1) or not bit & (full ^ seen):  # seen is a subset of full
+            raise ArithmeticError(f"enumeration of length {n} flips {bit:#x} after {seen:#x}")
+        return bit.bit_length() - 1
 
     @lru_cache(maxsize=_TAIL_MEMO)
     def tails(seen: int, rem: int, cap: int) -> tuple[tuple[int, ...], ...]:
         # keyed like `backtrack_count`'s walk: rem does not follow from seen
         if seen == full:
             return ((),)
-        return tuple(
-            (bit.bit_length() - 1, *tail)
-            for bit, rem2, cap2 in _moves(seen, rem, cap, n, full)
-            for tail in tails(seen | bit, rem2, cap2)
-        )
+        words: list[tuple[int, ...]] = []
+        for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
+            s = site(seen, bit)
+            words.extend((s, *tail) for tail in tails(seen | bit, rem2, cap2))
+        return tuple(words)
 
     head: list[int] = []
     seen = 0
     pending = [iter(_moves(0, d + 1, _gap_capacity(0, n + 1, n), n, full))]
     while pending:
         for bit, rem, cap in pending[-1]:
+            head.append(site(seen, bit))
             seen |= bit
-            head.append(bit.bit_length() - 1)
             if len(head) < n - _TAIL_SITES:
                 pending.append(iter(_moves(seen, rem, cap, n, full)))
                 break
             prefix = tuple(head)
             for tail in tails(seen, rem, cap):
-                yield History(prefix + tail)
+                yield proven(prefix + tail)
             seen ^= bit
             head.pop()
         else:

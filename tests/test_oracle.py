@@ -1,15 +1,22 @@
 """Exhaustive and backtracking enumeration oracles."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter, defaultdict
 from functools import cache
 from itertools import islice, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kinks.cli
 import kinks.oracle
 from kinks import (
     History,
@@ -76,10 +83,12 @@ def test_split_scan_fault_check_catches_a_corrupted_tail(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_head_walk_counts_every_head_as_a_permutation_scan(n):
+    # every head counts once, under the mirror orbit of its flipped set
     scan = defaultdict(Counter)
     for head in permutations(range(1, n + 1), n - n // 2):
         opens, seen = _opened(0, head)
-        scan[seen][opens - 1] += 1
+        _, mirror = _opened(0, [n + 1 - s for s in head])
+        scan[min(seen, mirror)][opens - 1] += 1
     assert _head_kinks(n) == scan
 
 
@@ -207,13 +216,128 @@ def test_enumerate_limit():
     assert len(list(enumerate_histories(4, 1, limit=99))) == 16
 
 
+def _is_checked_history(h):
+    return type(h) is History and History(h.word) == h
+
+
 def test_enumerate_yields_history_values():
-    assert all(isinstance(h, History) for h in enumerate_histories(3, 0))
+    # built without History's own check, equal to the checked value
+    for n in range(1, 9):
+        for d in range(max_kinks(n) + 1):
+            assert all(map(_is_checked_history, enumerate_histories(n, d))), (n, d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(9, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_kinks(n)))),
+    st.integers(0, 3000),
+)
+def test_walk_built_histories_are_checked_histories_above_eight(nd, limit):
+    n, d = nd
+    assert all(map(_is_checked_history, enumerate_histories(n, d, limit)))
+
+
+def test_walk_built_histories_copy_and_pickle_like_checked_ones():
+    built = list(enumerate_histories(7, 2, 50))
+    checked = [History(h.word) for h in built]
+    for copy_of in (
+        lambda h: pickle.loads(pickle.dumps(h)),
+        copy.deepcopy,
+        copy.copy,
+        lambda h: h._replace(word=h.word[::-1]),
+    ):
+        copies = [copy_of(h) for h in built]
+        assert copies == [copy_of(h) for h in checked]
+        assert all(type(h) is History for h in copies)
+    with pytest.raises(ValueError, match="not a permutation"):
+        built[0]._replace(word=(1, 1, 2, 3, 4, 5, 6))
+
+
+def _flipped(seen, bit, n, full):
+    return seen & -seen  # the lowest site already flipped
+
+
+def _two_sites(seen, bit, n, full):
+    free = full ^ seen
+    return bit | (free ^ bit) & -(free ^ bit)  # bit and the lowest other free site
+
+
+def _site_zero(seen, bit, n, full):
+    return 1
+
+
+def _site_past_the_end(seen, bit, n, full):
+    return 1 << (n + 1)
+
+
+WALK_FAULTS = (_flipped, _two_sites, _site_zero, _site_past_the_end)
+
+
+def _inject(monkeypatch, fault, in_tail):
+    # replaces the first flip from the first state with at least one site
+    # flipped and two free, among the heads (more than _TAIL_SITES free)
+    # or inside a memoized completion (at most _TAIL_SITES free)
+    exact, done = kinks.oracle._moves, []
+
+    def faulty(seen, rem, cap, n, full):
+        moves = exact(seen, rem, cap, n, full)
+        free = bin(full ^ seen).count("1")
+        if not done and moves and seen and 2 <= free and (free <= 5) == in_tail:
+            done.append(seen)
+            bit, rem2, cap2 = moves[0]
+            moves[0] = fault(seen, bit, n, full), rem2, cap2
+        return moves
+
+    monkeypatch.setattr(kinks.oracle, "_moves", faulty)
+    return done
+
+
+@pytest.mark.parametrize("in_tail", (False, True))
+@pytest.mark.parametrize("fault", WALK_FAULTS)
+def test_walk_check_catches_a_bad_flip(monkeypatch, capsys, fault, in_tail):
+    done = _inject(monkeypatch, fault, in_tail)
+    with pytest.raises(ArithmeticError, match="enumeration of length 10 flips"):
+        list(enumerate_histories(10, 2, 3000))
+    assert len(done) == 1
+    done.clear()
+    code = kinks.cli.main(["enumerate", "--n", "10", "--d", "2", "--limit", "3000"])
+    err = capsys.readouterr().err
+    assert (code, len(done)) == (1, 1)
+    assert err.startswith("error: enumeration of length 10 flips") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_walk_check_runs_under_python_O():
+    # python -O strips assert statements; the walk's check is an if/raise
+    script = "\n".join(
+        [
+            "import sys, kinks.cli, kinks.oracle",
+            "exact = kinks.oracle._moves",
+            "def faulty(seen, rem, cap, n, full):",
+            "    moves = exact(seen, rem, cap, n, full)",
+            "    return [(1 << (n + 1), r, c) for _, r, c in moves] if seen else moves",
+            "kinks.oracle._moves = faulty",
+            "sys.exit(kinks.cli.main(['enumerate', '--n', '10', '--d', '2', '--limit', '50']))",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.oracle.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("error: enumeration of length 10 flips 0x800 after 0x")
+    assert run.stderr.count("\n") == 1
 
 
 #: (n, d) pairs below the shortest chain, a negative d included: each must
 #: get the chain-length error, whatever d is
 SHORT_CHAINS = ((0, 0), (-3, 0), (0, -1), (-3, -1), (0, 5))
+
+
+@pytest.mark.parametrize("limit", (-1, 2.0))
+def test_enumerate_rejects_a_limit_islice_cannot_take(limit):
+    with pytest.raises(ValueError, match=f"limit must be None or a nonnegative int, got {limit}$"):
+        enumerate_histories(5, 1, limit)
 
 
 def test_enumerate_range_errors():

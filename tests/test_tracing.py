@@ -6,11 +6,14 @@ would drop a traced layer without any error, so each one is resolved
 here.  The tracer is loaded from its file and never edited.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import kinks.algebra
+import kinks.cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +49,25 @@ def test_tracer_wraps_and_restores_the_inherited_series_methods():
     assert layers["algebra.tseries_mul.calls"] == 1
     assert layers["algebra.tseries_inverse.calls"] == 1
     assert (TSeries.__mul__, TSeries.inverse, TruncPoly.__mul__, TruncPoly.inverse) == methods
+
+
+def test_tracer_counts_enumerated_words_without_changing_stdout():
+    # the benchmark self-test's enumerate request: 50 words, the same bytes
+    tracing = _load_tracing()
+    argv = ["enumerate", "--n", "10", "--d", "2", "--limit", "50"]
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = kinks.cli.main(argv)
+        return code, out.getvalue()
+
+    plain = run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert traced == plain and plain[0] == 0 and plain[1].count("\n") == 50
+    assert tracer.layer_metrics()["oracle.enumerate.histories"] == 50
