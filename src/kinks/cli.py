@@ -27,6 +27,7 @@ from fractions import Fraction
 from contextlib import contextmanager
 from functools import cache
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import CountTable, max_kinks
@@ -324,9 +325,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit == 0:
         return 0  # the site table below costs O(n) and no word needs it
     # Digits run together up to n = 9, comma-separated beyond.  Each site is
-    # made a string once, and a stream holds one block of 1024 lines at most.
+    # made a string once, each line is picked and joined by two C calls (at
+    # n = 1 the pick is the one-digit str itself, which joins to itself),
+    # and a stream holds one block of 1024 lines at most.
     sep, sites = "" if args.n <= 9 else ",", [str(s) for s in range(args.n + 1)]
-    lines = (sep.join([sites[s] for s in h.word]) for h in histories)
+    lines = (sep.join(itemgetter(*h.word)(sites)) for h in histories)
     while block := list(islice(lines, 1024)):
         block.append("")
         sys.stdout.write("\n".join(block))  # looked up per block: redirect_stdout sees it

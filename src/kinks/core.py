@@ -48,7 +48,8 @@ class History(_HistoryWord):
     values; two histories are equal iff their words are equal.  Every
     constructor checks the word, except the one for words that
     `enumerate_histories` builds: its walk checks each flip as it appends
-    it (one new site of 1..n), so a finished word is not sorted again.
+    it (one new site of 1..n), so a finished word is not sorted again, and
+    it wraps every completion of one head in one call.
 
     >>> History((2, 1, 3)).n
     3
@@ -62,17 +63,19 @@ class History(_HistoryWord):
         n = len(word)
         if n < 1:
             raise ValueError("a history must flip at least one site")
-        # equal values alone would let 1.0 or Fraction(1) stand for site 1;
-        # a sum that stays an int rules out every non-int site at once
-        if sorted(word) != list(range(1, n + 1)) or type(sum(word)) is not int:
+        # equal values alone would let 1.0, Fraction(1) or True stand for
+        # site 1, so every site must be exactly an int
+        if sorted(word) != list(range(1, n + 1)) or {*map(type, word)} != {int}:
             raise ValueError(f"word is not a permutation of 1..{n}: {word!r}")
         return super().__new__(cls, word)
 
     @classmethod
-    def _proven(cls, word: tuple[int, ...]) -> History:
-        # unchecked: the caller must have proved `word` a tuple of the int
-        # sites 1..n, each once (the enumeration walk does so flip by flip)
-        return tuple.__new__(cls, (word,))
+    def _proven(cls, head: tuple[int, ...], tails: Iterable[tuple[int, ...]]) -> list[History]:
+        # unchecked: the caller must have proved each `head + tail` a tuple
+        # of the int sites 1..n, each once (the enumeration walk does so
+        # flip by flip)
+        new = tuple.__new__
+        return [new(cls, (head + tail,)) for tail in tails]
 
     @property
     def n(self) -> int:

@@ -108,28 +108,6 @@ def _tail_kinks(seen: int, n: int) -> Counter[int]:
     return Counter(_opened(seen, tail)[0] for tail in permutations(free))
 
 
-def _gap_capacity(lo: int, hi: int, n: int) -> int:
-    # Most blocks that can still open inside the unflipped run strictly
-    # between positions lo and hi, where lo == 0 / hi == n + 1 stand for
-    # the chain ends.  A run of length L touching `ends` chain ends admits
-    # floor((L - 1 + ends) / 2) new blocks.
-    length = hi - lo - 1
-    if length <= 0:
-        return 0
-    ends = (1 if lo == 0 else 0) + (1 if hi == n + 1 else 0)
-    return (length - 1 + ends) // 2
-
-
-def _nearest_flipped(seen: int, s: int, n: int) -> tuple[int, int]:
-    # Positions of the flipped sites closest to s on either side
-    # (0 / n + 1 when none, i.e. the chain end).
-    below = (seen & ((1 << s) - 1)).bit_length()
-    lo = below - 1 if below else 0
-    above = seen >> (s + 1)
-    hi = (above & -above).bit_length() + s if above else n + 1
-    return lo, hi
-
-
 def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[History]:
     """Yield the histories of length n with exactly d kinks, in word order.
 
@@ -145,7 +123,7 @@ def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[Hi
     """
     if not 0 <= d <= max_kinks(n):  # max_kinks raises at n < 1, in the message too
         raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
-    if limit is not None and (not isinstance(limit, int) or limit < 0):
+    if limit is not None and (type(limit) is not int or limit < 0):  # True is an int too
         raise ValueError(f"limit must be None or a nonnegative int, got {limit!r}")
     return islice(_emit_words(n, d), limit)
 
@@ -158,17 +136,26 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> list[tuple[int, 
     block for free; any other flip spends one block.  Flips that leave
     more blocks to open than there is room for are pruned.  Returns one
     `(bit, rem, cap)` per kept flip, in ascending site order.  From
-    `seen = 0`, with `rem = d + 1` and `cap = _gap_capacity(0, n + 1, n)`,
-    the first flip opens the initial block, which is not a kink.  `cap`
-    is tracked only while a block remains to open: a flip that leaves
-    `rem = 0` always has a completion, by growth alone, so it is kept
-    unchecked and carries `cap = 0`.  At `rem = 0` growth is the only
-    move.  The result is a list because a generator here slows
-    `backtrack_count`.
+    `seen = 0`, with `rem = d + 1` and `cap = (n + 1) // 2`, the first
+    flip opens the initial block, which is not a kink.  `cap` is tracked
+    only while a block remains to open: a flip that leaves `rem = 0`
+    always has a completion, by growth alone, so it is kept unchecked and
+    carries `cap = 0`.  At `rem = 0` growth is the only move.  The result
+    is a list because a generator here slows `backtrack_count`.
+
+    Room: a run of L unflipped sites that touches `ends` chain ends holds
+    r // 2 new blocks, for its reach r = L - 1 + ends (the whole chain:
+    (n + 1) // 2).  So a chain end counts as a flipped site one step past
+    it, at -1 or n + 2, and a run's reach is the distance between the two
+    flipped sites that bound it, less 2.  A flip splits its run of reach
+    x + y + 2 into parts of reach x and y, where an empty part next to a
+    flipped site has reach -1 and room 0, so it takes
+    1 + (x & y & 1) - (x < 0) - (y < 0) from the room.
     """
     grown = (seen << 1) | (seen >> 1)
     fresh = ~grown & ~seen & full if rem else 0
     cand = (grown & ~seen & full) | fresh
+    walls = seen | 4 << n  # with the chain's right end as a flipped n + 2
     moves = []
     while cand:
         low = cand & -cand
@@ -177,9 +164,13 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> list[tuple[int, 
         if not rem2:
             moves.append((low, 0, 0))
             continue
-        s = low.bit_length() - 1
-        lo, hi = _nearest_flipped(seen, s, n)
-        cap2 = cap + _gap_capacity(lo, s, n) + _gap_capacity(s, hi, n) - _gap_capacity(lo, hi, n)
+        # the reaches left and right of site b - 1, up to the nearest
+        # flipped site or chain end
+        b = low.bit_length()
+        x = b - 2 - (seen & (low - 1)).bit_length()
+        up = walls & -(low << 1)
+        y = (up & -up).bit_length() - b - 2
+        cap2 = cap - 1 + (x < 0) + (y < 0) - (x & y & 1)
         if cap2 >= rem2:
             moves.append((low, rem2, cap2))
     return moves
@@ -192,9 +183,10 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
     # state comes from `tails`, shared by every head that leaves it.
     # `site` checks each flip as it is appended, to a head or to a
     # completion: a single bit, of a site of 1..n not yet flipped.  Each
-    # word is then a permutation of 1..n by induction, so it is wrapped
-    # by `History._proven` without sorting it again, and the check costs
-    # one test per walk step, shared by every word that extends it.
+    # word is then a permutation of 1..n by induction, so `History._proven`
+    # wraps a head's completions, all in one call, without sorting them
+    # again, and the check costs one test per walk step, shared by every
+    # word that extends it.
     full = ((1 << n) - 1) << 1
     proven = History._proven
 
@@ -211,12 +203,12 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
         words: list[tuple[int, ...]] = []
         for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
             s = site(seen, bit)
-            words.extend((s, *tail) for tail in tails(seen | bit, rem2, cap2))
+            words += [(s, *tail) for tail in tails(seen | bit, rem2, cap2)]
         return tuple(words)
 
     head: list[int] = []
     seen = 0
-    pending = [iter(_moves(0, d + 1, _gap_capacity(0, n + 1, n), n, full))]
+    pending = [iter(_moves(0, d + 1, (n + 1) // 2, n, full))]
     while pending:
         for bit, rem, cap in pending[-1]:
             head.append(site(seen, bit))
@@ -224,9 +216,7 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
             if len(head) < n - _TAIL_SITES:
                 pending.append(iter(_moves(seen, rem, cap, n, full)))
                 break
-            prefix = tuple(head)
-            for tail in tails(seen, rem, cap):
-                yield proven(prefix + tail)
+            yield from proven(tuple(head), tails(seen, rem, cap))
             seen ^= bit
             head.pop()
         else:
@@ -262,4 +252,4 @@ def backtrack_count(n: int, d: int) -> int:
             total += walk(seen | bit, rem2, cap2)
         return total
 
-    return walk(0, d + 1, _gap_capacity(0, n + 1, n))
+    return walk(0, d + 1, (n + 1) // 2)

@@ -457,6 +457,11 @@ def test_enumerate_single_kink_three_sites(capsys):
     assert out == "132\n312\n"
 
 
+def test_enumerate_one_site(capsys):
+    # picking one site gives a str, not a tuple of them
+    assert run_cli(capsys, "enumerate", "--n", "1", "--d", "0") == (0, "1\n", "")
+
+
 def test_enumerate_long_words_use_commas(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "10", "--d", "0", "--limit", "2")
     assert code == 0
@@ -473,10 +478,11 @@ def _reference_stdout(n, d, limit):
 @pytest.mark.parametrize(
     "n, d, limit",
     [(12, 3, limit) for limit in (0, 1, 1023, 1024, 1025, 2048, 2049)]
-    + [(9, 2, 1500), (10, 2, 1500), (8, 2, None)],
+    + [(9, 2, 1500), (10, 2, 1500), (8, 2, None), (10, 0, None)],
 )
 def test_enumerate_writes_the_same_bytes_across_blocks(capsys, n, d, limit):
-    # (8, 2) without --limit streams all 24,576 words, many blocks of lines
+    # (8, 2) without --limit streams all 24,576 words, many blocks of lines;
+    # n = 10 is the shortest chain whose sites are comma-separated
     argv = ["enumerate", "--n", str(n), "--d", str(d)]
     argv += [] if limit is None else ["--limit", str(limit)]
     assert run_cli(capsys, *argv) == (0, _reference_stdout(n, d, limit), "")

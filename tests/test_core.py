@@ -109,7 +109,10 @@ def test_history_validation():
 
 @pytest.mark.parametrize(
     "word",
-    [(1.0, 2.0), (1, 2.0), (2.0, 1), (Fraction(1), 2), (2, 1, Fraction(3)), (Fraction(1),)],
+    [
+        (1.0, 2.0), (1, 2.0), (2.0, 1), (Fraction(1), 2), (2, 1, Fraction(3)), (Fraction(1),),
+        (True, 2), (2, True), (2, True, 3),
+    ],
 )
 def test_history_rejects_non_integer_sites(word):
     # each word equals a permutation of 1..n by value

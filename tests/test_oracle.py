@@ -28,7 +28,7 @@ from kinks import (
     max_kinks,
 )
 from kinks.core import _word_kinks
-from kinks.oracle import _gap_capacity, _head_kinks, _moves, _opened
+from kinks.oracle import _head_kinks, _moves, _opened
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -170,6 +170,51 @@ def test_enumerate_is_every_word_of_d_kinks_in_word_order():
             assert [h.word for h in enumerate_histories(n, d)] == wanted, (n, d)
 
 
+def _gap_capacity(lo, hi, n):
+    # Most blocks that can still open in the unflipped run strictly
+    # between positions lo and hi, where 0 and n + 1 stand for the chain
+    # ends: a run of L sites touching `ends` chain ends admits
+    # floor((L - 1 + ends) / 2) new blocks.
+    length = hi - lo - 1
+    if length <= 0:
+        return 0
+    ends = (lo == 0) + (hi == n + 1)
+    return (length - 1 + ends) // 2
+
+
+def _plain_moves(seen, rem, cap, n):
+    # `_moves` written site by site: the room a flip leaves is counted from
+    # the nearest flipped sites, before and after it, on lists of sites
+    flipped = [s for s in range(1, n + 1) if seen >> s & 1]
+    moves = []
+    for s in range(1, n + 1):
+        grows = s - 1 in flipped or s + 1 in flipped
+        if s in flipped or not (grows or rem):
+            continue
+        rem2 = rem if grows else rem - 1
+        if not rem2:
+            moves.append((1 << s, 0, 0))
+            continue
+        lo = max([t for t in flipped if t < s], default=0)
+        hi = min([t for t in flipped if t > s], default=n + 1)
+        cap2 = cap + _gap_capacity(lo, s, n) + _gap_capacity(s, hi, n) - _gap_capacity(lo, hi, n)
+        if cap2 >= rem2:
+            moves.append((1 << s, rem2, cap2))
+    return moves
+
+
+def test_moves_count_the_room_left_as_the_nearest_flipped_sites_give_it():
+    # every flipped set of every n <= 10, credits from none to one past
+    # the most a walk starts with, and rooms that need not be reachable
+    for n in range(1, 11):
+        full = ((1 << n) - 1) << 1
+        for seen in range(0, full + 1, 2):
+            for rem in range(max_kinks(n) + 2):
+                for cap in (0, 1, 2, 5):
+                    wanted = _plain_moves(seen, rem, cap, n)
+                    assert _moves(seen, rem, cap, n, full) == wanted, (n, seen, rem, cap)
+
+
 def _plain_walk(n, d):
     # the pruned search written the plain way: recursion over `_moves`,
     # with no memo and no shared completions
@@ -191,6 +236,10 @@ def _plain_walk(n, d):
 )
 @example((9, 2), 3000)
 @example((16, 7), 3000)
+@example((15, 0), 119)  # one head's completions end at 119, 120 and 121 words
+@example((15, 0), 120)
+@example((15, 0), 121)
+@example((10, 2), 120)  # inside the second head's 90 completions
 def test_enumerate_matches_the_plain_walk_above_exhaustive_range(nd, limit):
     n, d = nd
     words = [h.word for h in enumerate_histories(n, d, limit)]
@@ -334,7 +383,7 @@ def test_walk_check_runs_under_python_O():
 SHORT_CHAINS = ((0, 0), (-3, 0), (0, -1), (-3, -1), (0, 5))
 
 
-@pytest.mark.parametrize("limit", (-1, 2.0))
+@pytest.mark.parametrize("limit", (-1, 2.0, True, False))  # a bool is an int to islice
 def test_enumerate_rejects_a_limit_islice_cannot_take(limit):
     with pytest.raises(ValueError, match=f"limit must be None or a nonnegative int, got {limit}$"):
         enumerate_histories(5, 1, limit)

@@ -51,10 +51,10 @@ def test_tracer_wraps_and_restores_the_inherited_series_methods():
     assert (TSeries.__mul__, TSeries.inverse, TruncPoly.__mul__, TruncPoly.inverse) == methods
 
 
-def test_tracer_counts_enumerated_words_without_changing_stdout():
-    # the benchmark self-test's enumerate request: 50 words, the same bytes
+def _run_plain_and_traced(argv):
+    # stdout and exit code of one CLI request, untraced and traced, and
+    # the traced run's layer metrics
     tracing = _load_tracing()
-    argv = ["enumerate", "--n", "10", "--d", "2", "--limit", "50"]
 
     def run():
         out = io.StringIO()
@@ -69,5 +69,20 @@ def test_tracer_counts_enumerated_words_without_changing_stdout():
         traced = run()
     finally:
         tracer.uninstall()
+    return plain, traced, tracer.layer_metrics()
+
+
+def test_tracer_counts_enumerated_words_without_changing_stdout():
+    # the benchmark self-test's enumerate request: 50 words, the same bytes
+    argv = ["enumerate", "--n", "10", "--d", "2", "--limit", "50"]
+    plain, traced, layers = _run_plain_and_traced(argv)
     assert traced == plain and plain[0] == 0 and plain[1].count("\n") == 50
-    assert tracer.layer_metrics()["oracle.enumerate.histories"] == 50
+    assert layers["oracle.enumerate.histories"] == 50
+
+
+def test_tracer_counts_one_backtrack_call_without_changing_stdout():
+    # the benchmark self-test's backtrack request: one call, the same bytes
+    argv = ["count", "--n", "9", "--d", "2", "--method", "backtrack"]
+    plain, traced, layers = _run_plain_and_traced(argv)
+    assert traced == plain and plain == (0, "185856\n")
+    assert layers["oracle.backtrack_count.calls"] == 1
