@@ -11,16 +11,16 @@ a site twice or outside 1..n, reported as one `error:` line on stderr,
 without a traceback), 2 on usage or range errors, including a
 `count` or `table` request outside the method's domain.  A reader that
 closes stdout early (`kinks enumerate ... | head -1`) also gives exit 1,
-with nothing on stderr.  All counts serialize as decimal strings (they
-outgrow 64-bit integers quickly) and identical invocations produce
-byte-identical output.
+with nothing on stderr; any other failure to write stdout (a full disk)
+gives exit 1 and one `error: cannot write stdout:` line.  All counts
+serialize as decimal strings (they outgrow 64-bit integers quickly) and
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from collections import deque
 from fractions import Fraction
@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from functools import cache
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import CountTable, max_kinks
 from .genfunc import _closed_rows, closed_form, convergence_report, series_count, series_table
@@ -44,7 +44,6 @@ from .verify import run_verification
 
 ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
 FORMATS = ("csv", "json", "text")
-_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
 class UsageError(Exception):
@@ -165,15 +164,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# table serialization (counts as decimal strings; lossless round trips)
+# table serialization (counts as decimal strings; the CLI reads no table)
 
 
 @contextmanager
 def _unlimited_int_digits() -> Iterator[None]:
     # Exact counts outgrow the int <-> str digit limit (4300 digits, from
-    # Python 3.11 on) near n = 1500; lift it for one request or one call
-    # of a table writer or parser (a context manager from @contextmanager
-    # also decorates).
+    # Python 3.11 on) near n = 1500; `main` lifts it once per request, so
+    # a writer called directly needs this around it.
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:
         yield
@@ -191,7 +189,6 @@ def _export_lengths(table: CountTable) -> list[int]:
     return [n for n in table.lengths() if n >= 2]
 
 
-@_unlimited_int_digits()
 def format_table_csv(table: CountTable) -> str:
     lines = ["n,d,count"]
     for n in _export_lengths(table):
@@ -200,41 +197,6 @@ def format_table_csv(table: CountTable) -> str:
     return "\n".join(lines)
 
 
-def _decimal(text: str) -> int:
-    # exactly the digits the writers emit: ASCII, no sign, underscore,
-    # space or leading zero, which int() alone would let through
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"{text!r} is not a decimal count")
-    return int(text)
-
-
-def _table_from_cells(cells: Iterable[tuple[int, int, int]]) -> CountTable:
-    # Each row runs d = 0, 1, 2, ... in order, as the formatters write it,
-    # so a repeated, missing or shuffled cell is caught by one check.
-    rows: dict[int, list[int]] = {}
-    for n, d, count in cells:
-        row = rows.setdefault(n, [])
-        if n < 1 or d != len(row):
-            raise ValueError(f"cell (n={n}, d={d}, count={count}) is out of place")
-        row.append(count)
-    return CountTable({n: tuple(row) for n, row in rows.items()})
-
-
-@_unlimited_int_digits()
-def parse_table_csv(text: str) -> CountTable:
-    """Inverse of `format_table_csv`; ValueError on any malformed input."""
-    # the header first and every line ended by exactly one newline
-    lines = text.split("\n")
-    if lines[0] != "n,d,count" or lines.pop() != "":
-        raise ValueError("missing n,d,count header or final newline")
-    cells = []
-    for line in lines[1:]:
-        n_str, d_str, c_str = line.split(",")
-        cells.append((_decimal(n_str), _decimal(d_str), _decimal(c_str)))
-    return _table_from_cells(cells)
-
-
-@_unlimited_int_digits()
 def format_table_json(table: CountTable) -> str:
     # The bytes of json.dumps({"rows": [{"n": n, "counts": [str(c), ...]},
     # ...]}, indent=2) + "\n", written directly: str(c) is made once per
@@ -252,22 +214,6 @@ def format_table_json(table: CountTable) -> str:
     return ",\n".join(rows)
 
 
-@_unlimited_int_digits()
-def parse_table_json(text: str) -> CountTable:
-    """Inverse of `format_table_json`; ValueError on any malformed input."""
-    import json  # imported by a JSON reader only: start-up pays nothing
-    cells = []
-    try:
-        for row in json.loads(text)["rows"]:
-            n, counts = row["n"], row["counts"]
-            if type(n) is not int or type(counts) is not list:
-                raise TypeError(f"row {row!r} needs an integer n and a list of counts")
-            cells.extend((n, d, _decimal(c)) for d, c in enumerate(counts))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed table JSON: {exc!r}") from exc
-    return _table_from_cells(cells)
-
-
 def _poly_text(row: tuple[int, ...]) -> str:
     terms = []
     for d, c in enumerate(row):
@@ -280,7 +226,6 @@ def _poly_text(row: tuple[int, ...]) -> str:
     return " + ".join(terms)
 
 
-@_unlimited_int_digits()
 def format_table_text(table: CountTable) -> str:
     lengths = _export_lengths(table)
     width = len(str(max(lengths, default=0)))
@@ -490,7 +435,11 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader closed stdout, as `| head -1` does
+    except OSError as exc:
+        # a reader that closed stdout (`| head -1`) needs no message; any
+        # other failure to write it, such as a full disk, gets one line
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         # what is left goes to devnull, so that the flush at exit passes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1

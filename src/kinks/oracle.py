@@ -108,6 +108,13 @@ def _tail_kinks(seen: int, n: int) -> Counter[int]:
     return Counter(_opened(seen, tail)[0] for tail in permutations(free))
 
 
+def _check_kinks(n: int, d: int) -> None:
+    # exactly ints: max_kinks(3.0) is 1.0, and True would pass as n = 1;
+    # max_kinks raises at n < 1, in the message too
+    if type(n) is not int or type(d) is not int or not 0 <= d <= max_kinks(n):
+        raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
+
+
 def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[History]:
     """Yield the histories of length n with exactly d kinks, in word order.
 
@@ -121,8 +128,7 @@ def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[Hi
     >>> ["".join(map(str, h.word)) for h in enumerate_histories(3, 1)]
     ['132', '312']
     """
-    if not 0 <= d <= max_kinks(n):  # max_kinks raises at n < 1, in the message too
-        raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
+    _check_kinks(n, d)
     if limit is not None and (type(limit) is not int or limit < 0):  # True is an int too
         raise ValueError(f"limit must be None or a nonnegative int, got {limit!r}")
     return islice(_emit_words(n, d), limit)
@@ -236,8 +242,7 @@ def backtrack_count(n: int, d: int) -> int:
     >>> backtrack_count(5, 1)
     88
     """
-    if not 0 <= d <= max_kinks(n):  # max_kinks raises at n < 1, in the message too
-        raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
+    _check_kinks(n, d)
     full = ((1 << n) - 1) << 1
 
     @cache

@@ -389,11 +389,19 @@ def test_enumerate_rejects_a_limit_islice_cannot_take(limit):
         enumerate_histories(5, 1, limit)
 
 
+#: (n, d) pairs that are not both exactly ints: max_kinks(3.0) is 1.0, so
+#: without the type check (3.0, 1) passes the range check and fails late
+NOT_INTS = ((3.0, 1), (True, 0), (3, 1.0), (3, True), (5.0, 1.0))
+
+
 def test_enumerate_range_errors():
     with pytest.raises(ValueError, match=r"kink count 2 out of range 0\.\.1 for n = 4$"):
         list(enumerate_histories(4, 2))  # max_kinks(4) == 1
     with pytest.raises(ValueError, match=r"kink count -1 out of range 0\.\.1 for n = 4$"):
         list(enumerate_histories(4, -1))
+    for n, d in NOT_INTS:
+        with pytest.raises(ValueError, match=f"kink count {d} out of range .* for n = {n}$"):
+            enumerate_histories(n, d)  # at the call, not at the first next()
     for n, d in SHORT_CHAINS:
         with pytest.raises(ValueError, match=f"chain length must be at least 1, got {n}$"):
             enumerate_histories(n, d)
@@ -406,6 +414,9 @@ def test_backtrack_reference_counts():
         backtrack_count(6, max_kinks(6) + 1)
     with pytest.raises(ValueError, match=r"kink count -1 out of range 0\.\.2 for n = 6$"):
         backtrack_count(6, -1)
+    for n, d in NOT_INTS:
+        with pytest.raises(ValueError, match=f"kink count {d} out of range .* for n = {n}$"):
+            backtrack_count(n, d)
     for n, d in SHORT_CHAINS:
         with pytest.raises(ValueError, match=f"chain length must be at least 1, got {n}$"):
             backtrack_count(n, d)
