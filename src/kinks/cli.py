@@ -359,7 +359,8 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and the subcommand parsers by name
     parser = argparse.ArgumentParser(
         prog="kinks",
         description="Exact counting and enumeration of chain flip histories by kink number.",
@@ -409,15 +410,37 @@ def build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout")
     asym.set_defaults(func=_cmd_asym)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # parse_args would read every token at the top level only to hand them
+    # all to the subcommand's parser; leftovers get the top-level error there
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # help, usage and errors of the top level
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI and return its exit code (0 ok, 1 mismatch or internal
-    error, 2 usage)."""
-    parser = build_parser()
+    error, 2 usage).
+
+    When the first argument names a subcommand, the rest is parsed by
+    that subcommand's parser alone; anything else goes through
+    `build_parser().parse_args`.  Both give the same namespace, output
+    and exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -172,6 +172,8 @@ def series_count(n: int, d: int) -> int:
     >>> series_count(10, 3)
     1841152
     """
+    if type(n) is not int or type(d) is not int:  # 5.0 would count in floats
+        raise ValueError(f"n and d must be ints, got {n!r} and {d!r}")
     if n < 2:
         raise ValueError("the series starts at t^2; need n >= 2")
     if d < 0:
@@ -263,6 +265,8 @@ def closed_form(n: int, d: int) -> int:
     >>> closed_form(12, 5)
     22368256
     """
+    if type(n) is not int or type(d) is not int:  # True would pass as n = 1
+        raise ValueError(f"n and d must be ints, got {n!r} and {d!r}")
     if d > max_kinks(n):  # first, so that n < 1 raises max_kinks' error at any d
         return 0
     if d < 0:

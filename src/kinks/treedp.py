@@ -128,23 +128,26 @@ def advance_level(state: LevelState) -> LevelState:
 def _kink_rows(n_max: int, d_max: int | None) -> Iterator[tuple[int, ...]]:
     # rows n = 1..n_max of the kink marginals, each cut at
     # min(d_max, max_kinks(n)); a band needs only itself and the one below,
-    # so a cut row is exact.  Row sums are the fault check: n! when whole,
-    # at most n! when cut.
-    row: tuple[int, ...] = (1,)
+    # so a cut row is exact.  One list holds the row and is updated in
+    # place from the top band down, so c[k - 1] is still row n - 1's when
+    # c[k] reads it; a zero is appended first when the cut widens.  Row
+    # sums are the fault check: n! when whole, at most n! when cut.
+    row = [1]
     fact = 1
     for n in range(1, n_max + 1):
         most = max_kinks(n)
         top = most if d_max is None else min(d_max, most)
         if n > 1:
             fact *= n
-            row = tuple(
-                (2 * k + 2) * c + (n - 2 * k) * b
-                for k, c, b in zip(range(top + 1), (*row, 0), (0, *row))
-            )
+            if len(row) <= top:
+                row.append(0)
+            for k in range(top, 0, -1):
+                row[k] = (2 * k + 2) * row[k] + (n - 2 * k) * row[k - 1]
+            row[0] *= 2
         total = sum(row)
         if total > fact or (top == most and total != fact):
             raise ArithmeticError(f"recurrence row {n} fails its sum check against {n}!")
-        yield row
+        yield tuple(row)
 
 
 def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
@@ -164,6 +167,8 @@ def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
     >>> dp_table(10, 2).row(10)
     (512, 128512, 1304832)
     """
+    if type(n_max) is not int or (d_max is not None and type(d_max) is not int):
+        raise ValueError(f"n_max and d_max must be ints, got {n_max!r} and {d_max!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if d_max is not None and d_max < 0:

@@ -774,6 +774,61 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+_DISPATCH_CORPUS = [
+    # every subcommand with its options
+    ["count", "--n", "5", "--d", "1"],
+    ["count", "--n", "5", "--d", "-1", "--method", "closed", "--all-methods"],
+    ["table", "--max-n", "4", "--method", "gf", "--format", "json", "-o", "out.json"],
+    ["table", "--max-n", "4", "--output", "out.csv"],
+    ["enumerate", "--n", "4", "--d", "1", "--limit", "3"],
+    ["verify"],
+    ["verify", "--max-n-brute", "5", "--max-n-dp", "9", "--t-order", "8", "--v-order", "3",
+     "--timings"],
+    ["asym", "--d", "1", "--max-n", "5", "--format", "text", "--output", "out.txt"],
+    # abbreviated options and the --opt=value form
+    ["count", "--n", "5", "--d", "1", "--meth", "gf", "--all"],
+    ["table", "--max", "3", "--form", "text"],
+    ["verify", "--tim", "--t-o=8"],
+    ["count", "--n=5", "--d=1"],
+    ["verify", "--max", "5"],  # ambiguous
+    # a missing required option, a bad choice, a bad int
+    ["count", "--n", "4"],
+    ["table"],
+    ["table", "--max-n", "4", "--format", "bogus"],
+    ["count", "--n", "5", "--d", "1", "--method", "nope"],
+    ["count", "--n", "x", "--d", "1"],
+    # leftovers: a positional, unknown options
+    ["count", "--n", "5", "--d", "1", "extra"],
+    ["count", "--n", "5", "--d", "1", "--bogus"],
+    ["verify", "--timings", "--x", "3", "tail"],
+    # help, nothing, no subcommand, and the end-of-options marker
+    ["count", "--help"],
+    ["table", "-h"],
+    ["--help"],
+    [],
+    ["bogus"],
+    ["--"],
+    ["--", "count", "--n", "5", "--d", "1"],
+    ["count", "--", "--n", "5", "--d", "1"],
+    ["count", "--n", "5", "--d", "1", "--"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+def test_subcommand_dispatch_parses_like_the_top_level_parser(capsys, monkeypatch, argv):
+    # main names the subcommand's parser from argv[0]; the namespace, or
+    # the exit code and the text of a failing parse, must be parse_args's
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for parse in (kinks.cli._parse, kinks.cli.build_parser().parse_args):
+        try:
+            outcome = vars(parse(list(argv)))
+        except SystemExit as exc:
+            outcome = exc.code
+        outcomes.append((outcome, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_reused_parser_answers_like_fresh_processes(capsys, monkeypatch):
     # the parser is built once per process; a usage error must leave it as new
     requests = [

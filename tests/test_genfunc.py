@@ -220,6 +220,16 @@ def test_closed_form_guards():
             closed_form(n, d)
 
 
+@pytest.mark.parametrize("count", [series_count, closed_form])
+def test_single_counts_take_only_ints(count):
+    # 5.0 would count in floats (series_count(5.0, 1) gave 88.0) and True
+    # would pass as n = 1 (closed_form(True, 0) gave 1)
+    for args in [(5.0, 1), (True, 0), (5, 1.0), (5, True), (5.0, 1.0)]:
+        with pytest.raises(ValueError, match="n and d must be ints"):
+            count(*args)
+    assert count(5, 1) == 88
+
+
 def test_closed_form_matches_recurrences():
     dp = dp_table(30)
     for d in range(9):

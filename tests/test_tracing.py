@@ -12,6 +12,8 @@ import importlib.util
 import io
 from pathlib import Path
 
+import pytest
+
 import kinks.algebra
 import kinks.cli
 
@@ -86,3 +88,21 @@ def test_tracer_counts_one_backtrack_call_without_changing_stdout():
     plain, traced, layers = _run_plain_and_traced(argv)
     assert traced == plain and plain == (0, "185856\n")
     assert layers["oracle.backtrack_count.calls"] == 1
+
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (
+            ["count", "--n", "70", "--d", "2", "--method", "dp"],
+            "92350137948604291166293157350185870725229570101870592\n",
+        ),
+        (["count", "--n", "20", "--d", "3", "--method", "closed"], "7984436548730880\n"),
+    ],
+)
+def test_tracer_counts_one_main_call_per_count_request(argv, out):
+    # the wrapped cli.main still parses by the subcommand's own parser
+    plain, traced, layers = _run_plain_and_traced(argv)
+    assert traced == plain == (0, out)
+    assert layers["cli.main.calls"] == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinks.cli
 import kinks.treedp
 from kinks import (
     History,
@@ -170,6 +171,10 @@ def test_dp_accepts_tiny_scopes():
         dp_table(0)
     with pytest.raises(ValueError):
         dp_table(2, -1)
+    # True would pass as n = 1 (dp_table(True) gave the n = 1 table)
+    for args in [(True,), (5.0,), (5, 1.0), (5, True)]:
+        with pytest.raises(ValueError, match="n_max and d_max must be ints"):
+            dp_table(*args)
 
 
 DP80 = dp_table(80)
@@ -183,6 +188,13 @@ def test_capped_dp_rows_are_the_full_rows_cut_at_d(n, d):
     for m in range(1, n + 1):
         assert capped.row(m) == DP80.row(m)[: d + 1], (m, n, d)
     assert capped.count(n, d) == DP80.count(n, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(0, 8))
+def test_dp_count_route_matches_the_closed_form(n, d):
+    # the cut row of a single `count` against an independent formula
+    assert kinks.cli.ROUTES["dp"].count(n, d) == closed_form(n, d), (n, d)
 
 
 @settings(max_examples=25, deadline=None)
@@ -211,12 +223,12 @@ def test_recurrence_row_sum_check_raises(monkeypatch):
 
 def test_recurrence_cut_row_surplus_raises(monkeypatch):
     # a kink bound one too high leaves the rows exact but cut from n = 3 at
-    # d_max = 1; doubling the band-below term then puts row 3 at 4 + 4 > 3!
+    # d_max = 1; sweeping the bands twice then applies the step to band 1
+    # twice, which puts row 3 at 4 + (4 * 2 + 1 * 2) > 3!
     monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 + 1)
     dp_table(9, 1)
-    monkeypatch.setattr(
-        kinks.treedp, "zip", lambda ks, cs, bs: zip(ks, cs, [2 * b for b in bs]), raising=False
-    )
+    twice = lambda *args: [*range(*args), *range(*args)] if len(args) == 3 else range(*args)
+    monkeypatch.setattr(kinks.treedp, "range", twice, raising=False)
     with pytest.raises(ArithmeticError, match="row 3 fails its sum check"):
         dp_table(9, 1)
 
