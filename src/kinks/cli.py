@@ -30,7 +30,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
-from .core import CountTable, max_kinks
+from .core import CountTable, check_int, max_kinks
 from .genfunc import _closed_rows, closed_form, convergence_report, series_count, series_table
 from .oracle import (
     DEFAULT_BRUTE_CEILING,
@@ -55,12 +55,9 @@ def _brute_ceiling() -> int:
     if raw is None:
         return DEFAULT_BRUTE_CEILING
     try:
-        value = int(raw)
+        return check_int(int(raw), 1, ENV_BRUTE_CEILING)
     except ValueError:
         raise UsageError(f"{ENV_BRUTE_CEILING} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{ENV_BRUTE_CEILING} must be a positive integer, got {raw!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +315,12 @@ def _format_deviation(value: Fraction) -> str:
 
 
 def _cmd_asym(args: argparse.Namespace) -> int:
-    rows = convergence_report(args.d, args.max_n)
+    # checked before the table is built, which costs O(max_n^2) at d >= max_n / 2
+    if args.d < 0:
+        raise UsageError("--d must be nonnegative")
+    if args.max_n <= 2 * args.d:
+        raise UsageError(f"--max-n must be at least 2d + 1 = {2 * args.d + 1}")
+    rows = convergence_report(args.d, args.max_n, table=dp_table(args.max_n, args.d))
     if args.format == "csv":
         lines = ["n,exact,estimate,deviation"]
         lines.extend(

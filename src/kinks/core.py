@@ -19,7 +19,21 @@ __all__ = [
     "kink_count",
     "tree_label",
     "max_kinks",
+    "check_int",
 ]
+
+
+def check_int(value: int, least: int, what: str) -> int:
+    """Return `value` if it is exactly an int of at least `least`.
+
+    Anything else, a bool, a float or a smaller int, raises a ValueError
+    that names the argument `what`.  Every integer argument of the public
+    entry points passes through here: equal values alone would let 5.0
+    count in floats and True stand for 1.
+    """
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an int of at least {least}, got {value!r}")
+    return value
 
 
 def max_kinks(n: int) -> int:
@@ -31,9 +45,7 @@ def max_kinks(n: int) -> int:
     >>> [max_kinks(n) for n in range(1, 8)]
     [0, 0, 1, 1, 2, 2, 3]
     """
-    if n < 1:
-        raise ValueError(f"chain length must be at least 1, got {n}")
-    return (n - 1) // 2
+    return (check_int(n, 1, "n") - 1) // 2
 
 
 class _HistoryWord(NamedTuple):  # History's fields: a NamedTuple body may not define __new__
@@ -177,9 +189,8 @@ class CountTable(NamedTuple):
         Raises ValueError when the requested d lies in the truncated part
         of an incomplete row (the value is unknown, not zero).
         """
-        if d < 0:
-            raise ValueError("kink count cannot be negative")
-        row = self.rows[n]
+        check_int(d, 0, "d")
+        row = self.rows[check_int(n, 1, "n")]
         if d < len(row):
             return row[d]
         if d <= max_kinks(n):

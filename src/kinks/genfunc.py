@@ -26,8 +26,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import TruncPoly, TSeries
-from .core import CountTable, max_kinks
-from .treedp import dp_table
+from .core import CountTable, check_int, max_kinks
 
 __all__ = [
     "CoefficientError",
@@ -104,11 +103,9 @@ def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int
 
 
 def _whole_rows(t_order: int, v_order: int) -> Iterator[list[int]]:
-    # rows n = 2..t_order, entries d = 0..v_order, after the order checks
-    if t_order < 2:
-        raise ValueError("the series starts at t^2; need t_order >= 2")
-    if v_order < 0:
-        raise ValueError("v_order must be nonnegative")
+    # rows n = 2..t_order, entries d = 0..v_order: the series starts at t^2
+    check_int(t_order, 2, "t_order")
+    check_int(v_order, 0, "v_order")
     return _series_rows(range(2, t_order + 1), 0, v_order)
 
 
@@ -172,12 +169,8 @@ def series_count(n: int, d: int) -> int:
     >>> series_count(10, 3)
     1841152
     """
-    if type(n) is not int or type(d) is not int:  # 5.0 would count in floats
-        raise ValueError(f"n and d must be ints, got {n!r} and {d!r}")
-    if n < 2:
-        raise ValueError("the series starts at t^2; need n >= 2")
-    if d < 0:
-        raise ValueError("kink count cannot be negative")
+    check_int(n, 2, "n")  # the series starts at t^2
+    check_int(d, 0, "d")
     [[count]] = _series_rows((n,), d, d)
     return count
 
@@ -198,10 +191,8 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
     >>> fixed_kinks_series(4, 11)[-2:]
     (353792, 9061376)
     """
-    if d < 0:
-        raise ValueError("kink count cannot be negative")
-    if n_max < 2:
-        raise ValueError("the series starts at n = 2")
+    check_int(d, 0, "d")
+    check_int(n_max, 2, "n_max")
     denom = [1]
     for i in range(1, d + 2):
         for _ in range(d + 2 - i):
@@ -265,12 +256,9 @@ def closed_form(n: int, d: int) -> int:
     >>> closed_form(12, 5)
     22368256
     """
-    if type(n) is not int or type(d) is not int:  # True would pass as n = 1
-        raise ValueError(f"n and d must be ints, got {n!r} and {d!r}")
-    if d > max_kinks(n):  # first, so that n < 1 raises max_kinks' error at any d
+    top = max_kinks(n)  # first, so that n < 1 raises n's error at any d
+    if check_int(d, 0, "d") > top:
         return 0
-    if d < 0:
-        raise ValueError("kink count cannot be negative")
     [[count]] = _closed_rows((n,), d, d)
     return count
 
@@ -282,10 +270,8 @@ def asymptotic_estimate(n: int, d: int) -> Fraction:
     (not rounded) so deviations from true counts can be compared without
     floating-point tolerances.  At d = 0 the estimate equals the count.
     """
-    if n < 1:
-        raise ValueError(f"chain length must be at least 1, got {n}")
-    if d < 0:
-        raise ValueError("kink count cannot be negative")
+    check_int(n, 1, "n")
+    check_int(d, 0, "d")
     return Fraction(2) ** (n - 2 * d - 1) * (d + 1) ** n
 
 
@@ -303,24 +289,19 @@ def convergence_report(
     n_max: int,
     *,
     threshold: Fraction | None = None,
-    table: CountTable | None = None,
+    table: CountTable,
 ) -> tuple[ConvergenceRow, ...]:
     """Tabulate |count/estimate - 1| for n up to n_max, checking its decay.
 
-    Rows start at the first nonzero count (n = 2d + 1, or n = 1 at d = 0).
+    Rows start at the first nonzero count, n = 2d + 1.
     Once n clears the pre-asymptotic window (n >= 4d + 4) the deviation
     must shrink strictly at every step, except at d = 0 where it is
     identically zero; when a threshold is supplied, the final deviation
     must not exceed it.  Violations raise ValueError.  `table` supplies
-    precomputed exact counts, else dp_table(n_max, d) gives column d.
+    the exact counts of column d up to n_max, for example dp_table(n_max, d).
     """
-    if d < 0:
-        raise ValueError("kink count cannot be negative")
-    start = 2 * d + 1 if d else 1
-    if n_max < start:
-        raise ValueError(f"no nonzero counts below n = {start}")
-    if table is None:
-        table = dp_table(n_max, d)
+    start = 2 * check_int(d, 0, "d") + 1
+    check_int(n_max, start, "n_max")
     rows = []
     for n in range(start, n_max + 1):
         exact = table.count(n, d)

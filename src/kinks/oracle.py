@@ -17,7 +17,7 @@ from itertools import islice, permutations
 from math import factorial
 from typing import Iterator
 
-from .core import CountTable, History, _opened, max_kinks
+from .core import CountTable, History, _opened, check_int, max_kinks
 
 #: The head/tail scan of all 11! words takes about 0.07 s and of all 12!
 #: about 0.32 s (2-core VM, Python 3.11), and the work grows
@@ -37,9 +37,7 @@ def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> Co
     >>> brute_force_table(4).row(4)
     (8, 16)
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if n_max > ceiling:
+    if check_int(n_max, 1, "n_max") > ceiling:
         raise ValueError(
             f"n_max = {n_max} exceeds the exhaustive-scan ceiling {ceiling}; "
             "raise the ceiling explicitly to attempt it"
@@ -109,10 +107,10 @@ def _tail_kinks(seen: int, n: int) -> Counter[int]:
 
 
 def _check_kinks(n: int, d: int) -> None:
-    # exactly ints: max_kinks(3.0) is 1.0, and True would pass as n = 1;
-    # max_kinks raises at n < 1, in the message too
-    if type(n) is not int or type(d) is not int or not 0 <= d <= max_kinks(n):
-        raise ValueError(f"kink count {d} out of range 0..{max_kinks(n)} for n = {n}")
+    # n first, so that a chain below length 1 gets n's error at any d
+    top = max_kinks(n)
+    if check_int(d, 0, "d") > top:
+        raise ValueError(f"kink count {d} out of range 0..{top} for n = {n}")
 
 
 def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[History]:
@@ -129,8 +127,8 @@ def enumerate_histories(n: int, d: int, limit: int | None = None) -> Iterator[Hi
     ['132', '312']
     """
     _check_kinks(n, d)
-    if limit is not None and (type(limit) is not int or limit < 0):  # True is an int too
-        raise ValueError(f"limit must be None or a nonnegative int, got {limit!r}")
+    if limit is not None:
+        check_int(limit, 0, "limit")
     return islice(_emit_words(n, d), limit)
 
 

@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .core import CountTable, TreeLabel, max_kinks
+from .core import CountTable, TreeLabel, check_int, max_kinks
 
 __all__ = [
     "LevelState",
@@ -53,8 +53,7 @@ def succession_children(label: TreeLabel, n: int) -> list[TreeLabel]:
     [TreeLabel(max_pos=1, kinks=1, max_first=1), TreeLabel(max_pos=2, kinks=1, max_first=1), TreeLabel(max_pos=3, kinks=0, max_first=0)]
     """
     j, k, r = label
-    if n < 2:
-        raise ValueError(f"levels start at 2, got {n}")
+    check_int(n, 2, "n")  # levels start at 2
     if not 1 <= j <= n or not 0 <= k <= max_kinks(n) or r not in (0, 1):
         raise ValueError(f"label {label} cannot occur at level {n}")
     head_k = k + 1 if r == 0 else k
@@ -167,12 +166,9 @@ def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
     >>> dp_table(10, 2).row(10)
     (512, 128512, 1304832)
     """
-    if type(n_max) is not int or (d_max is not None and type(d_max) is not int):
-        raise ValueError(f"n_max and d_max must be ints, got {n_max!r} and {d_max!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if d_max is not None and d_max < 0:
-        raise ValueError(f"d_max must be nonnegative, got {d_max}")
+    check_int(n_max, 1, "n_max")
+    if d_max is not None:
+        check_int(d_max, 0, "d_max")
     return CountTable(dict(enumerate(_kink_rows(n_max, d_max), start=1)))
 
 
@@ -253,7 +249,7 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     errors; a correct rule yields none.
     """
     # K_i <= max_kinks(9) = 4 < 8, so every child fits its base-16 digit
-    if n_max > 9:
+    if check_int(n_max, 2, "n_max") > 9:
         raise ValueError("the cross-check scans (n+1)! children per level; keep n_max <= 9")
     checked = 0
     mismatches: list[LabelMismatch] = []

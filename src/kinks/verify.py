@@ -17,7 +17,7 @@ from time import perf_counter
 
 from . import genfunc
 from .algebra import TruncPoly
-from .core import max_kinks
+from .core import check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series, series_table
 from .oracle import DEFAULT_BRUTE_CEILING, backtrack_count, brute_force_table
 from .treedp import advance_level, dp_table, root_state, tree_label_consistency
@@ -84,9 +84,10 @@ def run_verification(
     """Run every cross-check and return one result per named check.
 
     Scopes: the exhaustive scan and backtracking run to max_n_brute; the
-    kink-marginal recurrence, and the label tree whose marginals must
-    equal its rows level by level (`tree_labels`), run to max_n_dp, and so
-    does the explicit formula (`closed_forms`) at every d; the
+    kink-marginal recurrence runs to max_n_dp, or as far as the scan if
+    that is further, and the label tree whose marginals must equal its
+    rows level by level (`tree_labels`) runs to max_n_dp, and so does the
+    explicit formula (`closed_forms`) at every d; the
     series expansion runs to (t_order, v_order), its rows compared with the
     recurrence's up to max_n_dp (`series_partition`), and the integer
     identities behind it (`exact_algebra`) to v_order, with the root powers
@@ -94,10 +95,10 @@ def run_verification(
     prove the suite notices corruption).  `golden_dp` and `golden_brute` are
     charged for the shared tables they build, so the seconds sum to the run.
     """
-    if max_n_brute < 2 or max_n_dp < 2:
-        raise ValueError("verification needs scopes of at least 2")
-    if t_order < 2 or v_order < 0:
-        raise ValueError("the series needs t_order >= 2 and v_order >= 0")
+    check_int(max_n_brute, 2, "max_n_brute")
+    check_int(max_n_dp, 2, "max_n_dp")
+    check_int(t_order, 2, "t_order")
+    check_int(v_order, 0, "v_order")
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
     results: list[CheckResult] = []
 
@@ -227,11 +228,12 @@ def run_verification(
             power = power * catalan * catalan
         return None
 
+    scan = min(max_n_brute, brute_ceiling)
     start = perf_counter()
-    dp = dp_table(max_n_dp)
+    dp = dp_table(max(max_n_dp, scan))  # every scanned row has its recurrence row
     run("golden_dp", lambda: golden_match("recurrence", dp), start)
     start = perf_counter()
-    brute = brute_force_table(min(max_n_brute, brute_ceiling), ceiling=brute_ceiling)
+    brute = brute_force_table(scan, ceiling=brute_ceiling)
     run("golden_brute", lambda: golden_match("scan", brute), start)
     run(
         "golden_series",

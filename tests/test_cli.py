@@ -486,6 +486,31 @@ def test_verify_rejects_a_series_scope_it_cannot_run(capsys, option, value):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("max_n_dp", range(2, 9))
+def test_verify_passes_a_recurrence_scope_below_the_scan(capsys, max_n_dp):
+    # the scan runs to 9 by default; every row it scans is still compared
+    code, out, err = run_cli(capsys, "verify", "--max-n-dp", str(max_n_dp))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 12 and all(line.startswith("PASS ") for line in lines[:11])
+    assert lines[-1] == "11 checks, 11 passed, 0 failed"
+
+
+def test_verify_method_agreement_compares_scan_rows_above_the_recurrence_scope(monkeypatch):
+    exact = kinks.verify.brute_force_table
+
+    def corrupted(*args, **kwargs):
+        rows = dict(exact(*args, **kwargs).rows)
+        rows[9] = (rows[9][0] + 1, *rows[9][1:])
+        return CountTable(rows)
+
+    monkeypatch.setattr(kinks.verify, "brute_force_table", corrupted)
+    results = kinks.verify.run_verification(max_n_brute=9, max_n_dp=5, t_order=8, v_order=3)
+    by_name = {r.name: r for r in results}
+    assert by_name["method_agreement"].detail == "scan and recurrence disagree at n = 9"
+    assert {r.name for r in results if not r.passed} == {"golden_brute", "method_agreement"}
+
+
 def test_verify_exact_algebra_notices_a_corrupted_catalan_power(monkeypatch):
     exact = kinks.genfunc._catalan_power
 

@@ -9,16 +9,16 @@ import kinks
 #: the series and closed forms
 ROUTE_MODULES = {"oracle", "treedp", "genfunc"}
 
-#: the package modules each of these may import.  genfunc's edges to
-#: algebra (for `bivariate_series`) and treedp (for `convergence_report`'s
-#: default table) are the two that ROADMAP item 4 removes, once the
-#: benchmark's tracer no longer binds those two functions.
+#: the package modules each of these may import.  genfunc's edge to
+#: algebra is the one left: `bivariate_series` builds a `TSeries`, and the
+#: benchmark's tracer binds `bivariate_series`, so it stays until a change
+#: to the benchmark lets ROADMAP item 4 delete it.
 ALLOWED = {
     "core": set(),
     "algebra": set(),
     "oracle": {"core"},
     "treedp": {"core"},
-    "genfunc": {"core", "algebra", "treedp"},
+    "genfunc": {"core", "algebra"},
 }
 
 #: the modules that may import several routes: the cross-checks, the front
@@ -44,7 +44,25 @@ def _package_imports(path: Path) -> set[str]:
     return found
 
 
-GRAPH = {path.stem: _package_imports(path) for path in Path(kinks.__file__).parent.glob("*.py")}
+def _int_type_checks(path: Path) -> list[int]:
+    # the lines that compare a type(...) call with int, as in
+    # `type(n) is not int`
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            typed = any(
+                isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+                and side.func.id == "type"
+                for side in sides
+            )
+            if typed and any(isinstance(side, ast.Name) and side.id == "int" for side in sides):
+                lines.append(node.lineno)
+    return lines
+
+
+SOURCES = sorted(Path(kinks.__file__).parent.glob("*.py"))
+GRAPH = {path.stem: _package_imports(path) for path in SOURCES}
 
 
 def test_every_module_is_parsed():
@@ -60,3 +78,11 @@ def test_routes_import_only_what_they_are_allowed():
 def test_only_the_front_ends_import_several_routes():
     several = {name for name, imports in GRAPH.items() if len(imports & ROUTE_MODULES) > 1}
     assert several <= SEVERAL_ROUTES
+
+
+def test_only_core_checks_for_exact_ints():
+    # every other module goes through core.check_int, so the rule for an
+    # integer argument lives in one place
+    found = {path.stem: _int_type_checks(path) for path in SOURCES}
+    assert found.pop("core")  # the gate itself
+    assert found == {path.stem: [] for path in SOURCES if path.stem != "core"}

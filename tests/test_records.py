@@ -49,7 +49,7 @@ RECORDS = [
     ),
     (root_state(), "LevelState(n=2, counts=(((0, 1), (0, 0)), ((1, 0), (0, 0))))"),
     (
-        convergence_report(1, 4)[0],
+        convergence_report(1, 4, table=dp_table(4))[0],
         "ConvergenceRow(n=3, exact=2, estimate=Fraction(8, 1), deviation=Fraction(3, 4))",
     ),
 ]
@@ -93,7 +93,7 @@ def test_records_are_tuples_equal_to_their_fields():
     assert History((2, 1)) == ((2, 1),)
     assert CountTable({2: (2,)}) == ({2: (2,)},)
     assert root_state() == (2, (((0, 1), (0, 0)), ((1, 0), (0, 0))))
-    assert convergence_report(1, 4)[0] == (3, 2, Fraction(8), Fraction(3, 4))
+    assert convergence_report(1, 4, table=dp_table(4))[0] == (3, 2, Fraction(8), Fraction(3, 4))
 
 
 def test_check_results_ignore_seconds_and_traceback():
