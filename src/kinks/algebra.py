@@ -17,7 +17,6 @@ inverse of a unit whose rational lead is not +-1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add, neg, sub
 from typing import Any, Iterable, Sequence
 
@@ -35,19 +34,6 @@ def _mul_coeffs(a: Sequence[Any], b: Sequence[Any], order: int, zero: Any) -> li
                 if bj:
                     out[i + j] += ai * bj
     return out
-
-
-def _mul_numbers(a: Sequence[Coeff], b: Sequence[Coeff], order: int) -> list[Coeff]:
-    # rationals convolve as ints over one common denominator per factor,
-    # so a Fraction is built once per output term, not once per product
-    da = lcm(*(x.denominator for x in a))
-    db = lcm(*(x.denominator for x in b))
-    if da == db == 1:
-        return _mul_coeffs(a, b, order, 0)
-    na = [x.numerator * (da // x.denominator) for x in a]
-    nb = [x.numerator * (db // x.denominator) for x in b]
-    den = da * db
-    return [Fraction(c, den) for c in _mul_coeffs(na, nb, order, 0)]
 
 
 def _inv_coeffs(a: Sequence[Any], order: int, inv0: Any, zero: Any) -> list[Any]:
@@ -78,9 +64,6 @@ class TruncPoly:
 
     def _new(self, coeffs: Iterable[Any]) -> TruncPoly:
         return TruncPoly(coeffs, self.order)
-
-    def _convolve(self, other: TruncPoly) -> list[Any]:
-        return _mul_numbers(self.coeffs, other.coeffs, self.order)
 
     @staticmethod
     def _lead_inverse(lead: Coeff) -> Coeff:
@@ -129,7 +112,7 @@ class TruncPoly:
     def __mul__(self, other: Any) -> TruncPoly:
         if type(other) is type(self):
             self._check(other)
-            return self._new(self._convolve(other))
+            return self._new(_mul_coeffs(self.coeffs, other.coeffs, self.order, self._zero))
         return self._new(a * other for a in self.coeffs)
 
     __rmul__ = __mul__
@@ -184,9 +167,6 @@ class TSeries(TruncPoly):
 
     def _new(self, polys: Iterable[TruncPoly]) -> TSeries:
         return TSeries(polys, self.t_order, self.v_order)
-
-    def _convolve(self, other: TSeries) -> list[TruncPoly]:
-        return _mul_coeffs(self.coeffs, other.coeffs, self.t_order, self._zero)
 
     @staticmethod
     def _lead_inverse(lead: TruncPoly) -> TruncPoly:

@@ -94,18 +94,7 @@ def test_every_integer_argument_may_sit_at_its_bound(name):
 @example(("CountTable.count", {"d": True}))
 @example(("run_verification", {"v_order": True}))
 @example(("run_verification", {"max_n_brute": 4.0}))  # a TypeError before the gate
-# series_count(5.0, 1) gave 88.0, closed_form(True, 0) gave 1 and
-# dp_table(True) the n = 1 table
-@example(("series_count", {"n": 5.0}))
-@example(("series_count", {"n": True}))
-@example(("series_count", {"d": 1.0}))
-@example(("series_count", {"d": True}))
-@example(("series_count", {"n": 5.0, "d": 1.0}))
-@example(("closed_form", {"n": 5.0}))
-@example(("closed_form", {"n": True}))
-@example(("closed_form", {"d": 1.0}))
-@example(("closed_form", {"d": True}))
-@example(("closed_form", {"n": 5.0, "d": 1.0}))
+# dp_table(True) gave the n = 1 table
 @example(("closed_form", {"d": -1}))
 @example(("dp_table", {"n_max": True}))
 @example(("dp_table", {"n_max": 5.0}))

@@ -1,5 +1,6 @@
 """Series expansion, explicit formulas, and the growth estimate."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -221,9 +222,16 @@ def test_closed_form_guards():
 @pytest.mark.parametrize("count", [series_count, closed_form])
 def test_single_counts_take_only_ints(count):
     # 5.0 would count in floats (series_count(5.0, 1) gave 88.0) and True
-    # would pass as n = 1 (closed_form(True, 0) gave 1)
-    for args in [(5.0, 1), (True, 0), (5, 1.0), (5, True), (5.0, 1.0)]:
-        with pytest.raises(ValueError, match="^[nd] must be an int of at least [0-9]+, got "):
+    # would pass as n = 1 (closed_form(True, 0) gave 1); with both bad, n is named
+    n_least = 2 if count is series_count else 1
+    for args, message in [
+        ((5.0, 1), f"n must be an int of at least {n_least}, got 5.0"),
+        ((True, 0), f"n must be an int of at least {n_least}, got True"),
+        ((5, 1.0), "d must be an int of at least 0, got 1.0"),
+        ((5, True), "d must be an int of at least 0, got True"),
+        ((5.0, 1.0), f"n must be an int of at least {n_least}, got 5.0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             count(*args)
     assert count(5, 1) == 88
 
