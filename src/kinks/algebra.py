@@ -20,6 +20,8 @@ from fractions import Fraction
 from operator import add, neg, sub
 from typing import Any, Iterable, Sequence
 
+from .core import check_int
+
 __all__ = ["TruncPoly", "TSeries", "sqrt_one_minus_v"]
 
 Coeff = int | Fraction
@@ -56,9 +58,7 @@ class TruncPoly:
     _zero: Any = 0
 
     def __init__(self, coeffs: Iterable[Coeff], order: int):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        c = list(coeffs)[: order + 1]
+        c = list(coeffs)[: check_int(order, 0, "order") + 1]
         c.extend([0] * (order + 1 - len(c)))
         self.coeffs = tuple(c)
 
@@ -137,7 +137,7 @@ def sqrt_one_minus_v(order: int) -> TruncPoly:
     """
     coeffs = [Fraction(1)]
     binom = Fraction(1)
-    for k in range(1, order + 1):
+    for k in range(1, check_int(order, 0, "order") + 1):
         binom = binom * (Fraction(1, 2) - (k - 1)) / k
         coeffs.append(binom if k % 2 == 0 else -binom)
     return TruncPoly(coeffs, order)
@@ -155,9 +155,8 @@ class TSeries(TruncPoly):
     __slots__ = ("v_order",)
 
     def __init__(self, polys: Iterable[TruncPoly], t_order: int, v_order: int):
-        if t_order < 0 or v_order < 0:
-            raise ValueError("truncation orders must be nonnegative")
-        ps = list(polys)[: t_order + 1]
+        ps = list(polys)[: check_int(t_order, 0, "t_order") + 1]
+        check_int(v_order, 0, "v_order")
         for p in ps:
             if p.order != v_order:
                 raise ValueError(f"coefficient at v order {p.order}, expected {v_order}")

@@ -3,25 +3,27 @@
 Two independent routes: an exhaustive scan that classifies every
 permutation by kink count, and a backtracking generator that builds only
 the histories with a prescribed kink count by growing plus blocks site by
-site.  The scan splits each word into a head and a tail: whether a flip
-opens a block depends only on the set flipped before it, and reflecting
-the chain keeps the kinks, so the orders of one tail are scanned once for
-every head that leaves the same set, or its mirror image, behind.
+site.  Whether a flip opens a block depends only on the set flipped
+before it, so the scan sums over chains of flipped sets: one pass over
+the sets carries the histogram of every order of each set to each set
+with one more site.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from functools import cache, lru_cache
-from itertools import islice, permutations
+from itertools import islice
 from math import factorial
 from typing import Iterator
 
-from .core import CountTable, History, _opened, check_int, max_kinks
+from .core import CountTable, History, check_int, max_kinks
 
-#: The head/tail scan of all 11! words takes about 0.07 s and of all 12!
-#: about 0.32 s (2-core VM, Python 3.11), and the work grows
-#: factorially; anything larger needs an explicit opt-in via `ceiling`.
+#: The pass over the flipped sets makes about n 2^(n-1) big-integer
+#: additions: 1.0-1.2 ms at n = 9, 2.3-2.6 ms at n = 10, 5.0-6.0 ms at
+#: n = 11 and 11-12 ms at n = 12 (best of 5, 2-core VM, Python 3.11).
+#: The ceiling is the scan's domain, so `count --all-methods` prints a
+#: `brute:` line at n <= 11 only; anything larger needs an explicit
+#: opt-in via `ceiling`.
 DEFAULT_BRUTE_CEILING = 11
 
 #: Enumeration reads every completion of a state with at most _TAIL_SITES
@@ -34,10 +36,13 @@ _TAIL_SITES, _TAIL_MEMO = 5, 512
 def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> CountTable:
     """Classify all n! histories by kink count for every n up to n_max.
 
+    Each row is one pass over the 2^n sets of flipped sites, so every
+    word counts once without being built.
+
     >>> brute_force_table(4).row(4)
     (8, 16)
     """
-    if check_int(n_max, 1, "n_max") > ceiling:
+    if check_int(n_max, 1, "n_max") > check_int(ceiling, 1, "ceiling"):
         raise ValueError(
             f"n_max = {n_max} exceeds the exhaustive-scan ceiling {ceiling}; "
             "raise the ceiling explicitly to attempt it"
@@ -46,64 +51,29 @@ def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> Co
 
 
 def _brute_row(n: int) -> list[int]:
-    # Each word is a head of n - n//2 flips and a tail of the rest.  Heads
-    # are grouped by the mirror orbit of the set they leave flipped, and
-    # every order of each orbit's tail is scanned once, so each of the n!
-    # words counts once.
-    counts = [0] * (max_kinks(n) + 1)
-    for seen, head_kinks in _head_kinks(n).items():
-        tail_kinks = _tail_kinks(seen, n)
-        for d, c in head_kinks.items():
-            for e, m in tail_kinks.items():
-                counts[d + e] += c * m
+    # One pass over the flipped sets, each before every set that holds
+    # it, since a subset is the smaller int.  hist[seen] is the histogram
+    # of blocks opened over every order of `seen`, packed one digit of
+    # `width` bits per count of blocks: no count exceeds n!, so no digit
+    # carries.  Each set adds its histogram to every set with one more
+    # site s, one digit up when neither neighbour of s is in the set.
+    # Bit s marks site s, so the odd entries of `hist` stay 0.
+    width = factorial(n).bit_length()
+    full = ((1 << n) - 1) << 1
+    hist = [0] * (full + 1)
+    hist[0] = 1
+    for seen in range(0, full, 2):
+        stay = hist[seen]
+        opened = stay << width
+        for s in range(1, n + 1):
+            if not seen >> s & 1:
+                hist[seen | 1 << s] += stay if seen & (5 << (s - 1)) else opened
+    # the first flip opens the initial block, which is not a kink
+    digit = (1 << width) - 1
+    counts = [hist[full] >> (width * (d + 1)) & digit for d in range(max_kinks(n) + 1)]
     if sum(counts) != factorial(n):
         raise ArithmeticError(f"exhaustive scan of length {n} does not count {n}! words")
     return counts
-
-
-def _head_kinks(n: int) -> defaultdict[int, Counter[int]]:
-    # kink histogram of every head of n - n//2 flips, by the mirror orbit
-    # of the set it leaves flipped.  Reflection s -> n + 1 - s keeps
-    # adjacency and so kinks: only heads whose first flip s has
-    # 2s <= n + 1 are walked, weighed 2 for the unwalked mirror image or 1
-    # at the middle site (whose mirror images are walked too), and each
-    # set is filed under min(set, mirror set), whose tails have the same
-    # histogram.  A depth-first walk with an explicit stack of (flipped
-    # set, opens, flips, weight) builds each prefix once for every head
-    # that extends it, takes the last two flips in place and sums each
-    # head's weight by its (flipped set, opens) pair.
-    size = n - n // 2
-    pairs: dict[tuple[int, int], int] = {}
-    stack = [(1 << s, 1, 1, 1 if 2 * s == n + 1 else 2) for s in range(1, (n + 1) // 2 + 1)]
-    while stack:
-        seen, opens, depth, weight = stack.pop()
-        if depth == size:  # a head of one or two flips, at n <= 4
-            pairs[seen, opens] = pairs.get((seen, opens), 0) + weight
-            continue
-        free = [s for s in range(1, n + 1) if not seen >> s & 1]
-        if depth != size - 2:  # more than two flips to go, or one at n <= 4
-            stack.extend(
-                (seen | 1 << s, opens + (not seen & (5 << (s - 1))), depth + 1, weight)
-                for s in free
-            )
-            continue
-        for s in free:
-            once, once_opens = seen | 1 << s, opens + (not seen & (5 << (s - 1)))
-            for t in free:
-                if t != s:
-                    pair = once | 1 << t, once_opens + (not once & (5 << (t - 1)))
-                    pairs[pair] = pairs.get(pair, 0) + weight
-    heads: defaultdict[int, Counter[int]] = defaultdict(Counter)
-    for (seen, opens), c in pairs.items():
-        mirror = int(f"{seen >> 1:0{n}b}"[::-1], 2) << 1
-        heads[min(seen, mirror)][opens - 1] += c  # the first flip opens no kink
-    return heads
-
-
-def _tail_kinks(seen: int, n: int) -> Counter[int]:
-    # kink histogram over every order of the sites of 1..n not in `seen`
-    free = [s for s in range(1, n + 1) if not seen >> s & 1]
-    return Counter(_opened(seen, tail)[0] for tail in permutations(free))
 
 
 def _check_kinks(n: int, d: int) -> None:

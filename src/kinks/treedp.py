@@ -22,7 +22,7 @@ one integer.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -173,13 +173,17 @@ def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
 
 
 class LabelMismatch(NamedTuple):
-    """One insertion child whose direct label differs from the rule's."""
+    """One insertion child whose direct label differs from the rule's.
+
+    ``expected`` is None where the rule gives fewer than n + 1 children
+    and ``actual`` is None where it gives more.
+    """
 
     n: int
     word: tuple[int, ...]
     position: int
-    expected: TreeLabel
-    actual: TreeLabel
+    expected: TreeLabel | None
+    actual: TreeLabel | None
 
 
 class ConsistencyReport(NamedTuple):
@@ -270,10 +274,10 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
                 expected = rule[label] = children, packed
             checked += n + 1
             if code != expected[1]:
-                children = expected[0]
-                for i in range(n + 1):
-                    digit = code >> (4 * i) & 15
-                    actual = TreeLabel(i + 1, digit & 7, digit >> 3)
-                    if actual != children[i]:
-                        mismatches.append(LabelMismatch(n, word, i + 1, children[i], actual))
+                # position by position, a missing or extra rule child against None
+                digits = [code >> (4 * i) & 15 for i in range(n + 1)]
+                direct = [TreeLabel(i, g & 7, g >> 3) for i, g in enumerate(digits, 1)]
+                for position, (child, actual) in enumerate(zip_longest(expected[0], direct), 1):
+                    if actual != child:
+                        mismatches.append(LabelMismatch(n, word, position, child, actual))
     return ConsistencyReport(checked, tuple(mismatches))

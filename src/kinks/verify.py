@@ -99,6 +99,7 @@ def run_verification(
     check_int(max_n_dp, 2, "max_n_dp")
     check_int(t_order, 2, "t_order")
     check_int(v_order, 0, "v_order")
+    check_int(brute_ceiling, 1, "brute_ceiling")
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
     results: list[CheckResult] = []
 

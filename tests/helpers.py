@@ -10,7 +10,7 @@ word and reads its label from scratch.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 import kinks.treedp
 from kinks.core import _word_label
@@ -104,9 +104,10 @@ def naive_label_consistency(n_max: int) -> ConsistencyReport:
         top = (n + 1,)
         for word in permutations(range(1, n + 1)):
             children = kinks.treedp.succession_children(_word_label(word), n)
-            for pos in range(1, n + 2):
-                actual = _word_label(word[: pos - 1] + top + word[pos - 1 :])
-                checked += 1
-                if actual != children[pos - 1]:
-                    mismatches.append(LabelMismatch(n, word, pos, children[pos - 1], actual))
+            direct = [_word_label(word[:i] + top + word[i:]) for i in range(n + 1)]
+            checked += n + 1
+            # None stands for a child the rule lacks or a rule child too many
+            for pos, (child, actual) in enumerate(zip_longest(children, direct), 1):
+                if actual != child:
+                    mismatches.append(LabelMismatch(n, word, pos, child, actual))
     return ConsistencyReport(checked, tuple(mismatches))

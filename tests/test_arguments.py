@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from kinks import (
     TreeLabel,
+    TruncPoly,
+    TSeries,
     asymptotic_estimate,
     backtrack_count,
     bivariate_series,
@@ -22,6 +24,7 @@ from kinks import (
     run_verification,
     series_count,
     series_table,
+    sqrt_one_minus_v,
     succession_children,
     tree_label_consistency,
 )
@@ -34,7 +37,10 @@ DP6 = dp_table(6)
 ENTRY_POINTS = {
     "max_kinks": (max_kinks, {"n": 3}, {"n": 1}),
     "CountTable.count": (DP6.count, {"n": 6, "d": 2}, {"n": 1, "d": 0}),
-    "brute_force_table": (brute_force_table, {"n_max": 4}, {"n_max": 1}),
+    # n_max = 1 keeps the call inside the ceiling at the ceiling's bound
+    "brute_force_table": (
+        brute_force_table, {"n_max": 1, "ceiling": 4}, {"n_max": 1, "ceiling": 1}
+    ),
     "backtrack_count": (backtrack_count, {"n": 5, "d": 0}, {"n": 1, "d": 0}),
     "enumerate_histories": (
         enumerate_histories, {"n": 5, "d": 0, "limit": 2}, {"n": 1, "d": 0, "limit": 0}
@@ -54,9 +60,12 @@ ENTRY_POINTS = {
     "tree_label_consistency": (tree_label_consistency, {"n_max": 4}, {"n_max": 2}),
     "run_verification": (
         run_verification,
-        {"max_n_brute": 4, "max_n_dp": 6, "t_order": 4, "v_order": 1},
-        {"max_n_brute": 2, "max_n_dp": 2, "t_order": 2, "v_order": 0},
+        {"max_n_brute": 4, "max_n_dp": 6, "t_order": 4, "v_order": 1, "brute_ceiling": 4},
+        {"max_n_brute": 2, "max_n_dp": 2, "t_order": 2, "v_order": 0, "brute_ceiling": 1},
     ),
+    "TruncPoly": (partial(TruncPoly, (1, 2, 3)), {"order": 2}, {"order": 0}),
+    "TSeries": (partial(TSeries, ()), {"t_order": 2, "v_order": 1}, {"t_order": 0, "v_order": 0}),
+    "sqrt_one_minus_v": (sqrt_one_minus_v, {"order": 3}, {"order": 0}),
 }
 
 
@@ -94,6 +103,14 @@ def test_every_integer_argument_may_sit_at_its_bound(name):
 @example(("CountTable.count", {"d": True}))
 @example(("run_verification", {"v_order": True}))
 @example(("run_verification", {"max_n_brute": 4.0}))  # a TypeError before the gate
+# brute_force_table took a float ceiling, and run_verification blamed n_max for a bool one
+@example(("brute_force_table", {"ceiling": 4.5}))
+@example(("run_verification", {"brute_ceiling": True}))
+# an order-1 polynomial, and a TypeError from a slice
+@example(("TruncPoly", {"order": True}))
+@example(("TruncPoly", {"order": 2.0}))
+@example(("sqrt_one_minus_v", {"order": True}))
+@example(("TSeries", {"v_order": 1.0}))
 # dp_table(True) gave the n = 1 table
 @example(("closed_form", {"d": -1}))
 @example(("dp_table", {"n_max": True}))

@@ -579,6 +579,37 @@ def test_verify_tree_labels_notices_a_wrong_rule_child(monkeypatch):
     assert len(results) == 11
 
 
+#: a rule child list one too long or one too short for the word (4, 3, 2, 1),
+#: the only level-4 word labelled (1, 0, 1), and the position reported
+RESIZED_RULES = {
+    "extra": (
+        lambda children: [*children, TreeLabel(6, 0, 0)],
+        "word (4, 3, 2, 1) at position 6: "
+        "rule TreeLabel(max_pos=6, kinks=0, max_first=0), direct None",
+    ),
+    "missing": (
+        lambda children: children[:-1],
+        "word (4, 3, 2, 1) at position 5: "
+        "rule None, direct TreeLabel(max_pos=5, kinks=0, max_first=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIZED_RULES))
+def test_verify_tree_labels_notices_a_rule_with_the_wrong_number_of_children(monkeypatch, case):
+    resize, detail = RESIZED_RULES[case]
+    exact = kinks.treedp.succession_children
+
+    def wrong(label, n):
+        children = exact(label, n)
+        return resize(children) if n == 4 and label == TreeLabel(1, 0, 1) else children
+
+    monkeypatch.setattr(kinks.treedp, "succession_children", wrong)
+    results = kinks.verify.run_verification(max_n_brute=5, max_n_dp=12, t_order=8, v_order=3)
+    assert {r.name: r.detail for r in results if not r.passed} == {"tree_labels": detail}
+    assert len(results) == 11
+
+
 def test_verify_growth_estimate_notices_a_corrupted_single_kink_count(monkeypatch):
     exact = kinks.verify.dp_table
 

@@ -6,7 +6,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
 from itertools import islice, permutations
 from math import factorial
@@ -27,8 +27,8 @@ from kinks import (
     kink_count,
     max_kinks,
 )
-from kinks.core import _word_kinks
-from kinks.oracle import _head_kinks, _moves, _opened
+from kinks.core import _opened, _word_kinks
+from kinks.oracle import _brute_row, _moves
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -45,13 +45,23 @@ def test_brute_force_reference_rows():
 
 
 def test_brute_force_matches_naive_oracle():
-    # n >= 4 is where heads leaving the same flipped set share one tail scan
+    # the literal scan: every one of the n! words, built and classified
     assert brute_force_table(8).rows == naive_table(8)
 
 
 def test_split_scan_partitions_every_length_to_eleven():
-    table = brute_force_table(11, ceiling=11)
-    assert all(sum(table.row(k)) == factorial(k) for k in range(1, 12))
+    assert brute_force_table(11, ceiling=11).rows == dp_table(11).rows
+
+
+@cache
+def _dp14():
+    return dp_table(14)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_set_pass_rows_equal_the_recurrences(n):
+    # past the CLI's ceiling too: the pass makes about n 2^(n-1) additions
+    assert _brute_row(n) == list(_dp14().row(n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,49 +71,21 @@ def test_split_scan_partitions_every_length_to_eleven():
     )
 )
 def test_head_and_tail_kinks_add_up_at_any_cut(word_cut):
+    # the pass's premise: the blocks a flip opens depend only on the set
+    # flipped before it
     word, cut = word_cut
     head_opens, seen = _opened(0, word[:cut])
     tail_opens, _ = _opened(seen, word[cut:])
     assert (head_opens - 1) + tail_opens == _word_kinks(word)
 
 
-def test_split_scan_fault_check_catches_a_corrupted_tail(monkeypatch):
-    exact = kinks.oracle._tail_kinks
-
-    def corrupted(seen, n):
-        histogram = exact(seen, n)
-        if n == 5:
-            histogram[0] += 1
-        return histogram
-
-    monkeypatch.setattr(kinks.oracle, "_tail_kinks", corrupted)
-    with pytest.raises(ArithmeticError, match="length 5 "):
+def test_set_pass_fault_check_catches_a_dropped_kink_class(monkeypatch):
+    # a row read without its top class misses words, at length 5 first
+    exact = kinks.oracle.max_kinks
+    monkeypatch.setattr(kinks.oracle, "max_kinks", lambda n: exact(n) - (n == 5))
+    message = "^exhaustive scan of length 5 does not count 5! words$"
+    with pytest.raises(ArithmeticError, match=message):
         brute_force_table(6)
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_head_walk_counts_every_head_as_a_permutation_scan(n):
-    # every head counts once, under the mirror orbit of its flipped set
-    scan = defaultdict(Counter)
-    for head in permutations(range(1, n + 1), n - n // 2):
-        opens, seen = _opened(0, head)
-        _, mirror = _opened(0, [n + 1 - s for s in head])
-        scan[min(seen, mirror)][opens - 1] += 1
-    assert _head_kinks(n) == scan
-
-
-def test_split_scan_fault_check_catches_a_corrupted_head(monkeypatch):
-    exact = kinks.oracle._head_kinks
-
-    def corrupted(n):
-        heads = exact(n)
-        if n == 7:
-            next(iter(heads.values()))[0] += 1
-        return heads
-
-    monkeypatch.setattr(kinks.oracle, "_head_kinks", corrupted)
-    with pytest.raises(ArithmeticError, match="length 7 "):
-        brute_force_table(8)
 
 
 def test_brute_force_ceiling_guard():

@@ -375,12 +375,15 @@ def test_label_consistency_reports_a_carrying_or_short_rule_as_the_naive_check()
     assert [(m.word, m.position) for m in fast.mismatches] == [
         (word, position) for word in ((1, 3, 4, 2), (3, 1, 4, 2)) for position in (4, 5)
     ]
-    # a rule one child short is asked for the child at top's last place;
-    # at level 2 that child is (3, 0, 0), whose digit 0 packing would drop
+    # a rule one child short lacks the child at top's last place; at
+    # level 2 that child is (3, 0, 0), whose digit 0 packing would drop
     with mock.patch.object(kinks.treedp, "succession_children", lambda *a: exact(*a)[:-1]):
-        for check in (tree_label_consistency, naive_label_consistency):
-            with pytest.raises(IndexError):
-                check(3)
+        fast = tree_label_consistency(3)
+        naive = naive_label_consistency(3)
+    assert repr(fast) == repr(naive)
+    assert fast.mismatches == tuple(
+        LabelMismatch(2, word, 3, None, TreeLabel(3, 0, 0)) for word in ((1, 2), (2, 1))
+    )
 
 
 def test_label_consistency_guards_factorial_scan():
