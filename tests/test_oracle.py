@@ -1,5 +1,6 @@
 """Exhaustive and backtracking enumeration oracles."""
 
+import builtins
 import copy
 import os
 import pickle
@@ -79,13 +80,29 @@ def test_head_and_tail_kinks_add_up_at_any_cut(word_cut):
     assert (head_opens - 1) + tail_opens == _word_kinks(word)
 
 
-def test_set_pass_fault_check_catches_a_dropped_kink_class(monkeypatch):
+def test_split_scan_fault_check_catches_a_corrupted_tail(monkeypatch):
     # a row read without its top class misses words, at length 5 first
     exact = kinks.oracle.max_kinks
     monkeypatch.setattr(kinks.oracle, "max_kinks", lambda n: exact(n) - (n == 5))
     message = "^exhaustive scan of length 5 does not count 5! words$"
     with pytest.raises(ArithmeticError, match=message):
         brute_force_table(6)
+
+
+def test_split_scan_fault_check_catches_a_corrupted_head(monkeypatch):
+    # a pass that never carries the set {1} on, at length 7, loses the 6!
+    # words that flip site 1 first
+    full7 = ((1 << 7) - 1) << 1
+
+    def corrupted(*args):
+        if args == (0, full7, 2):
+            return [seen for seen in builtins.range(*args) if seen != 1 << 1]
+        return builtins.range(*args)
+
+    monkeypatch.setattr(kinks.oracle, "range", corrupted, raising=False)
+    message = "^exhaustive scan of length 7 does not count 7! words$"
+    with pytest.raises(ArithmeticError, match=message):
+        brute_force_table(8)
 
 
 def test_brute_force_ceiling_guard():
