@@ -5,7 +5,8 @@ time; the order of flips is a history.  Flips that open a new plus block
 are kinks, and histories are counted by chain length n and kink number d
 through five independent routes that must agree: exhaustive scanning,
 pruned backtracking, generating-tree recurrences, closed-form series
-expansion, and an explicit formula over the Eulerian numbers.
+expansion, and an explicit formula, a sum of powers i^n with
+polynomial weights.
 """
 
 from .algebra import TruncPoly, TSeries, sqrt_one_minus_v

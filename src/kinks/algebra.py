@@ -11,13 +11,16 @@ coefficients for zero.
 Coefficients are Python ints or fractions.Fraction and every operation
 is exact; nothing in this module touches floating point.  Integer inputs
 stay ints: a Fraction appears only in sqrt_one_minus_v and in the
-inverse of a unit whose rational lead is not +-1.
+inverse of a unit whose rational lead is not +-1.  A product of rational
+polynomials convolves in ints, each factor scaled by the lcm of its
+denominators, and builds one Fraction per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, neg, sub
+from math import lcm
+from operator import add, attrgetter, neg, sub
 from typing import Any, Iterable, Sequence
 
 from .core import check_int
@@ -25,6 +28,7 @@ from .core import check_int
 __all__ = ["TruncPoly", "TSeries", "sqrt_one_minus_v"]
 
 Coeff = int | Fraction
+_denominator = attrgetter("denominator")  # 1 for an int
 
 
 def _mul_coeffs(a: Sequence[Any], b: Sequence[Any], order: int, zero: Any) -> list[Any]:
@@ -36,6 +40,19 @@ def _mul_coeffs(a: Sequence[Any], b: Sequence[Any], order: int, zero: Any) -> li
                 if bj:
                     out[i + j] += ai * bj
     return out
+
+
+def _mul_numbers(a: Sequence[Coeff], b: Sequence[Coeff], order: int) -> list[Coeff]:
+    # rationals convolve as ints over one common denominator per factor,
+    # so a Fraction is built once per output term, not once per product
+    da = lcm(*map(_denominator, a))
+    db = lcm(*map(_denominator, b))
+    if da == db == 1:
+        return _mul_coeffs(a, b, order, 0)
+    na = [x.numerator * (da // x.denominator) for x in a]
+    nb = [x.numerator * (db // x.denominator) for x in b]
+    den = da * db
+    return [Fraction(c, den) for c in _mul_coeffs(na, nb, order, 0)]
 
 
 def _inv_coeffs(a: Sequence[Any], order: int, inv0: Any, zero: Any) -> list[Any]:
@@ -64,6 +81,9 @@ class TruncPoly:
 
     def _new(self, coeffs: Iterable[Any]) -> TruncPoly:
         return TruncPoly(coeffs, self.order)
+
+    def _convolve(self, other: TruncPoly) -> list[Any]:
+        return _mul_numbers(self.coeffs, other.coeffs, self.order)
 
     @staticmethod
     def _lead_inverse(lead: Coeff) -> Coeff:
@@ -112,7 +132,7 @@ class TruncPoly:
     def __mul__(self, other: Any) -> TruncPoly:
         if type(other) is type(self):
             self._check(other)
-            return self._new(_mul_coeffs(self.coeffs, other.coeffs, self.order, self._zero))
+            return self._new(self._convolve(other))
         return self._new(a * other for a in self.coeffs)
 
     __rmul__ = __mul__
@@ -166,6 +186,9 @@ class TSeries(TruncPoly):
 
     def _new(self, polys: Iterable[TruncPoly]) -> TSeries:
         return TSeries(polys, self.t_order, self.v_order)
+
+    def _convolve(self, other: TSeries) -> list[TruncPoly]:
+        return _mul_coeffs(self.coeffs, other.coeffs, self.t_order, self._zero)
 
     @staticmethod
     def _lead_inverse(lead: TruncPoly) -> TruncPoly:

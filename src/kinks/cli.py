@@ -117,7 +117,7 @@ ROUTES = {
     "closed": Route(
         lambda n, d, ceiling: True,
         lambda n, d: closed_form(n, d),
-        # whole rows: the Eulerian numbers once per row, not once per entry
+        # whole rows: the powers i^n once per row, not once per entry
         lambda max_n, ceiling: CountTable(
             dict(enumerate(_closed_rows(range(1, max_n + 1), 0, max_n), start=1))
         ),

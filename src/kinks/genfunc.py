@@ -11,11 +11,12 @@ and gates each as 4^k times a count: `bivariate_series` and
 `series_table` take whole rows from it, O(D^2) operations per row at
 v-order D, and `series_count` takes a single entry, O(d^2) operations
 at any n.  Fixing the kink number gives a rational function of t
-for every d, derived here from that series, one explicit formula over
-the Eulerian numbers gives every count (`closed_form`), and the counts
-grow like 2^(n-2d-1) (d+1)^n, which this module also evaluates and
-checks.  Every count is computed in plain ints; Fraction remains only
-in the growth estimate, whose value is rational.
+for every d, derived here from that series, one explicit formula gives
+every count as a sum of d + 1 powers i^n with polynomial weights
+(`closed_form`), and the counts grow like 2^(n-2d-1) (d+1)^n, the
+formula's top term, which this module also evaluates and checks.  Every
+count is computed in plain ints; Fraction remains only in the growth
+estimate and its deviations, whose values are rational.
 """
 
 from __future__ import annotations
@@ -46,16 +47,17 @@ class CoefficientError(ArithmeticError):
 
     Count extraction is an internal consistency gate.  The series route
     works over the integers in w = v/4, so each coefficient of t^n w^d
-    must be 4^d times a nonnegative count; the Eulerian sum of the
+    must be 4^d times a nonnegative count; the power sum of the
     explicit formula must be 2^d times a nonnegative integer, and the
     fixed-d rational forms must fit their denominators.
     """
 
 
-def _exact_count(numer: int, denom: int, where: str) -> int:
+def _exact_count(numer: int, denom: int, where: str, *at: int) -> int:
+    # `where` is formatted with `at` only on failure, not once per count
     count, rest = divmod(numer, denom)
     if rest or count < 0:
-        raise CoefficientError(f"{where} is {numer}, not {denom} times a count")
+        raise CoefficientError(f"{where.format(*at)} is {numer}, not {denom} times a count")
     return count
 
 
@@ -97,7 +99,9 @@ def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int
         diff = [x - sum(map(mul, tail, root[k::-1])) for k, x in enumerate(lead)]
         power = _root_power(n - 1, top)
         yield [
-            _exact_count(2 * sum(map(mul, diff, power[k::-1])), 4**k, f"coefficient of t^{n} w^{k}")
+            _exact_count(
+                2 * sum(map(mul, diff, power[k::-1])), 4**k, "coefficient of t^{} w^{}", n, k
+            )
             for k in range(lo, top + 1)
         ]
 
@@ -215,23 +219,29 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
     return tuple(counts[2:])
 
 
+def _closed_coefficients(n: int, d: int) -> list[int]:
+    # e_k = [x^k] (1-x)^(n+2) (1+x)^(2d-n) for k = 0..d; with f that product,
+    # (1-x^2) f' = (e_1 - (2d+2) x) f gives (k+1) e_(k+1) = e_1 e_k + (k-3-2d) e_(k-1),
+    # where each division is exact
+    e = [1, 2 * d - 2 * n - 2]
+    for k in range(1, d):
+        e.append((e[1] * e[k] + (k - 3 - 2 * d) * e[k - 1]) // (k + 1))
+    return e[: d + 1]
+
+
 def _closed_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[tuple[int, ...]]:
     # count(n, k) for k = lo..min(top, max_kinks(n)) and each n in lengths, by
-    # closed_form's Eulerian sum: j^n and A(n, m) once per row, then O(k) per
-    # entry, whose weights [t^i] (1-t)(1+t)^(2k-n) follow C(a, i+1) = C(a, i)(a-i)/(i+1).
+    # closed_form's sum: the powers i^n once per row, the even ones as shifts
+    # (2j)^n = j^n << n, then O(k) products per entry
     for n in lengths:
         cut = min(top, max_kinks(n))
-        powers = [j**n for j in range(1, cut + 2)]
-        signed = [(-1) ** j * comb(n + 1, j) for j in range(cut + 1)]
-        euler = [sum(map(mul, signed, powers[m::-1])) for m in range(cut + 1)]
+        powers = [1]
+        for i in range(2, cut + 2):
+            powers.append(powers[i // 2 - 1] << n if i % 2 == 0 else i**n)
         row = []
         for k in range(lo, cut + 1):
-            weights, binom = [1], 1
-            for i in range(k):
-                binom, prev = binom * (2 * k - n - i) // (i + 1), binom
-                weights.append(binom - prev)
-            gamma = sum(map(mul, euler, reversed(weights)))
-            row.append(_exact_count(gamma, 2**k, f"Eulerian sum at n={n}, d={k}") << (n - 1 - k))
+            total = sum(map(mul, reversed(_closed_coefficients(n, k)), powers))
+            row.append(_exact_count(total, 2**k, "power sum at n={}, d={}", n, k) << (n - 1 - k))
         yield tuple(row)
 
 
@@ -241,15 +251,21 @@ def closed_form(n: int, d: int) -> int:
     The counts are the interior-peak numbers (OEIS A008303).  Stembridge's
     identity A_n(t) = ((1+t)/2)^(n-1) W_n(4t/(1+t)^2) ties the Eulerian
     polynomial A_n(t) = sum_m A(n, m) t^m to W_n(x) = sum_d count(n, d) x^d,
-    and Lagrange inversion at t = w (1+t)^2 reads count(n, d) off it:
+    and Lagrange inversion at t = w (1+t)^2 reads count(n, d) off it as
+    2^(n-1-2d) sum_(m=0..d) A(n, m) [t^(d-m)] (1-t)(1+t)^(2d-n).  Writing
+    A(n, m) = sum_j (-1)^j C(n+1, j) (m+1-j)^n and collecting the powers
+    i = m+1-j folds the alternating binomials into the weights:
 
-        count(n, d) = 2^(n-1-2d) sum_(m=0..d) A(n, m) (C(a, d-m) - C(a, d-m-1)),
-        A(n, m) = sum_(j=0..m) (-1)^j C(n+1, j) (m+1-j)^n,   a = 2d - n,
+        count(n, d) = 2^(n-1-2d) sum_(i=1..d+1) e_(d+1-i) i^n,
+        e_k = [x^k] (1-x)^(n+2) (1+x)^(2d-n),
 
-    with C(a, k) = (-1)^k C(k-a-1, k) at a < 0.  The sum is a gamma
-    coefficient of A_n(t), 2^d times a nonnegative integer (Foata-Strehl),
-    so it must divide by 2^d exactly, else CoefficientError.  The cost is
-    O(d^2) operations at any n; above max_kinks(n) the count is zero at once.
+    where e_0 = 1, e_1 = 2d-2n-2 and (k+1) e_(k+1) = e_1 e_k + (k-3-2d) e_(k-1),
+    each division exact.  The sum equals the Eulerian one, a gamma
+    coefficient of A_n(t), which is 2^d times a nonnegative integer
+    (Foata-Strehl), so it must divide by 2^d exactly, else
+    CoefficientError.  The cost is O(d) big powers and products at any n:
+    the d + 1 powers i^n, the even ones as shifts, and one product of each
+    with its e_k; above max_kinks(n) the count is zero at once.
 
     >>> closed_form(5, 1)
     88
@@ -271,8 +287,9 @@ def asymptotic_estimate(n: int, d: int) -> Fraction:
     floating-point tolerances.  At d = 0 the estimate equals the count.
     """
     check_int(n, 1, "n")
-    check_int(d, 0, "d")
-    return Fraction(2) ** (n - 2 * d - 1) * (d + 1) ** n
+    shift = n - 2 * check_int(d, 0, "d") - 1
+    power = (d + 1) ** n
+    return Fraction(power << shift) if shift >= 0 else Fraction(power, 1 << -shift)
 
 
 class ConvergenceRow(NamedTuple):
@@ -305,8 +322,9 @@ def convergence_report(
     rows = []
     for n in range(start, n_max + 1):
         exact = table.count(n, d)
-        estimate = asymptotic_estimate(n, d)
-        rows.append(ConvergenceRow(n, exact, estimate, abs(Fraction(exact) / estimate - 1)))
+        estimate = asymptotic_estimate(n, d)  # an integer from n = 2d + 1 on
+        deviation = Fraction(abs(exact - estimate.numerator), estimate.numerator)
+        rows.append(ConvergenceRow(n, exact, estimate, deviation))
     if d == 0:
         off = next((r for r in rows if r.deviation != 0), None)
         if off is not None:

@@ -72,6 +72,16 @@ class CheckResult:
         return "CheckResult(name={!r}, passed={!r}, detail={!r})".format(*self._key())
 
 
+class _Unbuilt:
+    """A shared table whose build has not succeeded; any read of it fails."""
+
+    def __init__(self, table: str, check: str):
+        self.missing = f"{table} is missing: {check} did not build it"
+
+    def __getattr__(self, name):
+        raise LookupError(self.missing)
+
+
 def run_verification(
     *,
     max_n_brute: int = 9,
@@ -92,8 +102,10 @@ def run_verification(
     recurrence's up to max_n_dp (`series_partition`), and the integer
     identities behind it (`exact_algebra`) to v_order, with the root powers
     s^m for m <= t_order.  `golden_rows` overrides the reference table (to
-    prove the suite notices corruption).  `golden_dp` and `golden_brute` are
-    charged for the shared tables they build, so the seconds sum to the run.
+    prove the suite notices corruption).  `golden_dp` and `golden_brute` build
+    the shared tables and are charged for them, so the seconds sum to the
+    run; if a build fails, that check fails and so does every later reader
+    of the table, with a detail that names it.
     """
     check_int(max_n_brute, 2, "max_n_brute")
     check_int(max_n_dp, 2, "max_n_dp")
@@ -103,8 +115,8 @@ def run_verification(
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
     results: list[CheckResult] = []
 
-    def run(name, func, start=None):
-        start = perf_counter() if start is None else start
+    def run(name, func):
+        start = perf_counter()
         try:
             detail = func()
         except Exception as exc:  # a crashed check is a failed check
@@ -229,13 +241,24 @@ def run_verification(
             power = power * catalan * catalan
         return None
 
+    def golden_dp():
+        nonlocal dp
+        dp = dp_table(dp_top)
+        return golden_match("recurrence", dp)
+
+    def golden_brute():
+        nonlocal brute
+        brute = brute_force_table(scan, ceiling=brute_ceiling)
+        return golden_match("scan", brute)
+
+    # the shared tables are built by their first readers; until then, and
+    # for good if a build fails, every read of one fails and names it
     scan = min(max_n_brute, brute_ceiling)
-    start = perf_counter()
-    dp = dp_table(max(max_n_dp, scan))  # every scanned row has its recurrence row
-    run("golden_dp", lambda: golden_match("recurrence", dp), start)
-    start = perf_counter()
-    brute = brute_force_table(scan, ceiling=brute_ceiling)
-    run("golden_brute", lambda: golden_match("scan", brute), start)
+    dp_top = max(max_n_dp, scan)  # every scanned row has its recurrence row
+    dp = _Unbuilt(f"dp_table({dp_top})", "golden_dp")
+    brute = _Unbuilt(f"brute_force_table({scan})", "golden_brute")
+    run("golden_dp", golden_dp)
+    run("golden_brute", golden_brute)
     run(
         "golden_series",
         lambda: golden_match("series", series_table(min(10, t_order), v_order), v_order + 1),

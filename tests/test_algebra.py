@@ -170,3 +170,70 @@ def test_tseries_never_equals_a_truncpoly_of_its_coefficients():
     poly = TruncPoly(series.coeffs, 2)
     assert series != poly
     assert poly != series
+
+
+NUMBER = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+#: Units other than +-1 and +-2, whose inverses and products need Fraction.
+OTHER_LEADS = NUMBER.filter(lambda x: x not in (0, 1, -1, 2, -2))
+
+
+def fraction_sum(terms):
+    return sum(terms, Fraction(0))
+
+
+def fraction_product(a, b):
+    # term m of the truncated product, one Fraction operation at a time
+    return [fraction_sum(Fraction(a[i]) * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def fraction_inverse(a):
+    out = [1 / Fraction(a[0])]
+    for m in range(1, len(a)):
+        out.append(-fraction_sum(Fraction(a[i]) * out[m - i] for i in range(1, m + 1)) / a[0])
+    return out
+
+
+def rational_polys(order):
+    # a unit lead other than +-1 and +-2, ints and fractions mixed after it
+    return st.tuples(OTHER_LEADS, *[NUMBER] * order).map(lambda c: TruncPoly(c, order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda o: st.tuples(rational_polys(o), rational_polys(o))))
+def test_poly_products_and_inverses_match_fraction_arithmetic(ab):
+    a, b = ab
+    assert list((a * b).coeffs) == fraction_product(a.coeffs, b.coeffs)
+    assert list(a.inverse().coeffs) == fraction_inverse(a.coeffs)
+
+
+def rational_series(t_order, v_order):
+    rest = [polys(v_order)] * t_order
+    return st.tuples(rational_polys(v_order), *rest).map(lambda p: TSeries(p, t_order, v_order))
+
+
+def fraction_series_product(a, b):
+    # the double convolution on the (t, v) grid, one Fraction operation at a time
+    x, y = [p.coeffs for p in a.coeffs], [p.coeffs for p in b.coeffs]
+    return [
+        [
+            fraction_sum(
+                Fraction(x[i][j]) * y[n - i][k - j] for i in range(n + 1) for j in range(k + 1)
+            )
+            for k in range(a.v_order + 1)
+        ]
+        for n in range(a.t_order + 1)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)).flatmap(
+        lambda o: st.tuples(rational_series(*o), rational_series(*o))
+    )
+)
+def test_tseries_products_and_inverses_match_fraction_arithmetic(ab):
+    # the inverse is checked by its product with a, formed in Fraction
+    a, b = ab
+    one = [list(p.coeffs) for p in TSeries.one(a.t_order, a.v_order).coeffs]
+    assert [list(p.coeffs) for p in (a * b).coeffs] == fraction_series_product(a, b)
+    assert fraction_series_product(a, a.inverse()) == one

@@ -758,6 +758,44 @@ def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
     assert wall - 0.01 < sum(seconds.values()) <= wall
 
 
+@pytest.mark.parametrize(
+    "table, check, readers",
+    [
+        ("brute_force_table(4)", "golden_brute", ["method_agreement"]),
+        (
+            "dp_table(12)",
+            "golden_dp",
+            [
+                "method_agreement",
+                "partition_identity",
+                "series_partition",
+                "rational_forms",
+                "closed_forms",
+                "tree_labels",
+                "growth_estimate",
+            ],
+        ),
+    ],
+)
+def test_verify_a_failed_shared_table_fails_its_readers_one_line_each(
+    capsys, monkeypatch, table, check, readers
+):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(kinks.verify, table.split("(")[0], broken)
+    code, out, _ = run_cli(capsys, "verify", *SMALL_VERIFY)
+    assert code == 1
+    lines = out.splitlines()
+    missing = f"LookupError: {table} is missing: {check} did not build it"
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        f"FAIL {check}: ArithmeticError: injected",
+        *(f"FAIL {name}: {missing}" for name in readers),
+    ]
+    failed = 1 + len(readers)
+    assert len(lines) == 12 and lines[-1] == f"11 checks, {11 - failed} passed, {failed} failed"
+
+
 def test_verify_crashed_check_keeps_its_traceback(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
@@ -971,6 +1009,8 @@ def test_digit_limit_fallback_without_the_limit_functions(capsys, monkeypatch):
         ("enumerate", "--n", "12", "--d", "3", "--limit", "2000"),
         ("verify",),  # the head walk at n = 9, the label walk up to n = 7
         ("count", "--n", "11", "--d", "3", "--method", "brute"),
+        ("count", "--n", "5000", "--d", "200", "--method", "closed"),  # the 2^d gate
+        ("asym", "--d", "3", "--max-n", "70", "--format", "json"),  # the integer growth rows
     ],
 )
 def test_cli_under_python_O_prints_the_same(argv):

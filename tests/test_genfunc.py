@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from kinks import (
     series_count,
     series_table,
 )
-from kinks.genfunc import _exact_count, _pair_coefficient
+from kinks.genfunc import _closed_coefficients, _exact_count, _pair_coefficient
 from helpers import GOLDEN
 
 #: Reference rows for the property tests, from the level recurrences.
@@ -257,15 +257,59 @@ def test_closed_form_matches_the_truncated_recurrences(n, d):
     assert closed_form(n, d) == DP200_12.count(n, d)
 
 
-def test_closed_form_gate_rejects_a_corrupted_eulerian_term(monkeypatch):
-    exact = kinks.genfunc.comb
+def test_closed_form_gate_rejects_a_corrupted_power_sum_weight(monkeypatch):
+    exact = kinks.genfunc._closed_coefficients
 
-    def off_by_one(n, k):
-        return exact(n, k) + ((n, k) == (13, 2))  # one term of A(12, m), m >= 2
+    def off_by_one(n, d):
+        e = exact(n, d)
+        if (n, d) == (12, 2):
+            e[2] += 1  # the weight of 1^12: the sum moves by 1, off the multiples of 4
+        return e
 
-    monkeypatch.setattr(kinks.genfunc, "comb", off_by_one)
-    with pytest.raises(CoefficientError, match="Eulerian sum at n=12, d=2"):
+    monkeypatch.setattr(kinks.genfunc, "_closed_coefficients", off_by_one)
+    with pytest.raises(CoefficientError, match="power sum at n=12, d=2"):
         closed_form(12, 2)
+
+
+def test_closed_weights_are_the_product_coefficients():
+    # e_k = [x^k] (1-x)^(n+2) (1+x)^(2d-n), with the binomial series for 2d - n < 0
+    for d in range(9):
+        for n in range(1, 30):
+            upper = [1]  # C(2d - n, k), each step exact
+            for k in range(d):
+                upper.append(upper[-1] * (2 * d - n - k) // (k + 1))
+            lower = [(-1) ** i * comb(n + 2, i) for i in range(d + 1)]
+            expected = [sum(lower[i] * upper[k - i] for i in range(k + 1)) for k in range(d + 1)]
+            assert _closed_coefficients(n, d) == expected, (n, d)
+
+
+def test_the_power_sum_vanishes_below_the_first_count():
+    # without the cut at max_kinks(n) the sum is still 0 for 1 <= n <= 2d,
+    # so the cut only saves time
+    for d in range(1, 41):
+        for n in range(1, 2 * d + 1):
+            e = _closed_coefficients(n, d)
+            assert sum(e[d + 1 - i] * i**n for i in range(1, d + 2)) == 0, (n, d)
+
+
+def test_the_d3_weights_give_the_d3_deviation_law():
+    # the i = d+1 term is the growth estimate, so 1 - count/estimate is
+    # -sum_k e_k ((d+1-k)/(d+1))^n; at d = 3 that is criterion 07b's law
+    table = dp_table(65, 3)
+    for n in range(7, 66):
+        e = _closed_coefficients(n, 3)
+        assert e[1:3] == [4 - 2 * n, 2 * n * n - 8 * n + 4], n
+        deviation = -sum(e[k] * Fraction(4 - k, 4) ** n for k in range(1, 4))
+        law = (
+            2 * (n - 2) * Fraction(3, 4) ** n
+            - 2 * (n * n - 4 * n + 2) * Fraction(1, 2) ** n
+            + Fraction(2, 3) * (2 * n**3 - 12 * n * n + 13 * n + 6) * Fraction(1, 4) ** n
+        )
+        assert deviation == law == 1 - table.count(n, 3) / asymptotic_estimate(n, 3), n
+
+
+def test_closed_form_matches_the_series_at_large_n():
+    assert closed_form(20000, 40) == series_count(20000, 40)
 
 
 def test_extraction_gate_rejects_non_counts():
