@@ -43,12 +43,12 @@ def _mul_coeffs(a: Sequence[Any], b: Sequence[Any], order: int, zero: Any) -> li
 
 
 def _mul_numbers(a: Sequence[Coeff], b: Sequence[Coeff], order: int) -> list[Coeff]:
-    # rationals convolve as ints over one common denominator per factor,
-    # so a Fraction is built once per output term, not once per product
+    # int-only factors convolve as they are; rationals as ints over one common
+    # denominator per factor, so a Fraction is built once per output term
+    if Fraction not in {*map(type, a), *map(type, b)}:
+        return _mul_coeffs(a, b, order, 0)
     da = lcm(*map(_denominator, a))
     db = lcm(*map(_denominator, b))
-    if da == db == 1:
-        return _mul_coeffs(a, b, order, 0)
     na = [x.numerator * (da // x.denominator) for x in a]
     nb = [x.numerator * (db // x.denominator) for x in b]
     den = da * db

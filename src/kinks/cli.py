@@ -109,7 +109,7 @@ ROUTES = {
     ),
     "gf": Route(
         lambda n, d, ceiling: n >= 2,
-        # series_count is 0 above max_kinks too, but at O(d^2) cost
+        # series_count is 0 above max_kinks too, but only after O(d) big products
         lambda n, d: series_count(n, d) if d <= max_kinks(n) else 0,
         lambda max_n, ceiling: series_table(max_n, max_kinks(max_n)),
         "n >= 2",

@@ -6,17 +6,18 @@ j >= 0, each carrying a v^j prefactor.  Every denominator in it is a
 power of 2, so the substitution v = 4w turns each term into integer
 series (Catalan series for sqrt(1-4w) and its reciprocals).  One
 generator, `_series_rows`, reads the coefficients of t^n w^k off that
-identity with plain int arithmetic, no Fraction and no series inverse,
-and gates each as 4^k times a count: `bivariate_series` and
-`series_table` take whole rows from it, O(D^2) operations per row at
-v-order D, and `series_count` takes a single entry, O(d^2) operations
-at any n.  Fixing the kink number gives a rational function of t
-for every d, derived here from that series, one explicit formula gives
-every count as a sum of d + 1 powers i^n with polynomial weights
-(`closed_form`), and the counts grow like 2^(n-2d-1) (d+1)^n, the
-formula's top term, which this module also evaluates and checks.  Every
-count is computed in plain ints; Fraction remains only in the growth
-estimate and its deviations, whose values are rational.
+identity, through one binomial product per entry after Lagrange
+inversion at w = z/(1+z)^2, in plain ints, and gates each as 4^k times
+a count: `bivariate_series` and `series_table` take whole rows from it,
+O(D^2) operations per row at v-order D, and `series_count` takes a
+single entry, O(d) operations at any n.  Fixing the kink number gives a
+rational function of t for every d, derived here from that series, one
+explicit formula gives every count as a sum of d + 1 powers i^n with
+polynomial weights (`closed_form`), and the counts grow like
+2^(n-2d-1) (d+1)^n, the formula's top term, which this module also
+evaluates and checks.  Every count is computed in plain ints; Fraction
+remains only in the growth estimate and its deviations, whose values
+are rational.
 """
 
 from __future__ import annotations
@@ -62,16 +63,9 @@ def _exact_count(numer: int, denom: int, where: str, *at: int) -> int:
 
 
 def _catalan_power(m: int, order: int) -> list[int]:
-    # [w^k] C(w)^m = m/(2k+m) binom(2k+m, k) for k = 0..order, m >= 1
+    # [w^k] C(w)^m = m/(2k+m) binom(2k+m, k) for k = 0..order, m >= 1; with
+    # _root_power, verify's reference for the Lagrange form of _series_rows
     return [m * comb(2 * k + m, k) // (2 * k + m) for k in range(order + 1)]
-
-
-def _pair_coefficient(j: int, m: int) -> int:
-    # c_m = [x^m] 1/((1 - a x)^2 (1 - b x)^2) with a = 2j, b = 2j+2, which is
-    # sum_i (i+1)(m-i+1) a^i b^(m-i); in partial fractions
-    # c_m = ((m+1-a) b^(m+2) + (m+1+b) a^(m+2)) / 4, exact, and 0 at m = -1
-    a, b = 2 * j, 2 * j + 2
-    return ((m + 1 - a) * b ** (m + 2) + (m + 1 + b) * a ** (m + 2)) // 4
 
 
 def _root_power(m: int, order: int) -> list[int]:
@@ -82,28 +76,47 @@ def _root_power(m: int, order: int) -> list[int]:
     return e
 
 
+def _powers(e: int, top: int) -> list[int]:
+    # i^e for i = 0..top, e >= 1, the even ones as shifts (2i)^e = i^e << e
+    p = [0, 1]
+    for i in range(2, top + 1):
+        p.append(p[i // 2] << e if i % 2 == 0 else i**e)
+    return p
+
+
+def _binomial_product(a: int, b: int, top: int) -> list[int]:
+    # [z^k] (1+z)^a (1-z)^b for k = 0..top, a or b negative too: with f that product,
+    # (1-z^2) f' = ((a-b) - (a+b) z) f, which makes each division below exact
+    e = [1, a - b]
+    for k in range(1, top):
+        e.append(((a - b) * e[k] + (k - 1 - a - b) * e[k - 1]) // (k + 1))
+    return e[: top + 1]
+
+
+def _series_weights(n: int, top: int) -> list[int]:
+    # u_j = (a_j - b~_j) / 2^(n-3) for j = 0..top, row n's weights (bivariate_series):
+    # with q_i = i^(n-1), 4 a_j / 2^(n-1) = n (q_(j+1) - q_j) and
+    # 4 b_j / 2^(n-1) = (n-2-2j) q_(j+1) + (n+2j) q_j
+    q = _powers(n - 1, top + 1)
+    u, b, tilde = [], 0, 0
+    for j in range(top + 1):
+        last, b = b, (n - 2 - 2 * j) * q[j + 1] + (n + 2 * j) * q[j]
+        tilde = b - last - tilde
+        u.append(n * (q[j + 1] - q[j]) - tilde)
+    return u
+
+
 def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
     # [t^n v^k] = [t^n w^k] / 4^k for k = lo..top and each n in lengths, with
-    # [t^n w^k] = 2 (L - T s) s^(n-1), L = sum_j a_j w^j C^(1+2j) and
-    # T = sum_j b_j w^j C^(1+2j); see bivariate_series.  Every entry passes
-    # the 4^k gate here.  weights[k][j] = [w^k] w^j C^(1+2j) is built once,
-    # and only the entries k >= lo of the last product are formed.
-    prefactors = [_catalan_power(1 + 2 * j, top - j) for j in range(top + 1)]
-    weights = [[prefactors[j][k - j] for j in range(k + 1)] for k in range(top + 1)]
-    root = _root_power(1, top)
+    # [t^n w^k] = 2^(n-2) sum_j u_j [z^(k-j)] (1+z)^(2k-n+1) (1-z)^n (bivariate_series);
+    # u once per row, then one dot product per entry, each through the 4^k gate
     for n in lengths:
-        b = [_pair_coefficient(j, n - 3) for j in range(top + 1)]
-        a = [_pair_coefficient(j, n - 2) - (1 + 2 * j) * bj for j, bj in enumerate(b)]
-        lead = [sum(map(mul, a, w)) for w in weights]
-        tail = [sum(map(mul, b, w)) for w in weights]
-        diff = [x - sum(map(mul, tail, root[k::-1])) for k, x in enumerate(lead)]
-        power = _root_power(n - 1, top)
-        yield [
-            _exact_count(
-                2 * sum(map(mul, diff, power[k::-1])), 4**k, "coefficient of t^{} w^{}", n, k
-            )
-            for k in range(lo, top + 1)
-        ]
+        u = _series_weights(n, top)
+        row = []
+        for k in range(lo, top + 1):
+            numer = sum(map(mul, u, reversed(_binomial_product(2 * k - n + 1, n, k)))) << (n - 2)
+            row.append(_exact_count(numer, 4**k, "coefficient of t^{} w^{}", n, k))
+        yield row
 
 
 def _whole_rows(t_order: int, v_order: int) -> Iterator[list[int]]:
@@ -121,24 +134,27 @@ def bivariate_series(t_order: int, v_order: int) -> TSeries:
         4 t^2 s (1 - (1+2j) s t - t (1-v)) v^j
         / ((1+s)^(1+2j) (1 - 2j s t)^2 (1 - 2(j+1) s t)^2),   s = sqrt(1-v).
 
-    It is expanded in w = v/4, where every piece is an integer series:
-    s = sqrt(1-4w) = 1 - 2 sum_k Cat(k-1) w^k, and (1+s)/2 = 1/C(w) for
-    the Catalan series C, so the prefactor 4 v^j / (1+s)^(1+2j) becomes
-    2 w^j C^(1+2j), with [w^k] C^m = m/(2k+m) binom(2k+m, k).  The squared
-    t-factors expand as sum_m c_m s^m t^m with integer c_m, and s^2 = 1-4w
-    folds the (1-v) factor into one more power of s, so
+    In w = v/4 every piece is an integer series: (1+s)/2 = 1/C(w) for the
+    Catalan series C, so 4 v^j / (1+s)^(1+2j) becomes 2 w^j C^(1+2j).  The
+    squared t-factors expand as sum_m c_m s^m t^m, where
+    4 c_m = (m+1-2j) (2j+2)^(m+2) + (m+3+2j) (2j)^(m+2), and s^2 = 1-4w
+    folds the (1-v) factor into one more power of s:
 
-        [t^n] term_j = 2 w^j C^(1+2j) (a s^(n-1) - b s^n),
-        a = c_(n-2) - (1+2j) c_(n-3),   b = c_(n-3).
+        [t^n] term_j = 2 w^j C^(1+2j) (a_j s^(n-1) - b_j s^n),
+        a_j = c_(n-2) - (1+2j) c_(n-3),   b_j = c_(n-3).
 
-    Terms with j > v_order vanish under the truncation because of their
-    w^j factor, so the sum stops at j = v_order, and row n is
-    2 (L - T s) s^(n-1) with L = sum_j a_j w^j C^(1+2j), T likewise with
-    b_j.  Each row costs O(v_order^2) operations, the last product with
-    s^(n-1) being the only one between two big factors.  The counts come
-    back as [t^n v^d] = [t^n w^d] / 4^d; a nonzero remainder or a
-    negative value raises CoefficientError.  Every coefficient of the
-    result is an int.
+    At w = z/(1+z)^2, C = 1+z and s = (1-z)/(1+z), and Lagrange inversion
+    gives [w^k] C^m s^p = [z^k] (1+z)^(m-p+2k-1) (1-z)^(p+1).  At m = 1+2j,
+    k = d-j every j <= d then reads from one polynomial:
+
+        [t^n w^d] = 2 sum_(j=0..d) (a_j - b~_j) [z^(d-j)] (1+z)^(2d-n+1) (1-z)^n,
+
+    where b~_j = b_j - b_(j-1) - b~_(j-1), the coefficients of
+    B (1-z)/(1+z), absorb the extra factor of s^n.  A row builds these
+    weights once from the powers i^(n-1); each entry then costs a
+    three-term recurrence and one dot product, O(v_order^2) operations per
+    row.  The counts are [t^n w^d] / 4^d; a nonzero remainder or a
+    negative value raises CoefficientError.  Every coefficient is an int.
     """
     rows = _whole_rows(t_order, v_order)
     counts = [TruncPoly.zero(v_order)] * 2 + [TruncPoly(row, v_order) for row in rows]
@@ -164,11 +180,11 @@ def series_table(t_order: int, v_order: int) -> CountTable:
 def series_count(n: int, d: int) -> int:
     """One count of the closed-form series, extracted directly.
 
-    The entry k = d of row n of the generator behind `bivariate_series`:
-    L - T s is formed to order d and only its product with s^(n-1) at
-    w^d, so the cost is O(d^2) operations at any n, with d + 1 products
-    of two big factors.  The result must be 4^d times a nonnegative
-    count, else CoefficientError.
+    The entry d of row n of the generator behind `bivariate_series`: the
+    powers i^(n-1) for i <= d + 1, the weights for j <= d, the binomial
+    product to z^d and one dot product, so the cost is O(d) operations at
+    any n.  The result must be 4^d times a nonnegative count, else
+    CoefficientError.
 
     >>> series_count(10, 3)
     1841152
@@ -219,28 +235,16 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
     return tuple(counts[2:])
 
 
-def _closed_coefficients(n: int, d: int) -> list[int]:
-    # e_k = [x^k] (1-x)^(n+2) (1+x)^(2d-n) for k = 0..d; with f that product,
-    # (1-x^2) f' = (e_1 - (2d+2) x) f gives (k+1) e_(k+1) = e_1 e_k + (k-3-2d) e_(k-1),
-    # where each division is exact
-    e = [1, 2 * d - 2 * n - 2]
-    for k in range(1, d):
-        e.append((e[1] * e[k] + (k - 3 - 2 * d) * e[k - 1]) // (k + 1))
-    return e[: d + 1]
-
-
 def _closed_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[tuple[int, ...]]:
     # count(n, k) for k = lo..min(top, max_kinks(n)) and each n in lengths, by
-    # closed_form's sum: the powers i^n once per row, the even ones as shifts
-    # (2j)^n = j^n << n, then O(k) products per entry
+    # closed_form's sum: the powers i^n, i >= 1, once per row, then O(k)
+    # products per entry
     for n in lengths:
         cut = min(top, max_kinks(n))
-        powers = [1]
-        for i in range(2, cut + 2):
-            powers.append(powers[i // 2 - 1] << n if i % 2 == 0 else i**n)
+        powers = _powers(n, cut + 1)[1:]
         row = []
         for k in range(lo, cut + 1):
-            total = sum(map(mul, reversed(_closed_coefficients(n, k)), powers))
+            total = sum(map(mul, reversed(_binomial_product(2 * k - n, n + 2, k)), powers))
             row.append(_exact_count(total, 2**k, "power sum at n={}, d={}", n, k) << (n - 1 - k))
         yield tuple(row)
 

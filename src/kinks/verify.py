@@ -221,23 +221,27 @@ def run_verification(
         return None
 
     def exact_algebra():
-        # the integer pieces of bivariate_series: s = 1 - 2w C(w) squares
-        # to 1 - 4w, its powers s^m match their coefficient recurrence (so
-        # s^1 = 1 - 2w C(w) and s^2 = 1 - 4w there too), and the prefactor
-        # series are the powers C^(1+2j)
+        # the integer pieces of bivariate_series: s = 1 - 2w C(w) squares to
+        # 1 - 4w, the powers s^m and C^(1+2j) match their coefficient formulas,
+        # and C^m s^p at p = t_order - 1 and t_order has the series route's
+        # Lagrange form [w^k] C^m s^p = [z^k] (1+z)^(m-p+2k-1) (1-z)^(p+1)
         catalan = TruncPoly(genfunc._catalan_power(1, v_order), v_order)
         root = TruncPoly.one(v_order) - TruncPoly((0, 2), v_order) * catalan
         if root * root != TruncPoly((1, -4), v_order):
             return f"s = 1 - 2w C(w) does not square to 1 - 4w at order {v_order}"
-        power = TruncPoly.one(v_order)
+        roots = [TruncPoly.one(v_order)]
         for m in range(1, t_order + 1):
-            power = power * root
-            if power != TruncPoly(genfunc._root_power(m, v_order), v_order):
+            roots.append(roots[-1] * root)
+            if roots[m] != TruncPoly(genfunc._root_power(m, v_order), v_order):
                 return f"s^{m} differs from its coefficient recurrence at order {v_order}"
         power = catalan
-        for j in range(v_order + 1):
-            if power != TruncPoly(genfunc._catalan_power(1 + 2 * j, v_order), v_order):
-                return f"C(w)^{1 + 2 * j} differs from its coefficient formula"
+        for m in range(1, 2 * v_order + 2, 2):
+            if power != TruncPoly(genfunc._catalan_power(m, v_order), v_order):
+                return f"C(w)^{m} differs from its coefficient formula"
+            for p in (t_order - 1, t_order):
+                for k, x in enumerate((power * roots[p]).coeffs):
+                    if x != genfunc._binomial_product(m - p + 2 * k - 1, p + 1, k)[k]:
+                        return f"[w^{k}] C(w)^{m} s^{p} differs from its Lagrange form"
             power = power * catalan * catalan
         return None
 

@@ -543,6 +543,23 @@ def test_verify_exact_algebra_notices_a_corrupted_root_power(monkeypatch):
     assert by_name["exact_algebra"].detail.startswith("s^5 differs")
 
 
+def test_verify_exact_algebra_notices_a_corrupted_binomial_product(monkeypatch):
+    # (1+z)^-2 (1-z)^9 to z^2 is [w^2] C^3 s^8 at t_order 8, a call no route makes
+    exact = kinks.genfunc._binomial_product
+
+    def off_by_one(a, b, top):
+        e = exact(a, b, top)
+        if (a, b, top) == (-2, 9, 2):
+            e[2] += 1
+        return e
+
+    monkeypatch.setattr(kinks.genfunc, "_binomial_product", off_by_one)
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "exact_algebra": "[w^2] C(w)^3 s^8 differs from its Lagrange form"
+    }
+
+
 def test_verify_tree_labels_notices_a_corrupted_recurrence_row(monkeypatch):
     exact = kinks.verify.dp_table
 
@@ -1011,6 +1028,7 @@ def test_digit_limit_fallback_without_the_limit_functions(capsys, monkeypatch):
         ("count", "--n", "11", "--d", "3", "--method", "brute"),
         ("count", "--n", "5000", "--d", "200", "--method", "closed"),  # the 2^d gate
         ("asym", "--d", "3", "--max-n", "70", "--format", "json"),  # the integer growth rows
+        ("count", "--n", "20000", "--d", "200", "--method", "gf"),  # the 4^d gate
     ],
 )
 def test_cli_under_python_O_prints_the_same(argv):

@@ -22,7 +22,7 @@ from kinks import (
     series_count,
     series_table,
 )
-from kinks.genfunc import _closed_coefficients, _exact_count, _pair_coefficient
+from kinks.genfunc import _binomial_product, _exact_count, _series_weights
 from helpers import GOLDEN
 
 #: Reference rows for the property tests, from the level recurrences.
@@ -30,6 +30,7 @@ DP40 = dp_table(40)
 DP60 = dp_table(60)
 DP150_12 = dp_table(150, 12)
 DP200_12 = dp_table(200, 12)
+DP120_20 = dp_table(120, 20)
 
 #: The published rational generating functions at d <= 3: numerator
 #: coefficients in t, and the denominator as (scale, multiplicity) pairs
@@ -107,16 +108,64 @@ def test_series_count_reference_values_and_guards():
 
 
 def test_pair_coefficients_match_their_convolution_sum():
-    # c_m = [x^m] 1/((1 - 2j x)^2 (1 - (2j+2) x)^2), from the product of the two series
-    for j in range(8):
-        expected = [
-            sum(
-                (i + 1) * (m - i + 1) * (2 * j) ** i * (2 * j + 2) ** (m - i)
-                for i in range(m + 1)
-            )
-            for m in range(-1, 31)
-        ]
-        assert [_pair_coefficient(j, m) for m in range(-1, 31)] == expected
+    # c_m = [x^m] 1/((1 - 2j x)^2 (1 - (2j+2) x)^2), from the product of the two
+    # series; a_j = c_(n-2) - (1+2j) c_(n-3), b_j = c_(n-3), and the row weights
+    # are a_j - [z^j] B(z) (1-z)/(1+z), held as multiples of 2^(n-3)
+    def pair(j, m):
+        a, b = 2 * j, 2 * j + 2
+        return sum((i + 1) * (m - i + 1) * a**i * b ** (m - i) for i in range(m + 1))
+
+    ratio = [1] + [2 * (-1) ** k for k in range(1, 13)]  # (1-z)/(1+z)
+    for n in range(2, 31):
+        b = [pair(j, n - 3) for j in range(13)]
+        a = [pair(j, n - 2) - (1 + 2 * j) * bj for j, bj in enumerate(b)]
+        weights = [a[j] - sum(b[i] * ratio[j - i] for i in range(j + 1)) for j in range(13)]
+        assert [u * 2**n for u in _series_weights(n, 12)] == [8 * c for c in weights], n
+
+
+def test_series_weights_fold_into_the_closed_form_weights():
+    # (1+z) U = 2 (1-z)^2 Q' with Q = sum_i i^(n-1) z^i, so entry d of the series,
+    # 2^(n-2) [z^d] U (1+z)^(2d-n+1) (1-z)^n, is 2^(n-1) sum_i i^n [z^(d+1-i)]
+    # (1+z)^(2d-n) (1-z)^(n+2): 4^d times closed_form's power sum, at every (n, d)
+    for n in range(2, 60):
+        u, q = _series_weights(n, 20), [i ** (n - 1) for i in range(22)]
+        for j in range(1, 21):
+            slope = (j + 1) * q[j + 1] - 2 * j * q[j] + (j - 1) * q[j - 1]
+            assert u[j] + u[j - 1] == 2 * slope, (n, j)
+        assert u[0] == 2 * q[1]
+
+
+def test_binomial_product_matches_the_two_binomial_series():
+    # [z^k] (1+z)^a (1-z)^b as the product of the two binomial series, with
+    # a < 0 included: the series route reads a = 2d-n+1, negative for n > 2d+1
+    def series(e, sign, top):
+        coeffs = [1]  # C(e, k) sign^k, each step exact
+        for k in range(top):
+            coeffs.append(coeffs[-1] * (e - k) * sign // (k + 1))
+        return coeffs
+
+    for a in range(-45, 12):
+        for b in range(0, 40, 3):
+            upper, lower = series(a, 1, 15), series(b, -1, 15)
+            expected = [sum(upper[i] * lower[k - i] for i in range(k + 1)) for k in range(16)]
+            assert _binomial_product(a, b, 15) == expected, (a, b)
+    assert _binomial_product(-7, 3, 0) == [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 3000), d=st.integers(0, 60))
+def test_series_count_matches_the_closed_form(n, d):
+    assert series_count(n, d) == closed_form(n, d)
+
+
+def test_series_count_matches_the_closed_form_at_20000_200():
+    assert series_count(20000, 200) == closed_form(20000, 200)
+
+
+def test_series_table_matches_the_recurrence_rows_to_120():
+    table = series_table(120, 20)
+    for n in range(2, 121):
+        assert table.row(n) == DP120_20.row(n), n
 
 
 def test_series_table_matches_recurrences_and_partitions():
@@ -258,15 +307,15 @@ def test_closed_form_matches_the_truncated_recurrences(n, d):
 
 
 def test_closed_form_gate_rejects_a_corrupted_power_sum_weight(monkeypatch):
-    exact = kinks.genfunc._closed_coefficients
+    exact = kinks.genfunc._binomial_product
 
-    def off_by_one(n, d):
-        e = exact(n, d)
-        if (n, d) == (12, 2):
+    def off_by_one(a, b, top):
+        e = exact(a, b, top)
+        if (a, b, top) == (-8, 14, 2):  # the weights at n = 12, d = 2
             e[2] += 1  # the weight of 1^12: the sum moves by 1, off the multiples of 4
         return e
 
-    monkeypatch.setattr(kinks.genfunc, "_closed_coefficients", off_by_one)
+    monkeypatch.setattr(kinks.genfunc, "_binomial_product", off_by_one)
     with pytest.raises(CoefficientError, match="power sum at n=12, d=2"):
         closed_form(12, 2)
 
@@ -280,7 +329,7 @@ def test_closed_weights_are_the_product_coefficients():
                 upper.append(upper[-1] * (2 * d - n - k) // (k + 1))
             lower = [(-1) ** i * comb(n + 2, i) for i in range(d + 1)]
             expected = [sum(lower[i] * upper[k - i] for i in range(k + 1)) for k in range(d + 1)]
-            assert _closed_coefficients(n, d) == expected, (n, d)
+            assert _binomial_product(2 * d - n, n + 2, d) == expected, (n, d)
 
 
 def test_the_power_sum_vanishes_below_the_first_count():
@@ -288,7 +337,7 @@ def test_the_power_sum_vanishes_below_the_first_count():
     # so the cut only saves time
     for d in range(1, 41):
         for n in range(1, 2 * d + 1):
-            e = _closed_coefficients(n, d)
+            e = _binomial_product(2 * d - n, n + 2, d)
             assert sum(e[d + 1 - i] * i**n for i in range(1, d + 2)) == 0, (n, d)
 
 
@@ -297,7 +346,7 @@ def test_the_d3_weights_give_the_d3_deviation_law():
     # -sum_k e_k ((d+1-k)/(d+1))^n; at d = 3 that is criterion 07b's law
     table = dp_table(65, 3)
     for n in range(7, 66):
-        e = _closed_coefficients(n, 3)
+        e = _binomial_product(6 - n, n + 2, 3)
         assert e[1:3] == [4 - 2 * n, 2 * n * n - 8 * n + 4], n
         deviation = -sum(e[k] * Fraction(4 - k, 4) ** n for k in range(1, 4))
         law = (
@@ -321,15 +370,18 @@ def test_extraction_gate_rejects_non_counts():
 
 
 def test_series_gate_rejects_a_corrupted_expansion(monkeypatch):
-    exact = kinks.genfunc._catalan_power
+    exact = kinks.genfunc._series_weights
 
-    def off_by_one(m, order):
-        coeffs = exact(m, order)
-        if m == 3 and order >= 1:
-            coeffs[1] += 1  # [w] C^3 is 3; 4 here breaks the 4^d divisibility
-        return coeffs
+    def off_by_one(n, top):
+        u = exact(n, top)
+        d = {2: 2, 7: 3}.get(n, top + 1)
+        if d <= top:
+            # u_d meets [z^0] = 1, so entry d moves by 2^(n-2): by 1 at (2, 2)
+            # and by 32 at (7, 3), off the multiples of 4^2 and 4^3
+            u[d] += 1
+        return u
 
-    monkeypatch.setattr(kinks.genfunc, "_catalan_power", off_by_one)
+    monkeypatch.setattr(kinks.genfunc, "_series_weights", off_by_one)
     with pytest.raises(CoefficientError, match=r"t\^2 w\^2"):
         bivariate_series(8, 3)
     with pytest.raises(CoefficientError, match=r"t\^7 w\^3"):
