@@ -12,18 +12,26 @@ max_first = 0 nodes with k kinks sums to (n - 1 - 2k) c(n, k), so
 
     c(n+1, k) = (2k + 2) c(n, k) + (n + 1 - 2k) c(n, k-1).
 
-`dp_table` counts by that row recurrence; `advance_level` keeps the
-label tree itself, which the verify suite compares the rows against.
-`tree_label_consistency` checks the succession rule against the labels
-of the child words, read off a depth-first walk that shares each prefix
-among the words extending it and packs a word's n + 1 child labels into
-one integer.
+`dp_table` counts by that row recurrence; the label tree itself is the
+verify suite's reference for the rows.  The tree is walked on packed
+columns: for each max_first r and max_pos j one integer holds the counts
+of every kink band, band k in the field of W bits at k W, so a level step
+is two running sums over n + 1 integers, and "one kink more" is a shift
+by W.  The walk (`_label_levels`) fixes W from (n_max + 1)!, which bounds
+every count it reaches; `advance_level` is its one-step adapter on
+`LevelState`, which packs, steps and unpacks with a W read off the
+counts it is given.  `tree_label_consistency` checks the succession rule
+against the labels of the child words, read off a depth-first walk that
+shares each prefix among the words extending it and packs a word's n + 1
+child labels into one integer.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, zip_longest
-from operator import add
+from functools import reduce
+from itertools import accumulate, chain, repeat, zip_longest
+from math import factorial
+from operator import add, and_, lshift, or_, rshift
 from typing import Iterator, NamedTuple
 
 from .core import CountTable, TreeLabel, check_int, max_kinks
@@ -94,34 +102,90 @@ def root_state() -> LevelState:
     )
 
 
+def _label_step(col0: list[int], col1: list[int], width: int) -> tuple[list[int], list[int]]:
+    # one level down on packed columns, col_r[j - 1] holding the nodes
+    # (j, k, r) of every k in the field k of `width` bits.  The child at
+    # position m with max_first = 0 collects every parent with max_pos < m;
+    # with max_first = 1, the max_first = 1 parents with max_pos >= m at its
+    # k and the max_first = 0 ones at k - 1, which the shift moves a field up
+    new0 = [*accumulate(map(add, col0, col1), initial=0)]
+    shifted = map(lshift, reversed(col0), repeat(width))
+    new1 = [*accumulate(map(add, shifted, reversed(col1)), initial=0)]
+    new1.reverse()
+    return new0, new1
+
+
+def _check_bands(packed: int, width: int, m: int) -> int:
+    # the fields above max_kinks(m) must be empty: name the lowest that is not
+    top = max_kinks(m)
+    above = packed >> (top + 1) * width
+    if above:
+        k = top + 1 + ((above & -above).bit_length() - 1) // width
+        raise ArithmeticError(f"nonzero count above max_kinks at (m, k) = ({m}, {k})")
+    return top
+
+
+def _pack(bands: tuple[tuple[int, ...], ...], width: int) -> list[int]:
+    # the columns of one max_first band: bands[k][j] in field k of column j.
+    # Halving the bands merges fields of about the same size at each depth
+    if len(bands) == 1:
+        return list(bands[0])
+    half = len(bands) // 2
+    high = map(lshift, _pack(bands[half:], width), repeat(half * width))
+    return list(map(add, _pack(bands[:half], width), high))
+
+
+def _unpack(columns: list[int], count: int, width: int) -> list[tuple[int, ...]]:
+    # _pack's inverse: fields 0..count - 1 of the columns, one tuple per field;
+    # the top one keeps whatever lies above it, which _check_bands has cleared
+    if count == 1:
+        return [tuple(columns)]
+    half = count // 2
+    low = _unpack([*map(and_, columns, repeat((1 << half * width) - 1))], half, width)
+    return low + _unpack([*map(rshift, columns, repeat(half * width))], count - half, width)
+
+
+def _label_levels(n_max: int) -> Iterator[tuple[int, ...]]:
+    # the kink marginals of levels 2..n_max.  Level n's marginal is the last
+    # max_first = 0 column of level n + 1, whose nodes are those of level n
+    # with the new site inserted last.  Every field holds a count of some
+    # nodes of one level up to n_max + 1, at most (n_max + 1)! < 2^(W - 1),
+    # so no field carries into the next at any level the walk reaches
+    width = factorial(n_max + 1).bit_length() + 1
+    mask = (1 << width) - 1
+    col0, col1 = (_pack(bands, width) for bands in root_state().counts)
+    for n in range(2, n_max + 1):
+        col0, col1 = _label_step(col0, col1, width)
+        total = col0[-1]
+        yield tuple(total >> k * width & mask for k in range(_check_bands(total, width, n) + 1))
+
+
 def advance_level(state: LevelState) -> LevelState:
     """Push the node counts one level down the tree.
 
     Children with max_first = 0 at position m collect every parent with
     max_pos < m; children with max_first = 1 at position m collect the
     max_first = 1 parents with max_pos >= m at the same kink count plus
-    the max_first = 0 parents with max_pos >= m at one kink less.  Prefix
-    and suffix running sums keep the step at O(n * k) additions.
+    the max_first = 0 parents with max_pos >= m at one kink less.  This
+    is the label walk's own step on packed columns (see the module
+    docstring), an adapter that packs the state, steps once and unpacks
+    the (n + 1) // 2 + 1 bands of the new level.  Each count the step
+    forms sums some of the state's counts, so fields one bit wider than
+    the state's total never carry, whatever the level or the size of the
+    counts.  A count in a band above max_kinks(n + 1) raises
+    ArithmeticError; a negative count, which no node count is, raises
+    ValueError.
     """
     n = state.n
     if n < 2:
         raise ValueError("level states start at 2")
+    if min(map(min, chain(*state.counts))) < 0:
+        raise ValueError("node counts cannot be negative")
+    width = state.total().bit_length() + 1
+    new0, new1 = _label_step(*(_pack(bands, width) for bands in state.counts), width)
     m = n + 1
-    alloc = m // 2
-    zero = (0,) * n
-    band0, band1 = [*state.counts[0], zero], [*state.counts[1], zero]
-    below0 = [zero, *band0]
-    new0 = [tuple(accumulate(map(add, band0[k], band1[k]), initial=0)) for k in range(alloc + 1)]
-    new1 = [
-        tuple(accumulate(map(add, reversed(below0[k]), reversed(band1[k])), initial=0))[::-1]
-        for k in range(alloc + 1)
-    ]
-    top = max_kinks(m)
-    for k in range(top + 1, alloc + 1):
-        # the stated k bound is loose; the tight one must hold
-        if any(new0[k]) or any(new1[k]):
-            raise ArithmeticError(f"nonzero count above max_kinks at (m, k) = ({m}, {k})")
-    return LevelState(n=m, counts=(tuple(new0), tuple(new1)))
+    _check_bands(reduce(or_, new0 + new1), width, m)  # no field carries into an OR
+    return LevelState(m, tuple(tuple(_unpack(new, m // 2 + 1, width)) for new in (new0, new1)))
 
 
 def _kink_rows(n_max: int, d_max: int | None) -> Iterator[tuple[int, ...]]:

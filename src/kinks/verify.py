@@ -20,7 +20,7 @@ from .algebra import TruncPoly
 from .core import check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series, series_table
 from .oracle import DEFAULT_BRUTE_CEILING, backtrack_count, brute_force_table
-from .treedp import advance_level, dp_table, root_state, tree_label_consistency
+from .treedp import _label_levels, dp_table, tree_label_consistency
 
 __all__ = ["GOLDEN_ROWS", "CheckResult", "run_verification"]
 
@@ -194,12 +194,10 @@ def run_verification(
                 f"word {first.word} at position {first.position}: "
                 f"rule {first.expected}, direct {first.actual}"
             )
-        state = root_state()
-        while state.kink_marginal() == dp.row(state.n):
-            if state.n == max_n_dp:
-                return None
-            state = advance_level(state)
-        return f"label-tree level {state.n} differs from recurrence row {state.n}"
+        for n, row in enumerate(_label_levels(max_n_dp), 2):
+            if row != dp.row(n):
+                return f"label-tree level {n} differs from recurrence row {n}"
+        return None
 
     def growth_estimate():
         convergence_report(0, min(30, max_n_dp), table=dp)

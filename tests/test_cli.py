@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import kinks.cli
 import kinks.genfunc
+import kinks.oracle
 import kinks.treedp
 import kinks.verify
 from kinks import (
@@ -627,6 +628,21 @@ def test_verify_tree_labels_notices_a_rule_with_the_wrong_number_of_children(mon
     assert len(results) == 11
 
 
+def test_verify_tree_labels_reports_a_failed_band_gate_in_one_line(capsys, monkeypatch):
+    # a kink bound one short at n = 11 trips the label walk's zero-band gate;
+    # the recurrence rows come from an unpatched build, so only the walk sees it
+    table = dp_table(12)
+    monkeypatch.setattr(kinks.verify, "dp_table", lambda n_max, d_max=None: table)
+    monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 - (n == 11))
+    code, out, err = run_cli(capsys, "verify", *SMALL_VERIFY)
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL tree_labels: ArithmeticError: nonzero count above max_kinks at (m, k) = (11, 5)",
+        "11 checks, 10 passed, 1 failed",
+    ]
+    assert err.startswith("Traceback (most recent call last):\n") and "in tree_labels\n" in err
+
+
 def test_verify_growth_estimate_notices_a_corrupted_single_kink_count(monkeypatch):
     exact = kinks.verify.dp_table
 
@@ -742,6 +758,74 @@ def test_verify_series_partition_notices_a_count_moved_between_kink_classes(monk
     assert {r.name: r.detail for r in results if not r.passed} == {
         "series_partition": f"series row 15 = {series}, recurrence {reference}"
     }
+
+
+def _moved_counts(evaluator, n, d, to):
+    # a patch of `evaluator` that moves one count of row n from d to `to`,
+    # d's neighbour, after or within the evaluator's own gate, which still
+    # passes: the row sum is kept, and in the series the numerators move by
+    # 4^d and 4^to, so each stays 4^k times a nonnegative count
+    def move(row, lo=0):
+        row = list(row)
+        row[d - lo] -= 1
+        row[to - lo] += 1
+        return row
+
+    if evaluator == "dp":
+        exact = kinks.treedp._kink_rows
+        return kinks.treedp, "_kink_rows", lambda n_max, d_max: (
+            tuple(move(row)) if m == n else row for m, row in enumerate(exact(n_max, d_max), 1)
+        )
+    if evaluator == "scan":
+        exact = kinks.oracle._brute_row
+        return kinks.oracle, "_brute_row", lambda m: move(exact(m)) if m == n else exact(m)
+    if evaluator == "closed":
+        exact = kinks.genfunc._closed_rows
+        return kinks.genfunc, "_closed_rows", lambda lengths, lo, top: (
+            tuple(move(row, lo)) if m == n and lo <= min(d, to) and max(d, to) < lo + len(row)
+            else row
+            for m, row in zip(lengths, exact(lengths, lo, top))
+        )
+    exact = kinks.genfunc._exact_count
+    shift = {d: -1, to: 1}
+
+    def series(numer, denom, where, *at):
+        if where == "coefficient of t^{} w^{}" and at[0] == n:
+            numer += shift.get(at[1], 0) * denom
+        return exact(numer, denom, where, *at)
+
+    return kinks.genfunc, "_exact_count", series
+
+
+@pytest.mark.parametrize(
+    "scope",
+    [{}, {"max_n_brute": 6, "max_n_dp": 37, "t_order": 13, "v_order": 4}],
+    ids=["default", "reduced"],
+)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_verify_fails_a_check_when_one_count_moves_between_kink_classes(scope, data):
+    # whatever evaluator and cell inside the verify scope: each evaluator's
+    # own gate passes, so verify's whole-row comparisons must see the move
+    full = {**dict(max_n_brute=9, max_n_dp=60, t_order=20, v_order=6), **scope}
+    evaluator = data.draw(st.sampled_from(["dp", "series", "closed", "scan"]), label="evaluator")
+    last = {
+        "dp": full["max_n_dp"],
+        "series": min(full["t_order"], full["max_n_dp"]),
+        "closed": full["max_n_dp"],
+        "scan": full["max_n_brute"],
+    }[evaluator]
+    n = data.draw(st.integers(3, last), label="n")
+    top = max_kinks(n) if evaluator != "series" else min(max_kinks(n), full["v_order"])
+    d = data.draw(st.integers(0, top - 1), label="d")
+    d, to = data.draw(st.sampled_from([(d, d + 1), (d + 1, d)]), label="(d, to)")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(*_moved_counts(evaluator, n, d, to))
+        results = kinks.verify.run_verification(**scope)
+    failed = {r.name for r in results if not r.passed}
+    assert failed and len(results) == 11
+    if evaluator == "dp":  # the label walk reads every recurrence row
+        assert "tree_labels" in failed
 
 
 SMALL_VERIFY = ("--max-n-brute", "4", "--max-n-dp", "12", "--t-order", "8", "--v-order", "3")

@@ -1,7 +1,11 @@
 """Generating-tree level recurrences and succession rules."""
 
+import os
+import subprocess
+import sys
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -25,7 +29,7 @@ from kinks import (
     tree_label_consistency,
 )
 from kinks.core import _word_label
-from kinks.treedp import LabelMismatch, _level_codes
+from kinks.treedp import LabelMismatch, _label_levels, _level_codes
 from helpers import naive_label_consistency
 
 
@@ -98,6 +102,41 @@ def test_advance_level_rejects_counts_above_max_kinks():
         advance_level(corrupt)
 
 
+def test_band_gates_run_under_python_O():
+    # python -O strips assert statements; both gates are an if/raise: the
+    # corrupted level 3 above, and the walk with a kink bound one short at 11
+    script = "\n".join(
+        [
+            "import kinks.treedp as t",
+            "level3 = t.advance_level(t.root_state())",
+            "corrupt = t.LevelState(3, (level3.counts[0][:1] + ((1, 1, 1),), level3.counts[1]))",
+            "t.max_kinks = lambda n, exact=t.max_kinks: exact(n) - (n == 11)",
+            "for step in (lambda: t.advance_level(corrupt), lambda: list(t._label_levels(12))):",
+            "    try:",
+            "        step()",
+            "    except ArithmeticError as exc:",
+            "        print(exc)",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.treedp.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (
+        "nonzero count above max_kinks at (m, k) = (4, 2)\n"
+        "nonzero count above max_kinks at (m, k) = (11, 5)\n"
+    )
+
+
+def test_advance_level_rejects_negative_counts():
+    # packed fields would borrow from each other; node counts never go below 0
+    state = root_state()
+    negative = LevelState(2, (state.counts[0], ((1, -1), (0, 0))))
+    with pytest.raises(ValueError, match="negative"):
+        advance_level(negative)
+
+
 def _rule_applied_level(state: LevelState) -> LevelState:
     # independent level step: apply the succession rule label by label
     n = state.n
@@ -121,9 +160,32 @@ def _rule_applied_level(state: LevelState) -> LevelState:
 
 def test_running_sum_step_matches_direct_rule_application():
     state = root_state()
-    for _ in range(7):
+    for _ in range(12):
         fast = advance_level(state)
         assert fast == _rule_applied_level(state)
+        state = fast
+
+
+def _scaled(state: LevelState, factor: int, low: int = 0) -> LevelState:
+    # every count times factor, the count of (1, 0, 1) plus low
+    bands = [[[c * factor for c in row] for row in band] for band in state.counts]
+    bands[1][0][0] += low
+    return LevelState(state.n, tuple(tuple(map(tuple, band)) for band in bands))
+
+
+@pytest.mark.parametrize("low", [0, 1, 2**299 + 3])
+def test_step_of_counts_far_above_n_factorial_is_exact(low):
+    # the fields are as wide as the counts of the state stepped, not as n!:
+    # the root times 2^300, a small count beside the huge ones, must step
+    # as the rule says, with no carry from one kink band into the next
+    state = _scaled(root_state(), 2**300, low)
+    plain = root_state()
+    for _ in range(9):
+        fast = advance_level(state)
+        assert fast == _rule_applied_level(state)
+        plain = advance_level(plain)
+        if not low:
+            assert fast == _scaled(plain, 2**300)
         state = fast
 
 
@@ -206,6 +268,14 @@ def test_label_tree_marginals_and_moments_match_the_recurrence(n):
     for k, c in enumerate(row):
         moment = sum(j * count for j, count in enumerate(state.counts[0][k], start=1))
         assert moment == (n - 1 - 2 * k) * c, (n, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_max=st.integers(2, 90))
+def test_label_walk_yields_the_recurrence_rows(n_max):
+    # n_max = 2 is the single level that `verify --max-n-dp 2` walks
+    table = dp_table(n_max)
+    assert list(_label_levels(n_max)) == [table.row(n) for n in range(2, n_max + 1)]
 
 
 def test_recurrence_row_sum_check_raises(monkeypatch):
