@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 from collections import deque
-from fractions import Fraction
 from contextlib import contextmanager
 from functools import cache
 from itertools import islice
@@ -310,43 +309,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # asym
 
 
-def _format_deviation(value: Fraction) -> str:
-    return "0" if value == 0 else f"{float(value):.6g}"
-
-
 def _cmd_asym(args: argparse.Namespace) -> int:
-    rows = convergence_report(args.d, args.max_n, table=dp_table(args.max_n, args.d))
+    # the header, then one row of cells per n, rendered in the format asked
+    cells = [("n", "exact", "estimate", "deviation")]
+    for r in convergence_report(args.d, args.max_n, table=dp_table(args.max_n, args.d)):
+        deviation = f"{float(r.deviation):.6g}" if r.deviation else "0"
+        cells.append((r.n, str(r.exact), str(int(r.estimate)), deviation))
     if args.format == "csv":
-        lines = ["n,exact,estimate,deviation"]
-        lines.extend(
-            f"{r.n},{r.exact},{int(r.estimate)},{_format_deviation(r.deviation)}"
-            for r in rows
-        )
-        text = "\n".join(lines) + "\n"
+        text = "".join(",".join(map(str, c)) + "\n" for c in cells)
     elif args.format == "json":
         import json  # imported by a JSON request only: start-up pays nothing
-        payload = {
-            "d": args.d,
-            "rows": [
-                {
-                    "n": r.n,
-                    "exact": str(r.exact),
-                    "estimate": str(int(r.estimate)),
-                    "deviation": _format_deviation(r.deviation),
-                }
-                for r in rows
-            ],
-        }
+        payload = {"d": args.d, "rows": [dict(zip(cells[0], c)) for c in cells[1:]]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        width = max(len(str(rows[-1].exact)), len("exact"))
-        lines = [f"{'n':>4} {'exact':>{width}} {'estimate':>{width}} deviation"]
-        lines.extend(
-            f"{r.n:>4} {r.exact:>{width}} {int(r.estimate):>{width}} "
-            f"{_format_deviation(r.deviation)}"
-            for r in rows
-        )
-        text = "\n".join(lines) + "\n"
+        # n in at least four places, exact and estimate as wide as their widest cells
+        place = max(4, len(str(args.max_n)))
+        exact, estimate = (max(len(c[i]) for c in cells) for i in (1, 2))
+        lines = (f"{n:>{place}} {e:>{exact}} {s:>{estimate}} {dev}\n" for n, e, s, dev in cells)
+        text = "".join(lines)
     _write_output(text, args.output)
     return 0
 

@@ -23,7 +23,8 @@ every count it reaches; `advance_level` is its one-step adapter on
 counts it is given.  `tree_label_consistency` checks the succession rule
 against the labels of the child words, read off a depth-first walk that
 shares each prefix among the words extending it and packs a word's n + 1
-child labels into one integer.
+child labels into one integer.  The rule itself is never packed: it is
+judged as labels, once per parent label and child code.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ class LevelState(NamedTuple):
     def total(self) -> int:
         """Number of nodes held; equals n! when the state is valid."""
         return sum(sum(row) for band in self.counts for row in band)
-
-    def kink_marginal(self) -> tuple[int, ...]:
-        """Counts by kink number up to max_kinks(n), summed over the other labels."""
-        band0, band1 = self.counts
-        return tuple(sum(band0[k]) + sum(band1[k]) for k in range(max_kinks(self.n) + 1))
 
 
 def root_state() -> LevelState:
@@ -312,9 +308,10 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     only input is the parent's label, cannot vouch for itself.  A
     depth-first walk over the words of a level shares each prefix's
     counts among the words that extend it and packs the n + 1 child
-    labels of a word into one integer; the rule's children are packed
-    once per distinct parent label.  Mismatches are report content, not
-    errors; a correct rule yields none.
+    labels of a word into one integer.  The rule is judged as labels,
+    once per parent label and child code: a word whose code is the one
+    last judged for its label costs one integer comparison.  Mismatches
+    are report content, not errors; a correct rule yields none.
     """
     # K_i <= max_kinks(9) = 4 < 8, so every child fits its base-16 digit
     if check_int(n_max, 2, "n_max") > 9:
@@ -322,26 +319,21 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     checked = 0
     mismatches: list[LabelMismatch] = []
     for n in range(2, n_max):
-        rule: dict[tuple[int, int, int], tuple[list[TreeLabel], int | None]] = {}
+        # parent label -> the code last judged and its mismatching positions
+        judged: dict[tuple[int, int, int], tuple[int, list[tuple]]] = {}
         for word, label, code in _level_codes(n):
-            expected = rule.get(label)
-            if expected is None:
-                # a max_pos off its place or a field too wide for its digit
-                # packs to None, which no word's code equals
-                children = succession_children(TreeLabel(*label), n)
-                packed = None
-                if len(children) == n + 1 and all(
-                    j == i + 1 and k in range(8) and r in (0, 1)
-                    for i, (j, k, r) in enumerate(children)
-                ):
-                    packed = sum((k + 8 * r) << (4 * i) for i, (_, k, r) in enumerate(children))
-                expected = rule[label] = children, packed
-            checked += n + 1
-            if code != expected[1]:
+            last = judged.get(label)
+            if last is None or last[0] != code:
                 # position by position, a missing or extra rule child against None
                 digits = [code >> (4 * i) & 15 for i in range(n + 1)]
                 direct = [TreeLabel(i, g & 7, g >> 3) for i, g in enumerate(digits, 1)]
-                for position, (child, actual) in enumerate(zip_longest(expected[0], direct), 1):
-                    if actual != child:
-                        mismatches.append(LabelMismatch(n, word, position, child, actual))
+                children = succession_children(TreeLabel(*label), n)
+                last = judged[label] = code, [
+                    (position, child, actual)
+                    for position, (child, actual) in enumerate(zip_longest(children, direct), 1)
+                    if actual != child
+                ]
+            checked += n + 1
+            if last[1]:
+                mismatches.extend(LabelMismatch(n, word, *bad) for bad in last[1])
     return ConsistencyReport(checked, tuple(mismatches))

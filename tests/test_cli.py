@@ -4,9 +4,11 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import kinks.treedp
 import kinks.verify
 from kinks import (
     CoefficientError,
+    ConvergenceRow,
     CountTable,
     TreeLabel,
     dp_table,
@@ -949,6 +952,38 @@ def test_asym_json_format(capsys):
     assert payload["d"] == 1
     assert payload["rows"][0]["n"] == 3
     assert payload["rows"][0]["exact"] == "2"
+
+
+@pytest.mark.parametrize("d, max_n", [(0, 3), (1, 8), (1, 40), (3, 7), (5, 79)])
+def test_asym_text_columns_end_where_their_headers_end(capsys, d, max_n):
+    # n, exact and estimate are right-aligned under their headers, and the
+    # deviation column starts where its header starts
+    code, out, _ = run_cli(capsys, "asym", "--d", str(d), "--max-n", str(max_n), "--format", "text")
+    assert code == 0
+
+    def spans(line):
+        return [m.span() for m in re.finditer(r"\S+", line)]
+
+    header, *lines = map(spans, out.splitlines())
+    assert len(lines) == max_n - 2 * d
+    for line in lines:
+        assert len(line) == 4
+        assert [end for _, end in line[:3]] == [end for _, end in header[:3]]
+        assert line[3][0] == header[3][0]
+
+
+def test_asym_text_widens_n_past_four_places(capsys, monkeypatch):
+    # rows made up for the layout alone: a real table to n = 10000 is tens of MB
+    rows = [ConvergenceRow(n, n, 2 * n, Fraction(1, 2)) for n in (9999, 10000)]
+    monkeypatch.setattr(kinks.cli, "convergence_report", lambda *args, **kw: rows)
+    monkeypatch.setattr(kinks.cli, "dp_table", lambda *args: None)
+    code, out, _ = run_cli(capsys, "asym", "--d", "1", "--max-n", "10000", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "    n exact estimate deviation",
+        " 9999  9999    19998 0.5",
+        "10000 10000    20000 0.5",
+    ]
 
 
 def test_asym_range_error(capsys):

@@ -110,3 +110,37 @@ def test_the_oracles_two_routes_share_no_function():
     assert SCAN | WALK <= set(names)
     assert {f: names[f] & (WALK | {"_check_kinks"}) for f in SCAN} == {f: set() for f in SCAN}
     assert {f: names[f] & SCAN for f in WALK} == {f: set() for f in WALK}
+
+
+def _names(node: ast.AST) -> set[str]:
+    # every name a node reads, binds, imports or looks up as an attribute
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.alias):
+            found.add(child.name)
+    return found
+
+
+def test_every_private_helper_has_a_user_in_the_package():
+    # no model code that no route uses: each private top-level def or class
+    # is named somewhere in the package outside its own body
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    statements = [node for tree in trees for node in tree.body]
+    named = [_names(node) for node in statements]
+    private = [
+        (i, node.name)
+        for i, node in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+    assert {"_level_codes", "_label_step"} <= {name for _, name in private}
+    unused = {
+        name
+        for i, name in private
+        if not any(name in names for j, names in enumerate(named) if j != i)
+    }
+    assert unused == set()

@@ -77,11 +77,17 @@ def test_root_state_holds_the_two_smallest_words():
     assert min(c for band in state.counts for row in band for c in row) >= 0
 
 
+def _kink_marginal(state: LevelState) -> tuple[int, ...]:
+    # counts by kink number up to max_kinks(n), summed over the other labels
+    band0, band1 = state.counts
+    return tuple(sum(band0[k]) + sum(band1[k]) for k in range(max_kinks(state.n) + 1))
+
+
 def test_advance_level_marginals():
     level3 = advance_level(root_state())
-    assert level3.kink_marginal() == (4, 2)
+    assert _kink_marginal(level3) == (4, 2)
     level4 = advance_level(level3)
-    assert level4.kink_marginal() == (8, 16)
+    assert _kink_marginal(level4) == (8, 16)
 
 
 def test_advance_level_grows_by_level_plus_one():
@@ -264,7 +270,7 @@ def test_label_tree_marginals_and_moments_match_the_recurrence(n):
     while state.n < n:
         state = advance_level(state)
     row = DP80.row(n)
-    assert state.kink_marginal() == row
+    assert _kink_marginal(state) == row
     for k, c in enumerate(row):
         moment = sum(j * count for j, count in enumerate(state.counts[0][k], start=1))
         assert moment == (n - 1 - 2 * k) * c, (n, k)
@@ -454,6 +460,41 @@ def test_label_consistency_reports_a_carrying_or_short_rule_as_the_naive_check()
     assert fast.mismatches == tuple(
         LabelMismatch(2, word, 3, None, TreeLabel(3, 0, 0)) for word in ((1, 2), (2, 1))
     )
+
+
+def test_label_consistency_asks_the_rule_once_per_parent_label():
+    # under the correct rule every word of a label brings the same code
+    exact = kinks.treedp.succession_children
+    asked = []
+
+    def counted(label, n):
+        asked.append((n, label))
+        return exact(label, n)
+
+    with mock.patch.object(kinks.treedp, "succession_children", counted):
+        assert tree_label_consistency(8).ok
+    labels = {(n, _word_label(w)) for n in range(2, 8) for w in permutations(range(1, n + 1))}
+    assert sorted(asked) == sorted(labels)
+
+
+def test_label_consistency_judges_each_code_of_a_label():
+    # (2, 1, 3, 4) shares its label (4, 0, 0) with one word before it and
+    # two after: one digit flipped in its code alone must report that word
+    # alone, and the later words, back at the original code, nothing
+    word, label, digit = (2, 1, 3, 4), (4, 0, 0), 2
+    same = [w for w in permutations(range(1, 5)) if _word_label(w) == label]
+    assert same == [(1, 2, 3, 4), word, (2, 3, 1, 4), (3, 2, 1, 4)]
+    exact = kinks.treedp._level_codes
+
+    def flipped(n):
+        for w, lab, code in exact(n):
+            yield w, lab, code ^ 1 << 4 * digit if w == word else code
+
+    with mock.patch.object(kinks.treedp, "_level_codes", flipped):
+        report = tree_label_consistency(5)
+    child = _children_read_off_words(word)[digit]
+    assert child == TreeLabel(3, 1, 1)
+    assert report.mismatches == (LabelMismatch(4, word, digit + 1, child, TreeLabel(3, 0, 1)),)
 
 
 def test_label_consistency_guards_factorial_scan():
