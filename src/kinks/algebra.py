@@ -91,8 +91,9 @@ class TruncPoly:
         return lead if lead == 1 or lead == -1 else Fraction(1) / lead
 
     @classmethod
-    def zero(cls, order: int) -> TruncPoly:
-        return cls((), order)
+    def zero(cls, *orders: int) -> TruncPoly:
+        # the one zero of both classes: a TSeries takes (t_order, v_order)
+        return cls((), *orders)
 
     @classmethod
     def one(cls, order: int) -> TruncPoly:

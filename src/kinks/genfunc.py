@@ -200,11 +200,12 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
 
     Column d of the counts has a rational generating function in t with
     denominator Q = prod_(i=1..d+1) (1 - 2i t)^(d+2-i), of degree
-    D = (d+1)(d+2)/2.  The numerator is Q times the column of
-    `series_table`, cut at t^E with E = max(D, 2) (the t^2 term carries
-    d = 0); the product must vanish on t^(E+1)..t^(E+D), else
-    CoefficientError.  The counts then follow from the order-D integer
-    recurrence.  The entry at index i is the count for n = i + 2.
+    D = (d+1)(d+2)/2.  The numerator is Q times column d of the series,
+    read alone off the generator behind `series_table` to t^(E+D) with
+    E = max(D, 2) (the t^2 term carries d = 0); the product must vanish
+    on t^(E+1)..t^(E+D), else CoefficientError.  The counts then follow
+    from the order-D integer recurrence.  The entry at index i is the
+    count for n = i + 2.
 
     >>> fixed_kinks_series(1, 5)
     (0, 2, 16, 88)
@@ -218,8 +219,7 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
         for _ in range(d + 2 - i):
             denom = [a - 2 * i * b for a, b in zip(denom + [0], [0] + denom)]
     top = max(len(denom) - 1, 2)
-    table = series_table(top + len(denom) - 1, d)
-    column = [0, 0] + [table.count(n, d) for n in range(2, table.max_n + 1)]
+    column = [0, 0] + [row[0] for row in _series_rows(range(2, top + len(denom)), d, d)]
     numer = [
         sum(q * column[n - i] for i, q in enumerate(denom[: n + 1])) for n in range(len(column))
     ]

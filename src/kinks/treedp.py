@@ -18,9 +18,10 @@ columns: for each max_first r and max_pos j one integer holds the counts
 of every kink band, band k in the field of W bits at k W, so a level step
 is two running sums over n + 1 integers, and "one kink more" is a shift
 by W.  The walk (`_label_levels`) fixes W from (n_max + 1)!, which bounds
-every count it reaches; `advance_level` is its one-step adapter on
-`LevelState`, which packs, steps and unpacks with a W read off the
-counts it is given.  `tree_label_consistency` checks the succession rule
+every count it reaches.  `advance_level` is its one-step adapter on
+`LevelState`: the same step, `_label_step`, taken one kink band at a
+time, with no fields and no width, the shift done by pairing band k
+with band k - 1.  `tree_label_consistency` checks the succession rule
 against the labels of the child words, read off a depth-first walk that
 shares each prefix among the words extending it and packs a word's n + 1
 child labels into one integer.  The rule itself is never packed: it is
@@ -29,10 +30,9 @@ judged as labels, once per parent label and child code.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import accumulate, chain, repeat, zip_longest
 from math import factorial
-from operator import add, and_, lshift, or_, rshift
+from operator import add, lshift
 from typing import Iterator, NamedTuple
 
 from .core import CountTable, TreeLabel, check_int, max_kinks
@@ -103,7 +103,8 @@ def _label_step(col0: list[int], col1: list[int], width: int) -> tuple[list[int]
     # (j, k, r) of every k in the field k of `width` bits.  The child at
     # position m with max_first = 0 collects every parent with max_pos < m;
     # with max_first = 1, the max_first = 1 parents with max_pos >= m at its
-    # k and the max_first = 0 ones at k - 1, which the shift moves a field up
+    # k and the max_first = 0 ones at k - 1, which the shift moves a field up.
+    # With width 0 the columns hold one band and the caller does the shift
     new0 = [*accumulate(map(add, col0, col1), initial=0)]
     shifted = map(lshift, reversed(col0), repeat(width))
     new1 = [*accumulate(map(add, shifted, reversed(col1)), initial=0)]
@@ -121,26 +122,6 @@ def _check_bands(packed: int, width: int, m: int) -> int:
     return top
 
 
-def _pack(bands: tuple[tuple[int, ...], ...], width: int) -> list[int]:
-    # the columns of one max_first band: bands[k][j] in field k of column j.
-    # Halving the bands merges fields of about the same size at each depth
-    if len(bands) == 1:
-        return list(bands[0])
-    half = len(bands) // 2
-    high = map(lshift, _pack(bands[half:], width), repeat(half * width))
-    return list(map(add, _pack(bands[:half], width), high))
-
-
-def _unpack(columns: list[int], count: int, width: int) -> list[tuple[int, ...]]:
-    # _pack's inverse: fields 0..count - 1 of the columns, one tuple per field;
-    # the top one keeps whatever lies above it, which _check_bands has cleared
-    if count == 1:
-        return [tuple(columns)]
-    half = count // 2
-    low = _unpack([*map(and_, columns, repeat((1 << half * width) - 1))], half, width)
-    return low + _unpack([*map(rshift, columns, repeat(half * width))], count - half, width)
-
-
 def _label_levels(n_max: int) -> Iterator[tuple[int, ...]]:
     # the kink marginals of levels 2..n_max.  Level n's marginal is the last
     # max_first = 0 column of level n + 1, whose nodes are those of level n
@@ -149,7 +130,8 @@ def _label_levels(n_max: int) -> Iterator[tuple[int, ...]]:
     # so no field carries into the next at any level the walk reaches
     width = factorial(n_max + 1).bit_length() + 1
     mask = (1 << width) - 1
-    col0, col1 = (_pack(bands, width) for bands in root_state().counts)
+    # the root's nodes are all in band 0, so its bands pack as band 0 alone
+    col0, col1 = (list(bands[0]) for bands in root_state().counts)
     for n in range(2, n_max + 1):
         col0, col1 = _label_step(col0, col1, width)
         total = col0[-1]
@@ -163,25 +145,27 @@ def advance_level(state: LevelState) -> LevelState:
     max_pos < m; children with max_first = 1 at position m collect the
     max_first = 1 parents with max_pos >= m at the same kink count plus
     the max_first = 0 parents with max_pos >= m at one kink less.  This
-    is the label walk's own step on packed columns (see the module
-    docstring), an adapter that packs the state, steps once and unpacks
-    the (n + 1) // 2 + 1 bands of the new level.  Each count the step
-    forms sums some of the state's counts, so fields one bit wider than
-    the state's total never carry, whatever the level or the size of the
-    counts.  A count in a band above max_kinks(n + 1) raises
-    ArithmeticError; a negative count, which no node count is, raises
-    ValueError.
+    is the label walk's own step (see the module docstring) taken one
+    kink band at a time, with no fields and so no width: band k of the
+    new max_first = 0 column reads band k of both old columns, band k of
+    the new max_first = 1 column band k of max_first = 1 and band k - 1 of
+    max_first = 0.  The counts are exact whatever their size.  A count in
+    a band above max_kinks(n + 1) raises ArithmeticError; a negative
+    count, which no node count is, raises ValueError.
     """
     n = state.n
     if n < 2:
         raise ValueError("level states start at 2")
     if min(map(min, chain(*state.counts))) < 0:
         raise ValueError("node counts cannot be negative")
-    width = state.total().bit_length() + 1
-    new0, new1 = _label_step(*(_pack(bands, width) for bands in state.counts), width)
+    zero = (0,) * n
+    old0, old1 = ([*bands, zero] for bands in state.counts)  # no node above the top band
+    new0 = [_label_step(c0, c1, 0)[0] for c0, c1 in zip(old0, old1)]
+    new1 = [_label_step(c0, c1, 0)[1] for c0, c1 in zip([zero, *old0], old1)]
     m = n + 1
-    _check_bands(reduce(or_, new0 + new1), width, m)  # no field carries into an OR
-    return LevelState(m, tuple(tuple(_unpack(new, m // 2 + 1, width)) for new in (new0, new1)))
+    held = (k for k, bands in enumerate(zip(new0, new1)) if any(chain(*bands)))
+    _check_bands(sum(1 << k for k in held), 1, m)  # bit k set: new band k holds a node
+    return LevelState(m, tuple(tuple(map(tuple, new[: m // 2 + 1])) for new in (new0, new1)))
 
 
 def _kink_rows(n_max: int, d_max: int | None) -> Iterator[tuple[int, ...]]:

@@ -127,6 +127,14 @@ def test_tseries_shape_guards():
         TSeries((TruncPoly.one(2),), 3, 1)  # coefficient order mismatch
 
 
+def test_zero_serves_both_classes():
+    # TSeries inherits zero, which takes each class's own orders
+    assert TSeries.zero(3, 2) == TSeries((), 3, 2)
+    assert type(TSeries.zero(3, 2)) is TSeries and not TSeries.zero(3, 2)
+    assert TruncPoly.zero(2) == TruncPoly((0, 0, 0), 2)
+    assert type(TruncPoly.zero(2)) is TruncPoly
+
+
 @settings(max_examples=10, deadline=None)
 @given(series(4, 3, unit=True))
 def test_everything_stays_exact(s):

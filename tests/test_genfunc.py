@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import kinks.genfunc
 from kinks import (
     CoefficientError,
-    CountTable,
     asymptotic_estimate,
     bivariate_series,
     closed_form,
@@ -226,15 +225,14 @@ def test_fixed_kinks_series_reproduces_the_published_rational_forms():
 
 
 def test_fixed_kinks_series_rejects_a_corrupted_column(monkeypatch):
-    exact = kinks.genfunc.series_table
+    exact = kinks.genfunc._series_rows
 
-    def bumped(t_order, v_order):
-        table = exact(t_order, v_order)
-        rows = dict(table.rows)
-        rows[8] = rows[8][:-1] + (rows[8][-1] + 1,)
-        return CountTable(rows)
+    def bumped(lengths, lo, top):
+        # the last entry of row 8 one too large
+        for n, row in zip(lengths, exact(lengths, lo, top)):
+            yield row[:-1] + [row[-1] + (n == 8)]
 
-    monkeypatch.setattr(kinks.genfunc, "series_table", bumped)
+    monkeypatch.setattr(kinks.genfunc, "_series_rows", bumped)
     with pytest.raises(CoefficientError, match="d = 2 of the series does not fit"):
         fixed_kinks_series(2, 30)
 
@@ -339,6 +337,61 @@ def test_the_power_sum_vanishes_below_the_first_count():
         for n in range(1, 2 * d + 1):
             e = _binomial_product(2 * d - n, n + 2, d)
             assert sum(e[d + 1 - i] * i**n for i in range(1, d + 2)) == 0, (n, d)
+
+
+def _poly_add(*polys):
+    # int polynomials in (x, n, d) as {(i, j, k): coefficient of x^i n^j d^k}
+    out = {}
+    for p in polys:
+        for e, c in p.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_mul(*polys):
+    out = {(0, 0, 0): 1}
+    for p in polys:
+        terms = ({tuple(map(sum, zip(e, f))): a * b} for e, a in out.items() for f, b in p.items())
+        out = _poly_add(*terms)
+    return out
+
+
+def _linear(one, x, n, d):
+    # one + x X + n N + d D
+    return _poly_add({(0, 0, 0): one, (1, 0, 0): x, (0, 1, 0): n, (0, 0, 1): d})
+
+
+def test_the_closed_weights_obey_the_recurrence_as_an_identity():
+    # the closed form's weights are those of f_(d,n) = (1-x)^(n+2) (1+x)^(2d-n),
+    # and c(n+1, d) = (2d+2) c(n, d) + (n+1-2d) c(n, d-1) holds term by term
+    # in i^n iff, with g = f (1-x)/(1+x), 2(d+1) g - 2x g' = (2d+2) f +
+    # 4(n+1-2d) x f/(1+x)^2; over f, times (1+x)^2, that is this identity in
+    # Z[x, n, d].  With the vanishing below the first count and row 1 = (1),
+    # induction gives closed_form = dp_table at every (n, d)
+    minus, plus, x = _linear(1, -1, 0, 0), _linear(1, 1, 0, 0), _linear(0, 1, 0, 0)
+    left = _poly_add(
+        _poly_mul(_linear(2, 0, 0, 2), minus, plus),  # 2(d+1)(1-x)(1+x)
+        _poly_mul(_linear(0, 2, 0, 0), _linear(3, 0, 1, 0), plus),  # 2x(n+3)(1+x)
+        _poly_mul(_linear(0, -2, 0, 0), _linear(-1, 0, -1, 2), minus),  # -2x(2d-n-1)(1-x)
+    )
+    right = _poly_add(
+        _poly_mul(_linear(2, 0, 0, 2), plus, plus),  # (2d+2)(1+x)^2
+        _poly_mul(_linear(4, 0, 4, -8), x),  # 4(n+1-2d)x
+    )
+    assert left and _poly_add(left, _poly_mul(_linear(-1, 0, 0, 0), right)) == {}
+
+
+def test_the_closed_weights_obey_the_recurrence_coefficientwise():
+    # 2(d+1-K) [x^K] f_(d,n+1) = (2d+2) [x^K] f_(d,n) + 4(n+1-2d) [x^(K-1)] f_(d-1,n)
+    # for K = d+1-i, i = 1..d+1: the identity above read off the code's weights
+    for d in range(30):
+        for n in range(1, 60):
+            up = _binomial_product(2 * d - n - 1, n + 3, d)
+            here = _binomial_product(2 * d - n, n + 2, d)
+            below = [0] + _binomial_product(2 * d - 2 - n, n + 2, d - 1) if d else [0]
+            for k in range(d + 1):
+                lhs = 2 * (d + 1 - k) * up[k]
+                assert lhs == (2 * d + 2) * here[k] + 4 * (n + 1 - 2 * d) * below[k], (n, d, k)
 
 
 def test_the_d3_weights_give_the_d3_deviation_law():

@@ -16,6 +16,7 @@ import pytest
 
 import kinks.algebra
 import kinks.cli
+import kinks.treedp
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,6 +52,26 @@ def test_tracer_wraps_and_restores_the_inherited_series_methods():
     assert layers["algebra.tseries_mul.calls"] == 1
     assert layers["algebra.tseries_inverse.calls"] == 1
     assert (TSeries.__mul__, TSeries.inverse, TruncPoly.__mul__, TruncPoly.inverse) == methods
+
+
+def test_tracer_counts_the_levels_and_bits_of_an_advance_level_chain():
+    # the level hook sums the bit lengths over `state.counts` of each state
+    # the adapter returns, so this pins the shape of its output
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        states = [kinks.treedp.root_state()]
+        for _ in range(10):
+            states.append(kinks.treedp.advance_level(states[-1]))
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    counts = [c for state in states[1:] for band in state.counts for row in band for c in row]
+    bits = sum(c.bit_length() for c in counts)
+    assert states[-1].n == 12 and bits > 0
+    assert layers["treedp.advance_level.calls"] == 10
+    assert layers["treedp.level_bits"] == bits
 
 
 def _run_plain_and_traced(argv):

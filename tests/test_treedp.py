@@ -136,7 +136,7 @@ def test_band_gates_run_under_python_O():
 
 
 def test_advance_level_rejects_negative_counts():
-    # packed fields would borrow from each other; node counts never go below 0
+    # no node count goes below 0, so a negative one is a malformed state
     state = root_state()
     negative = LevelState(2, (state.counts[0], ((1, -1), (0, 0))))
     with pytest.raises(ValueError, match="negative"):
@@ -181,9 +181,9 @@ def _scaled(state: LevelState, factor: int, low: int = 0) -> LevelState:
 
 @pytest.mark.parametrize("low", [0, 1, 2**299 + 3])
 def test_step_of_counts_far_above_n_factorial_is_exact(low):
-    # the fields are as wide as the counts of the state stepped, not as n!:
-    # the root times 2^300, a small count beside the huge ones, must step
-    # as the rule says, with no carry from one kink band into the next
+    # the bands are stepped apart, whatever the size of their counts: the
+    # root times 2^300, a small count beside the huge ones, must step as
+    # the rule says, with nothing moved from one kink band into the next
     state = _scaled(root_state(), 2**300, low)
     plain = root_state()
     for _ in range(9):
@@ -193,6 +193,41 @@ def test_step_of_counts_far_above_n_factorial_is_exact(low):
         if not low:
             assert fast == _scaled(plain, 2**300)
         state = fast
+
+
+@st.composite
+def _level_states(draw, levels=st.integers(2, 12)):
+    # nonnegative states whose step stays within max_kinks(n + 1): counts
+    # up to 2^400 at max_first = 0 for k < max_kinks(n) and at max_first = 1
+    # for k <= max_kinks(n), zeros elsewhere in the bands k <= n // 2
+    n = draw(levels)
+    count = st.one_of(st.integers(0, 3), st.integers(0, 2**400))
+
+    def band(r, k):
+        held = k < max_kinks(n) + r
+        return tuple(draw(count) if held else 0 for _ in range(n))
+
+    return LevelState(n, tuple(tuple(band(r, k) for k in range(n // 2 + 1)) for r in (0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=_level_states())
+def test_band_by_band_step_matches_the_rule_on_random_states(state):
+    assert advance_level(state) == _rule_applied_level(state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(state=_level_states(st.sampled_from([3, 5, 7, 9, 11])), data=st.data())
+def test_a_max_first_zero_node_in_the_top_band_fails_the_gate(state, data):
+    # at odd n the top band is k = max_kinks(n) = max_kinks(n + 1), so one
+    # max_first = 0 node there has children at max_kinks(n) + 1 kinks
+    n, top = state.n, max_kinks(state.n)
+    j = data.draw(st.integers(0, n - 1))
+    band0 = [list(band) for band in state.counts[0]]
+    band0[top][j] += 1
+    corrupt = LevelState(n, (tuple(map(tuple, band0)), state.counts[1]))
+    with pytest.raises(ArithmeticError, match=rf"\(m, k\) = \({n + 1}, {top + 1}\)"):
+        advance_level(corrupt)
 
 
 def test_dp_reference_rows():
