@@ -1,8 +1,10 @@
 """Command-line front end: compute, enumerate, verify, and export.
 
-Each counting method is one entry of `ROUTES`: the (n, d) it covers, a
-single count and a whole table.  KINKS_BRUTE_CEILING (default 11) bounds
-both oracle routes, the exhaustive scan and the backtracking, in n.
+Each counting method is one entry of `ROUTES`: the (n, d) it covers and
+one row generator, which yields the counts of each chain length n of a
+range for the kink numbers d of a band.  `count` reads one entry of it
+and `table` the rows n = 2..max_n.  KINKS_BRUTE_CEILING (default 11)
+bounds both oracle routes, the exhaustive scan and the backtracking, in n.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
@@ -22,22 +24,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import deque
 from contextlib import contextmanager
 from functools import cache
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import CountTable, check_int, max_kinks
-from .genfunc import _closed_rows, closed_form, convergence_report, series_count, series_table
-from .oracle import (
-    DEFAULT_BRUTE_CEILING,
-    _brute_row,
-    backtrack_count,
-    brute_force_table,
-    enumerate_histories,
-)
+from .genfunc import _closed_rows, _series_rows, convergence_report
+from .oracle import DEFAULT_BRUTE_CEILING, _brute_row, backtrack_count, enumerate_histories
 from .treedp import _kink_rows, dp_table
 from .verify import run_verification
 
@@ -65,19 +60,19 @@ def _brute_ceiling() -> int:
 
 class Route(NamedTuple):
     """One counting method: the (n, d) it covers under the brute ceiling,
-    one count, the table for n = 1..max_n, and its domain in words."""
+    its rows and its domain in words.
+
+    `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
+    counts d = lo..min(top, max_kinks(n)); `count` and `table` read them."""
 
     covers: Callable[[int, int, int], bool]
-    count: Callable[[int, int], int]
-    table: Callable[[int, int], CountTable]
+    rows: Callable[[range, int, int], Iterable[Sequence[int]]]
     domain: str
 
-
-def _by_entry(max_n: int, count: Callable[[int, int], int]) -> CountTable:
-    # count(n, d) for n = 1..max_n and d = 0..max_kinks(n)
-    return CountTable(
-        {n: tuple(count(n, d) for d in range(max_kinks(n) + 1)) for n in range(1, max_n + 1)}
-    )
+    def count(self, n: int, d: int) -> int:
+        """The count at (n, d): row n cut to d alone, empty above max_kinks(n)."""
+        [row] = self.rows(range(n, n + 1), d, d)
+        return row[0] if row else 0
 
 
 _BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
@@ -87,39 +82,36 @@ _BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
 ROUTES = {
     "brute": Route(
         lambda n, d, ceiling: n <= ceiling,
-        # the scan of length n alone, bounded by `covers` as backtrack is;
-        # brute_force_table would also scan every shorter length
-        lambda n, d: CountTable({n: tuple(_brute_row(n))}).count(n, d),
-        lambda max_n, ceiling: brute_force_table(max_n, ceiling=ceiling),
+        lambda lengths, lo, top: (_brute_row(n)[lo : top + 1] for n in lengths),
         _BOUNDED,
     ),
     "backtrack": Route(
         lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
-        lambda n, d: backtrack_count(n, d),
-        lambda max_n, ceiling: _by_entry(max_n, backtrack_count),
+        lambda lengths, lo, top: (
+            [backtrack_count(n, d) for d in range(lo, min(top, max_kinks(n)) + 1)]
+            for n in lengths
+        ),
         _BOUNDED + " and d <= (n - 1) // 2",
     ),
     "dp": Route(
         lambda n, d, ceiling: True,
-        # the last row alone: O(d) integers held, not n rows
-        lambda n, d: CountTable({n: deque(_kink_rows(n, d), maxlen=1).pop()}).count(n, d),
-        lambda max_n, ceiling: dp_table(max_n),
+        # the recurrence starts at n = 1, each row cut at top: O(top) integers held
+        lambda lengths, lo, top: (
+            row[lo:] for row in islice(_kink_rows(lengths.stop - 1, top), lengths.start - 1, None)
+        ),
         "every n and d",
     ),
     "gf": Route(
         lambda n, d, ceiling: n >= 2,
-        # series_count is 0 above max_kinks too, but only after O(d) big products
-        lambda n, d: series_count(n, d) if d <= max_kinks(n) else 0,
-        lambda max_n, ceiling: series_table(max_n, max_kinks(max_n)),
+        # each row cut at its own max_kinks: the series has entries, all zero, above it
+        lambda lengths, lo, top: (
+            row for n in lengths for row in _series_rows((n,), lo, min(top, max_kinks(n)))
+        ),
         "n >= 2",
     ),
     "closed": Route(
         lambda n, d, ceiling: True,
-        lambda n, d: closed_form(n, d),
-        # whole rows: the powers i^n once per row, not once per entry
-        lambda max_n, ceiling: CountTable(
-            dict(enumerate(_closed_rows(range(1, max_n + 1), 0, max_n), start=1))
-        ),
+        lambda lengths, lo, top: _closed_rows(lengths, lo, top),
         "every n and d",
     ),
 }
@@ -249,8 +241,10 @@ def _write_output(text: str, path: str | None) -> None:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
-    ceiling = _brute_ceiling()
-    table = _route(args.method, args.max_n, 0, ceiling).table(args.max_n, ceiling)
+    route = _route(args.method, args.max_n, 0, _brute_ceiling())
+    lengths = range(2, args.max_n + 1)  # the series starts at n = 2
+    rows = route.rows(lengths, 0, max_kinks(args.max_n))
+    table = CountTable(dict(zip(lengths, map(tuple, rows))))
     _write_output(_TABLE_FORMATTERS[args.format](table), args.output)
     return 0
 

@@ -23,7 +23,6 @@ are rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -60,20 +59,6 @@ def _exact_count(numer: int, denom: int, where: str, *at: int) -> int:
     if rest or count < 0:
         raise CoefficientError(f"{where.format(*at)} is {numer}, not {denom} times a count")
     return count
-
-
-def _catalan_power(m: int, order: int) -> list[int]:
-    # [w^k] C(w)^m = m/(2k+m) binom(2k+m, k) for k = 0..order, m >= 1; with
-    # _root_power, verify's reference for the Lagrange form of _series_rows
-    return [m * comb(2 * k + m, k) // (2 * k + m) for k in range(order + 1)]
-
-
-def _root_power(m: int, order: int) -> list[int]:
-    # [w^k] s^m = [w^k] (1 - 4w)^(m/2) for k = 0..order; each division is exact
-    e = [1]
-    for k in range(order):
-        e.append(-2 * (m - 2 * k) * e[k] // (k + 1))
-    return e
 
 
 def _powers(e: int, top: int) -> list[int]:

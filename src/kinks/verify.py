@@ -101,8 +101,11 @@ def run_verification(
     series expansion runs to (t_order, v_order), its rows compared with the
     recurrence's up to max_n_dp (`series_partition`), and the integer
     identities behind it (`exact_algebra`) to v_order, with the root powers
-    s^m for m <= t_order.  `golden_rows` overrides the reference table (to
-    prove the suite notices corruption).  `golden_dp` and `golden_brute` build
+    s^p at p = t_order - 1 and t_order.  `golden_rows` overrides the
+    reference table (to prove the suite notices corruption).  A row
+    comparison fails at its first differing entry, with the detail
+    "{label} row {n} at d = {d}: {value}, {against} {expected}" (None for
+    an entry that one row lacks).  `golden_dp` and `golden_brute` build
     the shared tables and are charged for them, so the seconds sum to the
     run; if a build fails, that check fails and so does every later reader
     of the table, with a detail that names it.
@@ -127,24 +130,29 @@ def run_verification(
             passed, detail, trace = detail is None, detail or "", ""
         results.append(CheckResult(name, passed, detail, perf_counter() - start, trace))
 
-    def golden_match(label, table, stop=None):
-        # rows n = 2..10 against the reference, cut before d = stop for a truncated table
-        for n in range(2, min(10, table.max_n) + 1):
-            reference = golden[n][:stop]
-            if table.row(n) != reference:
-                return f"{label} row {n} = {table.row(n)}, reference {reference}"
+    def differ(label, rows, against, reference):
+        # the first entry of the (n, row) pairs that is not reference(n)'s,
+        # None standing in for an entry that one of the two rows lacks
+        for n, row in rows:
+            for d, (value, expected) in enumerate(zip_longest(row, reference(n))):
+                if value != expected:
+                    return f"{label} row {n} at d = {d}: {value}, {against} {expected}"
         return None
 
+    def golden_match(label, table, stop=None):
+        # rows n = 2..10 against the reference, cut before d = stop for a truncated table
+        rows = ((n, table.row(n)) for n in range(2, min(10, table.max_n) + 1))
+        return differ(label, rows, "reference", lambda n: golden[n][:stop])
+
     def method_agreement():
-        for n in range(2, brute.max_n + 1):
-            if brute.row(n) != dp.row(n):
-                return f"scan and recurrence disagree at n = {n}"
-        for n in range(2, min(brute.max_n, 9) + 1):
-            for d in range(max_kinks(n) + 1):
-                bt = backtrack_count(n, d)
-                if bt != dp.count(n, d):
-                    return f"backtracking gives {bt} at (n={n}, d={d}), recurrence {dp.count(n, d)}"
-        return None
+        scanned = ((n, brute.row(n)) for n in range(2, brute.max_n + 1))
+        walked = (
+            (n, [backtrack_count(n, d) for d in range(max_kinks(n) + 1)])
+            for n in range(2, min(brute.max_n, 9) + 1)
+        )
+        return differ("scan", scanned, "recurrence", dp.row) or differ(
+            "backtracking", walked, "recurrence", dp.row
+        )
 
     def partition_identity():
         for n in dp.lengths():
@@ -155,13 +163,8 @@ def run_verification(
 
     def series_partition():
         # every series row, cut or whole, against the recurrence's, summed to n! above
-        top = min(t_order, max_n_dp)
-        table = series_table(top, v_order)
-        for n in range(2, top + 1):
-            reference = dp.row(n)[: v_order + 1]
-            if table.row(n) != reference:
-                return f"series row {n} = {table.row(n)}, recurrence {reference}"
-        return None
+        rows = series_table(min(t_order, max_n_dp), v_order).rows.items()
+        return differ("series", rows, "recurrence", lambda n: dp.row(n)[: v_order + 1])
 
     def rational_forms():
         top = min(20, max_n_dp)
@@ -178,11 +181,7 @@ def run_verification(
     def closed_forms():
         # whole rows of the formula, every d, as the closed table reads them
         rows = genfunc._closed_rows(range(1, max_n_dp + 1), 0, max_n_dp)
-        for n, row in enumerate(rows, 1):
-            for d, (cf, exact) in enumerate(zip_longest(row, dp.row(n))):
-                if cf != exact:
-                    return f"closed form gives {cf} at (n={n}, d={d}), recurrence {exact}"
-        return None
+        return differ("closed form", enumerate(rows, 1), "recurrence", dp.row)
 
     def tree_labels():
         # the succession rule against direct labels, then the label tree
@@ -194,10 +193,7 @@ def run_verification(
                 f"word {first.word} at position {first.position}: "
                 f"rule {first.expected}, direct {first.actual}"
             )
-        for n, row in enumerate(_label_levels(max_n_dp), 2):
-            if row != dp.row(n):
-                return f"label-tree level {n} differs from recurrence row {n}"
-        return None
+        return differ("label tree", enumerate(_label_levels(max_n_dp), 2), "recurrence", dp.row)
 
     def growth_estimate():
         convergence_report(0, min(30, max_n_dp), table=dp)
@@ -219,23 +215,22 @@ def run_verification(
         return None
 
     def exact_algebra():
-        # the integer pieces of bivariate_series: s = 1 - 2w C(w) squares to
-        # 1 - 4w, the powers s^m and C^(1+2j) match their coefficient formulas,
-        # and C^m s^p at p = t_order - 1 and t_order has the series route's
-        # Lagrange form [w^k] C^m s^p = [z^k] (1+z)^(m-p+2k-1) (1-z)^(p+1)
-        catalan = TruncPoly(genfunc._catalan_power(1, v_order), v_order)
-        root = TruncPoly.one(v_order) - TruncPoly((0, 2), v_order) * catalan
+        # the integer pieces of bivariate_series: the Catalan series C = 1 + w C^2
+        # gives s = 1 - 2w C, which squares to 1 - 4w, and C^m s^p at
+        # p = t_order - 1 and t_order has the series route's Lagrange form
+        # [w^k] C^m s^p = [z^k] (1+z)^(m-p+2k-1) (1-z)^(p+1)
+        one, w = TruncPoly.one(v_order), TruncPoly((0, 1), v_order)
+        catalan = one
+        for _ in range(v_order):  # each pass fixes one more coefficient
+            catalan = one + w * catalan * catalan
+        root = one - 2 * w * catalan
         if root * root != TruncPoly((1, -4), v_order):
             return f"s = 1 - 2w C(w) does not square to 1 - 4w at order {v_order}"
-        roots = [TruncPoly.one(v_order)]
-        for m in range(1, t_order + 1):
+        roots = [one]
+        for _ in range(t_order):
             roots.append(roots[-1] * root)
-            if roots[m] != TruncPoly(genfunc._root_power(m, v_order), v_order):
-                return f"s^{m} differs from its coefficient recurrence at order {v_order}"
         power = catalan
         for m in range(1, 2 * v_order + 2, 2):
-            if power != TruncPoly(genfunc._catalan_power(m, v_order), v_order):
-                return f"C(w)^{m} differs from its coefficient formula"
             for p in (t_order - 1, t_order):
                 for k, x in enumerate((power * roots[p]).coeffs):
                     if x != genfunc._binomial_product(m - p + 2 * k - 1, p + 1, k)[k]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kinks.cli
@@ -67,7 +67,7 @@ def test_count_every_method_agrees(capsys):
 
 
 def test_count_method_disagreement_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("kinks.cli.closed_form", lambda n, d: 17)
+    monkeypatch.setattr("kinks.cli._closed_rows", lambda lengths, lo, top: [(17,)])
     code, out, err = run_cli(capsys, "count", "--n", "4", "--d", "1", "--all-methods")
     assert code == 1
     assert "closed: 17" in out
@@ -75,10 +75,10 @@ def test_count_method_disagreement_exits_one(capsys, monkeypatch):
 
 
 def test_internal_error_exits_one_with_one_line(capsys, monkeypatch):
-    def broken(t_order, v_order):
+    def broken(lengths, lo, top):
         raise CoefficientError("coefficient of t^6 w^2 is 3, not 4^2 times a count")
 
-    monkeypatch.setattr("kinks.cli.series_table", broken)
+    monkeypatch.setattr("kinks.cli._series_rows", broken)
     code, out, err = run_cli(capsys, "table", "--method", "gf", "--max-n", "6")
     assert code == 1
     assert out == ""
@@ -87,10 +87,10 @@ def test_internal_error_exits_one_with_one_line(capsys, monkeypatch):
 
 
 def test_internal_error_in_a_single_count_exits_one_with_one_line(capsys, monkeypatch):
-    def broken(n, d):
+    def broken(lengths, lo, top):
         raise CoefficientError("coefficient of t^6 w^2 is 3, not 4^2 times a count")
 
-    monkeypatch.setattr("kinks.cli.series_count", broken)
+    monkeypatch.setattr("kinks.cli._series_rows", broken)
     code, out, err = run_cli(capsys, "count", "--n", "6", "--d", "2", "--method", "gf")
     assert code == 1
     assert out == ""
@@ -129,12 +129,16 @@ def test_brute_ceiling_env_override(capsys, monkeypatch):
 
 
 def test_brute_count_scans_only_its_own_length(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a single brute count built the whole table")
+    scanned, exact = [], kinks.cli._brute_row
 
-    monkeypatch.setattr(kinks.cli, "brute_force_table", refuse)
+    def recorded(n):
+        scanned.append(n)
+        return exact(n)
+
+    monkeypatch.setattr(kinks.cli, "_brute_row", recorded)
     assert run_cli(capsys, "count", "--n", "7", "--d", "2", "--method", "brute") == (0, "2880\n", "")
     assert run_cli(capsys, "count", "--n", "7", "--d", "5", "--method", "brute") == (0, "0\n", "")
+    assert scanned == [7, 7]
 
 
 def _covering_methods(n, d, ceiling):
@@ -191,6 +195,32 @@ def test_table_routes_look_functions_up_when_called(capsys, monkeypatch):
         assert code == 0
         assert out != before[method]
         assert {line.split(",")[2] for line in out.splitlines()[1:]} == {stub}
+
+
+DP12 = dp_table(12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(METHODS),
+    a=st.integers(1, 8),
+    size=st.integers(0, 3),
+    lo=st.integers(0, 6),
+    top=st.integers(0, 6),
+)
+@example(method="dp", a=1, size=0, lo=0, top=0)  # `table --max-n 1`: no row at all
+@example(method="gf", a=2, size=0, lo=0, top=0)
+@example(method="gf", a=2, size=6, lo=2, top=6)  # lo above max_kinks(2) and (3) = 0, 1
+@example(method="dp", a=4, size=4, lo=3, top=5)
+def test_route_rows_are_the_recurrence_rows_cut_to_the_band(method, a, size, lo, top):
+    # every route's rows for n in a..a+size-1 and d = lo..min(top, max_kinks(n))
+    route = kinks.cli.ROUTES[method]
+    a = max(a, 2) if method == "gf" else a  # the series starts at n = 2
+    lengths = range(a, a + size)
+    rows = [list(row) for row in route.rows(lengths, lo, top)]
+    assert rows == [list(DP12.row(n)[lo : min(top, max_kinks(n)) + 1]) for n in lengths]
+    assert route.count(a, max_kinks(a) + 1 + lo) == 0
+    assert route.count(a, min(lo, max_kinks(a))) == DP12.count(a, min(lo, max_kinks(a)))
 
 
 def test_backtracking_is_bounded_by_the_brute_ceiling(capsys, monkeypatch):
@@ -511,40 +541,19 @@ def test_verify_method_agreement_compares_scan_rows_above_the_recurrence_scope(m
     monkeypatch.setattr(kinks.verify, "brute_force_table", corrupted)
     results = kinks.verify.run_verification(max_n_brute=9, max_n_dp=5, t_order=8, v_order=3)
     by_name = {r.name: r for r in results}
-    assert by_name["method_agreement"].detail == "scan and recurrence disagree at n = 9"
+    assert by_name["method_agreement"].detail == "scan row 9 at d = 0: 257, recurrence 256"
     assert {r.name for r in results if not r.passed} == {"golden_brute", "method_agreement"}
 
 
-def test_verify_exact_algebra_notices_a_corrupted_catalan_power(monkeypatch):
-    exact = kinks.genfunc._catalan_power
-
-    def off_by_one(m, order):
-        coeffs = exact(m, order)
-        if m == 3 and order >= 1:
-            coeffs[1] += 1
-        return coeffs
-
-    monkeypatch.setattr(kinks.genfunc, "_catalan_power", off_by_one)
-    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
-    by_name = {r.name: r for r in results}
-    assert not by_name["exact_algebra"].passed
-    assert "C(w)^3" in by_name["exact_algebra"].detail
-
-
-def test_verify_exact_algebra_notices_a_corrupted_root_power(monkeypatch):
-    exact = kinks.genfunc._root_power
-
-    def off_by_one(m, order):
-        coeffs = exact(m, order)
-        if m == 5 and order >= 2:
-            coeffs[2] += 1
-        return coeffs
-
-    monkeypatch.setattr(kinks.genfunc, "_root_power", off_by_one)
-    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
-    by_name = {r.name: r for r in results}
-    assert not by_name["exact_algebra"].passed
-    assert by_name["exact_algebra"].detail.startswith("s^5 differs")
+def test_verify_method_agreement_notices_a_wrong_backtracking_count(monkeypatch):
+    exact = kinks.verify.backtrack_count
+    monkeypatch.setattr(
+        kinks.verify, "backtrack_count", lambda n, d: exact(n, d) + ((n, d) == (7, 2))
+    )
+    results = kinks.verify.run_verification(max_n_brute=7, max_n_dp=12, t_order=8, v_order=3)
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "method_agreement": "backtracking row 7 at d = 2: 2881, recurrence 2880"
+    }
 
 
 def test_verify_exact_algebra_notices_a_corrupted_binomial_product(monkeypatch):
@@ -576,7 +585,7 @@ def test_verify_tree_labels_notices_a_corrupted_recurrence_row(monkeypatch):
     results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
     by_name = {r.name: r for r in results}
     assert not by_name["tree_labels"].passed
-    assert by_name["tree_labels"].detail == "label-tree level 11 differs from recurrence row 11"
+    assert by_name["tree_labels"].detail == "label tree row 11 at d = 0: 1024, recurrence 1025"
 
 
 def test_verify_tree_labels_notices_a_wrong_rule_child(monkeypatch):
@@ -669,9 +678,9 @@ def test_verify_golden_checks_name_the_row_and_both_values():
     )
     details = {r.name: r.detail for r in results if not r.passed}
     assert details == {
-        "golden_dp": "recurrence row 7 = (64, 1824, 2880, 272), reference (64, 1824, 2881, 272)",
-        "golden_brute": "scan row 7 = (64, 1824, 2880, 272), reference (64, 1824, 2881, 272)",
-        "golden_series": "series row 7 = (64, 1824, 2880), reference (64, 1824, 2881)",
+        "golden_dp": "recurrence row 7 at d = 2: 2880, reference 2881",
+        "golden_brute": "scan row 7 at d = 2: 2880, reference 2881",
+        "golden_series": "series row 7 at d = 2: 2880, reference 2881",
     }
 
 
@@ -690,7 +699,7 @@ def test_verify_golden_checks_fail_a_short_row(monkeypatch, name, check, label):
     monkeypatch.setattr(kinks.verify, name, short)
     results = kinks.verify.run_verification(max_n_brute=7, max_n_dp=12, t_order=8, v_order=3)
     assert {r.name: r.detail for r in results}[check] == (
-        f"{label} row 7 = (64, 1824, 2880), reference (64, 1824, 2880, 272)"
+        f"{label} row 7 at d = 3: None, reference 272"
     )
 
 
@@ -708,7 +717,7 @@ def test_verify_closed_forms_notices_a_corrupted_or_short_row(monkeypatch, n, co
     monkeypatch.setattr(kinks.genfunc, "_closed_rows", corrupted)
     results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=2)
     assert {r.name: r.detail for r in results}["closed_forms"] == (
-        f"closed form gives {cf} at (n={n}, d=2), recurrence {dp_table(n).count(n, 2)}"
+        f"closed form row {n} at d = 2: {cf}, recurrence {dp_table(n).count(n, 2)}"
     )
 
 
@@ -732,8 +741,7 @@ def test_verify_closed_forms_notices_a_count_moved_between_kink_classes(monkeypa
     results = kinks.verify.run_verification(**scope)
     exact_count = dp_table(40).count(40, 8)
     assert {r.name: r.detail for r in results if not r.passed} == {
-        "closed_forms": f"closed form gives {exact_count + 1} at (n=40, d=8), "
-        f"recurrence {exact_count}"
+        "closed_forms": f"closed form row 40 at d = 8: {exact_count + 1}, recurrence {exact_count}"
     }
 
 
@@ -756,10 +764,9 @@ def test_verify_series_partition_notices_a_count_moved_between_kink_classes(monk
 
     monkeypatch.setattr(kinks.genfunc, "_series_rows", moved)
     results = kinks.verify.run_verification(**scope)
-    reference = dp_table(15).row(15)[: scope.get("v_order", 6) + 1]
-    series = (*reference[:4], reference[4] + 1, reference[5] - 1, *reference[6:])
+    reference = dp_table(15).count(15, 4)
     assert {r.name: r.detail for r in results if not r.passed} == {
-        "series_partition": f"series row 15 = {series}, recurrence {reference}"
+        "series_partition": f"series row 15 at d = 4: {reference + 1}, recurrence {reference}"
     }
 
 
@@ -1116,7 +1123,8 @@ def test_table_writers_and_parsers_past_the_int_digit_limit(capsys, monkeypatch)
         assert {fmt: write(table) for fmt, write in kinks.cli._TABLE_FORMATTERS.items()} == expected
         assert int(expected["csv"].split(",")[-1]) == 10**5000
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
-    monkeypatch.setattr("kinks.cli.dp_table", lambda max_n: table)
+    # the recurrence route's rows n = 1 and 2, of which `table --max-n 2` exports the second
+    monkeypatch.setattr("kinks.cli._kink_rows", lambda n_max, d_max: iter([(1,), table.row(2)]))
     for fmt, text in expected.items():
         assert run_cli(capsys, "table", "--max-n", "2", "--format", fmt) == (0, text, "")
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit

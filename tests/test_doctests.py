@@ -53,7 +53,8 @@ def test_counting_routes_construct_no_fraction(monkeypatch):
     for d in range(9):
         for n in range(1, 301):
             kinks.genfunc.closed_form(n, d)
-    kinks.cli.ROUTES["closed"].table(60, kinks.oracle.DEFAULT_BRUTE_CEILING)
+    for method in ("dp", "gf", "closed"):
+        list(kinks.cli.ROUTES[method].rows(range(2, 61), 0, 29))
     for d in range(9):
         kinks.genfunc.fixed_kinks_series(d, 60)
     kinks.genfunc.series_table(30, 8)

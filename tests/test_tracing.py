@@ -112,6 +112,15 @@ def test_tracer_counts_one_backtrack_call_without_changing_stdout():
 
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_tracer_counts_the_bytes_of_a_table_without_changing_stdout(fmt):
+    # each writer returns the whole text, and the tracer counts it as written
+    argv = ["table", "--max-n", "30", "--format", fmt]
+    plain, traced, layers = _run_plain_and_traced(argv)
+    assert traced == plain and plain[0] == 0
+    assert layers["cli.format_table.bytes"] == len(plain[1].encode())
+
+
 @pytest.mark.parametrize(
     "argv, out",
     [
