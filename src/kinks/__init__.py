@@ -9,77 +9,18 @@ expansion, and an explicit formula, a sum of powers i^n with
 polynomial weights.
 """
 
-from .algebra import TruncPoly, TSeries, sqrt_one_minus_v
-from .core import (
-    CountTable,
-    History,
-    TreeLabel,
-    kink_count,
-    max_kinks,
-    tree_label,
-)
-from .genfunc import (
-    CoefficientError,
-    ConvergenceRow,
-    asymptotic_estimate,
-    bivariate_series,
-    closed_form,
-    convergence_report,
-    fixed_kinks_series,
-    series_count,
-    series_table,
-)
-from .oracle import (
-    DEFAULT_BRUTE_CEILING,
-    backtrack_count,
-    brute_force_table,
-    enumerate_histories,
-)
-from .treedp import (
-    ConsistencyReport,
-    LevelState,
-    advance_level,
-    dp_table,
-    root_state,
-    succession_children,
-    tree_label_consistency,
-)
-from .verify import GOLDEN_ROWS, CheckResult, run_verification
+# The package surface is each module's __all__, declared there only.
+from . import algebra, core, genfunc, oracle, treedp, verify
+from .algebra import *
+from .core import *
+from .genfunc import *
+from .oracle import *
+from .treedp import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TruncPoly",
-    "TSeries",
-    "sqrt_one_minus_v",
-    "CountTable",
-    "History",
-    "TreeLabel",
-    "kink_count",
-    "max_kinks",
-    "tree_label",
-    "CoefficientError",
-    "ConvergenceRow",
-    "asymptotic_estimate",
-    "bivariate_series",
-    "closed_form",
-    "convergence_report",
-    "fixed_kinks_series",
-    "series_count",
-    "series_table",
-    "DEFAULT_BRUTE_CEILING",
-    "backtrack_count",
-    "brute_force_table",
-    "enumerate_histories",
-    "ConsistencyReport",
-    "LevelState",
-    "advance_level",
-    "dp_table",
-    "root_state",
-    "succession_children",
-    "tree_label_consistency",
-    "GOLDEN_ROWS",
-    "CheckResult",
-    "run_verification",
-    "__version__",
+    *algebra.__all__, *core.__all__, *genfunc.__all__,
+    *oracle.__all__, *treedp.__all__, *verify.__all__, "__version__",
 ]

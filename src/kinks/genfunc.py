@@ -94,7 +94,15 @@ def _series_weights(n: int, top: int) -> list[int]:
 def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
     # [t^n v^k] = [t^n w^k] / 4^k for k = lo..top and each n in lengths, with
     # [t^n w^k] = 2^(n-2) sum_j u_j [z^(k-j)] (1+z)^(2k-n+1) (1-z)^n (bivariate_series);
-    # u once per row, then one dot product per entry, each through the 4^k gate
+    # u once per row, then one dot product per entry, each through the 4^k gate.
+    # In _series_weights' units U = A - B (1-z)/(1+z), with A = sum_j n (q_(j+1) -
+    # q_j) z^j and B = sum_j b_j z^j, so [z^j] (1+z) U for j >= 1 is
+    # n (q_(j+1) - q_(j-1)) - (n-2-2j) q_(j+1) - 4j q_j + (n+2j-2) q_(j-1)
+    # = 2 ((j+1) q_(j+1) - 2j q_j + (j-1) q_(j-1)), the n's cancelling, and at
+    # j = 0 it is 2 q_1 - 2n q_0 = 2 q_1, as q_0 = 0^(n-1) = 0 for n >= 2.  So
+    # (1+z) U = 2 (1-z)^2 Q' with Q = sum_i q_i z^i, and since i q_i = i^n the
+    # entry is 2^(n-1) sum_i i^n [z^(k+1-i)] (1+z)^(2k-n) (1-z)^(n+2): 4^k times
+    # closed_form's power sum at every (n, k)
     for n in lengths:
         u = _series_weights(n, top)
         row = []

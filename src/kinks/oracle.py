@@ -18,6 +18,8 @@ from typing import Iterator
 
 from .core import CountTable, History, check_int, max_kinks
 
+__all__ = ["DEFAULT_BRUTE_CEILING", "brute_force_table", "backtrack_count", "enumerate_histories"]
+
 #: The pass over the flipped sets makes about n 2^(n-1) big-integer
 #: additions: 1.0-1.2 ms at n = 9, 2.3-2.6 ms at n = 10, 5.0-6.0 ms at
 #: n = 11 and 11-12 ms at n = 12 (best of 5, 2-core VM, Python 3.11).

@@ -52,17 +52,26 @@ __all__ = [
 def succession_children(label: TreeLabel, n: int) -> list[TreeLabel]:
     """Ordered labels of the n + 1 children of a level-n node.
 
-    Inserting the new largest site at position m gives the child with
-    max_pos = m.  Insertions at positions m <= max_pos put the new maximum
-    before the old one (max_first = 1) and open a fresh block exactly when
-    the parent had max_first = 0; insertions behind the old maximum leave
-    the kink count alone and give max_first = 0.
+    Inserting the new largest site n + 1 at position m gives the child
+    with max_pos = m, and its max_first is [m <= j] for the parent label
+    (j, k, r): n + 1 flips before n exactly when it is inserted at or
+    before n's position j.  Every site s <= n - 1 keeps its neighbours
+    and the order of their flips, so it opens a block in the child iff it
+    did in the parent.  Site n gains the neighbour n + 1, and n + 1 has
+    no neighbour but n.  So n + 1 opens a block iff it flips before n,
+    and n loses the block it opened (r = 1: n flipped before n - 1) iff
+    n + 1 came first; the child has k + [m <= j] (1 - r) kinks, at every
+    n.  The label's fields go through `check_int` as n does, and a field
+    outside its range at level n raises ValueError.
 
     >>> succession_children(TreeLabel(2, 0, 0), 2)
     [TreeLabel(max_pos=1, kinks=1, max_first=1), TreeLabel(max_pos=2, kinks=1, max_first=1), TreeLabel(max_pos=3, kinks=0, max_first=0)]
     """
     j, k, r = label
     check_int(n, 2, "n")  # levels start at 2
+    check_int(j, 1, "max_pos")
+    check_int(k, 0, "kinks")
+    check_int(r, 0, "max_first")
     if not 1 <= j <= n or not 0 <= k <= max_kinks(n) or r not in (0, 1):
         raise ValueError(f"label {label} cannot occur at level {n}")
     head_k = k + 1 if r == 0 else k

@@ -57,6 +57,12 @@ ENTRY_POINTS = {
     ),
     "dp_table": (dp_table, {"n_max": 6, "d_max": 2}, {"n_max": 1, "d_max": 0}),
     "succession_children": (partial(succession_children, TreeLabel(2, 0, 0)), {"n": 2}, {"n": 2}),
+    # the parent label's three fields, at level 2
+    "succession_children.label": (
+        lambda **fields: succession_children(TreeLabel(**fields), 2),
+        {"max_pos": 2, "kinks": 0, "max_first": 0},
+        {"max_pos": 1, "kinks": 0, "max_first": 0},
+    ),
     "tree_label_consistency": (tree_label_consistency, {"n_max": 4}, {"n_max": 2}),
     "run_verification": (
         run_verification,
@@ -131,6 +137,10 @@ def test_every_integer_argument_may_sit_at_its_bound(name):
 @example(("backtrack_count", {"d": True}))
 @example(("backtrack_count", {"n": 5.0, "d": 1.0}))
 @example(("backtrack_count", {"d": -1}))
+# children with kinks = 1.0, 0.0 or False, and a TypeError from a range
+@example(("succession_children.label", {"kinks": 0.0}))
+@example(("succession_children.label", {"kinks": False}))
+@example(("succession_children.label", {"max_pos": 2.0}))
 def test_the_gate_rejects_every_non_int_or_low_argument(case):
     # at the call, before any work: a bad enumerate_histories argument
     # raises without a next().  With two bad arguments the message names

@@ -340,7 +340,8 @@ def test_the_power_sum_vanishes_below_the_first_count():
 
 
 def _poly_add(*polys):
-    # int polynomials in (x, n, d) as {(i, j, k): coefficient of x^i n^j d^k}
+    # int polynomials as {exponents: coefficient}, here in (x, n, d) as
+    # {(i, j, k): coefficient of x^i n^j d^k}
     out = {}
     for p in polys:
         for e, c in p.items():
@@ -348,8 +349,7 @@ def _poly_add(*polys):
     return {e: c for e, c in out.items() if c}
 
 
-def _poly_mul(*polys):
-    out = {(0, 0, 0): 1}
+def _poly_mul(out, *polys):
     for p in polys:
         terms = ({tuple(map(sum, zip(e, f))): a * b} for e, a in out.items() for f, b in p.items())
         out = _poly_add(*terms)
@@ -379,6 +379,46 @@ def test_the_closed_weights_obey_the_recurrence_as_an_identity():
         _poly_mul(_linear(4, 0, 4, -8), x),  # 4(n+1-2d)x
     )
     assert left and _poly_add(left, _poly_mul(_linear(-1, 0, 0, 0), right)) == {}
+
+
+class _Formal(dict):
+    """An int polynomial in n and q_0..q_21, keyed as `_poly_add` keys it by
+    the exponents of (n, q_0, ..., q_21): just the arithmetic that
+    `_series_weights` does on n and on the powers q_i = i^(n-1)."""
+
+    def __add__(self, other):
+        return _Formal(_poly_add(self, _lift(other)))
+
+    def __mul__(self, other):
+        return _Formal(_poly_mul(self, _lift(other)))
+
+    def __sub__(self, other):
+        return self + _Formal(_lift(other)) * -1
+
+    __rmul__ = __mul__
+
+
+def _lift(value):
+    # an int as a constant polynomial
+    return value if isinstance(value, dict) else _poly_add({(0,) * 23: value})
+
+
+def _formal(position):
+    # n at position 0, q_i at position i + 1
+    return _Formal({tuple(int(k == position) for k in range(23)): 1})
+
+
+def test_series_weights_fold_into_the_closed_form_weights_at_every_n(monkeypatch):
+    # _series_weights run on a formal n and formal q_i gives each u_j as a
+    # linear form in the q with coefficients in Z[n]; (1+z) U = 2 (1-z)^2 Q'
+    # then holds at every z^j, j >= 1, identically in n, and at z^0 up to
+    # -2n q_0, which is 0 because q_0 = 0^(n-1) = 0 for n >= 2
+    n, q = _formal(0), [_formal(i + 1) for i in range(22)]
+    monkeypatch.setattr(kinks.genfunc, "_powers", lambda e, top: q[: top + 1])
+    u = _series_weights(n, 20)
+    for j in range(1, 21):
+        assert u[j] + u[j - 1] == 2 * ((j + 1) * q[j + 1] - 2 * j * q[j] + (j - 1) * q[j - 1]), j
+    assert u[0] - 2 * q[1] == -2 * n * q[0]
 
 
 def test_the_closed_weights_obey_the_recurrence_coefficientwise():

@@ -144,3 +144,37 @@ def test_every_private_helper_has_a_user_in_the_package():
         if not any(name in names for j, names in enumerate(named) if j != i)
     }
     assert unused == set()
+
+
+def _star_imports(path: Path) -> list[str]:
+    # the modules a file star-imports, in order
+    return [
+        node.module
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level
+        and [alias.name for alias in node.names] == ["*"]
+    ]
+
+
+def test_the_package_surface_is_its_modules_all():
+    # each public name is declared once, in its module's __all__: the package
+    # star-imports every library module and re-exports exactly those names,
+    # each the module's own object
+    star = _star_imports(Path(kinks.__file__))
+    assert set(star) == set(GRAPH) - {"__init__", "__main__", "cli"}  # all but the front ends
+    modules = [getattr(kinks, name) for name in star]
+    assert all(isinstance(module.__all__, list) for module in modules)
+    names = [name for module in modules for name in module.__all__]
+    assert kinks.__all__ == [*names, "__version__"]
+    assert len(set(kinks.__all__)) == len(kinks.__all__)
+    others = [
+        (module.__name__, name)
+        for module in modules
+        for name in module.__all__
+        if getattr(kinks, name) is not getattr(module, name)
+    ]
+    assert others == []
+    namespace = {}
+    exec("from kinks import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(kinks.__all__)

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 from pathlib import Path
 from unittest import mock
@@ -28,7 +28,7 @@ from kinks import (
     tree_label,
     tree_label_consistency,
 )
-from kinks.core import _word_label
+from kinks.core import _opened, _word_label
 from kinks.treedp import LabelMismatch, _label_levels, _level_codes
 from helpers import naive_label_consistency
 
@@ -55,6 +55,27 @@ def test_succession_rule_guards():
         succession_children(TreeLabel(1, 3, 0), 4)  # kinks beyond max_kinks(4)
     with pytest.raises(ValueError):
         succession_children(TreeLabel(1, 0, 2), 4)  # flag outside {0, 1}
+
+
+def test_succession_rule_holds_at_every_n():
+    # Inserting site n + 1 changes no flip's neighbours but those of n and n + 1,
+    # and site n - 1 keeps its neighbours n - 2 and n, so the kinks the
+    # insertion adds depend only on the order of the flips of n - 1, n and
+    # n + 1, read on that window, whatever n is and whenever n - 2 flips
+    for n in (2, 3, 4, 17, 60):
+        for order in permutations((n - 1, n, n + 1)):
+            parent = [s for s in order if s != n + 1]
+            r = 1 if parent.index(n) < parent.index(n - 1) else 0
+            first = 1 if order.index(n + 1) < order.index(n) else 0  # m <= j
+            for seen in (0, 1 << (n - 2)) if n > 2 else (0,):  # n - 2 flipped before or not
+                added = _opened(seen, order)[0] - _opened(seen, parent)[0]
+                assert added == first * (1 - r), (n, order, seen)
+    # and succession_children is that rule: child m of (j, k, r) has kinks
+    # k + [m <= j] (1 - r) and max_first [m <= j]
+    for n in range(2, 25):
+        for j, k, r in product(range(1, n + 1), range(max_kinks(n) + 1), (0, 1)):
+            rule = [TreeLabel(m, k + (m <= j) * (1 - r), int(m <= j)) for m in range(1, n + 2)]
+            assert succession_children(TreeLabel(j, k, r), n) == rule, (n, j, k, r)
 
 
 def test_every_node_has_level_plus_one_children():
