@@ -12,9 +12,13 @@ ArithmeticError such as CoefficientError, or `enumerate`'s walk flipping
 a site twice or outside 1..n, reported as one `error:` line on stderr,
 without a traceback), 2 on usage or range errors, including a
 `count` or `table` request outside the method's domain.  A reader that
-closes stdout early (`kinks enumerate ... | head -1`) also gives exit 1,
+closes stdout early (`kinks table ... | head -c 20`) also gives exit 1,
 with nothing on stderr; any other failure to write stdout (a full disk)
-gives exit 1 and one `error: cannot write stdout:` line.  All counts
+gives exit 1 and one `error: cannot write stdout:` line.  `table` writes
+each row as soon as it is formatted, so on stdout exit 1 means that the
+output is incomplete.  `-o PATH` is all or nothing: PATH is replaced
+whole on success and left as it was on any failure, and a PATH that
+cannot be written exits 2 before any row is computed.  All counts
 serialize as decimal strings (they outgrow 64-bit integers quickly) and
 identical invocations produce byte-identical output.
 """
@@ -22,10 +26,11 @@ identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -172,80 +177,110 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _export_lengths(table: CountTable) -> list[int]:
-    # every method exports n = 2..max_n alike: the series has no row n = 1
-    return [n for n in table.lengths() if n >= 2]
+# Each writer formats one block of a stream of (n, row) pairs, n >= 2 and
+# ascending, and the texts of any split into blocks join to the same
+# output.  `started` says that rows came before the block, `last` that it
+# ends the stream, and `top` is the stream's largest n.  The one writer of
+# the stream, framing included, is `_TABLE_FORMATTERS[fmt]`.
+_Rows = Sequence[tuple[int, Sequence[int]]]
 
 
-def format_table_csv(table: CountTable) -> str:
-    lines = ["n,d,count"]
-    for n in _export_lengths(table):
-        lines.extend(f"{n},{d},{c}" for d, c in enumerate(table.row(n)))
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+def _csv_block(rows: _Rows, started: bool, last: bool, top: int) -> str:
+    lines = [f"{n},{d},{c}\n" for n, row in rows for d, c in enumerate(row)]
+    if not started and (rows or last):
+        lines.insert(0, "n,d,count\n")
+    return "".join(lines)
 
 
-def format_table_json(table: CountTable) -> str:
+def _json_block(rows: _Rows, started: bool, last: bool, top: int) -> str:
     # The bytes of json.dumps({"rows": [{"n": n, "counts": [str(c), ...]},
     # ...]}, indent=2) + "\n", written directly: str(c) is made once per
-    # count and needs no escaping, and one join makes the whole text (every
-    # further copy of it would be a fresh multi-megabyte allocation).
-    rows = []
-    for n in _export_lengths(table):
-        digits = '",\n        "'.join(map(str, table.row(n)))
+    # count and needs no escaping.  Each row opens with the separator from
+    # the row before it, so a block never waits for the next row.
+    parts = ['{\n  "rows": [' if not started and (rows or last) else ""]
+    for n, row in rows:
+        digits = '",\n        "'.join(map(str, row))
         counts = f'[\n        "{digits}"\n      ]' if digits else "[]"
-        rows.append(f'    {{\n      "n": {n},\n      "counts": {counts}\n    }}')
-    if not rows:
-        return '{\n  "rows": []\n}\n'
-    rows[0] = '{\n  "rows": [\n' + rows[0]
-    rows[-1] += "\n  ]\n}\n"
-    return ",\n".join(rows)
+        parts.append(",\n" if started else "\n")
+        parts.append(f'    {{\n      "n": {n},\n      "counts": {counts}\n    }}')
+        started = True
+    if last:
+        parts.append("\n  ]\n}\n" if started else "]\n}\n")
+    return "".join(parts)
 
 
-def _poly_text(row: tuple[int, ...]) -> str:
-    terms = []
-    for d, c in enumerate(row):
-        if d == 0:
-            terms.append(str(c))
-        elif d == 1:
-            terms.append(f"{c} v")
-        else:
-            terms.append(f"{c} v^{d}")
-    return " + ".join(terms)
-
-
-def format_table_text(table: CountTable) -> str:
-    lengths = _export_lengths(table)
-    width = len(str(max(lengths, default=0)))
-    return "".join(f"n={n:>{width}}: {_poly_text(table.row(n))}\n" for n in lengths)
+def _text_block(rows: _Rows, started: bool, last: bool, top: int) -> str:
+    # one line per row: "n=  5: c0 + c1 v + c2 v^2", n as wide as top
+    lines, width = [], len(str(top))
+    for n, row in rows:
+        terms = (f"{c} v^{d}" if d > 1 else f"{c} v" if d else str(c) for d, c in enumerate(row))
+        lines.append(f"n={n:>{width}}: {' + '.join(terms)}\n")
+    return "".join(lines)
 
 
 _TABLE_FORMATTERS = {
-    "csv": format_table_csv,
-    "json": format_table_json,
-    "text": format_table_text,
+    "csv": _csv_block,
+    "json": _json_block,
+    "text": _text_block,
 }
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _whole_table(block: Callable[[_Rows, bool, bool, int], str], table: CountTable) -> str:
+    # the whole table as one block; every method exports n = 2..max_n alike,
+    # because the series has no row n = 1
+    rows = [(n, table.row(n)) for n in table.lengths() if n >= 2]
+    return block(rows, False, True, rows[-1][0] if rows else 0)
+
+
+format_table_csv = partial(_whole_table, _csv_block)
+format_table_json = partial(_whole_table, _json_block)
+format_table_text = partial(_whole_table, _text_block)
+
+
+@contextmanager
+def _output(path: str | None) -> Iterator[Callable[[str], object]]:
+    """Yield the write of stdout, or of PATH through a temporary file beside
+    it, which replaces PATH on success and is removed on any failure.  A
+    device, a pipe or a directory is opened as it is."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
+    target = os.path.realpath(path)  # through a symlink, onto the file it names
+    pending, exists = None, os.path.exists(target)
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if exists and not os.path.isfile(target):
+            handle = open(target, "w", encoding="utf-8")
+        elif exists and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        else:
+            handle = open(f"{target}.{os.getpid()}.tmp", "x", encoding="utf-8")
+            pending = handle.name
+        with handle:
+            yield handle.write
+        if pending is not None:
+            os.replace(pending, target)
+            pending = None
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}")
+        # the message names PATH, not the temporary file
+        reason = f"[Errno {exc.errno}] {exc.strerror}: {path!r}" if exc.filename else exc
+        raise UsageError(f"cannot write {path}: {reason}")
+    finally:
+        if pending is not None:
+            os.unlink(pending)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     route = _route(args.method, args.max_n, 0, _brute_ceiling())
+    block = _TABLE_FORMATTERS[args.format]
     lengths = range(2, args.max_n + 1)  # the series starts at n = 2
-    rows = route.rows(lengths, 0, max_kinks(args.max_n))
-    table = CountTable(dict(zip(lengths, map(tuple, rows))))
-    _write_output(_TABLE_FORMATTERS[args.format](table), args.output)
+    with _output(args.output) as write:
+        # each row is written as soon as it is formatted: a gate that fires
+        # at row k leaves rows 2..k-1 on stdout, and no file at PATH
+        for n, row in zip(lengths, route.rows(lengths, 0, max_kinks(args.max_n))):
+            write(block(((n, row),), n > lengths.start, False, args.max_n))
+        write(block((), bool(lengths), True, args.max_n))
     return 0
 
 
@@ -304,25 +339,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_asym(args: argparse.Namespace) -> int:
+    with _output(args.output) as write:
+        write(_asym_text(args))
+    return 0
+
+
+def _asym_text(args: argparse.Namespace) -> str:
     # the header, then one row of cells per n, rendered in the format asked
     cells = [("n", "exact", "estimate", "deviation")]
     for r in convergence_report(args.d, args.max_n, table=dp_table(args.max_n, args.d)):
         deviation = f"{float(r.deviation):.6g}" if r.deviation else "0"
         cells.append((r.n, str(r.exact), str(int(r.estimate)), deviation))
     if args.format == "csv":
-        text = "".join(",".join(map(str, c)) + "\n" for c in cells)
-    elif args.format == "json":
+        return "".join(",".join(map(str, c)) + "\n" for c in cells)
+    if args.format == "json":
         import json  # imported by a JSON request only: start-up pays nothing
         payload = {"d": args.d, "rows": [dict(zip(cells[0], c)) for c in cells[1:]]}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        # n in at least four places, exact and estimate as wide as their widest cells
-        place = max(4, len(str(args.max_n)))
-        exact, estimate = (max(len(c[i]) for c in cells) for i in (1, 2))
-        lines = (f"{n:>{place}} {e:>{exact}} {s:>{estimate}} {dev}\n" for n, e, s, dev in cells)
-        text = "".join(lines)
-    _write_output(text, args.output)
-    return 0
+        return json.dumps(payload, indent=2) + "\n"
+    # n in at least four places, exact and estimate as wide as their widest cells
+    place = max(4, len(str(args.max_n)))
+    exact, estimate = (max(len(c[i]) for c in cells) for i in (1, 2))
+    return "".join(f"{n:>{place}} {e:>{exact}} {s:>{estimate}} {dev}\n" for n, e, s, dev in cells)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -382,6 +383,130 @@ def test_table_unwritable_output(capsys):
     assert "cannot write" in err
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    gaps=st.lists(st.integers(1, 60), max_size=8),
+    counts=st.lists(st.lists(st.integers(0, 10**60) | st.just(10**5000), max_size=5), min_size=8),
+    cuts=st.lists(st.integers(0, 8), max_size=4).map(sorted),
+)
+@example(gaps=[], counts=[[]] * 8, cuts=[])  # the empty table
+@example(gaps=[], counts=[[]] * 8, cuts=[0, 0])  # the empty table in empty blocks
+@example(gaps=[1, 1, 1], counts=[[2], [4, 2], [8, 16], []] * 2, cuts=[0, 1, 2, 3])  # row by row
+@example(gaps=[1, 40], counts=[[], [10**5000, 3], []] * 3, cuts=[1, 1])  # an empty row, a gap
+def test_any_split_into_blocks_writes_the_whole_table(gaps, counts, cuts):
+    # rows n = 1 + gaps[0], ... (n >= 2, ascending), cut into blocks at the
+    # cut positions, some of them empty; each writer's blocks join to the
+    # whole table's text, framing included
+    lengths = [1 + sum(gaps[: i + 1]) for i in range(len(gaps))]
+    rows = [(n, tuple(row)) for n, row in zip(lengths, counts)]
+    cuts = [0] + [min(cut, len(rows)) for cut in cuts] + [len(rows)]
+    blocks = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
+    top = lengths[-1] if lengths else 0
+    whole = {"csv": format_table_csv, "json": format_table_json, "text": format_table_text}
+    with _unlimited_int_digits():
+        for fmt, write in kinks.cli._TABLE_FORMATTERS.items():
+            texts = [
+                write(block, any(blocks[:i]), i == len(blocks) - 1, top)
+                for i, block in enumerate(blocks)
+            ]
+            assert "".join(texts) == whole[fmt](CountTable(dict(rows))), fmt
+
+
+@pytest.mark.parametrize(
+    "fmt, row_7",  # row 7's text begins past the newline in csv and text, at its comma in json
+    [("csv", ("\n7,0,", 1)), ("json", (',\n    {\n      "n": 7,', 0)), ("text", ("\nn= 7: ", 1))],
+)
+def test_a_gate_that_fires_mid_stream_leaves_the_rows_before_it(
+    capsys, monkeypatch, tmp_path, fmt, row_7
+):
+    argv = ("table", "--max-n", "12", "--format", fmt)
+    full = run_cli(capsys, *argv)[1]
+    rows = kinks.cli._kink_rows
+
+    def gated(n_max, d_max):
+        yield from rows(6, d_max)  # rows 1..6, then the gate fires at row 7
+        raise ArithmeticError("recurrence row 7 fails its sum check against 7!")
+
+    monkeypatch.setattr("kinks.cli._kink_rows", gated)
+    error = "error: recurrence row 7 fails its sum check against 7!\n"
+    marker, skip = row_7
+    assert run_cli(capsys, *argv) == (1, full[: full.index(marker) + skip], error)
+    # an existing file stays as it was, and no temporary file is left beside it
+    target = tmp_path / "table.out"
+    target.write_text("old\n")
+    assert run_cli(capsys, *argv, "-o", str(target)) == (1, "", error)
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_asym_output_is_all_or_nothing(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "asym.csv"
+    target.write_text("old\n")
+    argv = ("asym", "--d", "1", "--max-n", "8", "-o", str(target))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert target.read_text() == run_cli(capsys, *argv[:-2])[1]
+
+    def failing(*args, **kwargs):
+        raise ArithmeticError("growth row fails")
+
+    monkeypatch.setattr("kinks.cli.convergence_report", failing)
+    target.write_text("old\n")
+    assert run_cli(capsys, *argv) == (1, "", "error: growth row fails\n")
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize(
+    "command", [("table", "--max-n", "600"), ("asym", "--d", "2", "--max-n", "600")]
+)
+def test_an_unwritable_output_exits_two_before_any_row_is_computed(
+    capsys, monkeypatch, tmp_path, command
+):
+    # each error line is the one that opening PATH itself gives, naming PATH
+    def unreachable(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr("kinks.cli._kink_rows", unreachable)
+    monkeypatch.setattr("kinks.cli.dp_table", unreachable)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o444)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)  # read-only even to root
+    missing = tmp_path / "missing" / "t.csv"
+    for path, code in ((missing, errno.ENOENT), (tmp_path, errno.EISDIR), (kept, errno.EACCES)):
+        error = f"error: cannot write {path}: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
+        assert run_cli(capsys, *command, "-o", str(path)) == (2, "", error)
+    assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "old\n"
+
+
+def test_output_through_a_symlink_replaces_the_file_it_names(capsys, tmp_path):
+    expected = run_cli(capsys, "table", "--max-n", "9")[1]
+    target, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run_cli(capsys, "table", "--max-n", "9", "-o", str(link)) == (0, "", "")
+    assert link.is_symlink() and target.read_text() == expected
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_output_into_a_named_pipe_writes_it_in_place(capsys, tmp_path):
+    # a pipe is not a file to replace: its reader gets the table as written
+    expected = run_cli(capsys, "table", "--max-n", "9")[1]
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    read = "import sys; sys.stdout.write(open(sys.argv[1]).read())"
+    reader = subprocess.Popen(
+        [sys.executable, "-c", read, str(fifo)], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        assert run_cli(capsys, "table", "--max-n", "9", "-o", str(fifo)) == (0, "", "")
+        assert reader.communicate(timeout=30)[0] == expected
+    finally:
+        reader.kill()
+    assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
+
+
 def test_enumerate_reference_output(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--d", "0")
     assert code == 0
@@ -449,6 +574,26 @@ def test_enumerate_into_a_closed_pipe_exits_one_quietly():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_table_into_a_closed_pipe_exits_one_quietly_and_at_once():
+    # the reader takes 20 bytes and closes the pipe, as `| head -c 20` does;
+    # the whole table takes seconds, and its rows stop at the next write
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.genfunc.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kinks", "table", "--max-n", "800"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(20) == b"n,d,count\n2,0,2\n3,0,"
+        proc.stdout.close()
+        assert proc.wait(timeout=3) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
@@ -1119,8 +1264,10 @@ def test_table_writers_and_parsers_past_the_int_digit_limit(capsys, monkeypatch)
         "json": json.dumps({"rows": [{"n": 2, "counts": ["1" + "0" * 5000]}]}, indent=2) + "\n",
         "text": "n=2: 1" + "0" * 5000 + "\n",
     }
+    rows, formatters = [(2, table.row(2))], kinks.cli._TABLE_FORMATTERS
     with _unlimited_int_digits():
-        assert {fmt: write(table) for fmt, write in kinks.cli._TABLE_FORMATTERS.items()} == expected
+        # the whole table as one block, which starts and ends the stream
+        assert {fmt: block(rows, False, True, 2) for fmt, block in formatters.items()} == expected
         assert int(expected["csv"].split(",")[-1]) == 10**5000
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
     # the recurrence route's rows n = 1 and 2, of which `table --max-n 2` exports the second
