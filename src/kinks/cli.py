@@ -1,10 +1,11 @@
 """Command-line front end: compute, enumerate, verify, and export.
 
-Each counting method is one entry of `ROUTES`: the (n, d) it covers and
-one row generator, which yields the counts of each chain length n of a
-range for the kink numbers d of a band.  `count` reads one entry of it
-and `table` the rows n = 2..max_n.  KINKS_BRUTE_CEILING (default 11)
-bounds both oracle routes, the exhaustive scan and the backtracking, in n.
+Each counting method is one entry of `verify.ROUTES`: the (n, d) it
+covers and one row generator, which yields the counts of each chain
+length n of a range for the kink numbers d of a band.  `count` reads one
+entry of it, `table` the rows n = 2..max_n, and `verify` every entry at
+its own scope.  KINKS_BRUTE_CEILING (default 11) bounds both oracle
+routes, the exhaustive scan and the backtracking, in n.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
@@ -30,18 +31,17 @@ import errno
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .core import CountTable, check_int, max_kinks
-from .genfunc import _closed_rows, _series_rows, convergence_report
-from .oracle import DEFAULT_BRUTE_CEILING, _brute_row, backtrack_count, enumerate_histories
-from .treedp import _kink_rows, dp_table
-from .verify import run_verification
+from .core import check_int, max_kinks
+from .genfunc import convergence_report
+from .oracle import DEFAULT_BRUTE_CEILING, enumerate_histories
+from .treedp import dp_table
+from .verify import ENV_BRUTE_CEILING, ROUTES, Route, run_verification
 
-ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
 FORMATS = ("csv", "json", "text")
 
 
@@ -60,66 +60,8 @@ def _brute_ceiling() -> int:
 
 
 # ---------------------------------------------------------------------------
-# counting routes
+# counting routes (each one entry of verify.ROUTES)
 
-
-class Route(NamedTuple):
-    """One counting method: the (n, d) it covers under the brute ceiling,
-    its rows and its domain in words.
-
-    `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
-    counts d = lo..min(top, max_kinks(n)); `count` and `table` read them."""
-
-    covers: Callable[[int, int, int], bool]
-    rows: Callable[[range, int, int], Iterable[Sequence[int]]]
-    domain: str
-
-    def count(self, n: int, d: int) -> int:
-        """The count at (n, d): row n cut to d alone, empty above max_kinks(n)."""
-        [row] = self.rows(range(n, n + 1), d, d)
-        return row[0] if row else 0
-
-
-_BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
-
-#: Every method, named once.  The entries look the route functions up in
-#: this module when they run, so rebinding a name here reaches every path.
-ROUTES = {
-    "brute": Route(
-        lambda n, d, ceiling: n <= ceiling,
-        lambda lengths, lo, top: (_brute_row(n)[lo : top + 1] for n in lengths),
-        _BOUNDED,
-    ),
-    "backtrack": Route(
-        lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
-        lambda lengths, lo, top: (
-            [backtrack_count(n, d) for d in range(lo, min(top, max_kinks(n)) + 1)]
-            for n in lengths
-        ),
-        _BOUNDED + " and d <= (n - 1) // 2",
-    ),
-    "dp": Route(
-        lambda n, d, ceiling: True,
-        # the recurrence starts at n = 1, each row cut at top: O(top) integers held
-        lambda lengths, lo, top: (
-            row[lo:] for row in islice(_kink_rows(lengths.stop - 1, top), lengths.start - 1, None)
-        ),
-        "every n and d",
-    ),
-    "gf": Route(
-        lambda n, d, ceiling: n >= 2,
-        # each row cut at its own max_kinks: the series has entries, all zero, above it
-        lambda lengths, lo, top: (
-            row for n in lengths for row in _series_rows((n,), lo, min(top, max_kinks(n)))
-        ),
-        "n >= 2",
-    ),
-    "closed": Route(
-        lambda n, d, ceiling: True,
-        lambda lengths, lo, top: _closed_rows(lengths, lo, top),
-        "every n and d",
-    ),
-}
 METHODS = tuple(ROUTES)
 
 
@@ -223,18 +165,6 @@ _TABLE_FORMATTERS = {
     "json": _json_block,
     "text": _text_block,
 }
-
-
-def _whole_table(block: Callable[[_Rows, bool, bool, int], str], table: CountTable) -> str:
-    # the whole table as one block; every method exports n = 2..max_n alike,
-    # because the series has no row n = 1
-    rows = [(n, table.row(n)) for n in table.lengths() if n >= 2]
-    return block(rows, False, True, rows[-1][0] if rows else 0)
-
-
-format_table_csv = partial(_whole_table, _csv_block)
-format_table_json = partial(_whole_table, _json_block)
-format_table_text = partial(_whole_table, _text_block)
 
 
 @contextmanager

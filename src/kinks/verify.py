@@ -5,24 +5,91 @@ recurrences, series expansion, explicit formulas) must agree with the
 published reference rows and with each other; the suite also exercises
 the structural identities (partition into kink classes, succession-rule
 consistency, the label tree's marginals against the recurrence rows,
-growth-estimate decay, exact series arithmetic).
+growth-estimate decay, exact series arithmetic).  Every route is read
+through its one entry of `ROUTES`, as `kinks count` and `kinks table` do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from math import factorial
 from time import perf_counter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import genfunc
+from . import genfunc, oracle, treedp
 from .algebra import TruncPoly
-from .core import check_int, max_kinks
-from .genfunc import convergence_report, fixed_kinks_series, series_table
-from .oracle import DEFAULT_BRUTE_CEILING, backtrack_count, brute_force_table
-from .treedp import _label_levels, dp_table, tree_label_consistency
+from .core import CountTable, check_int, max_kinks
+from .genfunc import convergence_report, fixed_kinks_series
+from .oracle import DEFAULT_BRUTE_CEILING
+from .treedp import _label_levels, tree_label_consistency
 
 __all__ = ["GOLDEN_ROWS", "CheckResult", "run_verification"]
+
+
+ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
+
+
+class Route(NamedTuple):
+    """One counting method: the (n, d) it covers under the brute ceiling,
+    its rows and its domain in words.
+
+    `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
+    counts d = lo..min(top, max_kinks(n)); `count`, `table` and `verify`
+    read them."""
+
+    covers: Callable[[int, int, int], bool]
+    rows: Callable[[range, int, int], Iterable[Sequence[int]]]
+    domain: str
+
+    def count(self, n: int, d: int) -> int:
+        """The count at (n, d): row n cut to d alone, empty above max_kinks(n)."""
+        [row] = self.rows(range(n, n + 1), d, d)
+        return row[0] if row else 0
+
+
+_BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
+
+#: Every method, named once.  Each entry looks its evaluator up in the
+#: evaluator's own module when it runs, so rebinding it there reaches
+#: `count`, `table` and `verify` alike.
+ROUTES = {
+    "brute": Route(
+        lambda n, d, ceiling: n <= ceiling,
+        lambda lengths, lo, top: (oracle._brute_row(n)[lo : top + 1] for n in lengths),
+        _BOUNDED,
+    ),
+    "backtrack": Route(
+        lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
+        lambda lengths, lo, top: (
+            [oracle.backtrack_count(n, d) for d in range(lo, min(top, max_kinks(n)) + 1)]
+            for n in lengths
+        ),
+        _BOUNDED + " and d <= (n - 1) // 2",
+    ),
+    "dp": Route(
+        lambda n, d, ceiling: True,
+        # the recurrence starts at n = 1, each row cut at top: O(top) integers held
+        lambda lengths, lo, top: (
+            row[lo:]
+            for row in islice(treedp._kink_rows(lengths.stop - 1, top), lengths.start - 1, None)
+        ),
+        "every n and d",
+    ),
+    "gf": Route(
+        lambda n, d, ceiling: n >= 2,
+        # each row cut at its own max_kinks: the series has entries, all zero, above it
+        lambda lengths, lo, top: (
+            row for n in lengths for row in genfunc._series_rows((n,), lo, min(top, max_kinks(n)))
+        ),
+        "n >= 2",
+    ),
+    "closed": Route(
+        lambda n, d, ceiling: True,
+        lambda lengths, lo, top: genfunc._closed_rows(lengths, lo, top),
+        "every n and d",
+    ),
+}
 
 #: Reference counts by (n, d) for n = 2..10, the published table the
 #: implementation must reproduce exactly.
@@ -72,16 +139,6 @@ class CheckResult:
         return "CheckResult(name={!r}, passed={!r}, detail={!r})".format(*self._key())
 
 
-class _Unbuilt:
-    """A shared table whose build has not succeeded; any read of it fails."""
-
-    def __init__(self, table: str, check: str):
-        self.missing = f"{table} is missing: {check} did not build it"
-
-    def __getattr__(self, name):
-        raise LookupError(self.missing)
-
-
 def run_verification(
     *,
     max_n_brute: int = 9,
@@ -93,22 +150,23 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run every cross-check and return one result per named check.
 
-    Scopes: the exhaustive scan and backtracking run to max_n_brute; the
-    kink-marginal recurrence runs to max_n_dp, or as far as the scan if
-    that is further, and the label tree whose marginals must equal its
-    rows level by level (`tree_labels`) runs to max_n_dp, and so does the
-    explicit formula (`closed_forms`) at every d; the
-    series expansion runs to (t_order, v_order), its rows compared with the
-    recurrence's up to max_n_dp (`series_partition`), and the integer
-    identities behind it (`exact_algebra`) to v_order, with the root powers
-    s^p at p = t_order - 1 and t_order.  `golden_rows` overrides the
-    reference table (to prove the suite notices corruption).  A row
-    comparison fails at its first differing entry, with the detail
+    Scopes: the exhaustive scan runs to min(max_n_brute, brute_ceiling)
+    and backtracking to min(that, 9); the kink-marginal recurrence runs to
+    max_n_dp, or as far as the scan if that is further; the label tree
+    whose marginals must equal its rows (`tree_labels`) and the explicit
+    formula (`closed_forms`) at every d run to max_n_dp; the series expansion
+    runs to (t_order, v_order), its rows compared with the recurrence's
+    up to max_n_dp (`series_partition`), and the integer identities behind
+    it (`exact_algebra`) to v_order, with the root powers s^p at
+    p = t_order - 1 and t_order.  `golden_rows` overrides the reference
+    table (to prove the suite notices corruption).  A row comparison fails
+    at its first differing entry, with the detail
     "{label} row {n} at d = {d}: {value}, {against} {expected}" (None for
-    an entry that one row lacks).  `golden_dp` and `golden_brute` build
-    the shared tables and are charged for them, so the seconds sum to the
-    run; if a build fails, that check fails and so does every later reader
-    of the table, with a detail that names it.
+    an entry that one row lacks).  Each route's rows come from its
+    `ROUTES` entry as one table, built once and charged to its first
+    reader, so the seconds sum to the run; if a build fails, that check
+    fails and so does every later reader, with a detail that names the
+    route and its scope.
     """
     check_int(max_n_brute, 2, "max_n_brute")
     check_int(max_n_dp, 2, "max_n_dp")
@@ -117,9 +175,11 @@ def run_verification(
     check_int(brute_ceiling, 1, "brute_ceiling")
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
     results: list[CheckResult] = []
+    reader = ""  # the check that is running
 
     def run(name, func):
-        start = perf_counter()
+        nonlocal reader
+        reader, start = name, perf_counter()
         try:
             detail = func()
         except Exception as exc:  # a crashed check is a failed check
@@ -130,6 +190,31 @@ def run_verification(
             passed, detail, trace = detail is None, detail or "", ""
         results.append(CheckResult(name, passed, detail, perf_counter() - start, trace))
 
+    # the lengths each route's checks read, every row whole but the series'
+    scan = min(max_n_brute, brute_ceiling)
+    dp_top = max(max_n_dp, scan)  # every scanned row has its recurrence row
+    scopes = {
+        "brute": range(2, scan + 1),
+        "backtrack": range(2, min(scan, 9) + 1),
+        "dp": range(1, dp_top + 1),
+        "gf": range(2, min(t_order, max(10, max_n_dp)) + 1),  # golden_series reads to 10
+        "closed": range(1, max_n_dp + 1),
+    }
+    tables: dict[str, CountTable | str] = {}  # each table, or why it is missing
+
+    def route_table(method):
+        # built by its first reader; if the build fails, every later read
+        # fails too, with a detail that names the route and its scope
+        if method not in tables:
+            lengths = scopes[method]
+            top = v_order if method == "gf" else max_kinks(lengths.stop - 1)
+            scope = f"n = {lengths.start}..{lengths.stop - 1}, d <= {top}"
+            tables[method] = f"{method} table {scope} is missing: {reader} did not build it"
+            tables[method] = CountTable(dict(zip(lengths, ROUTES[method].rows(lengths, 0, top))))
+        if isinstance(tables[method], str):
+            raise LookupError(tables[method])
+        return tables[method]
+
     def differ(label, rows, against, reference):
         # the first entry of the (n, row) pairs that is not reference(n)'s,
         # None standing in for an entry that one of the two rows lacks
@@ -139,35 +224,34 @@ def run_verification(
                     return f"{label} row {n} at d = {d}: {value}, {against} {expected}"
         return None
 
-    def golden_match(label, table, stop=None):
-        # rows n = 2..10 against the reference, cut before d = stop for a truncated table
-        rows = ((n, table.row(n)) for n in range(2, min(10, table.max_n) + 1))
-        return differ(label, rows, "reference", lambda n: golden[n][:stop])
+    def agree(method, label, against, reference, within=None):
+        # the route's rows, of the n in `within` alone if given, against reference(n)
+        rows = route_table(method).rows.items()
+        rows = ((n, row) for n, row in rows if within is None or n in within)
+        return differ(label, rows, against, reference)
 
-    def method_agreement():
-        scanned = ((n, brute.row(n)) for n in range(2, brute.max_n + 1))
-        walked = (
-            (n, [backtrack_count(n, d) for d in range(max_kinks(n) + 1)])
-            for n in range(2, min(brute.max_n, 9) + 1)
-        )
-        return differ("scan", scanned, "recurrence", dp.row) or differ(
-            "backtracking", walked, "recurrence", dp.row
-        )
+    def recurrence(n):
+        return route_table("dp").row(n)
+
+    def golden_match(method, label, stop=None):
+        # rows n = 2..10 against the reference, cut before d = stop for a truncated table
+        return agree(method, label, "reference", lambda n: golden[n][:stop], range(2, 11))
+
+    def series_partition():
+        # every series row, cut or whole, against the recurrence's, summed to n! above
+        rows = range(2, min(t_order, max_n_dp) + 1)
+        return agree("gf", "series", "recurrence", lambda n: recurrence(n)[: v_order + 1], rows)
 
     def partition_identity():
+        dp = route_table("dp")
         for n in dp.lengths():
             total = sum(dp.row(n))
             if total != factorial(n):
                 return f"row {n} sums to {total}, not {n}!"
         return None
 
-    def series_partition():
-        # every series row, cut or whole, against the recurrence's, summed to n! above
-        rows = series_table(min(t_order, max_n_dp), v_order).rows.items()
-        return differ("series", rows, "recurrence", lambda n: dp.row(n)[: v_order + 1])
-
     def rational_forms():
-        top = min(20, max_n_dp)
+        dp, top = route_table("dp"), min(20, max_n_dp)
         for d in range(4):
             seq = fixed_kinks_series(d, top)
             for n in range(2, top + 1):
@@ -177,11 +261,6 @@ def run_verification(
             if dp.count(n, 0) != 2 ** (n - 1):
                 return f"kinkless count at n = {n} is not 2^(n-1)"
         return None
-
-    def closed_forms():
-        # whole rows of the formula, every d, as the closed table reads them
-        rows = genfunc._closed_rows(range(1, max_n_dp + 1), 0, max_n_dp)
-        return differ("closed form", enumerate(rows, 1), "recurrence", dp.row)
 
     def tree_labels():
         # the succession rule against direct labels, then the label tree
@@ -193,9 +272,10 @@ def run_verification(
                 f"word {first.word} at position {first.position}: "
                 f"rule {first.expected}, direct {first.actual}"
             )
-        return differ("label tree", enumerate(_label_levels(max_n_dp), 2), "recurrence", dp.row)
+        return differ("label tree", enumerate(_label_levels(max_n_dp), 2), "recurrence", recurrence)
 
     def growth_estimate():
+        dp = route_table("dp")
         convergence_report(0, min(30, max_n_dp), table=dp)
         # |c(n, 1) / 2^(2n-3) - 1| = 2n/2^n, multiplied through by 2^(2n-3)
         for n in range(2, min(40, max_n_dp) + 1):
@@ -238,35 +318,19 @@ def run_verification(
             power = power * catalan * catalan
         return None
 
-    def golden_dp():
-        nonlocal dp
-        dp = dp_table(dp_top)
-        return golden_match("recurrence", dp)
-
-    def golden_brute():
-        nonlocal brute
-        brute = brute_force_table(scan, ceiling=brute_ceiling)
-        return golden_match("scan", brute)
-
-    # the shared tables are built by their first readers; until then, and
-    # for good if a build fails, every read of one fails and names it
-    scan = min(max_n_brute, brute_ceiling)
-    dp_top = max(max_n_dp, scan)  # every scanned row has its recurrence row
-    dp = _Unbuilt(f"dp_table({dp_top})", "golden_dp")
-    brute = _Unbuilt(f"brute_force_table({scan})", "golden_brute")
-    run("golden_dp", golden_dp)
-    run("golden_brute", golden_brute)
+    run("golden_dp", lambda: golden_match("dp", "recurrence"))
+    run("golden_brute", lambda: golden_match("brute", "scan"))
+    run("golden_series", lambda: golden_match("gf", "series", v_order + 1))
     run(
-        "golden_series",
-        lambda: golden_match("series", series_table(min(10, t_order), v_order), v_order + 1),
+        "method_agreement",
+        lambda: agree("brute", "scan", "recurrence", recurrence)
+        or agree("backtrack", "backtracking", "recurrence", recurrence),
     )
-    run("method_agreement", method_agreement)
     run("partition_identity", partition_identity)
     run("series_partition", series_partition)
     run("rational_forms", rational_forms)
-    run("closed_forms", closed_forms)
+    run("closed_forms", lambda: agree("closed", "closed form", "recurrence", recurrence))
     run("tree_labels", tree_labels)
     run("growth_estimate", growth_estimate)
     run("exact_algebra", exact_algebra)
     return results
-

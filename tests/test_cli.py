@@ -31,14 +31,7 @@ from kinks import (
     max_kinks,
     series_table,
 )
-from kinks.cli import (
-    METHODS,
-    _unlimited_int_digits,
-    format_table_csv,
-    format_table_json,
-    format_table_text,
-    main,
-)
+from kinks.cli import METHODS, _TABLE_FORMATTERS, _unlimited_int_digits, main
 from helpers import GOLDEN
 
 
@@ -46,6 +39,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _written(fmt, table):
+    # the stream writer over one block, the whole table, which starts and
+    # ends the stream: rows n >= 2, as every method exports them
+    rows = [(n, table.row(n)) for n in table.lengths() if n >= 2]
+    return _TABLE_FORMATTERS[fmt](rows, False, True, rows[-1][0] if rows else 0)
 
 
 def test_count_single_method(capsys):
@@ -68,7 +68,7 @@ def test_count_every_method_agrees(capsys):
 
 
 def test_count_method_disagreement_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("kinks.cli._closed_rows", lambda lengths, lo, top: [(17,)])
+    monkeypatch.setattr("kinks.genfunc._closed_rows", lambda lengths, lo, top: [(17,)])
     code, out, err = run_cli(capsys, "count", "--n", "4", "--d", "1", "--all-methods")
     assert code == 1
     assert "closed: 17" in out
@@ -79,7 +79,7 @@ def test_internal_error_exits_one_with_one_line(capsys, monkeypatch):
     def broken(lengths, lo, top):
         raise CoefficientError("coefficient of t^6 w^2 is 3, not 4^2 times a count")
 
-    monkeypatch.setattr("kinks.cli._series_rows", broken)
+    monkeypatch.setattr("kinks.genfunc._series_rows", broken)
     code, out, err = run_cli(capsys, "table", "--method", "gf", "--max-n", "6")
     assert code == 1
     assert out == ""
@@ -91,7 +91,7 @@ def test_internal_error_in_a_single_count_exits_one_with_one_line(capsys, monkey
     def broken(lengths, lo, top):
         raise CoefficientError("coefficient of t^6 w^2 is 3, not 4^2 times a count")
 
-    monkeypatch.setattr("kinks.cli._series_rows", broken)
+    monkeypatch.setattr("kinks.genfunc._series_rows", broken)
     code, out, err = run_cli(capsys, "count", "--n", "6", "--d", "2", "--method", "gf")
     assert code == 1
     assert out == ""
@@ -130,13 +130,13 @@ def test_brute_ceiling_env_override(capsys, monkeypatch):
 
 
 def test_brute_count_scans_only_its_own_length(capsys, monkeypatch):
-    scanned, exact = [], kinks.cli._brute_row
+    scanned, exact = [], kinks.oracle._brute_row
 
     def recorded(n):
         scanned.append(n)
         return exact(n)
 
-    monkeypatch.setattr(kinks.cli, "_brute_row", recorded)
+    monkeypatch.setattr(kinks.oracle, "_brute_row", recorded)
     assert run_cli(capsys, "count", "--n", "7", "--d", "2", "--method", "brute") == (0, "2880\n", "")
     assert run_cli(capsys, "count", "--n", "7", "--d", "5", "--method", "brute") == (0, "0\n", "")
     assert scanned == [7, 7]
@@ -189,8 +189,8 @@ def test_table_routes_look_functions_up_when_called(capsys, monkeypatch):
     def sevens(lengths, lo, top):
         return ((7,) * (max_kinks(n) + 1) for n in lengths)
 
-    monkeypatch.setattr("kinks.cli._closed_rows", sevens)
-    monkeypatch.setattr("kinks.cli.backtrack_count", lambda n, d: 9)
+    monkeypatch.setattr("kinks.genfunc._closed_rows", sevens)
+    monkeypatch.setattr("kinks.oracle.backtrack_count", lambda n, d: 9)
     for method, stub in (("closed", "7"), ("backtrack", "9")):
         code, out, _ = run_cli(capsys, *argv, "--method", method)
         assert code == 0
@@ -215,7 +215,7 @@ DP12 = dp_table(12)
 @example(method="dp", a=4, size=4, lo=3, top=5)
 def test_route_rows_are_the_recurrence_rows_cut_to_the_band(method, a, size, lo, top):
     # every route's rows for n in a..a+size-1 and d = lo..min(top, max_kinks(n))
-    route = kinks.cli.ROUTES[method]
+    route = kinks.verify.ROUTES[method]
     a = max(a, 2) if method == "gf" else a  # the series starts at n = 2
     lengths = range(a, a + size)
     rows = [list(row) for row in route.rows(lengths, lo, top)]
@@ -270,14 +270,14 @@ def test_table_csv_round_trip():
     table = dp_table(12)
     cells = [
         (int(cell["n"]), int(cell["d"]), int(cell["count"]))
-        for cell in csv.DictReader(format_table_csv(table).splitlines())
+        for cell in csv.DictReader(_written("csv", table).splitlines())
     ]
     assert cells == [(n, d, c) for n in range(2, 13) for d, c in enumerate(table.row(n))]
 
 
 def test_table_json_round_trip():
     table = dp_table(25)  # counts beyond 64-bit range by n = 21
-    payload = json.loads(format_table_json(table))
+    payload = json.loads(_written("json", table))
     recovered = {row["n"]: tuple(map(int, row["counts"])) for row in payload["rows"]}
     assert recovered == {n: table.row(n) for n in range(2, 26)}
     assert payload["rows"][0] == {"n": 2, "counts": ["2"]}
@@ -299,8 +299,8 @@ _any_tables = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(table=_tables | _any_tables)
 def test_csv_and_json_round_trip_any_table(table):
-    assert format_table_csv(table) == _csv_lines(table)
-    payload = json.loads(format_table_json(table))
+    assert _written("csv", table) == _csv_lines(table)
+    payload = json.loads(_written("json", table))
     recovered = {row["n"]: tuple(map(int, row["counts"])) for row in payload["rows"]}
     assert recovered == {n: row for n, row in table.rows.items() if n >= 2}
 
@@ -339,15 +339,15 @@ def test_json_writer_matches_json_dumps(table):
             if n >= 2
         ]
     }
-    assert format_table_json(table) == json.dumps(payload, indent=2) + "\n"
+    assert _written("json", table) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_writers_on_the_empty_table():
     empty = CountTable({})
-    assert format_table_csv(dp_table(1)) == "n,d,count\n"
-    assert format_table_csv(empty) == "n,d,count\n"
-    assert format_table_json(empty) == '{\n  "rows": []\n}\n'
-    assert format_table_text(empty) == ""
+    assert _written("csv", dp_table(1)) == "n,d,count\n"
+    assert _written("csv", empty) == "n,d,count\n"
+    assert _written("json", empty) == '{\n  "rows": []\n}\n'
+    assert _written("text", empty) == ""
 
 
 def test_table_text_format(capsys):
@@ -402,14 +402,13 @@ def test_any_split_into_blocks_writes_the_whole_table(gaps, counts, cuts):
     cuts = [0] + [min(cut, len(rows)) for cut in cuts] + [len(rows)]
     blocks = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
     top = lengths[-1] if lengths else 0
-    whole = {"csv": format_table_csv, "json": format_table_json, "text": format_table_text}
     with _unlimited_int_digits():
         for fmt, write in kinks.cli._TABLE_FORMATTERS.items():
             texts = [
                 write(block, any(blocks[:i]), i == len(blocks) - 1, top)
                 for i, block in enumerate(blocks)
             ]
-            assert "".join(texts) == whole[fmt](CountTable(dict(rows))), fmt
+            assert "".join(texts) == _written(fmt, CountTable(dict(rows))), fmt
 
 
 @pytest.mark.parametrize(
@@ -421,13 +420,13 @@ def test_a_gate_that_fires_mid_stream_leaves_the_rows_before_it(
 ):
     argv = ("table", "--max-n", "12", "--format", fmt)
     full = run_cli(capsys, *argv)[1]
-    rows = kinks.cli._kink_rows
+    rows = kinks.treedp._kink_rows
 
     def gated(n_max, d_max):
         yield from rows(6, d_max)  # rows 1..6, then the gate fires at row 7
         raise ArithmeticError("recurrence row 7 fails its sum check against 7!")
 
-    monkeypatch.setattr("kinks.cli._kink_rows", gated)
+    monkeypatch.setattr("kinks.treedp._kink_rows", gated)
     error = "error: recurrence row 7 fails its sum check against 7!\n"
     marker, skip = row_7
     assert run_cli(capsys, *argv) == (1, full[: full.index(marker) + skip], error)
@@ -466,7 +465,7 @@ def test_an_unwritable_output_exits_two_before_any_row_is_computed(
     def unreachable(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr("kinks.cli._kink_rows", unreachable)
+    monkeypatch.setattr("kinks.treedp._kink_rows", unreachable)
     monkeypatch.setattr("kinks.cli.dp_table", unreachable)
     kept = tmp_path / "kept.csv"
     kept.write_text("old\n")
@@ -676,14 +675,14 @@ def test_verify_passes_a_recurrence_scope_below_the_scan(capsys, max_n_dp):
 
 
 def test_verify_method_agreement_compares_scan_rows_above_the_recurrence_scope(monkeypatch):
-    exact = kinks.verify.brute_force_table
+    exact = kinks.oracle._brute_row
 
-    def corrupted(*args, **kwargs):
-        rows = dict(exact(*args, **kwargs).rows)
-        rows[9] = (rows[9][0] + 1, *rows[9][1:])
-        return CountTable(rows)
+    def corrupted(n):
+        row = exact(n)
+        row[0] += n == 9
+        return row
 
-    monkeypatch.setattr(kinks.verify, "brute_force_table", corrupted)
+    monkeypatch.setattr(kinks.oracle, "_brute_row", corrupted)
     results = kinks.verify.run_verification(max_n_brute=9, max_n_dp=5, t_order=8, v_order=3)
     by_name = {r.name: r for r in results}
     assert by_name["method_agreement"].detail == "scan row 9 at d = 0: 257, recurrence 256"
@@ -691,9 +690,9 @@ def test_verify_method_agreement_compares_scan_rows_above_the_recurrence_scope(m
 
 
 def test_verify_method_agreement_notices_a_wrong_backtracking_count(monkeypatch):
-    exact = kinks.verify.backtrack_count
+    exact = kinks.oracle.backtrack_count
     monkeypatch.setattr(
-        kinks.verify, "backtrack_count", lambda n, d: exact(n, d) + ((n, d) == (7, 2))
+        kinks.oracle, "backtrack_count", lambda n, d: exact(n, d) + ((n, d) == (7, 2))
     )
     results = kinks.verify.run_verification(max_n_brute=7, max_n_dp=12, t_order=8, v_order=3)
     assert {r.name: r.detail for r in results if not r.passed} == {
@@ -718,15 +717,16 @@ def test_verify_exact_algebra_notices_a_corrupted_binomial_product(monkeypatch):
     }
 
 
+def _recurrence_with(n, corrupt):
+    # a patch of the recurrence's rows that passes row n through `corrupt`
+    exact = kinks.treedp._kink_rows
+    return kinks.treedp, "_kink_rows", lambda n_max, d_max: (
+        corrupt(row) if m == n else row for m, row in enumerate(exact(n_max, d_max), 1)
+    )
+
+
 def test_verify_tree_labels_notices_a_corrupted_recurrence_row(monkeypatch):
-    exact = kinks.verify.dp_table
-
-    def corrupted(n_max, d_max=None):
-        rows = dict(exact(n_max, d_max).rows)
-        rows[11] = (rows[11][0] + 1, *rows[11][1:])
-        return CountTable(rows)
-
-    monkeypatch.setattr(kinks.verify, "dp_table", corrupted)
+    monkeypatch.setattr(*_recurrence_with(11, lambda row: (row[0] + 1, *row[1:])))
     results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
     by_name = {r.name: r for r in results}
     assert not by_name["tree_labels"].passed
@@ -788,8 +788,8 @@ def test_verify_tree_labels_notices_a_rule_with_the_wrong_number_of_children(mon
 def test_verify_tree_labels_reports_a_failed_band_gate_in_one_line(capsys, monkeypatch):
     # a kink bound one short at n = 11 trips the label walk's zero-band gate;
     # the recurrence rows come from an unpatched build, so only the walk sees it
-    table = dp_table(12)
-    monkeypatch.setattr(kinks.verify, "dp_table", lambda n_max, d_max=None: table)
+    rows = list(kinks.treedp._kink_rows(12, None))
+    monkeypatch.setattr(kinks.treedp, "_kink_rows", lambda n_max, d_max: iter(rows[:n_max]))
     monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 - (n == 11))
     code, out, err = run_cli(capsys, "verify", *SMALL_VERIFY)
     assert code == 1
@@ -801,16 +801,9 @@ def test_verify_tree_labels_reports_a_failed_band_gate_in_one_line(capsys, monke
 
 
 def test_verify_growth_estimate_notices_a_corrupted_single_kink_count(monkeypatch):
-    exact = kinks.verify.dp_table
-
-    def corrupted(n_max, d_max=None):
-        rows = dict(exact(n_max, d_max).rows)
-        rows[30] = (rows[30][0], rows[30][1] + 1, *rows[30][2:])
-        return CountTable(rows)
-
-    monkeypatch.setattr(kinks.verify, "dp_table", corrupted)
+    gap = abs(2**57 - dp_table(30).count(30, 1) - 1)
+    monkeypatch.setattr(*_recurrence_with(30, lambda row: (row[0], row[1] + 1, *row[2:])))
     results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=40, t_order=8, v_order=3)
-    gap = abs(2**57 - exact(30).count(30, 1) - 1)
     assert {r.name: r.detail for r in results}["growth_estimate"] == (
         f"single-kink count at n = 30 is {gap} off 2^(2n-3), not n 2^(n-2)"
     )
@@ -829,19 +822,19 @@ def test_verify_golden_checks_name_the_row_and_both_values():
     }
 
 
+def _scan_with(n, corrupt):
+    # a patch of the exhaustive scan that passes row n through `corrupt`
+    exact = kinks.oracle._brute_row
+    return kinks.oracle, "_brute_row", lambda m: corrupt(exact(m)) if m == n else exact(m)
+
+
 @pytest.mark.parametrize(
-    "name, check, label",
-    [("dp_table", "golden_dp", "recurrence"), ("brute_force_table", "golden_brute", "scan")],
+    "patch, check, label",
+    [(_recurrence_with, "golden_dp", "recurrence"), (_scan_with, "golden_brute", "scan")],
+    ids=["dp_table-golden_dp-recurrence", "brute_force_table-golden_brute-scan"],
 )
-def test_verify_golden_checks_fail_a_short_row(monkeypatch, name, check, label):
-    exact = getattr(kinks.verify, name)
-
-    def short(*args, **kwargs):
-        rows = dict(exact(*args, **kwargs).rows)
-        rows[7] = rows[7][:-1]
-        return CountTable(rows)
-
-    monkeypatch.setattr(kinks.verify, name, short)
+def test_verify_golden_checks_fail_a_short_row(monkeypatch, patch, check, label):
+    monkeypatch.setattr(*patch(7, lambda row: row[:-1]))
     results = kinks.verify.run_verification(max_n_brute=7, max_n_dp=12, t_order=8, v_order=3)
     assert {r.name: r.detail for r in results}[check] == (
         f"{label} row 7 at d = 3: None, reference 272"
@@ -915,26 +908,27 @@ def test_verify_series_partition_notices_a_count_moved_between_kink_classes(monk
     }
 
 
-def _moved_counts(evaluator, n, d, to):
-    # a patch of `evaluator` that moves one count of row n from d to `to`,
-    # d's neighbour, after or within the evaluator's own gate, which still
-    # passes: the row sum is kept, and in the series the numerators move by
-    # 4^d and 4^to, so each stays 4^k times a nonnegative count
+def _moved_counts(route, n, d, to):
+    # a patch of the route's evaluator that moves one count of row n from d
+    # to `to`, d's neighbour, after or within the evaluator's own gate, which
+    # still passes: the row sum is kept, and in the series the numerators
+    # move by 4^d and 4^to, so each stays 4^k times a nonnegative count
     def move(row, lo=0):
         row = list(row)
         row[d - lo] -= 1
         row[to - lo] += 1
         return row
 
-    if evaluator == "dp":
-        exact = kinks.treedp._kink_rows
-        return kinks.treedp, "_kink_rows", lambda n_max, d_max: (
-            tuple(move(row)) if m == n else row for m, row in enumerate(exact(n_max, d_max), 1)
+    if route == "dp":
+        return _recurrence_with(n, lambda row: tuple(move(row)))
+    if route == "brute":
+        return _scan_with(n, move)
+    if route == "backtrack":
+        exact = kinks.oracle.backtrack_count
+        return kinks.oracle, "backtrack_count", lambda m, k: (
+            exact(m, k) + (m == n) * ((k == to) - (k == d))
         )
-    if evaluator == "scan":
-        exact = kinks.oracle._brute_row
-        return kinks.oracle, "_brute_row", lambda m: move(exact(m)) if m == n else exact(m)
-    if evaluator == "closed":
+    if route == "closed":
         exact = kinks.genfunc._closed_rows
         return kinks.genfunc, "_closed_rows", lambda lengths, lo, top: (
             tuple(move(row, lo)) if m == n and lo <= min(d, to) and max(d, to) < lo + len(row)
@@ -957,30 +951,31 @@ def _moved_counts(evaluator, n, d, to):
     [{}, {"max_n_brute": 6, "max_n_dp": 37, "t_order": 13, "v_order": 4}],
     ids=["default", "reduced"],
 )
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_verify_fails_a_check_when_one_count_moves_between_kink_classes(scope, data):
-    # whatever evaluator and cell inside the verify scope: each evaluator's
-    # own gate passes, so verify's whole-row comparisons must see the move
+    # whatever route and cell inside the verify scope: each evaluator's own
+    # gate passes, so verify's whole-row comparisons must see the move
     full = {**dict(max_n_brute=9, max_n_dp=60, t_order=20, v_order=6), **scope}
-    evaluator = data.draw(st.sampled_from(["dp", "series", "closed", "scan"]), label="evaluator")
     last = {
+        "brute": full["max_n_brute"],
+        "backtrack": min(full["max_n_brute"], 9),
         "dp": full["max_n_dp"],
-        "series": min(full["t_order"], full["max_n_dp"]),
+        "gf": min(full["t_order"], full["max_n_dp"]),
         "closed": full["max_n_dp"],
-        "scan": full["max_n_brute"],
-    }[evaluator]
-    n = data.draw(st.integers(3, last), label="n")
-    top = max_kinks(n) if evaluator != "series" else min(max_kinks(n), full["v_order"])
-    d = data.draw(st.integers(0, top - 1), label="d")
-    d, to = data.draw(st.sampled_from([(d, d + 1), (d + 1, d)]), label="(d, to)")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(*_moved_counts(evaluator, n, d, to))
-        results = kinks.verify.run_verification(**scope)
-    failed = {r.name for r in results if not r.passed}
-    assert failed and len(results) == 11
-    if evaluator == "dp":  # the label walk reads every recurrence row
-        assert "tree_labels" in failed
+    }
+    for route in kinks.verify.ROUTES:  # every route, so that a new one has to join
+        n = data.draw(st.integers(3, last[route]), label=f"{route}: n")
+        top = min(max_kinks(n), full["v_order"]) if route == "gf" else max_kinks(n)
+        d = data.draw(st.integers(0, top - 1), label=f"{route}: d")
+        d, to = data.draw(st.sampled_from([(d, d + 1), (d + 1, d)]), label=f"{route}: (d, to)")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(*_moved_counts(route, n, d, to))
+            results = kinks.verify.run_verification(**scope)
+        failed = {r.name for r in results if not r.passed}
+        assert failed and len(results) == 11, route
+        if route == "dp":  # the label walk reads every recurrence row
+            assert "tree_labels" in failed
 
 
 SMALL_VERIFY = ("--max-n-brute", "4", "--max-n-dp", "12", "--t-order", "8", "--v-order", "3")
@@ -998,13 +993,13 @@ def test_verify_timings_go_to_stderr_and_leave_stdout_unchanged(capsys):
 
 
 def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
-    exact = kinks.verify.brute_force_table
+    exact = kinks.oracle._brute_row
 
-    def slow(*args, **kwargs):
-        time.sleep(0.05)
-        return exact(*args, **kwargs)
+    def slow(n):
+        time.sleep(0.05 * (n == 4))
+        return exact(n)
 
-    monkeypatch.setattr(kinks.verify, "brute_force_table", slow)
+    monkeypatch.setattr(kinks.oracle, "_brute_row", slow)
     start = time.perf_counter()
     results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
     wall = time.perf_counter() - start
@@ -1015,11 +1010,12 @@ def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "table, check, readers",
+    "evaluator, table, check, readers",
     [
-        ("brute_force_table(4)", "golden_brute", ["method_agreement"]),
+        ("oracle._brute_row", "brute table n = 2..4, d <= 1", "golden_brute", ["method_agreement"]),
         (
-            "dp_table(12)",
+            "treedp._kink_rows",
+            "dp table n = 1..12, d <= 5",
             "golden_dp",
             [
                 "method_agreement",
@@ -1032,14 +1028,15 @@ def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
             ],
         ),
     ],
+    ids=["brute_force_table(4)-golden_brute-readers0", "dp_table(12)-golden_dp-readers1"],
 )
 def test_verify_a_failed_shared_table_fails_its_readers_one_line_each(
-    capsys, monkeypatch, table, check, readers
+    capsys, monkeypatch, evaluator, table, check, readers
 ):
     def broken(*args, **kwargs):
         raise ArithmeticError("injected")
 
-    monkeypatch.setattr(kinks.verify, table.split("(")[0], broken)
+    monkeypatch.setattr(f"kinks.{evaluator}", broken)
     code, out, _ = run_cli(capsys, "verify", *SMALL_VERIFY)
     assert code == 1
     lines = out.splitlines()
@@ -1271,7 +1268,7 @@ def test_table_writers_and_parsers_past_the_int_digit_limit(capsys, monkeypatch)
         assert int(expected["csv"].split(",")[-1]) == 10**5000
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
     # the recurrence route's rows n = 1 and 2, of which `table --max-n 2` exports the second
-    monkeypatch.setattr("kinks.cli._kink_rows", lambda n_max, d_max: iter([(1,), table.row(2)]))
+    monkeypatch.setattr("kinks.treedp._kink_rows", lambda n_max, d_max: iter([(1,), table.row(2)]))
     for fmt, text in expected.items():
         assert run_cli(capsys, "table", "--max-n", "2", "--format", fmt) == (0, text, "")
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
@@ -1283,10 +1280,10 @@ def test_digit_limit_fallback_without_the_limit_functions(capsys, monkeypatch):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     table = dp_table(30)
     argv = ("count", "--n", "40", "--d", "2")
-    usual = format_table_csv(table), run_cli(capsys, *argv)
+    usual = _written("csv", table), run_cli(capsys, *argv)
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
-    assert (format_table_csv(table), run_cli(capsys, *argv)) == usual
+    assert (_written("csv", table), run_cli(capsys, *argv)) == usual
     assert usual[1][0] == 0
     monkeypatch.undo()
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
@@ -1334,7 +1331,7 @@ def test_byte_identical_reruns(capsys):
 
 def test_serializers_reject_foreign_tables():
     table = CountTable({2: (2,), 5: (16, 88, 16)})
-    assert format_table_csv(table) == "n,d,count\n2,0,2\n5,0,16\n5,1,88\n5,2,16\n"
+    assert _written("csv", table) == "n,d,count\n2,0,2\n5,0,16\n5,1,88\n5,2,16\n"
     series = series_table(9, 2)  # truncated rows are written as they are held
     assert max(map(len, series.rows.values())) == 3 < len(dp_table(9).row(9))
-    assert format_table_csv(series) == _csv_lines(series)
+    assert _written("csv", series) == _csv_lines(series)

@@ -1,6 +1,7 @@
 """The package's import graph: the counting routes stay independent."""
 
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import kinks
@@ -88,28 +89,58 @@ def test_only_core_checks_for_exact_ints():
     assert found == {path.stem: [] for path in SOURCES if path.stem != "core"}
 
 
-#: oracle.py holds two routes, which the import graph cannot tell apart:
-#: each function's body may name none of the other route's functions
-SCAN = {"_brute_row", "brute_force_table"}
-WALK = {"_moves", "backtrack_count", "_emit_words", "enumerate_histories"}
+#: each route's entry points: the functions whose reach is the route
+ROUTE_ENTRIES = {
+    "scan": {"_brute_row"},
+    "walk": {"backtrack_count", "_emit_words"},
+    "recurrence": {"_kink_rows"},
+    "label tree": {"_label_levels"},
+    "series": {"_series_rows"},
+    "closed": {"_closed_rows"},
+}
+
+#: the package functions outside core that two routes both reach.  The
+#: series entry is 4^d times the closed power sum, through the same
+#: binomial products, so their agreement is not independent evidence;
+#: every other pair shares nothing but core.
+SHARED = {
+    frozenset({"series", "closed"}): {"_powers", "_binomial_product", "_exact_count"},
+}
 
 
-def _names_in_functions(path: Path) -> dict[str, set[str]]:
-    # every name read or bound in each top-level function, nested
-    # functions included
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    return {
-        node.name: {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+def _route_functions() -> dict[str, tuple[str, set[str]]]:
+    # every top-level function of the modules a route may import: its
+    # module and each name its body reads, binds or looks up
+    found = {}
+    for module in ALLOWED:
+        tree = ast.parse(Path(kinks.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in found, node.name  # a name resolves to one function
+                found[node.name] = module, _names(node)
+    return found
+
+
+def _reach(entries: set[str], functions: dict[str, tuple[str, set[str]]]) -> set[str]:
+    # the package functions that the entries reach by name, themselves included
+    reached, pending = set(), list(entries)
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending.extend(functions[name][1] & functions.keys())
+    return reached
+
+
+def test_the_routes_share_only_the_declared_functions():
+    functions = _route_functions()
+    reach = {
+        route: {f for f in _reach(entries, functions) if functions[f][0] != "core"}
+        for route, entries in ROUTE_ENTRIES.items()
     }
-
-
-def test_the_oracles_two_routes_share_no_function():
-    names = _names_in_functions(Path(kinks.__file__).parent / "oracle.py")
-    assert SCAN | WALK <= set(names)
-    assert {f: names[f] & (WALK | {"_check_kinks"}) for f in SCAN} == {f: set() for f in SCAN}
-    assert {f: names[f] & SCAN for f in WALK} == {f: set() for f in WALK}
+    assert reach["walk"] >= {"_moves", "_check_kinks"} and "_label_step" in reach["label tree"]
+    shared = {frozenset(pair): reach[pair[0]] & reach[pair[1]] for pair in combinations(reach, 2)}
+    assert {pair: names for pair, names in shared.items() if names} == SHARED
 
 
 def _names(node: ast.AST) -> set[str]:

@@ -122,9 +122,11 @@ def test_cli_start_up_skips_the_heavy_stdlib_modules():
 def test_json_paths_still_work_in_a_fresh_process():
     code = (
         "import json\n"
-        "from kinks.cli import format_table_json\n"
+        "from kinks.cli import _TABLE_FORMATTERS\n"
         "from kinks import dp_table\n"
-        "rows = json.loads(format_table_json(dp_table(12)))['rows']\n"
+        "table = dp_table(12)\n"
+        "pairs = [(n, table.row(n)) for n in range(2, 13)]\n"
+        "rows = json.loads(_TABLE_FORMATTERS['json'](pairs, False, True, 12))['rows']\n"
         "print({row['n']: tuple(map(int, row['counts'])) for row in rows})"
     )
     expected = {n: dp_table(12).row(n) for n in range(2, 13)}
