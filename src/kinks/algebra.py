@@ -31,8 +31,9 @@ Coeff = int | Fraction
 _denominator = attrgetter("denominator")  # 1 for an int
 
 
-def _mul_coeffs(a: Sequence[Any], b: Sequence[Any], order: int, zero: Any) -> list[Any]:
-    out = [zero] * (order + 1)
+def _mul_coeffs(a: Sequence[Any], b: Sequence[Any], order: int) -> list[Any]:
+    # over any ring: its zero is a[0] * 0, 0 for numbers, a zero TruncPoly for a TSeries
+    out = [a[0] * 0] * (order + 1)
     for i, ai in enumerate(a):
         if ai:
             top = order + 1 - i
@@ -42,21 +43,22 @@ def _mul_coeffs(a: Sequence[Any], b: Sequence[Any], order: int, zero: Any) -> li
     return out
 
 
-def _mul_numbers(a: Sequence[Coeff], b: Sequence[Coeff], order: int) -> list[Coeff]:
-    # int-only factors convolve as they are; rationals as ints over one common
+def _product(a: Sequence[Any], b: Sequence[Any], order: int) -> list[Any]:
+    # ints and TruncPolys convolve as they are; rationals as ints over one common
     # denominator per factor, so a Fraction is built once per output term
     if Fraction not in {*map(type, a), *map(type, b)}:
-        return _mul_coeffs(a, b, order, 0)
+        return _mul_coeffs(a, b, order)
     da = lcm(*map(_denominator, a))
     db = lcm(*map(_denominator, b))
     na = [x.numerator * (da // x.denominator) for x in a]
     nb = [x.numerator * (db // x.denominator) for x in b]
     den = da * db
-    return [Fraction(c, den) for c in _mul_coeffs(na, nb, order, 0)]
+    return [Fraction(c, den) for c in _mul_coeffs(na, nb, order)]
 
 
-def _inv_coeffs(a: Sequence[Any], order: int, inv0: Any, zero: Any) -> list[Any]:
+def _inv_coeffs(a: Sequence[Any], order: int, inv0: Any) -> list[Any]:
     # a[0] * inv0 == 1; each later term cancels the convolution below it
+    zero = a[0] * 0
     out = [inv0] + [zero] * order
     for m in range(1, order + 1):
         acc = zero
@@ -72,7 +74,6 @@ class TruncPoly:
     """Polynomial in v modulo v^(order+1), with exact coefficients."""
 
     __slots__ = ("coeffs",)
-    _zero: Any = 0
 
     def __init__(self, coeffs: Iterable[Coeff], order: int):
         c = list(coeffs)[: check_int(order, 0, "order") + 1]
@@ -81,9 +82,6 @@ class TruncPoly:
 
     def _new(self, coeffs: Iterable[Any]) -> TruncPoly:
         return TruncPoly(coeffs, self.order)
-
-    def _convolve(self, other: TruncPoly) -> list[Any]:
-        return _mul_numbers(self.coeffs, other.coeffs, self.order)
 
     @staticmethod
     def _lead_inverse(lead: Coeff) -> Coeff:
@@ -133,7 +131,7 @@ class TruncPoly:
     def __mul__(self, other: Any) -> TruncPoly:
         if type(other) is type(self):
             self._check(other)
-            return self._new(self._convolve(other))
+            return self._new(_product(self.coeffs, other.coeffs, self.order))
         return self._new(a * other for a in self.coeffs)
 
     __rmul__ = __mul__
@@ -144,7 +142,7 @@ class TruncPoly:
         if not lead:
             raise ZeroDivisionError("constant term is zero: not a unit")
         inv0 = self._lead_inverse(lead)
-        return self._new(_inv_coeffs(self.coeffs, self.order, inv0, self._zero))
+        return self._new(_inv_coeffs(self.coeffs, self.order, inv0))
 
 
 def sqrt_one_minus_v(order: int) -> TruncPoly:
@@ -188,16 +186,9 @@ class TSeries(TruncPoly):
     def _new(self, polys: Iterable[TruncPoly]) -> TSeries:
         return TSeries(polys, self.t_order, self.v_order)
 
-    def _convolve(self, other: TSeries) -> list[TruncPoly]:
-        return _mul_coeffs(self.coeffs, other.coeffs, self.t_order, self._zero)
-
     @staticmethod
     def _lead_inverse(lead: TruncPoly) -> TruncPoly:
         return lead.inverse()
-
-    @property
-    def _zero(self) -> TruncPoly:
-        return TruncPoly.zero(self.v_order)
 
     @classmethod
     def one(cls, t_order: int, v_order: int) -> TSeries:

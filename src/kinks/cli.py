@@ -9,19 +9,19 @@ routes, the exhaustive scan and the backtracking, in n.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
-ArithmeticError such as CoefficientError, or `enumerate`'s walk flipping
-a site twice or outside 1..n, reported as one `error:` line on stderr,
-without a traceback), 2 on usage or range errors, including a
-`count` or `table` request outside the method's domain.  A reader that
-closes stdout early (`kinks table ... | head -c 20`) also gives exit 1,
-with nothing on stderr; any other failure to write stdout (a full disk)
-gives exit 1 and one `error: cannot write stdout:` line.  `table` writes
-each row as soon as it is formatted, so on stdout exit 1 means that the
-output is incomplete.  `-o PATH` is all or nothing: PATH is replaced
-whole on success and left as it was on any failure, and a PATH that
-cannot be written exits 2 before any row is computed.  All counts
-serialize as decimal strings (they outgrow 64-bit integers quickly) and
-identical invocations produce byte-identical output.
+ArithmeticError such as CoefficientError, a route giving fewer or more
+rows than asked, or `enumerate`'s walk flipping a site twice or outside
+1..n, as one `error:` line on stderr, without a traceback), 2 on usage
+or range errors, such as a row asked of a method outside its domain.  A
+reader that closes stdout early (`kinks table ... | head -c 20`) also
+gives exit 1, with nothing on stderr; any other failure to write stdout
+(a full disk) gives exit 1 and one `error: cannot write stdout:` line.
+`table` writes each row as soon as it is formatted, so on stdout exit 1
+means that the output is incomplete.  `-o PATH` is all or nothing: PATH
+is replaced whole on success and left as it was on any failure, and a
+PATH that cannot be written exits 2 before any row is computed.  All
+counts serialize as decimal strings (they outgrow 64-bit integers
+quickly) and identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .treedp import dp_table
 from .verify import ENV_BRUTE_CEILING, ROUTES, Route, run_verification
 
 FORMATS = ("csv", "json", "text")
+_VERIFY_DEFAULTS = run_verification.__kwdefaults__  # read at import: a wrapper keeps none
 
 
 class UsageError(Exception):
@@ -202,13 +203,14 @@ def _output(path: str | None) -> Iterator[Callable[[str], object]]:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
-    route = _route(args.method, args.max_n, 0, _brute_ceiling())
+    ceiling, lengths = _brute_ceiling(), range(2, args.max_n + 1)  # the series starts at n = 2
+    # the domain is that of the rows asked for: --max-n 1 asks for none
+    route = _route(args.method, args.max_n, 0, ceiling) if lengths else ROUTES[args.method]
     block = _TABLE_FORMATTERS[args.format]
-    lengths = range(2, args.max_n + 1)  # the series starts at n = 2
     with _output(args.output) as write:
         # each row is written as soon as it is formatted: a gate that fires
         # at row k leaves rows 2..k-1 on stdout, and no file at PATH
-        for n, row in zip(lengths, route.rows(lengths, 0, max_kinks(args.max_n))):
+        for n, row in route.pairs(lengths, 0, max_kinks(args.max_n)):
             write(block(((n, row),), n > lengths.start, False, args.max_n))
         write(block((), bool(lengths), True, args.max_n))
     return 0
@@ -241,13 +243,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verification(
-        max_n_brute=args.max_n_brute,
-        max_n_dp=args.max_n_dp,
-        t_order=args.t_order,
-        v_order=args.v_order,
-        brute_ceiling=_brute_ceiling(),
-    )
+    scope = {name: value for name, value in vars(args).items() if name in _VERIFY_DEFAULTS}
+    results = run_verification(**scope, brute_ceiling=_brute_ceiling())
     failed = 0
     for result in results:
         if result.passed:
@@ -330,10 +327,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     enum.set_defaults(func=_cmd_enumerate)
 
     verify = sub.add_parser("verify", help="run the cross-validation suite")
-    verify.add_argument("--max-n-brute", type=int, default=9)
-    verify.add_argument("--max-n-dp", type=int, default=60)
-    verify.add_argument("--t-order", type=int, default=20)
-    verify.add_argument("--v-order", type=int, default=6)
+    for flag in ("max-n-brute", "max-n-dp", "t-order", "v-order"):
+        verify.add_argument(f"--{flag}", type=int, default=_VERIFY_DEFAULTS[flag.replace("-", "_")])
     verify.add_argument(
         "--timings",
         action="store_true",

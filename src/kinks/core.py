@@ -63,8 +63,8 @@ class History(_HistoryWord):
     it (one new site of 1..n), so a finished word is not sorted again, and
     it wraps every completion of one head in one call.
 
-    >>> History((2, 1, 3)).n
-    3
+    >>> History([2, 1, 3])
+    History(word=(2, 1, 3))
     """
 
     __slots__ = ()
@@ -88,11 +88,6 @@ class History(_HistoryWord):
         # flip by flip)
         new = tuple.__new__
         return [new(cls, (head + tail,)) for tail in tails]
-
-    @property
-    def n(self) -> int:
-        """Chain length."""
-        return len(self.word)
 
 
 class TreeLabel(NamedTuple):
@@ -174,10 +169,6 @@ class CountTable(NamedTuple):
     def lengths(self) -> list[int]:
         """Chain lengths covered by the table, ascending."""
         return sorted(self.rows)
-
-    @property
-    def max_n(self) -> int:
-        return max(self.rows)
 
     def row(self, n: int) -> tuple[int, ...]:
         """Stored counts for chain length n, indexed by d."""

@@ -15,36 +15,51 @@ from fractions import Fraction
 from itertools import islice, zip_longest
 from math import factorial
 from time import perf_counter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import genfunc, oracle, treedp
 from .algebra import TruncPoly
 from .core import CountTable, check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series
 from .oracle import DEFAULT_BRUTE_CEILING
-from .treedp import _label_levels, tree_label_consistency
+from .treedp import tree_label_consistency
 
 __all__ = ["GOLDEN_ROWS", "CheckResult", "run_verification"]
 
 
 ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
+Row = tuple[int, ...]
+
+
+def _paired(label: str, lengths: range, rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, Row]]:
+    # (n, row) for each n of `lengths`, each row a tuple; too few or too many rows are a fault
+    for n, row in zip_longest(lengths, rows):
+        if n is None or row is None:
+            got = f"no row for n = {n} of" if row is None else "more rows than"
+            raise ArithmeticError(f"{label} gave {got} n = {lengths.start}..{lengths.stop - 1}")
+        yield n, tuple(row)
 
 
 class Route(NamedTuple):
-    """One counting method: the (n, d) it covers under the brute ceiling,
-    its rows and its domain in words.
+    """One counting method: its name, the (n, d) it covers under the brute
+    ceiling, its rows and its domain in words.
 
     `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
     counts d = lo..min(top, max_kinks(n)); `count`, `table` and `verify`
-    read them."""
+    read them through `pairs`, which hands each row on as a tuple."""
 
+    name: str
     covers: Callable[[int, int, int], bool]
     rows: Callable[[range, int, int], Iterable[Sequence[int]]]
     domain: str
 
+    def pairs(self, lengths: range, lo: int, top: int) -> Iterator[tuple[int, Row]]:
+        """(n, row) for each n of `lengths`; too few or too many rows raise ArithmeticError."""
+        return _paired(f"the {self.name} route", lengths, self.rows(lengths, lo, top))
+
     def count(self, n: int, d: int) -> int:
         """The count at (n, d): row n cut to d alone, empty above max_kinks(n)."""
-        [row] = self.rows(range(n, n + 1), d, d)
+        [(_, row)] = self.pairs(range(n, n + 1), d, d)
         return row[0] if row else 0
 
 
@@ -53,13 +68,15 @@ _BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
 #: Every method, named once.  Each entry looks its evaluator up in the
 #: evaluator's own module when it runs, so rebinding it there reaches
 #: `count`, `table` and `verify` alike.
-ROUTES = {
-    "brute": Route(
+ROUTES = {route.name: route for route in (
+    Route(
+        "brute",
         lambda n, d, ceiling: n <= ceiling,
         lambda lengths, lo, top: (oracle._brute_row(n)[lo : top + 1] for n in lengths),
         _BOUNDED,
     ),
-    "backtrack": Route(
+    Route(
+        "backtrack",
         lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
         lambda lengths, lo, top: (
             [oracle.backtrack_count(n, d) for d in range(lo, min(top, max_kinks(n)) + 1)]
@@ -67,7 +84,8 @@ ROUTES = {
         ),
         _BOUNDED + " and d <= (n - 1) // 2",
     ),
-    "dp": Route(
+    Route(
+        "dp",
         lambda n, d, ceiling: True,
         # the recurrence starts at n = 1, each row cut at top: O(top) integers held
         lambda lengths, lo, top: (
@@ -76,7 +94,8 @@ ROUTES = {
         ),
         "every n and d",
     ),
-    "gf": Route(
+    Route(
+        "gf",
         lambda n, d, ceiling: n >= 2,
         # each row cut at its own max_kinks: the series has entries, all zero, above it
         lambda lengths, lo, top: (
@@ -84,12 +103,13 @@ ROUTES = {
         ),
         "n >= 2",
     ),
-    "closed": Route(
+    Route(
+        "closed",
         lambda n, d, ceiling: True,
         lambda lengths, lo, top: genfunc._closed_rows(lengths, lo, top),
         "every n and d",
     ),
-}
+)}
 
 #: Reference counts by (n, d) for n = 2..10, the published table the
 #: implementation must reproduce exactly.
@@ -210,7 +230,7 @@ def run_verification(
             top = v_order if method == "gf" else max_kinks(lengths.stop - 1)
             scope = f"n = {lengths.start}..{lengths.stop - 1}, d <= {top}"
             tables[method] = f"{method} table {scope} is missing: {reader} did not build it"
-            tables[method] = CountTable(dict(zip(lengths, ROUTES[method].rows(lengths, 0, top))))
+            tables[method] = CountTable(dict(ROUTES[method].pairs(lengths, 0, top)))
         if isinstance(tables[method], str):
             raise LookupError(tables[method])
         return tables[method]
@@ -272,7 +292,8 @@ def run_verification(
                 f"word {first.word} at position {first.position}: "
                 f"rule {first.expected}, direct {first.actual}"
             )
-        return differ("label tree", enumerate(_label_levels(max_n_dp), 2), "recurrence", recurrence)
+        walk = _paired("the label walk", range(2, max_n_dp + 1), treedp._label_levels(max_n_dp))
+        return differ("label tree", walk, "recurrence", recurrence)
 
     def growth_estimate():
         dp = route_table("dp")

@@ -326,7 +326,11 @@ def test_table_bytes_at_max_n_200_are_pinned(capsys, fmt):
     [("csv", "n,d,count\n"), ("json", '{\n  "rows": []\n}\n'), ("text", "")],
 )
 def test_table_bytes_at_max_n_1(capsys, fmt, expected):
+    # no row is asked for, so every method gives the empty table, gf included
     assert run_cli(capsys, "table", "--max-n", "1", "--format", fmt) == (0, expected, "")
+    for method in METHODS:
+        argv = ("table", "--max-n", "1", "--method", method, "--format", fmt)
+        assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 @settings(max_examples=150, deadline=None)
@@ -1047,6 +1051,91 @@ def test_verify_a_failed_shared_table_fails_its_readers_one_line_each(
     ]
     failed = 1 + len(readers)
     assert len(lines) == 12 and lines[-1] == f"11 checks, {11 - failed} passed, {failed} failed"
+
+
+#: a stream of rows without its last row, or with one row more
+STREAM_FAULTS = {
+    "short": lambda rows: rows[:-1],
+    "long": lambda rows: rows + rows[-1:],
+}
+
+#: each route's first reader in verify at SMALL_VERIFY, and the lengths it reads
+FIRST_READERS = {
+    "brute": ("golden_brute", 2, 4),
+    "backtrack": ("method_agreement", 2, 4),
+    "dp": ("golden_dp", 1, 12),
+    "gf": ("golden_series", 2, 8),
+    "closed": ("closed_forms", 1, 12),
+}
+
+
+def _stream_error(source, fault, first, last):
+    got = f"no row for n = {last} of" if fault == "short" else "more rows than"
+    return f"{source} gave {got} n = {first}..{last}"
+
+
+@pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+@pytest.mark.parametrize("method", sorted(FIRST_READERS))
+def test_a_route_that_gives_too_few_or_too_many_rows_fails(
+    capsys, monkeypatch, tmp_path, method, fault
+):
+    # count and table exit 1 with one line that names the route and the
+    # lengths, -o PATH stays as it was, and verify fails the first reader
+    assert set(FIRST_READERS) == set(kinks.verify.ROUTES)  # a new route has to join
+    table = ("table", "--max-n", "6", "--method", method, "--format", "json")
+    full = run_cli(capsys, *table)[1]
+    route = kinks.verify.ROUTES[method]
+    rows = lambda lengths, lo, top: iter(STREAM_FAULTS[fault](list(route.rows(lengths, lo, top))))
+    monkeypatch.setitem(kinks.verify.ROUTES, method, route._replace(rows=rows))
+    source = f"the {method} route"
+    error = f"error: {_stream_error(source, fault, 5, 5)}\n"
+    for argv in (("--method", method), ("--all-methods",)):
+        assert run_cli(capsys, "count", "--n", "5", "--d", "1", *argv) == (1, "", error)
+    code, out, err = run_cli(capsys, *table)
+    assert (code, err) == (1, f"error: {_stream_error(source, fault, 2, 6)}\n")
+    assert full.startswith(out) and out != full
+    target = tmp_path / "table.json"
+    target.write_text("old\n")
+    assert run_cli(capsys, *table, "-o", str(target)) == (1, "", err)
+    assert target.read_text() == "old\n" and list(tmp_path.iterdir()) == [target]
+    code, out, _ = run_cli(capsys, "verify", *SMALL_VERIFY)
+    reader, first, last = FIRST_READERS[method]
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    detail = _stream_error(source, fault, first, last)
+    assert code == 1 and failed[0] == f"FAIL {reader}: ArithmeticError: {detail}"
+
+
+@pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+def test_a_label_walk_that_gives_too_few_or_too_many_rows_fails_tree_labels(monkeypatch, fault):
+    walk = kinks.treedp._label_levels
+    monkeypatch.setattr(
+        kinks.treedp, "_label_levels", lambda n_max: iter(STREAM_FAULTS[fault](list(walk(n_max))))
+    )
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "tree_labels": f"ArithmeticError: {_stream_error('the label walk', fault, 2, 12)}"
+    }
+
+
+@pytest.mark.parametrize(
+    "module, evaluator, keep, argv, error",
+    [
+        (kinks.genfunc, "_closed_rows", 5, ("table", "--max-n", "8", "--method", "closed"),
+         "the closed route gave no row for n = 7 of n = 2..8"),
+        (kinks.treedp, "_kink_rows", -1, ("table", "--max-n", "5"),
+         "the dp route gave no row for n = 5 of n = 2..5"),
+        (kinks.treedp, "_kink_rows", -1, ("count", "--n", "9", "--d", "2"),
+         "the dp route gave no row for n = 9 of n = 9..9"),
+    ],
+    ids=["closed-table", "dp-table", "dp-count"],
+)
+def test_an_evaluator_that_drops_rows_exits_one(
+    capsys, monkeypatch, module, evaluator, keep, argv, error
+):
+    # an evaluator's rows cut to their first `keep`
+    exact = getattr(module, evaluator)
+    monkeypatch.setattr(module, evaluator, lambda *args: iter(list(exact(*args))[:keep]))
+    assert run_cli(capsys, *argv)[::2] == (1, f"error: {error}\n")
 
 
 def test_verify_crashed_check_keeps_its_traceback(capsys, monkeypatch):

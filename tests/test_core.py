@@ -93,7 +93,6 @@ def test_tree_label_kinks_match_kink_count():
 
 def test_history_validation():
     assert History([2, 1, 3]).word == (2, 1, 3)  # lists are coerced
-    assert History((1,)).n == 1
     with pytest.raises(ValueError, match="^a history must flip at least one site$"):
         History(())
     with pytest.raises(ValueError, match=r"^word is not a permutation of 1\.\.3: \(1, 1, 2\)$"):
@@ -142,7 +141,6 @@ def test_count_table_lookup_and_bounds():
     assert table.count(4, 5) == 0  # beyond max_kinks(4): structurally zero
     assert table.row(4) == (8, 16)
     assert table.lengths() == [1, 4]
-    assert table.max_n == 4
     assert len(table.row(4)) == max_kinks(4) + 1  # a whole row
     with pytest.raises(ValueError):
         table.count(4, -1)
