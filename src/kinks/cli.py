@@ -1,27 +1,25 @@
 """Command-line front end: compute, enumerate, verify, and export.
 
-Each counting method is one entry of `verify.ROUTES`: the (n, d) it
-covers and one row generator, which yields the counts of each chain
-length n of a range for the kink numbers d of a band.  `count` reads one
-entry of it, `table` the rows n = 2..max_n, and `verify` every entry at
-its own scope.  KINKS_BRUTE_CEILING (default 11) bounds both oracle
-routes, the exhaustive scan and the backtracking, in n.
+`count` reads one entry of `verify.ROUTES`, `table` its rows n =
+2..max_n, and `verify` every entry at its own scope.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
 ArithmeticError such as CoefficientError, a route giving fewer or more
 rows than asked, or `enumerate`'s walk flipping a site twice or outside
 1..n, as one `error:` line on stderr, without a traceback), 2 on usage
-or range errors, such as a row asked of a method outside its domain.  A
+or range errors, such as a row asked of a method outside its domain.
+Any other exception is a fault, and exits 1 with its traceback.  A
 reader that closes stdout early (`kinks table ... | head -c 20`) also
 gives exit 1, with nothing on stderr; any other failure to write stdout
 (a full disk) gives exit 1 and one `error: cannot write stdout:` line.
 `table` writes each row as soon as it is formatted, so on stdout exit 1
 means that the output is incomplete.  `-o PATH` is all or nothing: PATH
-is replaced whole on success and left as it was on any failure, and a
-PATH that cannot be written exits 2 before any row is computed.  All
-counts serialize as decimal strings (they outgrow 64-bit integers
-quickly) and identical invocations produce byte-identical output.
+is replaced whole on success, keeping its permission bits, and left as
+it was on any failure, and a PATH that cannot be written exits 2 before
+any row is computed.  All counts serialize as decimal strings (they
+outgrow 64-bit integers quickly) and identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -63,13 +62,11 @@ def _brute_ceiling() -> int:
 # ---------------------------------------------------------------------------
 # counting routes (each one entry of verify.ROUTES)
 
-METHODS = tuple(ROUTES)
-
 
 def _route(method: str, n: int, d: int, ceiling: int) -> Route:
     route = ROUTES[method]
     if not route.covers(n, d, ceiling):
-        raise UsageError(f"the {method} method needs {route.domain.format(ceiling=ceiling)}")
+        raise UsageError(f"the {method} method needs {route.domain(ceiling)}")
     return route
 
 
@@ -189,6 +186,8 @@ def _output(path: str | None) -> Iterator[Callable[[str], object]]:
         with handle:
             yield handle.write
         if pending is not None:
+            if exists:  # PATH keeps its permission bits
+                os.chmod(pending, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(pending, target)
             pending = None
     except OSError as exc:
@@ -305,7 +304,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     count = sub.add_parser("count", help="exact count of histories at one (n, d)")
     count.add_argument("--n", type=int, required=True, help="chain length")
     count.add_argument("--d", type=int, required=True, help="kink count")
-    count.add_argument("--method", choices=METHODS, default="dp")
+    count.add_argument("--method", choices=ROUTES, default="dp")
     count.add_argument(
         "--all-methods",
         action="store_true",
@@ -315,7 +314,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     table = sub.add_parser("table", help="export the count table for n = 2..max-n")
     table.add_argument("--max-n", type=int, required=True)
-    table.add_argument("--method", choices=METHODS, default="dp")
+    table.add_argument("--method", choices=ROUTES, default="dp")
     table.add_argument("--format", choices=FORMATS, default="csv")
     table.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout")
     table.set_defaults(func=_cmd_table)
@@ -379,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _unlimited_int_digits():
             return args.func(args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

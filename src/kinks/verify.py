@@ -41,17 +41,36 @@ def _paired(label: str, lengths: range, rows: Iterable[Sequence[int]]) -> Iterat
 
 
 class Route(NamedTuple):
-    """One counting method: its name, the (n, d) it covers under the brute
-    ceiling, its rows and its domain in words.
+    """One counting method: its name, the word verify's row details use for
+    it, its rows and its domain.
 
     `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
     counts d = lo..min(top, max_kinks(n)); `count`, `table` and `verify`
-    read them through `pairs`, which hands each row on as a tuple."""
+    read them through `pairs`, which hands each row on as a tuple.  The
+    domain is n >= least_n, and n <= the brute ceiling if `bounded`, and
+    d <= max_kinks(n) if `capped`."""
 
     name: str
-    covers: Callable[[int, int, int], bool]
+    word: str
     rows: Callable[[range, int, int], Iterable[Sequence[int]]]
-    domain: str
+    least_n: int = 1
+    bounded: bool = False
+    capped: bool = False
+
+    def covers(self, n: int, d: int, ceiling: int) -> bool:
+        """Whether (n, d) lies in the domain under the brute ceiling."""
+        return (
+            n >= self.least_n
+            and not (self.bounded and n > ceiling)
+            and not (self.capped and d > max_kinks(n))
+        )
+
+    def domain(self, ceiling: int) -> str:
+        """The domain in words, as the CLI's range errors print it."""
+        parts = [f"n >= {self.least_n}"] if self.least_n > 1 else []
+        parts += [f"n <= {ENV_BRUTE_CEILING} = {ceiling}"] if self.bounded else []
+        parts += ["d <= (n - 1) // 2"] if self.capped else []
+        return " and ".join(parts) or "every n and d"
 
     def pairs(self, lengths: range, lo: int, top: int) -> Iterator[tuple[int, Row]]:
         """(n, row) for each n of `lengths`; too few or too many rows raise ArithmeticError."""
@@ -63,52 +82,45 @@ class Route(NamedTuple):
         return row[0] if row else 0
 
 
-_BOUNDED = f"n <= {ENV_BRUTE_CEILING} = {{ceiling}}"
-
 #: Every method, named once.  Each entry looks its evaluator up in the
 #: evaluator's own module when it runs, so rebinding it there reaches
 #: `count`, `table` and `verify` alike.
 ROUTES = {route.name: route for route in (
     Route(
         "brute",
-        lambda n, d, ceiling: n <= ceiling,
+        "scan",
         lambda lengths, lo, top: (oracle._brute_row(n)[lo : top + 1] for n in lengths),
-        _BOUNDED,
+        bounded=True,
     ),
     Route(
         "backtrack",
-        lambda n, d, ceiling: n <= ceiling and d <= max_kinks(n),
+        "backtracking",
         lambda lengths, lo, top: (
             [oracle.backtrack_count(n, d) for d in range(lo, min(top, max_kinks(n)) + 1)]
             for n in lengths
         ),
-        _BOUNDED + " and d <= (n - 1) // 2",
+        bounded=True,
+        capped=True,
     ),
     Route(
         "dp",
-        lambda n, d, ceiling: True,
+        "recurrence",
         # the recurrence starts at n = 1, each row cut at top: O(top) integers held
         lambda lengths, lo, top: (
             row[lo:]
             for row in islice(treedp._kink_rows(lengths.stop - 1, top), lengths.start - 1, None)
         ),
-        "every n and d",
     ),
     Route(
         "gf",
-        lambda n, d, ceiling: n >= 2,
+        "series",
         # each row cut at its own max_kinks: the series has entries, all zero, above it
         lambda lengths, lo, top: (
             row for n in lengths for row in genfunc._series_rows((n,), lo, min(top, max_kinks(n)))
         ),
-        "n >= 2",
+        least_n=2,
     ),
-    Route(
-        "closed",
-        lambda n, d, ceiling: True,
-        lambda lengths, lo, top: genfunc._closed_rows(lengths, lo, top),
-        "every n and d",
-    ),
+    Route("closed", "closed form", lambda lengths, lo, top: genfunc._closed_rows(lengths, lo, top)),
 )}
 
 #: Reference counts by (n, d) for n = 2..10, the published table the
@@ -168,25 +180,16 @@ def run_verification(
     brute_ceiling: int = DEFAULT_BRUTE_CEILING,
     golden_rows: dict[int, tuple[int, ...]] | None = None,
 ) -> list[CheckResult]:
-    """Run every cross-check and return one result per named check.
+    """Run every cross-check and return one result per named check, in the
+    order of `checks` below.
 
-    Scopes: the exhaustive scan runs to min(max_n_brute, brute_ceiling)
-    and backtracking to min(that, 9); the kink-marginal recurrence runs to
-    max_n_dp, or as far as the scan if that is further; the label tree
-    whose marginals must equal its rows (`tree_labels`) and the explicit
-    formula (`closed_forms`) at every d run to max_n_dp; the series expansion
-    runs to (t_order, v_order), its rows compared with the recurrence's
-    up to max_n_dp (`series_partition`), and the integer identities behind
-    it (`exact_algebra`) to v_order, with the root powers s^p at
-    p = t_order - 1 and t_order.  `golden_rows` overrides the reference
-    table (to prove the suite notices corruption).  A row comparison fails
-    at its first differing entry, with the detail
-    "{label} row {n} at d = {d}: {value}, {against} {expected}" (None for
-    an entry that one row lacks).  Each route's rows come from its
-    `ROUTES` entry as one table, built once and charged to its first
-    reader, so the seconds sum to the run; if a build fails, that check
-    fails and so does every later reader, with a detail that names the
-    route and its scope.
+    `golden_rows` overrides the reference table (to prove the suite
+    notices corruption).  A row comparison fails at its first differing
+    entry, with the detail "{word} row {n} at d = {d}: {value}, {against}
+    {expected}" (None for an entry that one row lacks).  Each route's rows
+    are one table of its `ROUTES` entry at its scope in `scopes`, built
+    once and charged to its first reader, so the seconds sum to the run;
+    if a build fails, that check fails and so does every later reader.
     """
     check_int(max_n_brute, 2, "max_n_brute")
     check_int(max_n_dp, 2, "max_n_dp")
@@ -194,21 +197,6 @@ def run_verification(
     check_int(v_order, 0, "v_order")
     check_int(brute_ceiling, 1, "brute_ceiling")
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
-    results: list[CheckResult] = []
-    reader = ""  # the check that is running
-
-    def run(name, func):
-        nonlocal reader
-        reader, start = name, perf_counter()
-        try:
-            detail = func()
-        except Exception as exc:  # a crashed check is a failed check
-            from traceback import format_exc  # imported by a crash only: start-up pays nothing
-
-            passed, detail, trace = False, f"{type(exc).__name__}: {exc}", format_exc()
-        else:
-            passed, detail, trace = detail is None, detail or "", ""
-        results.append(CheckResult(name, passed, detail, perf_counter() - start, trace))
 
     # the lengths each route's checks read, every row whole but the series'
     scan = min(max_n_brute, brute_ceiling)
@@ -244,23 +232,14 @@ def run_verification(
                     return f"{label} row {n} at d = {d}: {value}, {against} {expected}"
         return None
 
-    def agree(method, label, against, reference, within=None):
+    def agree(method, against, reference, within=None):
         # the route's rows, of the n in `within` alone if given, against reference(n)
         rows = route_table(method).rows.items()
         rows = ((n, row) for n, row in rows if within is None or n in within)
-        return differ(label, rows, against, reference)
+        return differ(ROUTES[method].word, rows, against, reference)
 
     def recurrence(n):
         return route_table("dp").row(n)
-
-    def golden_match(method, label, stop=None):
-        # rows n = 2..10 against the reference, cut before d = stop for a truncated table
-        return agree(method, label, "reference", lambda n: golden[n][:stop], range(2, 11))
-
-    def series_partition():
-        # every series row, cut or whole, against the recurrence's, summed to n! above
-        rows = range(2, min(t_order, max_n_dp) + 1)
-        return agree("gf", "series", "recurrence", lambda n: recurrence(n)[: v_order + 1], rows)
 
     def partition_identity():
         dp = route_table("dp")
@@ -339,19 +318,35 @@ def run_verification(
             power = power * catalan * catalan
         return None
 
-    run("golden_dp", lambda: golden_match("dp", "recurrence"))
-    run("golden_brute", lambda: golden_match("brute", "scan"))
-    run("golden_series", lambda: golden_match("gf", "series", v_order + 1))
-    run(
-        "method_agreement",
-        lambda: agree("brute", "scan", "recurrence", recurrence)
-        or agree("backtrack", "backtracking", "recurrence", recurrence),
-    )
-    run("partition_identity", partition_identity)
-    run("series_partition", series_partition)
-    run("rational_forms", rational_forms)
-    run("closed_forms", lambda: agree("closed", "closed form", "recurrence", recurrence))
-    run("tree_labels", tree_labels)
-    run("growth_estimate", growth_estimate)
-    run("exact_algebra", exact_algebra)
+    cut, published = v_order + 1, range(2, 11)  # the series' rows end at d = v_order
+    checks = {  # run in this order; each returns None or the first mismatch
+        "golden_dp": lambda: agree("dp", "reference", golden.__getitem__, published),
+        "golden_brute": lambda: agree("brute", "reference", golden.__getitem__, published),
+        "golden_series": lambda: agree("gf", "reference", lambda n: golden[n][:cut], published),
+        "method_agreement": lambda: (
+            agree("brute", "recurrence", recurrence) or agree("backtrack", "recurrence", recurrence)
+        ),
+        "partition_identity": partition_identity,
+        # every series row, cut or whole, against the recurrence's
+        "series_partition": lambda: agree(
+            "gf", "recurrence", lambda n: recurrence(n)[:cut], range(2, min(t_order, max_n_dp) + 1)
+        ),
+        "rational_forms": rational_forms,
+        "closed_forms": lambda: agree("closed", "recurrence", recurrence),
+        "tree_labels": tree_labels,
+        "growth_estimate": growth_estimate,
+        "exact_algebra": exact_algebra,
+    }
+    results = []
+    for reader, check in checks.items():  # route_table names the running check
+        start = perf_counter()
+        try:
+            detail = check()
+        except Exception as exc:  # a crashed check is a failed check
+            from traceback import format_exc  # imported by a crash only: start-up pays nothing
+
+            passed, detail, trace = False, f"{type(exc).__name__}: {exc}", format_exc()
+        else:
+            passed, detail, trace = detail is None, detail or "", ""
+        results.append(CheckResult(reader, passed, detail, perf_counter() - start, trace))
     return results

@@ -31,8 +31,10 @@ from kinks import (
     max_kinks,
     series_table,
 )
-from kinks.cli import METHODS, _TABLE_FORMATTERS, _unlimited_int_digits, main
+from kinks.cli import _TABLE_FORMATTERS, _unlimited_int_digits, main
 from helpers import GOLDEN
+
+METHODS = tuple(kinks.verify.ROUTES)
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +87,39 @@ def test_internal_error_exits_one_with_one_line(capsys, monkeypatch):
     assert out == ""
     assert err.splitlines() == ["error: coefficient of t^6 w^2 is 3, not 4^2 times a count"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "5", "--d", "1", "--method", "closed"),
+        ("table", "--max-n", "5", "--method", "closed"),
+    ],
+)
+def test_an_internal_key_error_is_a_fault_not_a_usage_error(capsys, monkeypatch, argv):
+    # argparse restricts every lookup by a user's word, so a KeyError is a
+    # fault: main raises it, and the console script exits 1 with its traceback
+    def broken(lengths, lo, top):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("kinks.genfunc._closed_rows", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(list(argv))
+    assert capsys.readouterr().err == ""
+    script = (
+        "import sys, kinks.cli, kinks.genfunc\n"
+        "def broken(lengths, lo, top):\n"
+        "    raise KeyError('internal')\n"
+        "kinks.genfunc._closed_rows = broken\n"
+        "sys.argv = ['kinks', *sys.argv[1:]]\n"
+        "kinks.cli.entry()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.genfunc.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("Traceback") and run.stderr.endswith("KeyError: 'internal'\n")
 
 
 def test_internal_error_in_a_single_count_exits_one_with_one_line(capsys, monkeypatch):
@@ -164,6 +199,20 @@ def test_all_methods_prints_exactly_the_covering_methods(capsys, monkeypatch):
             assert code == 0, (n, d)
             names = [line.split(":")[0] for line in out.splitlines()]
             assert names == _covering_methods(n, d, 6), (n, d)
+
+
+def test_each_route_states_its_domain_from_its_fields():
+    # the text of every range error, at the default ceiling and below it
+    for ceiling in (11, 6):
+        bounded = f"n <= KINKS_BRUTE_CEILING = {ceiling}"
+        texts = {method: route.domain(ceiling) for method, route in kinks.verify.ROUTES.items()}
+        assert texts == {
+            "brute": bounded,
+            "backtrack": f"{bounded} and d <= (n - 1) // 2",
+            "dp": "every n and d",
+            "gf": "n >= 2",
+            "closed": "every n and d",
+        }
 
 
 def test_single_method_outside_its_domain_exits_two(capsys, monkeypatch):
@@ -377,6 +426,24 @@ def test_table_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "n,d,count\n2,0,2\n3,0,4\n3,1,2\n4,0,8\n4,1,16\n"
+
+
+@pytest.mark.parametrize(
+    "command", [("table", "--max-n", "4"), ("asym", "--d", "1", "--max-n", "8")]
+)
+def test_output_keeps_the_permission_bits_of_the_file_it_replaces(capsys, tmp_path, command):
+    kept, new = tmp_path / "kept.out", tmp_path / "new.out"
+    kept.write_text("old\n")
+    kept.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        for path in (kept, new):
+            assert run_cli(capsys, *command, "-o", str(path)) == (0, "", "")
+    finally:
+        os.umask(umask)
+    assert kept.read_text() == new.read_text() == run_cli(capsys, *command)[1]
+    # an existing PATH keeps its mode; a new one takes the umask default
+    assert (kept.stat().st_mode & 0o777, new.stat().st_mode & 0o777) == (0o600, 0o644)
 
 
 def test_table_unwritable_output(capsys):

@@ -122,18 +122,6 @@ def test_pair_coefficients_match_their_convolution_sum():
         assert [u * 2**n for u in _series_weights(n, 12)] == [8 * c for c in weights], n
 
 
-def test_series_weights_fold_into_the_closed_form_weights():
-    # (1+z) U = 2 (1-z)^2 Q' with Q = sum_i i^(n-1) z^i, so entry d of the series,
-    # 2^(n-2) [z^d] U (1+z)^(2d-n+1) (1-z)^n, is 2^(n-1) sum_i i^n [z^(d+1-i)]
-    # (1+z)^(2d-n) (1-z)^(n+2): 4^d times closed_form's power sum, at every (n, d)
-    for n in range(2, 60):
-        u, q = _series_weights(n, 20), [i ** (n - 1) for i in range(22)]
-        for j in range(1, 21):
-            slope = (j + 1) * q[j + 1] - 2 * j * q[j] + (j - 1) * q[j - 1]
-            assert u[j] + u[j - 1] == 2 * slope, (n, j)
-        assert u[0] == 2 * q[1]
-
-
 def test_binomial_product_matches_the_two_binomial_series():
     # [z^k] (1+z)^a (1-z)^b as the product of the two binomial series, with
     # a < 0 included: the series route reads a = 2d-n+1, negative for n > 2d+1
@@ -412,10 +400,19 @@ def test_series_weights_fold_into_the_closed_form_weights_at_every_n(monkeypatch
     # _series_weights run on a formal n and formal q_i gives each u_j as a
     # linear form in the q with coefficients in Z[n]; (1+z) U = 2 (1-z)^2 Q'
     # then holds at every z^j, j >= 1, identically in n, and at z^0 up to
-    # -2n q_0, which is 0 because q_0 = 0^(n-1) = 0 for n >= 2
-    n, q = _formal(0), [_formal(i + 1) for i in range(22)]
-    monkeypatch.setattr(kinks.genfunc, "_powers", lambda e, top: q[: top + 1])
+    # -2n q_0, which is 0 because q_0 = 0^(n-1) = 0 for n >= 2.  The stub
+    # checks that the weights ask for exactly those powers, q_i = i^(n-1)
+    # for i = 0..21; the entries d + 1 - i then fold into closed_form's
+    # power sum, 4^d times it at every (n, d)
+    n, q, asked = _formal(0), [_formal(i + 1) for i in range(22)], []
+
+    def powers(e, top):
+        asked.append((e, top))
+        return q[: top + 1]
+
+    monkeypatch.setattr(kinks.genfunc, "_powers", powers)
     u = _series_weights(n, 20)
+    assert asked == [(n - 1, 21)]
     for j in range(1, 21):
         assert u[j] + u[j - 1] == 2 * ((j + 1) * q[j + 1] - 2 * j * q[j] + (j - 1) * q[j - 1]), j
     assert u[0] - 2 * q[1] == -2 * n * q[0]
