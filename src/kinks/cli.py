@@ -16,8 +16,9 @@ gives exit 1, with nothing on stderr; any other failure to write stdout
 `table` writes each row as soon as it is formatted, so on stdout exit 1
 means that the output is incomplete.  `-o PATH` is all or nothing: PATH
 is replaced whole on success, keeping its permission bits, and left as
-it was on any failure, and a PATH that cannot be written exits 2 before
-any row is computed.  All counts serialize as decimal strings (they
+it was on any failure.  A PATH that cannot be opened exits 2 before any
+row is computed; a write to it that fails exits 1 with one `error:
+cannot write PATH:` line.  All counts serialize as decimal strings (they
 outgrow 64-bit integers quickly) and identical invocations produce
 byte-identical output.
 """
@@ -47,6 +48,10 @@ _VERIFY_DEFAULTS = run_verification.__kwdefaults__  # read at import: a wrapper 
 
 class UsageError(Exception):
     """Bad argument or out-of-range request; maps to exit code 2."""
+
+
+class WriteError(Exception):
+    """A write to -o PATH that failed after PATH was opened; maps to exit code 1."""
 
 
 def _brute_ceiling() -> int:
@@ -117,51 +122,42 @@ def _unlimited_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-# Each writer formats one block of a stream of (n, row) pairs, n >= 2 and
-# ascending, and the texts of any split into blocks join to the same
-# output.  `started` says that rows came before the block, `last` that it
-# ends the stream, and `top` is the stream's largest n.  The one writer of
-# the stream, framing included, is `_TABLE_FORMATTERS[fmt]`.
-_Rows = Sequence[tuple[int, Sequence[int]]]
+# Each writer returns the text of row n, in a stream of rows n >= 2 in
+# ascending order, with whatever comes before it: the CSV header or the
+# JSON opening when the row is the `first`, the JSON separator otherwise.
+# n = None, with no counts, ends the stream: the JSON closing, or the
+# empty table's form when `first` says that no row came.  `top` is the
+# stream's largest n.
+def _csv_row(n: int | None, row: Sequence[int], first: bool, top: int) -> str:
+    head = "n,d,count\n" if first else ""
+    return head + "".join([f"{n},{d},{c}\n" for d, c in enumerate(row)])
 
 
-def _csv_block(rows: _Rows, started: bool, last: bool, top: int) -> str:
-    lines = [f"{n},{d},{c}\n" for n, row in rows for d, c in enumerate(row)]
-    if not started and (rows or last):
-        lines.insert(0, "n,d,count\n")
-    return "".join(lines)
-
-
-def _json_block(rows: _Rows, started: bool, last: bool, top: int) -> str:
+def _json_row(n: int | None, row: Sequence[int], first: bool, top: int) -> str:
     # The bytes of json.dumps({"rows": [{"n": n, "counts": [str(c), ...]},
     # ...]}, indent=2) + "\n", written directly: str(c) is made once per
     # count and needs no escaping.  Each row opens with the separator from
-    # the row before it, so a block never waits for the next row.
-    parts = ['{\n  "rows": [' if not started and (rows or last) else ""]
-    for n, row in rows:
-        digits = '",\n        "'.join(map(str, row))
-        counts = f'[\n        "{digits}"\n      ]' if digits else "[]"
-        parts.append(",\n" if started else "\n")
-        parts.append(f'    {{\n      "n": {n},\n      "counts": {counts}\n    }}')
-        started = True
-    if last:
-        parts.append("\n  ]\n}\n" if started else "]\n}\n")
-    return "".join(parts)
+    # the row before it, so a row never waits for the next one.
+    if n is None:
+        return '{\n  "rows": []\n}\n' if first else "\n  ]\n}\n"
+    digits = '",\n        "'.join(map(str, row))
+    counts = f'[\n        "{digits}"\n      ]' if digits else "[]"
+    head = '{\n  "rows": [\n' if first else ",\n"
+    return f'{head}    {{\n      "n": {n},\n      "counts": {counts}\n    }}'
 
 
-def _text_block(rows: _Rows, started: bool, last: bool, top: int) -> str:
+def _text_row(n: int | None, row: Sequence[int], first: bool, top: int) -> str:
     # one line per row: "n=  5: c0 + c1 v + c2 v^2", n as wide as top
-    lines, width = [], len(str(top))
-    for n, row in rows:
-        terms = (f"{c} v^{d}" if d > 1 else f"{c} v" if d else str(c) for d, c in enumerate(row))
-        lines.append(f"n={n:>{width}}: {' + '.join(terms)}\n")
-    return "".join(lines)
+    if n is None:
+        return ""
+    terms = (f"{c} v^{d}" if d > 1 else f"{c} v" if d else str(c) for d, c in enumerate(row))
+    return f"n={n:>{len(str(top))}}: {' + '.join(terms)}\n"
 
 
 _TABLE_FORMATTERS = {
-    "csv": _csv_block,
-    "json": _json_block,
-    "text": _text_block,
+    "csv": _csv_row,
+    "json": _json_row,
+    "text": _text_row,
 }
 
 
@@ -174,7 +170,7 @@ def _output(path: str | None) -> Iterator[Callable[[str], object]]:
         yield sys.stdout.write
         return
     target = os.path.realpath(path)  # through a symlink, onto the file it names
-    pending, exists = None, os.path.exists(target)
+    handle, pending, exists = None, None, os.path.exists(target)
     try:
         if exists and not os.path.isfile(target):
             handle = open(target, "w", encoding="utf-8")
@@ -191,9 +187,10 @@ def _output(path: str | None) -> Iterator[Callable[[str], object]]:
             os.replace(pending, target)
             pending = None
     except OSError as exc:
-        # the message names PATH, not the temporary file
+        # the message names PATH, not the temporary file; a failure before
+        # PATH is open is a usage error, one after it a failed write
         reason = f"[Errno {exc.errno}] {exc.strerror}: {path!r}" if exc.filename else exc
-        raise UsageError(f"cannot write {path}: {reason}")
+        raise (UsageError if handle is None else WriteError)(f"cannot write {path}: {reason}")
     finally:
         if pending is not None:
             os.unlink(pending)
@@ -205,13 +202,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     ceiling, lengths = _brute_ceiling(), range(2, args.max_n + 1)  # the series starts at n = 2
     # the domain is that of the rows asked for: --max-n 1 asks for none
     route = _route(args.method, args.max_n, 0, ceiling) if lengths else ROUTES[args.method]
-    block = _TABLE_FORMATTERS[args.format]
+    row_text = _TABLE_FORMATTERS[args.format]
     with _output(args.output) as write:
         # each row is written as soon as it is formatted: a gate that fires
         # at row k leaves rows 2..k-1 on stdout, and no file at PATH
         for n, row in route.pairs(lengths, 0, max_kinks(args.max_n)):
-            write(block(((n, row),), n > lengths.start, False, args.max_n))
-        write(block((), bool(lengths), True, args.max_n))
+            write(row_text(n, row, n == lengths.start, args.max_n))
+        write(row_text(None, (), not lengths, args.max_n))
     return 0
 
 
@@ -273,6 +270,8 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 def _asym_text(args: argparse.Namespace) -> str:
     # the header, then one row of cells per n, rendered in the format asked
     cells = [("n", "exact", "estimate", "deviation")]
+    # convergence_report's own gate, ahead of that of the table built for it
+    check_int(args.max_n, 2 * check_int(args.d, 0, "d") + 1, "n_max")
     for r in convergence_report(args.d, args.max_n, table=dp_table(args.max_n, args.d)):
         deviation = f"{float(r.deviation):.6g}" if r.deviation else "0"
         cells.append((r.n, str(r.exact), str(int(r.estimate)), deviation))
@@ -381,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, WriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,10 +44,12 @@ def run_cli(capsys, *argv):
 
 
 def _written(fmt, table):
-    # the stream writer over one block, the whole table, which starts and
-    # ends the stream: rows n >= 2, as every method exports them
-    rows = [(n, table.row(n)) for n in table.lengths() if n >= 2]
-    return _TABLE_FORMATTERS[fmt](rows, False, True, rows[-1][0] if rows else 0)
+    # one writer call per row n >= 2, as every method exports them, then
+    # the call that ends the stream
+    row_text, lengths = _TABLE_FORMATTERS[fmt], [n for n in table.lengths() if n >= 2]
+    top = lengths[-1] if lengths else 0
+    texts = [row_text(n, table.row(n), i == 0, top) for i, n in enumerate(lengths)]
+    return "".join(texts) + row_text(None, (), not lengths, top)
 
 
 def test_count_single_method(capsys):
@@ -454,34 +456,6 @@ def test_table_unwritable_output(capsys):
     assert "cannot write" in err
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    gaps=st.lists(st.integers(1, 60), max_size=8),
-    counts=st.lists(st.lists(st.integers(0, 10**60) | st.just(10**5000), max_size=5), min_size=8),
-    cuts=st.lists(st.integers(0, 8), max_size=4).map(sorted),
-)
-@example(gaps=[], counts=[[]] * 8, cuts=[])  # the empty table
-@example(gaps=[], counts=[[]] * 8, cuts=[0, 0])  # the empty table in empty blocks
-@example(gaps=[1, 1, 1], counts=[[2], [4, 2], [8, 16], []] * 2, cuts=[0, 1, 2, 3])  # row by row
-@example(gaps=[1, 40], counts=[[], [10**5000, 3], []] * 3, cuts=[1, 1])  # an empty row, a gap
-def test_any_split_into_blocks_writes_the_whole_table(gaps, counts, cuts):
-    # rows n = 1 + gaps[0], ... (n >= 2, ascending), cut into blocks at the
-    # cut positions, some of them empty; each writer's blocks join to the
-    # whole table's text, framing included
-    lengths = [1 + sum(gaps[: i + 1]) for i in range(len(gaps))]
-    rows = [(n, tuple(row)) for n, row in zip(lengths, counts)]
-    cuts = [0] + [min(cut, len(rows)) for cut in cuts] + [len(rows)]
-    blocks = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
-    top = lengths[-1] if lengths else 0
-    with _unlimited_int_digits():
-        for fmt, write in kinks.cli._TABLE_FORMATTERS.items():
-            texts = [
-                write(block, any(blocks[:i]), i == len(blocks) - 1, top)
-                for i, block in enumerate(blocks)
-            ]
-            assert "".join(texts) == _written(fmt, CountTable(dict(rows))), fmt
-
-
 @pytest.mark.parametrize(
     "fmt, row_7",  # row 7's text begins past the newline in csv and text, at its comma in json
     [("csv", ("\n7,0,", 1)), ("json", (',\n    {\n      "n": 7,', 0)), ("text", ("\nn= 7: ", 1))],
@@ -547,6 +521,28 @@ def test_an_unwritable_output_exits_two_before_any_row_is_computed(
         error = f"error: cannot write {path}: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
         assert run_cli(capsys, *command, "-o", str(path)) == (2, "", error)
     assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "old\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "command", [("table", "--max-n", "30"), ("asym", "--d", "1", "--max-n", "20")]
+)
+def test_a_full_disk_on_the_output_exits_one_with_one_line(capsys, command):
+    # /dev/full opens, and then every write to it fails with ENOSPC
+    error = "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+    assert run_cli(capsys, *command, "-o", "/dev/full") == (1, "", error)
+
+
+def test_a_failed_replace_exits_one_and_leaves_the_output_as_it_was(capsys, monkeypatch, tmp_path):
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", full)
+    target = tmp_path / "table.csv"
+    target.write_text("old\n")
+    error = f"error: cannot write {target}: [Errno 28] No space left on device\n"
+    assert run_cli(capsys, "table", "--max-n", "9", "-o", str(target)) == (1, "", error)
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "old\n"
 
 
 def test_output_through_a_symlink_replaces_the_file_it_names(capsys, tmp_path):
@@ -1292,10 +1288,13 @@ def test_asym_text_widens_n_past_four_places(capsys, monkeypatch):
 
 
 def test_asym_range_error(capsys):
-    for argv in (("--d", "2", "--max-n", "3"), ("--d", "-1", "--max-n", "5")):
-        code, out, err = run_cli(capsys, "asym", *argv)
-        assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    # the growth report's own gate speaks before its table is built
+    for argv, error in (
+        (("--d", "2", "--max-n", "3"), "n_max must be an int of at least 5, got 3"),
+        (("--d", "2", "--max-n", "0"), "n_max must be an int of at least 5, got 0"),
+        (("--d", "-1", "--max-n", "5"), "d must be an int of at least 0, got -1"),
+    ):
+        assert run_cli(capsys, "asym", *argv) == (2, "", f"error: {error}\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -1417,10 +1416,13 @@ def test_table_writers_and_parsers_past_the_int_digit_limit(capsys, monkeypatch)
         "json": json.dumps({"rows": [{"n": 2, "counts": ["1" + "0" * 5000]}]}, indent=2) + "\n",
         "text": "n=2: 1" + "0" * 5000 + "\n",
     }
-    rows, formatters = [(2, table.row(2))], kinks.cli._TABLE_FORMATTERS
     with _unlimited_int_digits():
-        # the whole table as one block, which starts and ends the stream
-        assert {fmt: block(rows, False, True, 2) for fmt, block in formatters.items()} == expected
+        # the one row, which starts the stream, then the call that ends it
+        texts = {
+            fmt: row_text(2, table.row(2), True, 2) + row_text(None, (), False, 2)
+            for fmt, row_text in kinks.cli._TABLE_FORMATTERS.items()
+        }
+        assert texts == expected
         assert int(expected["csv"].split(",")[-1]) == 10**5000
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
     # the recurrence route's rows n = 1 and 2, of which `table --max-n 2` exports the second

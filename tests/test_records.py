@@ -125,8 +125,9 @@ def test_json_paths_still_work_in_a_fresh_process():
         "from kinks.cli import _TABLE_FORMATTERS\n"
         "from kinks import dp_table\n"
         "table = dp_table(12)\n"
-        "pairs = [(n, table.row(n)) for n in range(2, 13)]\n"
-        "rows = json.loads(_TABLE_FORMATTERS['json'](pairs, False, True, 12))['rows']\n"
+        "row_text = _TABLE_FORMATTERS['json']\n"
+        "text = ''.join(row_text(n, table.row(n), n == 2, 12) for n in range(2, 13))\n"
+        "rows = json.loads(text + row_text(None, (), False, 12))['rows']\n"
         "print({row['n']: tuple(map(int, row['counts'])) for row in rows})"
     )
     expected = {n: dp_table(12).row(n) for n in range(2, 13)}
