@@ -22,15 +22,19 @@ every count it reaches.  `advance_level` is its one-step adapter on
 `LevelState`: the same step, `_label_step`, taken one kink band at a
 time, with no fields and no width, the shift done by pairing band k
 with band k - 1.  `tree_label_consistency` checks the succession rule
-against the labels of the child words, read off a depth-first walk that
-shares each prefix among the words extending it and packs a word's n + 1
-child labels into one integer.  The rule itself is never packed: it is
+against the labels of the child words.  A word's n + 1 child labels pack
+into one integer, its child code, which splits exactly into a part of
+the word's first n - 3 flips and a part of its last three: a depth-first
+walk builds each prefix once for the six words that extend it, and the
+3! orders of the three sites it leaves free come from a table built once
+per free set.  Every flip, in prefix or suffix, is tested against what
+the child flipped before it.  The rule itself is never packed: it is
 judged as labels, once per parent label and child code.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat, zip_longest
+from itertools import accumulate, chain, combinations, permutations, repeat, zip_longest
 from math import factorial
 from operator import add, lshift
 from typing import Iterator, NamedTuple
@@ -159,12 +163,17 @@ def advance_level(state: LevelState) -> LevelState:
     new max_first = 0 column reads band k of both old columns, band k of
     the new max_first = 1 column band k of max_first = 1 and band k - 1 of
     max_first = 0.  The counts are exact whatever their size.  A count in
-    a band above max_kinks(n + 1) raises ArithmeticError; a negative
-    count, which no node count is, raises ValueError.
+    a band above max_kinks(n + 1) raises ArithmeticError.  The level n
+    goes through `check_int`; counts not shaped as two max_first sides of
+    floor(n/2) + 1 kink bands of n counts each, or a negative count, which
+    no node count is, raise ValueError.
     """
-    n = state.n
-    if n < 2:
-        raise ValueError("level states start at 2")
+    n = check_int(state.n, 2, "n")  # levels start at 2
+    bands = n // 2 + 1
+    if len(state.counts) != 2 or any(
+        len(side) != bands or any(len(row) != n for row in side) for side in state.counts
+    ):
+        raise ValueError(f"a level-{n} state holds 2 x {bands} kink bands of {n} counts each")
     if min(map(min, chain(*state.counts))) < 0:
         raise ValueError("node counts cannot be negative")
     zero = (0,) * n
@@ -258,36 +267,62 @@ def _level_codes(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int]
     # when t >= i, and top sees P_i.  So c_i has K_i = head_i + [n not in
     # P_i] + (ht_n - ht_i) - 1 kinks, where head_t counts the flips of
     # word[:t] that open a block on P_t and ht_t the same flips on P_t |
-    # {top}; c_i packs as the base-16 digit K_i + 8 [i <= index of n].  A
-    # depth-first walk builds each prefix's P_i, head_i, ht_i and code part
-    # (the sum of (head_t + [n not in P_t] - ht_t) 16^t over t < i) once for
-    # every word that extends it and takes the last two flips in place.
+    # {top}; c_i packs as the base-16 digit K_i + 8 [i <= index of n], so
+    # the code is the sum of (head_t + [n not in P_t] - ht_t) 16^t over t =
+    # 0..n, plus ht_n - 1 at every place and 8 at places 0..index of n.
+    #
+    # A depth-first walk builds each prefix of p = n - 3 flips once for
+    # every word that extends it: its set P, head_p, ht_p and part, the
+    # digits t <= p of that sum.  P fixes the free set F of the last three
+    # flips, so their 3! orders come from one table per F, built once per
+    # call, where each suffix flip is tested as a prefix flip is, against
+    # the set flipped before it with and without top.  With h_u and hs_u
+    # the blocks that the first u suffix flips open on P and on P | {top},
+    # hs = hs_3, and ones_lo and ones_hi the digit 1 at places 0..p and
+    # p + 1..n,
+    #     code = part + (ht_p - 1) ones_lo + (head_p - 1) ones_hi + hs ones
+    #            + sum_u (h_u + [n not in P_(p+u)] - hs_u) 16^(p+u) + firsts[index of n]
+    # and the word has head_p + h_3 - 1 kinks.  The table holds each order
+    # with its terms hs ones + sum_u and h_3 - 1; below level 4 the prefix
+    # is empty and the table holds whole words.
     with_top = 1 << (n + 1)
+    beside = 5 << n  # top's neighbours n and n + 2, which no word flips
     ones = (16 ** (n + 1) - 1) // 15  # digit 1 at every place
-    firsts = [8 * ((16 ** (i + 1) - 1) // 15) for i in range(n + 1)]  # 8 at places 0..i
+    firsts = [*map((8 * ones).__rshift__, range(4 * n, -1, -4))]  # 8 at places 0..i
+    p = n - 3 if n > 3 else 0
+    suffixes = {}  # P -> its suffix orders
+    for free in combinations(range(1, n + 1), n - p):
+        rest = with_top - 2 - sum(map((1).__lshift__, free))  # P: the sites of 1..n not in F
+        suffixes[rest] = orders = []
+        for order in permutations(free):
+            flipped, h, hs, terms, shift = rest, 0, 0, 0, 4 * p
+            for s in order:
+                h += not flipped & (5 << (s - 1))
+                hs += not (flipped | with_top) & (5 << (s - 1))
+                flipped |= 1 << s
+                shift += 4
+                terms += (h + (not flipped & beside) - hs) << shift
+            orders.append((order, terms + hs * ones, h - 1))
+    ones_hi = ones >> 4 * (p + 1) << 4 * (p + 1)
+    ones_lo = ones - ones_hi
+    below = n - 1
     stack = [((), 0, 0, 0, 0)]
     while stack:
         word, flipped, head, ht, part = stack.pop()
-        part += (head + (not flipped & (5 << n)) - ht) << (4 * len(word))
-        free = [s for s in range(n, 0, -1) if not flipped >> s & 1]
-        if len(word) < n - 2:
+        part += (head + (not flipped & beside) - ht) << (4 * len(word))
+        if len(word) < p:
             stack.extend(
                 (word + (s,), flipped | 1 << s, head + (not flipped & (5 << (s - 1))),
                  ht + (not (flipped | with_top) & (5 << (s - 1))), part)
-                for s in free
+                for s in range(n, 0, -1) if not flipped >> s & 1
             )
             continue
-        for s, t in (free[::-1], free):
-            once = flipped | 1 << s
-            head1 = head + (not flipped & (5 << (s - 1)))
-            ht1 = ht + (not (flipped | with_top) & (5 << (s - 1)))
-            head2 = head1 + (not once & (5 << (t - 1)))
-            ht2 = ht1 + (not (once | with_top) & (5 << (t - 1)))
-            whole = word + (s, t)
+        base = part + (ht - 1) * ones_lo + (head - 1) * ones_hi
+        for suffix, terms, more in suffixes[flipped]:
+            whole = word + suffix
             last = whole.index(n)
-            code = part + ((head1 + (not once & (5 << n)) - ht1) << (4 * n - 4))
-            code += ((head2 - ht2) << (4 * n)) + (ht2 - 1) * ones + firsts[last]
-            yield whole, (last + 1, head2 - 1, 1 if last < whole.index(n - 1) else 0), code
+            label = (last + 1, head + more, 1 if last < whole.index(below) else 0)
+            yield whole, label, base + terms + firsts[last]
 
 
 def tree_label_consistency(n_max: int) -> ConsistencyReport:
@@ -298,13 +333,17 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     the child word with the label the rule predicts at that position.
     Each child label is read off the child word alone, every flip tested
     against what the child itself flipped before it, so the rule, whose
-    only input is the parent's label, cannot vouch for itself.  A
-    depth-first walk over the words of a level shares each prefix's
-    counts among the words that extend it and packs the n + 1 child
-    labels of a word into one integer.  The rule is judged as labels,
-    once per parent label and child code: a word whose code is the one
-    last judged for its label costs one integer comparison.  Mismatches
-    are report content, not errors; a correct rule yields none.
+    only input is the parent's label, cannot vouch for itself.  The
+    n + 1 child labels of a word pack into one integer, its child code.
+    A depth-first walk over the words of a level builds the counts of
+    each prefix of n - 3 flips once for the six words that extend it;
+    the last three flips come from a table of the 3! orders of each free
+    set, built once per level and per call.  The code adds the prefix's
+    part, the order's part and the max_first digits up to n's place.
+    The rule is judged as labels, once per parent label and child code:
+    a word whose code is the one last judged for its label costs one
+    integer comparison.  Mismatches are report content, not errors; a
+    correct rule yields none.
     """
     # K_i <= max_kinks(9) = 4 < 8, so every child fits its base-16 digit
     if check_int(n_max, 2, "n_max") > 9:

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinks import (
+    LevelState,
     TreeLabel,
     TruncPoly,
     TSeries,
+    advance_level,
     asymptotic_estimate,
     backtrack_count,
     bivariate_series,
@@ -21,6 +23,7 @@ from kinks import (
     enumerate_histories,
     fixed_kinks_series,
     max_kinks,
+    root_state,
     run_verification,
     series_count,
     series_table,
@@ -64,6 +67,10 @@ ENTRY_POINTS = {
         {"max_pos": 1, "kinks": 0, "max_first": 0},
     ),
     "tree_label_consistency": (tree_label_consistency, {"n_max": 4}, {"n_max": 2}),
+    # the level of a state; only level 2 fits the root's counts
+    "advance_level": (
+        lambda n: advance_level(LevelState(n, root_state().counts)), {"n": 2}, {"n": 2}
+    ),
     "run_verification": (
         run_verification,
         {"max_n_brute": 4, "max_n_dp": 6, "t_order": 4, "v_order": 1, "brute_ceiling": 4},
@@ -141,6 +148,8 @@ def test_every_integer_argument_may_sit_at_its_bound(name):
 @example(("succession_children.label", {"kinks": 0.0}))
 @example(("succession_children.label", {"kinks": False}))
 @example(("succession_children.label", {"max_pos": 2.0}))
+# a TypeError from a tuple repeat
+@example(("advance_level", {"n": 2.0}))
 def test_the_gate_rejects_every_non_int_or_low_argument(case):
     # at the call, before any work: a bad enumerate_histories argument
     # raises without a next().  With two bad arguments the message names

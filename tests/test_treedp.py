@@ -164,6 +164,23 @@ def test_advance_level_rejects_negative_counts():
         advance_level(negative)
 
 
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        (5, root_state().counts),  # level 2's counts under level 5
+        (2, (((0, 1), (0, 0)), ((1, 0), (0, 0, 0)))),  # one row a count too long
+        (2, ((), ())),  # no kink bands
+        (3, root_state().counts),  # rows one count short
+    ],
+)
+def test_advance_level_rejects_a_state_of_the_wrong_shape(n, counts):
+    # the step would read these as some other level, or fail in its own
+    # arithmetic, so the gate names the shape that level n holds instead
+    shape = rf"^a level-{n} state holds 2 x {n // 2 + 1} kink bands of {n} counts each$"
+    with pytest.raises(ValueError, match=shape):
+        advance_level(LevelState(n, counts))
+
+
 def _rule_applied_level(state: LevelState) -> LevelState:
     # independent level step: apply the succession rule label by label
     n = state.n
@@ -553,6 +570,32 @@ def test_label_consistency_judges_each_code_of_a_label():
     assert report.mismatches == (LabelMismatch(4, word, digit + 1, child, TreeLabel(3, 0, 1)),)
 
 
+def test_no_state_outlives_a_call():
+    # one child of one level-6 label corrupted: every word of that label
+    # reports it, and the next call, under the exact rule, judges afresh
+    exact = kinks.treedp.succession_children
+    target = TreeLabel(6, 0, 0)
+
+    def wrong(label, n):
+        children = exact(label, n)
+        if (label, n) == (target, 6):
+            children[0] = children[0]._replace(kinks=children[0].kinks + 1)
+        return children
+
+    with mock.patch.object(kinks.treedp, "succession_children", wrong):
+        report = tree_label_consistency(7)
+    words = [w for w in permutations(range(1, 7)) if _word_label(w) == target]
+    assert len(words) > 1
+    assert [(m.n, m.word, m.position) for m in report.mismatches] == [(6, w, 1) for w in words]
+    assert tree_label_consistency(7).ok
+    # and the walk yields the same triples on a second call
+    assert list(_level_codes(6)) == list(_level_codes(6))
+
+
 def test_label_consistency_guards_factorial_scan():
+    # the largest scope the guard admits runs in full
+    report = tree_label_consistency(9)
+    assert report.ok
+    assert report.checked == sum(factorial(n) * (n + 1) for n in range(2, 9)) == 409110
     with pytest.raises(ValueError):
         tree_label_consistency(10)
