@@ -270,8 +270,12 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 def _asym_text(args: argparse.Namespace) -> str:
     # the header, then one row of cells per n, rendered in the format asked
     cells = [("n", "exact", "estimate", "deviation")]
-    # convergence_report's own gate, ahead of that of the table built for it
-    check_int(args.max_n, 2 * check_int(args.d, 0, "d") + 1, "n_max")
+    # convergence_report's own gate, naming the flags, ahead of that of the
+    # table built for it
+    if args.d < 0:
+        raise UsageError("--d must be nonnegative")
+    if args.max_n < 2 * args.d + 1:
+        raise UsageError(f"--max-n must be at least {2 * args.d + 1}")
     for r in convergence_report(args.d, args.max_n, table=dp_table(args.max_n, args.d)):
         deviation = f"{float(r.deviation):.6g}" if r.deviation else "0"
         cells.append((r.n, str(r.exact), str(int(r.estimate)), deviation))
@@ -291,57 +295,126 @@ def _asym_text(args: argparse.Namespace) -> str:
 # parser and entry points
 
 
+# the actions by long option string, every dest's default, the required dests
+_ExactForm = tuple[dict[str, argparse.Action], dict[str, object], frozenset[str]]
+
+
 @cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    # the top-level parser and the subcommand parsers by name
+def _parsers() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, _ExactForm]
+]:
+    # the top-level parser, and the subcommand parsers and their exact forms
+    # by name
     parser = argparse.ArgumentParser(
         prog="kinks",
         description="Exact counting and enumeration of chain flip histories by kink number.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    forms: dict[str, _ExactForm] = {}
     count = sub.add_parser("count", help="exact count of histories at one (n, d)")
-    count.add_argument("--n", type=int, required=True, help="chain length")
-    count.add_argument("--d", type=int, required=True, help="kink count")
-    count.add_argument("--method", choices=ROUTES, default="dp")
-    count.add_argument(
-        "--all-methods",
-        action="store_true",
-        help="print one line per applicable method; exit 1 if they disagree",
+    forms["count"] = _exact_form(
+        count,
+        count.add_argument("--n", type=int, required=True, help="chain length"),
+        count.add_argument("--d", type=int, required=True, help="kink count"),
+        count.add_argument("--method", choices=ROUTES, default="dp"),
+        count.add_argument(
+            "--all-methods",
+            action="store_true",
+            help="print one line per applicable method; exit 1 if they disagree",
+        ),
+        func=_cmd_count,
     )
-    count.set_defaults(func=_cmd_count)
 
     table = sub.add_parser("table", help="export the count table for n = 2..max-n")
-    table.add_argument("--max-n", type=int, required=True)
-    table.add_argument("--method", choices=ROUTES, default="dp")
-    table.add_argument("--format", choices=FORMATS, default="csv")
-    table.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout")
-    table.set_defaults(func=_cmd_table)
+    forms["table"] = _exact_form(
+        table,
+        table.add_argument("--max-n", type=int, required=True),
+        table.add_argument("--method", choices=ROUTES, default="dp"),
+        table.add_argument("--format", choices=FORMATS, default="csv"),
+        table.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout"),
+        func=_cmd_table,
+    )
 
     enum = sub.add_parser("enumerate", help="list the histories at one (n, d)")
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--d", type=int, required=True)
-    enum.add_argument("--limit", type=int, help="stop after this many histories")
-    enum.set_defaults(func=_cmd_enumerate)
+    forms["enumerate"] = _exact_form(
+        enum,
+        enum.add_argument("--n", type=int, required=True),
+        enum.add_argument("--d", type=int, required=True),
+        enum.add_argument("--limit", type=int, help="stop after this many histories"),
+        func=_cmd_enumerate,
+    )
 
     verify = sub.add_parser("verify", help="run the cross-validation suite")
-    for flag in ("max-n-brute", "max-n-dp", "t-order", "v-order"):
-        verify.add_argument(f"--{flag}", type=int, default=_VERIFY_DEFAULTS[flag.replace("-", "_")])
-    verify.add_argument(
-        "--timings",
-        action="store_true",
-        help="write one 'name seconds' line per check to stderr",
+    forms["verify"] = _exact_form(
+        verify,
+        *[
+            verify.add_argument(
+                f"--{flag}", type=int, default=_VERIFY_DEFAULTS[flag.replace("-", "_")]
+            )
+            for flag in ("max-n-brute", "max-n-dp", "t-order", "v-order")
+        ],
+        verify.add_argument(
+            "--timings",
+            action="store_true",
+            help="write one 'name seconds' line per check to stderr",
+        ),
+        func=_cmd_verify,
     )
-    verify.set_defaults(func=_cmd_verify)
 
     asym = sub.add_parser("asym", help="exact counts against the growth estimate")
-    asym.add_argument("--d", type=int, required=True)
-    asym.add_argument("--max-n", type=int, required=True)
-    asym.add_argument("--format", choices=FORMATS, default="csv")
-    asym.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout")
-    asym.set_defaults(func=_cmd_asym)
+    forms["asym"] = _exact_form(
+        asym,
+        asym.add_argument("--d", type=int, required=True),
+        asym.add_argument("--max-n", type=int, required=True),
+        asym.add_argument("--format", choices=FORMATS, default="csv"),
+        asym.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout"),
+        func=_cmd_asym,
+    )
 
-    return parser, sub.choices
+    return parser, sub.choices, forms
+
+
+def _exact_form(
+    command: argparse.ArgumentParser, *actions: argparse.Action, **defaults: object
+) -> _ExactForm:
+    """Give COMMAND the DEFAULTS, and return what _parse_exact reads of
+    its ACTIONS, each a store or store_true action."""
+    command.set_defaults(**defaults)
+    options = {s: a for a in actions for s in a.option_strings if s.startswith("--")}
+    required = frozenset(a.dest for a in actions if a.required)
+    return options, {a.dest: a.default for a in actions} | defaults, required
+
+
+def _parse_exact(form: _ExactForm, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace that argparse gives TOKENS when each is a whole long
+    option string of the command, followed by one value that does not
+    start with '-' unless the option is a flag, and every required option
+    is given; None for anything else, which argparse then reads."""
+    options, defaults, required = form
+    given: dict[str, object] = {}
+    tokens_left = iter(tokens)
+    for token in tokens_left:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:  # a flag
+            given[action.dest] = action.const
+            continue
+        raw = next(tokens_left, "-")  # a missing value falls back too
+        if raw.startswith("-"):
+            return None
+        # type, then choices, as argparse applies them; a repeat overwrites
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if not required <= given.keys():
+        return None
+    return argparse.Namespace(**(defaults | given))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,13 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse(argv: list[str]) -> argparse.Namespace:
     # parse_args would read every token at the top level only to hand them
     # all to the subcommand's parser; leftovers get the top-level error there
-    parser, commands = _parsers()
+    parser, commands, forms = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:  # help, usage and errors of the top level
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _parse_exact(forms[argv[0]], argv[1:])
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 
@@ -366,10 +441,18 @@ def main(argv: list[str] | None = None) -> int:
     """Run the CLI and return its exit code (0 ok, 1 mismatch or internal
     error, 2 usage).
 
-    When the first argument names a subcommand, the rest is parsed by
-    that subcommand's parser alone; anything else goes through
-    `build_parser().parse_args`.  Both give the same namespace, output
-    and exit code."""
+    When the first argument names a subcommand and each argument after
+    it is a whole long option of that subcommand, followed by one value
+    that does not start with '-' unless it is a flag, with every required
+    option given, the values are read without argparse's matcher: each
+    gets its option's `type` and `choices` checks, and the rest their
+    defaults, as argparse would give them.  Any other argument list after
+    a subcommand (help, an abbreviation, `--opt=value`, `-o`, a value
+    that starts with '-', `--`, a bad value, a missing option) goes to
+    that subcommand's parser, and one with no subcommand first to
+    `build_parser().parse_args`, so help, usage errors and abbreviations
+    are argparse's, byte for byte.  All three give the same namespace,
+    output and exit code."""
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

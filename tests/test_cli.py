@@ -1,16 +1,20 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import errno
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1288,11 +1292,12 @@ def test_asym_text_widens_n_past_four_places(capsys, monkeypatch):
 
 
 def test_asym_range_error(capsys):
-    # the growth report's own gate speaks before its table is built
+    # the growth report's own gate speaks before its table is built, and
+    # names the flags, as count's and table's do
     for argv, error in (
-        (("--d", "2", "--max-n", "3"), "n_max must be an int of at least 5, got 3"),
-        (("--d", "2", "--max-n", "0"), "n_max must be an int of at least 5, got 0"),
-        (("--d", "-1", "--max-n", "5"), "d must be an int of at least 0, got -1"),
+        (("--d", "2", "--max-n", "3"), "--max-n must be at least 5"),
+        (("--d", "2", "--max-n", "0"), "--max-n must be at least 5"),
+        (("--d", "-1", "--max-n", "5"), "--d must be nonnegative"),
     ):
         assert run_cli(capsys, "asym", *argv) == (2, "", f"error: {error}\n")
 
@@ -1308,29 +1313,52 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-_DISPATCH_CORPUS = [
-    # every subcommand with its options
+# argv that take the exact form: whole long options after the subcommand,
+# each with one value that does not start with '-', or a flag
+_EXACT_CORPUS = [
     ["count", "--n", "5", "--d", "1"],
-    ["count", "--n", "5", "--d", "-1", "--method", "closed", "--all-methods"],
-    ["table", "--max-n", "4", "--method", "gf", "--format", "json", "-o", "out.json"],
     ["table", "--max-n", "4", "--output", "out.csv"],
     ["enumerate", "--n", "4", "--d", "1", "--limit", "3"],
     ["verify"],
     ["verify", "--max-n-brute", "5", "--max-n-dp", "9", "--t-order", "8", "--v-order", "3",
      "--timings"],
     ["asym", "--d", "1", "--max-n", "5", "--format", "text", "--output", "out.txt"],
+    # repeats: the last value wins, a flag stays set
+    ["count", "--n", "5", "--n", "6", "--d", "1", "--all-methods", "--all-methods"],
+    # values argparse reads as int or str although they look odd
+    ["count", "--n", " 5", "--d", "+1"],
+    ["table", "--max-n", "4", "--output", ""],
+    ["table", "--max-n", "1_0", "--output", "a=b"],
+]
+
+# argv that argparse must read: every near miss of the exact form
+_FALLBACK_CORPUS = [
+    ["count", "--n", "5", "--d", "-1", "--method", "closed", "--all-methods"],
+    ["table", "--max-n", "4", "--method", "gf", "--format", "json", "-o", "out.json"],
     # abbreviated options and the --opt=value form
     ["count", "--n", "5", "--d", "1", "--meth", "gf", "--all"],
     ["table", "--max", "3", "--form", "text"],
     ["verify", "--tim", "--t-o=8"],
     ["count", "--n=5", "--d=1"],
     ["verify", "--max", "5"],  # ambiguous
-    # a missing required option, a bad choice, a bad int
+    # a missing required option or value, a bad choice, a bad int
     ["count", "--n", "4"],
     ["table"],
+    ["count", "--n", "5", "--d"],
+    ["count", "--n", "5", "--d", "--method", "gf"],
     ["table", "--max-n", "4", "--format", "bogus"],
     ["count", "--n", "5", "--d", "1", "--method", "nope"],
+    ["count", "--n", "5", "--d", "1", "--method", ""],
     ["count", "--n", "x", "--d", "1"],
+    ["count", "--n", "", "--d", "1"],
+    ["count", "--n", "5", "--d", "1", "--all-methods", "x"],
+    # values that start with '-'
+    ["table", "--max-n", "4", "--output", "-"],
+    ["table", "--max-n", "4", "--output", "-x"],
+    ["count", "--n", "5", "--d", "-x"],
+    # an option of another subcommand
+    ["count", "--n", "5", "--d", "1", "--limit", "3"],
+    ["enumerate", "--n", "4", "--d", "1", "--method", "dp"],
     # leftovers: a positional, unknown options
     ["count", "--n", "5", "--d", "1", "extra"],
     ["count", "--n", "5", "--d", "1", "--bogus"],
@@ -1338,6 +1366,7 @@ _DISPATCH_CORPUS = [
     # help, nothing, no subcommand, and the end-of-options marker
     ["count", "--help"],
     ["table", "-h"],
+    ["count", "--n", "5", "--d", "1", "-h"],
     ["--help"],
     [],
     ["bogus"],
@@ -1347,20 +1376,136 @@ _DISPATCH_CORPUS = [
     ["count", "--n", "5", "--d", "1", "--"],
 ]
 
+_DISPATCH_CORPUS = _EXACT_CORPUS + _FALLBACK_CORPUS
+
+
+def _parse_outcomes(argv):
+    # the namespace, or the exit code and the text of a failing parse, of
+    # _parse and of parse_args, at a fixed help width
+    outcomes = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for parse in (kinks.cli._parse, kinks.cli.build_parser().parse_args):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    outcome = vars(parse(list(argv)))
+                except SystemExit as exc:
+                    outcome = exc.code
+            outcomes.append((outcome, out.getvalue(), err.getvalue()))
+    return outcomes
+
 
 @pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
-def test_subcommand_dispatch_parses_like_the_top_level_parser(capsys, monkeypatch, argv):
-    # main names the subcommand's parser from argv[0]; the namespace, or
-    # the exit code and the text of a failing parse, must be parse_args's
-    monkeypatch.setenv("COLUMNS", "80")
-    outcomes = []
-    for parse in (kinks.cli._parse, kinks.cli.build_parser().parse_args):
-        try:
-            outcome = vars(parse(list(argv)))
-        except SystemExit as exc:
-            outcome = exc.code
-        outcomes.append((outcome, *capsys.readouterr()))
-    assert outcomes[0] == outcomes[1]
+def test_subcommand_dispatch_parses_like_the_top_level_parser(argv):
+    # main names the subcommand's parser from argv[0], and reads the exact
+    # form without it; the namespace, or the exit code and the text of a
+    # failing parse, must be parse_args's
+    parsed, expected = _parse_outcomes(argv)
+    assert parsed == expected
+
+
+_FORMS = kinks.cli._parsers()[2]
+_OPTIONS = sorted({s for options, _, _ in _FORMS.values() for s in options}) + ["-o", "-h"]
+_TOKENS = st.sampled_from(
+    _OPTIONS
+    + [option[:4] for option in _OPTIONS if len(option) > 4]  # abbreviations
+    + ["--", "-", "--help", "extra", "-1", "-x", "", "x", *METHODS, *kinks.cli.FORMATS]
+)
+_VALUES = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from([*METHODS, *kinks.cli.FORMATS, "nope", "out.csv"]),
+    st.sampled_from(["", "-x", "+2", " 3", "1_0", "1.5", "x", "--", "a=b"]),
+    st.text(max_size=3),
+)
+
+
+def _value(action):
+    # the tokens after ACTION's option that the exact form takes: a value,
+    # or none for a flag
+    if action.nargs == 0:
+        return st.just([])
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices)).map(lambda v: [v])
+    if action.type is int:
+        return st.integers(0, 12).map(lambda v: [str(v)])
+    return st.sampled_from([["out.csv"], [""], ["a=b"]])
+
+
+@st.composite
+def _argv(draw):
+    # a request in the exact form, or near it: a subcommand (or none) and
+    # its own options, the required ones most often, each with a value
+    # taken five times in six, else any value; then up to two edits, each
+    # a token put in, replaced or dropped, an option joined to its value
+    # by '=', or an option given again
+    command = draw(st.sampled_from([*_FORMS, "bogus"]))
+    argv = [command]
+    options = _FORMS[command][0] if command in _FORMS else {}
+    for option in draw(st.permutations(sorted(options))):
+        action = options[option]
+        if draw(st.integers(0, 9)) < (8 if action.required else 4):
+            value = draw(_value(action)) if draw(st.integers(0, 5)) else [draw(_VALUES)]
+            argv += [option, *value]
+    for _ in range(draw(st.integers(0, 2))):
+        edit, i = draw(st.integers(0, 4)), draw(st.integers(1, len(argv)))
+        token = draw(st.one_of(_TOKENS, _VALUES))
+        if edit == 4 and options:
+            option = draw(st.sampled_from(sorted(options)))
+            argv[i:i] = [option, *draw(_value(options[option]))]
+        elif edit == 0:
+            argv.insert(i, token)
+        elif i < len(argv) and edit == 1:
+            argv[i] = token
+        elif i < len(argv) and edit == 2:
+            del argv[i]
+        elif i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_parse_matches_parse_args_on_drawn_argv(argv):
+    parsed, expected = _parse_outcomes(argv)
+    assert parsed == expected
+
+
+# one request of each shape in the benchmark's decks, each read in the
+# exact form
+_DECK_SHAPES = [
+    *(["count", "--n", "9", "--d", "2", "--method", method] for method in METHODS),
+    *(["table", "--method", "dp", "--max-n", "12", "--format", fmt]
+      for fmt in kinks.cli.FORMATS),
+    ["enumerate", "--n", "9", "--d", "2", "--limit", "300"],
+    ["verify", "--max-n-brute", "5", "--max-n-dp", "9", "--t-order", "8", "--v-order", "3"],
+    ["asym", "--d", "1", "--max-n", "9", "--format", "text"],
+]
+
+
+class _ArgparseRead(Exception):
+    pass
+
+
+def _no_argparse(*args, **kwargs):
+    raise _ArgparseRead
+
+
+@pytest.mark.parametrize("argv", _DECK_SHAPES, ids=" ".join)
+def test_deck_requests_skip_argparse_and_print_the_same(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _no_argparse)
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+def test_argparse_reads_every_near_miss_of_the_exact_form(monkeypatch, argv):
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _no_argparse)
+    if argv in _EXACT_CORPUS:
+        kinks.cli._parse(list(argv))
+    else:
+        with pytest.raises(_ArgparseRead):
+            kinks.cli._parse(list(argv))
 
 
 def test_reused_parser_answers_like_fresh_processes(capsys, monkeypatch):
