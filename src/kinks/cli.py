@@ -79,11 +79,15 @@ def _route(method: str, n: int, d: int, ceiling: int) -> Route:
 # count
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _check_chain(args: argparse.Namespace) -> None:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.d < 0:
         raise UsageError("--d must be nonnegative")
+
+
+def _cmd_count(args: argparse.Namespace) -> int:
+    _check_chain(args)
     n, d, ceiling = args.n, args.d, _brute_ceiling()
     if not args.all_methods:
         print(_route(args.method, n, d, ceiling).count(n, d))
@@ -219,9 +223,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be nonnegative")
+    _check_chain(args)
+    if args.d > max_kinks(args.n):
+        raise UsageError(f"--d must be at most {max_kinks(args.n)} for --n {args.n}")
     histories = enumerate_histories(args.n, args.d, args.limit)
-    if args.limit == 0:
-        return 0  # the site table below costs O(n) and no word needs it
     # Digits run together up to n = 9, comma-separated beyond.  Each site is
     # made a string once, each line is picked and joined by two C calls (at
     # n = 1 the pick is the one-digit str itself, which joins to itself),
@@ -300,11 +305,8 @@ _ExactForm = tuple[dict[str, argparse.Action], dict[str, object], frozenset[str]
 
 
 @cache
-def _parsers() -> tuple[
-    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, _ExactForm]
-]:
-    # the top-level parser, and the subcommand parsers and their exact forms
-    # by name
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _ExactForm]]:
+    # the top-level parser, and the exact form of each subcommand by name
     parser = argparse.ArgumentParser(
         prog="kinks",
         description="Exact counting and enumeration of chain flip histories by kink number.",
@@ -372,7 +374,7 @@ def _parsers() -> tuple[
         func=_cmd_asym,
     )
 
-    return parser, sub.choices, forms
+    return parser, forms
 
 
 def _exact_form(
@@ -422,17 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    # parse_args would read every token at the top level only to hand them
-    # all to the subcommand's parser; leftovers get the top-level error there
-    parser, commands, forms = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:  # help, usage and errors of the top level
+    parser, forms = _parsers()
+    args = _parse_exact(forms[argv[0]], argv[1:]) if argv and argv[0] in forms else None
+    if args is None:  # help, usage errors, abbreviations: argparse's own
         return parser.parse_args(argv)
-    args = _parse_exact(forms[argv[0]], argv[1:])
-    if args is None:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = argv[0]
     return args
 
@@ -441,18 +436,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run the CLI and return its exit code (0 ok, 1 mismatch or internal
     error, 2 usage).
 
-    When the first argument names a subcommand and each argument after
-    it is a whole long option of that subcommand, followed by one value
-    that does not start with '-' unless it is a flag, with every required
-    option given, the values are read without argparse's matcher: each
-    gets its option's `type` and `choices` checks, and the rest their
-    defaults, as argparse would give them.  Any other argument list after
-    a subcommand (help, an abbreviation, `--opt=value`, `-o`, a value
-    that starts with '-', `--`, a bad value, a missing option) goes to
-    that subcommand's parser, and one with no subcommand first to
-    `build_parser().parse_args`, so help, usage errors and abbreviations
-    are argparse's, byte for byte.  All three give the same namespace,
-    output and exit code."""
+    An argument list in a subcommand's exact form (see `_parse_exact`) is
+    read without argparse's matcher; any other goes to
+    `build_parser().parse_args`.  Both give the same namespace, output and
+    exit code."""
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

@@ -127,6 +127,10 @@ def test_tseries_shape_guards():
         TSeries((TruncPoly.one(2),), 3, 1)  # coefficient order mismatch
 
 
+def test_tseries_repr_names_both_orders():
+    assert repr(TSeries.one(3, 2)) == "TSeries(t_order=3, v_order=2)"
+
+
 def test_zero_serves_both_classes():
     # TSeries inherits zero, which takes each class's own orders
     assert TSeries.zero(3, 2) == TSeries((), 3, 2)

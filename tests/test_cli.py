@@ -30,6 +30,7 @@ from kinks import (
     ConvergenceRow,
     CountTable,
     TreeLabel,
+    TruncPoly,
     dp_table,
     enumerate_histories,
     max_kinks,
@@ -157,6 +158,10 @@ def test_count_range_errors(capsys):
     assert run_cli(capsys, "count", "--n", "1", "--d", "0", "--method", "gf")[0] == 2
     assert run_cli(capsys, "count", "--n", "4", "--d", "-1")[0] == 2
     assert run_cli(capsys, "count", "--n", "0", "--d", "0")[0] == 2
+
+
+def test_table_range_error(capsys):
+    assert run_cli(capsys, "table", "--max-n", "0") == (2, "", "error: --max-n must be at least 1\n")
 
 
 def test_brute_ceiling_env_override(capsys, monkeypatch):
@@ -694,6 +699,16 @@ def test_enumerate_range_error(capsys):
     assert run_cli(capsys, "enumerate", "--n", "4", "--d", "1", "--limit", "-1")[0] == 2
 
 
+def test_enumerate_range_errors_name_the_flags(capsys):
+    # count's gate of --n and --d, then the kink bound, each naming the flags
+    for argv, error in (
+        (("--n", "0", "--d", "0"), "--n must be at least 1"),
+        (("--n", "4", "--d", "-1"), "--d must be nonnegative"),
+        (("--n", "4", "--d", "5"), "--d must be at most 1 for --n 4"),
+    ):
+        assert run_cli(capsys, "enumerate", *argv) == (2, "", f"error: {error}\n")
+
+
 def test_verify_reduced_scope_passes(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -877,6 +892,30 @@ def test_verify_growth_estimate_notices_a_corrupted_single_kink_count(monkeypatc
     results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=40, t_order=8, v_order=3)
     assert {r.name: r.detail for r in results}["growth_estimate"] == (
         f"single-kink count at n = 30 is {gap} off 2^(2n-3), not n 2^(n-2)"
+    )
+
+
+def test_verify_rational_forms_notices_a_wrong_kinkless_count_above_20(monkeypatch):
+    # the rational forms are read to n = 20; the kinkless law covers every row
+    monkeypatch.setattr(*_recurrence_with(21, lambda row: (row[0] + 1, *row[1:])))
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=24, t_order=8, v_order=3)
+    assert {r.name: r.detail for r in results}["rational_forms"] == (
+        "kinkless count at n = 21 is not 2^(n-1)"
+    )
+
+
+def test_verify_exact_algebra_notices_a_wrong_product(monkeypatch):
+    # a ring product one too large in its top coefficient
+    exact = TruncPoly.__mul__
+
+    def off(self, other):
+        coeffs = exact(self, other).coeffs
+        return TruncPoly((*coeffs[:-1], coeffs[-1] + 1), self.order)
+
+    monkeypatch.setattr(TruncPoly, "__mul__", off)
+    results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
+    assert {r.name: r.detail for r in results}["exact_algebra"] == (
+        "s = 1 - 2w C(w) does not square to 1 - 4w at order 3"
     )
 
 
@@ -1404,7 +1443,7 @@ def test_subcommand_dispatch_parses_like_the_top_level_parser(argv):
     assert parsed == expected
 
 
-_FORMS = kinks.cli._parsers()[2]
+_FORMS = kinks.cli._parsers()[1]
 _OPTIONS = sorted({s for options, _, _ in _FORMS.values() for s in options}) + ["-o", "-h"]
 _TOKENS = st.sampled_from(
     _OPTIONS

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import kinks.genfunc
 from kinks import (
     CoefficientError,
+    CountTable,
     asymptotic_estimate,
     bivariate_series,
     closed_form,
@@ -223,6 +224,18 @@ def test_fixed_kinks_series_rejects_a_corrupted_column(monkeypatch):
     monkeypatch.setattr(kinks.genfunc, "_series_rows", bumped)
     with pytest.raises(CoefficientError, match="d = 2 of the series does not fit"):
         fixed_kinks_series(2, 30)
+
+
+def test_fixed_kinks_series_rejects_a_negative_count(monkeypatch):
+    # a negated column still fits the denominator: only the sign gate sees it
+    exact = kinks.genfunc._series_rows
+
+    def negated(lengths, lo, top):
+        return ([-c for c in row] for row in exact(lengths, lo, top))
+
+    monkeypatch.setattr(kinks.genfunc, "_series_rows", negated)
+    with pytest.raises(CoefficientError, match="negative count at d = 1$"):
+        fixed_kinks_series(1, 10)
 
 
 def test_fixed_kinks_series_guards():
@@ -516,6 +529,15 @@ def test_convergence_report_two_kinks_shrinks():
 def test_convergence_report_threshold_violation():
     with pytest.raises(ValueError):
         convergence_report(1, 10, threshold=Fraction(1, 10**9), table=DP40)
+
+
+def test_convergence_report_notices_a_deviation_that_stops_shrinking():
+    # c(9, 1) moved onto the estimate's double: deviation 1 at n = 9, past
+    # the window's start at n = 8
+    rows = {n: DP40.row(n) for n in range(1, 13)}
+    rows[9] = (rows[9][0], 2 * 2**15, *rows[9][2:])
+    with pytest.raises(ValueError, match="deviation fails to shrink at n = 9 for d = 1"):
+        convergence_report(1, 12, table=CountTable(rows))
 
 
 def test_convergence_report_accepts_precomputed_table():

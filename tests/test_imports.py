@@ -13,7 +13,7 @@ ROUTE_MODULES = {"oracle", "treedp", "genfunc"}
 #: the package modules each of these may import.  genfunc's edge to
 #: algebra is the one left: `bivariate_series` builds a `TSeries`, and the
 #: benchmark's tracer binds `bivariate_series`, so it stays until a change
-#: to the benchmark lets ROADMAP item 5 delete it.
+#: to the benchmark lets ROADMAP item 4 delete it.
 ALLOWED = {
     "core": set(),
     "algebra": {"core"},
