@@ -32,7 +32,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -228,14 +228,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise UsageError(f"--d must be at most {max_kinks(args.n)} for --n {args.n}")
     histories = enumerate_histories(args.n, args.d, args.limit)
     # Digits run together up to n = 9, comma-separated beyond.  Each site is
-    # made a string once, each line is picked and joined by two C calls (at
+    # made a string once, when the first word arrives, so a stream of no
+    # words costs nothing at any n; the loop below drains the stream and
+    # runs at most once.  Each line is picked and joined by two C calls (at
     # n = 1 the pick is the one-digit str itself, which joins to itself),
     # and a stream holds one block of 1024 lines at most.
-    sep, sites = "" if args.n <= 9 else ",", [str(s) for s in range(args.n + 1)]
-    lines = (sep.join(itemgetter(*h.word)(sites)) for h in histories)
-    while block := list(islice(lines, 1024)):
-        block.append("")
-        sys.stdout.write("\n".join(block))  # looked up per block: redirect_stdout sees it
+    for first in histories:
+        sep, sites = "" if args.n <= 9 else ",", [str(s) for s in range(args.n + 1)]
+        lines = (sep.join(itemgetter(*h.word)(sites)) for h in chain((first,), histories))
+        while block := list(islice(lines, 1024)):
+            block.append("")
+            sys.stdout.write("\n".join(block))  # looked up per block: redirect_stdout sees it
     return 0
 
 

@@ -24,12 +24,13 @@ time, with no fields and no width, the shift done by pairing band k
 with band k - 1.  `tree_label_consistency` checks the succession rule
 against the labels of the child words.  A word's n + 1 child labels pack
 into one integer, its child code, which splits exactly into a part of
-the word's first n - 3 flips and a part of its last three: a depth-first
-walk builds each prefix once for the six words that extend it, and the
+the word's first n - 3 flips and a part of its last three: a walk
+builds each prefix once for the six words that extend it, and the
 3! orders of the three sites it leaves free come from a table built once
 per free set.  Every flip, in prefix or suffix, is tested against what
-the child flipped before it.  The rule itself is never packed: it is
-judged as labels, once per parent label and child code.
+the child flipped before it.  The word's label packs above its child
+code, and a level's distinct pairs are gathered in one set.  The rule
+itself is never packed: it is judged as labels, once per distinct pair.
 """
 
 from __future__ import annotations
@@ -259,70 +260,85 @@ class ConsistencyReport(NamedTuple):
         return not self.mismatches
 
 
-def _level_codes(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int], int]]:
-    # Every word of 1..n in permutations order, with its label and the code
-    # of its children c_i = word[:i] + (top,) + word[i:], i = 0..n, top =
-    # n + 1.  Each flip of c_i is tested against the set c_i flipped before
-    # it: word[t] sees P_t (the set of word[:t]) when t < i and P_t | {top}
-    # when t >= i, and top sees P_i.  So c_i has K_i = head_i + [n not in
-    # P_i] + (ht_n - ht_i) - 1 kinks, where head_t counts the flips of
-    # word[:t] that open a block on P_t and ht_t the same flips on P_t |
-    # {top}; c_i packs as the base-16 digit K_i + 8 [i <= index of n], so
-    # the code is the sum of (head_t + [n not in P_t] - ht_t) 16^t over t =
-    # 0..n, plus ht_n - 1 at every place and 8 at places 0..index of n.
+def _level_codes(
+    n: int,
+) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    # Every prefix of n - 3 flips of the words of 1..n, in permutations
+    # order, as (prefix, shared, orders, offsets): each order of the free
+    # set F of sites the prefix leaves makes one word, prefix + order, and
+    # shared + offset packs that word's label and the code of its children
+    # c_i = word[:i] + (top,) + word[i:], i = 0..n, top = n + 1.  Each flip
+    # of c_i is tested against the set c_i flipped before it: word[t] sees
+    # P_t (the set of word[:t]) when t < i and P_t | {top} when t >= i, and
+    # top sees P_i.  So c_i has K_i = head_i + [n not in P_i] + (ht_n -
+    # ht_i) - 1 kinks, where head_t counts the flips of word[:t] that open a
+    # block on P_t and ht_t the same flips on P_t | {top}; c_i packs as the
+    # base-16 digit K_i + 8 [i <= index of n], so the code is the sum of
+    # (head_t + [n not in P_t] - ht_t) 16^t over t = 0..n, plus ht_n - 1 at
+    # every place and 8 at places 0..index of n.  The label (j, k, r) packs
+    # above the code's n + 1 digits as k + 8 r + 16 j.
     #
-    # A depth-first walk builds each prefix of p = n - 3 flips once for
-    # every word that extends it: its set P, head_p, ht_p and part, the
-    # digits t <= p of that sum.  P fixes the free set F of the last three
-    # flips, so their 3! orders come from one table per F, built once per
-    # call, where each suffix flip is tested as a prefix flip is, against
-    # the set flipped before it with and without top.  With h_u and hs_u
-    # the blocks that the first u suffix flips open on P and on P | {top},
-    # hs = hs_3, and ones_lo and ones_hi the digit 1 at places 0..p and
-    # p + 1..n,
+    # The walk builds each prefix of p = n - 3 flips once for every word
+    # that extends it, one flip depth at a time in permutations order: its
+    # set P, head_p, ht_p and part, the digits t <= p of that sum.  P fixes
+    # F, so its 3! orders come from one table per F, built once per call,
+    # where each suffix flip is tested as a prefix flip is, against the set
+    # flipped before it with and without top.  With h_u and hs_u the blocks
+    # that the first u suffix flips open on P and on P | {top}, hs = hs_3,
+    # and ones_lo and ones_hi the digit 1 at places 0..p and p + 1..n,
     #     code = part + (ht_p - 1) ones_lo + (head_p - 1) ones_hi + hs ones
-    #            + sum_u (h_u + [n not in P_(p+u)] - hs_u) 16^(p+u) + firsts[index of n]
-    # and the word has head_p + h_3 - 1 kinks.  The table holds each order
-    # with its terms hs ones + sum_u and h_3 - 1; below level 4 the prefix
-    # is empty and the table holds whole words.
+    #            + sum_u (h_u + [n not in P_(p+u)] - hs_u) 16^(p+u) + 8 at places 0..index of n
+    # and the word has k = head_p + h_3 - 1 kinks.  The prefix's share is
+    # its digits and head_p, the order's offset hs ones + sum_u and h_3 - 1;
+    # the place of n, with its 8s, j and r, goes to whichever of the two
+    # holds n.  Below level 4 the prefix is empty and the table holds whole
+    # words.
     with_top = 1 << (n + 1)
     beside = 5 << n  # top's neighbours n and n + 2, which no word flips
-    ones = (16 ** (n + 1) - 1) // 15  # digit 1 at every place
-    firsts = [*map((8 * ones).__rshift__, range(4 * n, -1, -4))]  # 8 at places 0..i
+    shift = 4 * (n + 1)  # the label's place, above the code
+    ones = (1 << shift) // 15  # digit 1 at every place
+    # n at place i: 8 at places 0..i, and j = i + 1 in the label
+    places = [(8 * ones >> 4 * (n - i)) + (16 * (i + 1) << shift) for i in range(n)]
+    later = 8 << shift  # r = 1: n flips before n - 1
+    below = n - 1
     p = n - 3 if n > 3 else 0
-    suffixes = {}  # P -> its suffix orders
+    suffixes = {}  # P -> its suffix orders and their offsets
     for free in combinations(range(1, n + 1), n - p):
         rest = with_top - 2 - sum(map((1).__lshift__, free))  # P: the sites of 1..n not in F
-        suffixes[rest] = orders = []
-        for order in permutations(free):
-            flipped, h, hs, terms, shift = rest, 0, 0, 0, 4 * p
+        orders = [*permutations(free)]
+        offsets = []
+        for order in orders:
+            flipped, h, hs, terms, at = rest, 0, 0, 0, 4 * p
             for s in order:
+                if s == n:  # at place at / 4, r = 1 unless n - 1 flipped first
+                    terms += places[at >> 2] + (not flipped >> below & 1) * later
                 h += not flipped & (5 << (s - 1))
                 hs += not (flipped | with_top) & (5 << (s - 1))
                 flipped |= 1 << s
-                shift += 4
-                terms += (h + (not flipped & beside) - hs) << shift
-            orders.append((order, terms + hs * ones, h - 1))
+                at += 4
+                terms += (h + (not flipped & beside) - hs) << at
+            offsets.append(terms + hs * ones + (h - 1 << shift))
+        suffixes[rest] = tuple(orders), tuple(offsets)
     ones_hi = ones >> 4 * (p + 1) << 4 * (p + 1)
     ones_lo = ones - ones_hi
-    below = n - 1
-    stack = [((), 0, 0, 0, 0)]
-    while stack:
-        word, flipped, head, ht, part = stack.pop()
-        part += (head + (not flipped & beside) - ht) << (4 * len(word))
-        if len(word) < p:
-            stack.extend(
-                (word + (s,), flipped | 1 << s, head + (not flipped & (5 << (s - 1))),
-                 ht + (not (flipped | with_top) & (5 << (s - 1))), part)
-                for s in range(n, 0, -1) if not flipped >> s & 1
-            )
-            continue
-        base = part + (ht - 1) * ones_lo + (head - 1) * ones_hi
-        for suffix, terms, more in suffixes[flipped]:
-            whole = word + suffix
-            last = whole.index(n)
-            label = (last + 1, head + more, 1 if last < whole.index(below) else 0)
-            yield whole, label, base + terms + firsts[last]
+    # the walk, one depth at a time: word, P, head, ht and the digits t <
+    # len(word), with n's place, its 8s, j and r added when n is flipped;
+    # each node's digit at its own place t joins part as it is extended
+    prefixes = [((), 0, 0, 0, 0)]
+    for t in range(p):
+        prefixes = [
+            (word + (s,), flipped | 1 << s, head + (not flipped & (5 << (s - 1))),
+             ht + (not (flipped | with_top) & (5 << (s - 1))),
+             part + (s == n and places[t] + (not flipped >> below & 1) * later))
+            for word, flipped, head, ht, part in prefixes
+            for part in [part + ((head + (not flipped & beside) - ht) << 4 * t)]
+            for s in range(1, n + 1) if not flipped >> s & 1
+        ]
+    return [
+        (word, part + ((head + (not flipped & beside) - ht) << 4 * p)
+         + (ht - 1) * ones_lo + (head - 1) * ones_hi + (head << shift), *suffixes[flipped])
+        for word, flipped, head, ht, part in prefixes
+    ]
 
 
 def tree_label_consistency(n_max: int) -> ConsistencyReport:
@@ -334,16 +350,16 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     Each child label is read off the child word alone, every flip tested
     against what the child itself flipped before it, so the rule, whose
     only input is the parent's label, cannot vouch for itself.  The
-    n + 1 child labels of a word pack into one integer, its child code.
-    A depth-first walk over the words of a level builds the counts of
-    each prefix of n - 3 flips once for the six words that extend it;
-    the last three flips come from a table of the 3! orders of each free
-    set, built once per level and per call.  The code adds the prefix's
-    part, the order's part and the max_first digits up to n's place.
-    The rule is judged as labels, once per parent label and child code:
-    a word whose code is the one last judged for its label costs one
-    integer comparison.  Mismatches are report content, not errors; a
-    correct rule yields none.
+    n + 1 child labels of a word pack into one integer, its child code,
+    and the word's own label packs above it.  A walk over the words of
+    a level builds each prefix of n - 3 flips once, with the share of
+    the packed pair that the six words extending it have in common; the last three flips come from a table of the 3! orders of
+    each free set and their offsets, built once per level and per call.
+    A level's distinct pairs are collected by one set update per prefix,
+    and the rule is judged as labels, once per distinct pair.  Only a
+    level with a mismatching pair is walked a second time, to list the
+    words of that pair in word order.  Mismatches are report content,
+    not errors; a correct rule yields none.
     """
     # K_i <= max_kinks(9) = 4 < 8, so every child fits its base-16 digit
     if check_int(n_max, 2, "n_max") > 9:
@@ -351,21 +367,28 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     checked = 0
     mismatches: list[LabelMismatch] = []
     for n in range(2, n_max):
-        # parent label -> the code last judged and its mismatching positions
-        judged: dict[tuple[int, int, int], tuple[int, list[tuple]]] = {}
-        for word, label, code in _level_codes(n):
-            last = judged.get(label)
-            if last is None or last[0] != code:
+        shift = 4 * (n + 1)
+        pairs: set[int] = set()
+        for _, shared, _, offsets in _level_codes(n):
+            pairs.update(map(shared.__add__, offsets))
+            checked += (n + 1) * len(offsets)
+        # packed pair -> its mismatching positions
+        wrong: dict[int, list[tuple]] = {}
+        for pair in pairs:
+            label = pair >> shift
+            # child i's digit read as a plain (max_pos, kinks, max_first)
+            direct = [(i, pair >> 4 * i - 4 & 7, pair >> 4 * i - 1 & 1) for i in range(1, n + 2)]
+            children = succession_children(TreeLabel(label >> 4, label & 7, label >> 3 & 1), n)
+            if children != direct:
                 # position by position, a missing or extra rule child against None
-                digits = [code >> (4 * i) & 15 for i in range(n + 1)]
-                direct = [TreeLabel(i, g & 7, g >> 3) for i, g in enumerate(digits, 1)]
-                children = succession_children(TreeLabel(*label), n)
-                last = judged[label] = code, [
-                    (position, child, actual)
+                wrong[pair] = [
+                    (position, child, actual and TreeLabel(*actual))
                     for position, (child, actual) in enumerate(zip_longest(children, direct), 1)
                     if actual != child
                 ]
-            checked += n + 1
-            if last[1]:
-                mismatches.extend(LabelMismatch(n, word, *bad) for bad in last[1])
+        if wrong:
+            for prefix, shared, orders, offsets in _level_codes(n):
+                for order, offset in zip(orders, offsets):
+                    for bad in wrong.get(shared + offset, ()):
+                        mismatches.append(LabelMismatch(n, prefix + order, *bad))
     return ConsistencyReport(checked, tuple(mismatches))

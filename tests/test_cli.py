@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -614,6 +615,19 @@ def test_enumerate_long_words_use_commas(capsys):
     assert out.split("\n")[0] == "1,2,3,4,5,6,7,8,9,10"
     assert run_cli(capsys, "enumerate", "--n", "9", "--d", "0", "--limit", "1")[1] == "123456789\n"
 
+
+
+def test_enumerate_of_no_words_builds_no_site_table(capsys):
+    # the site strings wait for the first word, so --limit 0 at a million
+    # sites prints nothing and allocates next to nothing
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, "enumerate", "--n", "1000000", "--d", "0", "--limit", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "", "")
+    assert peak < 1 << 20, peak
 
 def _reference_stdout(n, d, limit):
     # written apart from the CLI: one str per site, one line per word

@@ -30,6 +30,7 @@ from kinks import (
 )
 from kinks.core import _opened, _word_label
 from kinks.treedp import LabelMismatch, _label_levels, _level_codes
+import helpers
 from helpers import naive_label_consistency
 
 
@@ -409,13 +410,41 @@ def _children_read_off_words(word):
     return [_word_label(word[:i] + top + word[i:]) for i in range(len(word) + 1)]
 
 
+def _level_words(n):
+    # the records of `_level_codes` expanded to one (word, label, code) per
+    # word: each order of a prefix's free set extends it by one word, whose
+    # label sits above the n + 1 code digits of the shared part plus the
+    # order's offset
+    shift = 4 * (n + 1)
+    for prefix, shared, orders, offsets in _level_codes(n):
+        for order, offset in zip(orders, offsets):
+            pair = shared + offset
+            label = pair >> shift
+            yield prefix + order, (label >> 4, label & 7, label >> 3 & 1), pair & (1 << shift) - 1
+
+
+def _with_pair(word, change):
+    # `_level_codes` with the packed pair of one word replaced by change(pair)
+    exact = kinks.treedp._level_codes
+
+    def walk(n):
+        for prefix, shared, orders, offsets in exact(n):
+            if len(word) == n and word[: len(prefix)] == prefix:
+                i = orders.index(word[len(prefix) :])
+                offset = change(shared + offsets[i]) - shared
+                offsets = offsets[:i] + (offset,) + offsets[i + 1 :]
+            yield prefix, shared, orders, offsets
+
+    return walk
+
+
 def test_level_codes_match_the_child_words():
     # the walk's words come in permutations order, and each code packs the
     # labels read off the n + 1 child words, child i as the base-16 digit
     # kinks + 8 max_first at 16^i
     for n in range(2, 9):
         words = []
-        for word, label, code in _level_codes(n):
+        for word, label, code in _level_words(n):
             words.append(word)
             assert label == _word_label(word), word
             children = _children_read_off_words(word)
@@ -423,6 +452,10 @@ def test_level_codes_match_the_child_words():
             packed = sum((c.kinks + 8 * c.max_first) << (4 * i) for i, c in enumerate(children))
             assert code == packed, word
         assert words == list(permutations(range(1, n + 1)))
+    # a record is a prefix of n - 3 flips and the 3! orders of what it leaves
+    for prefix, _, orders, offsets in _level_codes(6):
+        assert len(prefix) == 3 and len(orders) == len(offsets) == 6
+        assert orders == tuple(permutations(sorted({1, 2, 3, 4, 5, 6} - set(prefix))))
 
 
 @pytest.mark.parametrize("n_max", range(2, 9))
@@ -557,12 +590,7 @@ def test_label_consistency_judges_each_code_of_a_label():
     word, label, digit = (2, 1, 3, 4), (4, 0, 0), 2
     same = [w for w in permutations(range(1, 5)) if _word_label(w) == label]
     assert same == [(1, 2, 3, 4), word, (2, 3, 1, 4), (3, 2, 1, 4)]
-    exact = kinks.treedp._level_codes
-
-    def flipped(n):
-        for w, lab, code in exact(n):
-            yield w, lab, code ^ 1 << 4 * digit if w == word else code
-
+    flipped = _with_pair(word, lambda pair: pair ^ 1 << 4 * digit)
     with mock.patch.object(kinks.treedp, "_level_codes", flipped):
         report = tree_label_consistency(5)
     child = _children_read_off_words(word)[digit]
@@ -589,7 +617,64 @@ def test_no_state_outlives_a_call():
     assert [(m.n, m.word, m.position) for m in report.mismatches] == [(6, w, 1) for w in words]
     assert tree_label_consistency(7).ok
     # and the walk yields the same triples on a second call
-    assert list(_level_codes(6)) == list(_level_codes(6))
+    assert list(_level_words(6)) == list(_level_words(6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    word=st.integers(2, 6).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    data=st.data(),
+)
+def test_label_consistency_reports_a_corrupted_code_as_the_naive_check(word, data):
+    # one child digit of one word's code changed, and the naive check made
+    # to read that child's label as the changed digit decodes
+    n, word = len(word), tuple(word)
+    index = data.draw(st.integers(0, n), label="index")
+    child = word[:index] + (n + 1,) + word[index:]
+    exact = _word_label(child)
+    digit = data.draw(
+        st.integers(0, 15).filter(lambda g: g != exact.kinks + 8 * exact.max_first), label="digit"
+    )
+    corrupt = TreeLabel(index + 1, digit & 7, digit >> 3)
+
+    def read(w):
+        return corrupt if w == child else _word_label(w)
+
+    place = 4 * index
+    changed = _with_pair(word, lambda pair: pair + (digit - (pair >> place & 15) << place))
+    with mock.patch.object(kinks.treedp, "_level_codes", changed):
+        fast = tree_label_consistency(n + 1)
+    with mock.patch.object(helpers, "_word_label", read):
+        naive = naive_label_consistency(n + 1)
+    assert repr(fast) == repr(naive)
+    assert fast == naive
+    assert [(m.n, m.word, m.position) for m in fast.mismatches] == [(n, word, index + 1)]
+
+
+def test_label_consistency_walks_each_level_once_under_the_exact_rule():
+    exact = kinks.treedp._level_codes
+    walked = []
+
+    def spy(n):
+        walked.append(n)
+        return exact(n)
+
+    with mock.patch.object(kinks.treedp, "_level_codes", spy):
+        assert tree_label_consistency(8).ok
+        assert walked == [2, 3, 4, 5, 6, 7]
+        # a wrong rule child at level 5 walks that level, and it alone, again
+        walked.clear()
+        rule = kinks.treedp.succession_children
+
+        def wrong(label, n):
+            children = rule(label, n)
+            if (label, n) == (TreeLabel(5, 0, 0), 5):
+                children[0] = children[0]._replace(kinks=children[0].kinks + 1)
+            return children
+
+        with mock.patch.object(kinks.treedp, "succession_children", wrong):
+            assert not tree_label_consistency(8).ok
+        assert walked == [2, 3, 4, 5, 5, 6, 7]
 
 
 def test_label_consistency_guards_factorial_scan():
