@@ -22,20 +22,16 @@ every count it reaches.  `advance_level` is its one-step adapter on
 `LevelState`: the same step, `_label_step`, taken one kink band at a
 time, with no fields and no width, the shift done by pairing band k
 with band k - 1.  `tree_label_consistency` checks the succession rule
-against the labels of the child words.  A word's n + 1 child labels pack
-into one integer, its child code, which splits exactly into a part of
-the word's first n - 3 flips and a part of its last three: a walk
-builds each prefix once for the six words that extend it, and the
-3! orders of the three sites it leaves free come from a table built once
-per free set.  Every flip, in prefix or suffix, is tested against what
-the child flipped before it.  The word's label packs above its child
-code, and a level's distinct pairs are gathered in one set.  The rule
-itself is never packed: it is judged as labels, once per distinct pair.
+against the labels of the child words.  After t flips of a word, a few
+numbers (the flipped set, the blocks opened with and without n + 1, the
+partial child kinks, n's place) fix every child label, so a walk that
+keeps only the distinct states of each depth judges the rule once per
+distinct final state: once per label under a correct rule.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, permutations, repeat, zip_longest
+from itertools import accumulate, chain, repeat, zip_longest
 from math import factorial
 from operator import add, lshift
 from typing import Iterator, NamedTuple
@@ -260,85 +256,33 @@ class ConsistencyReport(NamedTuple):
         return not self.mismatches
 
 
-def _level_codes(
-    n: int,
-) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    # Every prefix of n - 3 flips of the words of 1..n, in permutations
-    # order, as (prefix, shared, orders, offsets): each order of the free
-    # set F of sites the prefix leaves makes one word, prefix + order, and
-    # shared + offset packs that word's label and the code of its children
-    # c_i = word[:i] + (top,) + word[i:], i = 0..n, top = n + 1.  Each flip
-    # of c_i is tested against the set c_i flipped before it: word[t] sees
-    # P_t (the set of word[:t]) when t < i and P_t | {top} when t >= i, and
-    # top sees P_i.  So c_i has K_i = head_i + [n not in P_i] + (ht_n -
-    # ht_i) - 1 kinks, where head_t counts the flips of word[:t] that open a
-    # block on P_t and ht_t the same flips on P_t | {top}; c_i packs as the
-    # base-16 digit K_i + 8 [i <= index of n], so the code is the sum of
-    # (head_t + [n not in P_t] - ht_t) 16^t over t = 0..n, plus ht_n - 1 at
-    # every place and 8 at places 0..index of n.  The label (j, k, r) packs
-    # above the code's n + 1 digits as k + 8 r + 16 j.
-    #
-    # The walk builds each prefix of p = n - 3 flips once for every word
-    # that extends it, one flip depth at a time in permutations order: its
-    # set P, head_p, ht_p and part, the digits t <= p of that sum.  P fixes
-    # F, so its 3! orders come from one table per F, built once per call,
-    # where each suffix flip is tested as a prefix flip is, against the set
-    # flipped before it with and without top.  With h_u and hs_u the blocks
-    # that the first u suffix flips open on P and on P | {top}, hs = hs_3,
-    # and ones_lo and ones_hi the digit 1 at places 0..p and p + 1..n,
-    #     code = part + (ht_p - 1) ones_lo + (head_p - 1) ones_hi + hs ones
-    #            + sum_u (h_u + [n not in P_(p+u)] - hs_u) 16^(p+u) + 8 at places 0..index of n
-    # and the word has k = head_p + h_3 - 1 kinks.  The prefix's share is
-    # its digits and head_p, the order's offset hs ones + sum_u and h_3 - 1;
-    # the place of n, with its 8s, j and r, goes to whichever of the two
-    # holds n.  Below level 4 the prefix is empty and the table holds whole
-    # words.
-    with_top = 1 << (n + 1)
-    beside = 5 << n  # top's neighbours n and n + 2, which no word flips
-    shift = 4 * (n + 1)  # the label's place, above the code
-    ones = (1 << shift) // 15  # digit 1 at every place
-    # n at place i: 8 at places 0..i, and j = i + 1 in the label
-    places = [(8 * ones >> 4 * (n - i)) + (16 * (i + 1) << shift) for i in range(n)]
-    later = 8 << shift  # r = 1: n flips before n - 1
-    below = n - 1
-    p = n - 3 if n > 3 else 0
-    suffixes = {}  # P -> its suffix orders and their offsets
-    for free in combinations(range(1, n + 1), n - p):
-        rest = with_top - 2 - sum(map((1).__lshift__, free))  # P: the sites of 1..n not in F
-        orders = [*permutations(free)]
-        offsets = []
-        for order in orders:
-            flipped, h, hs, terms, at = rest, 0, 0, 0, 4 * p
-            for s in order:
-                if s == n:  # at place at / 4, r = 1 unless n - 1 flipped first
-                    terms += places[at >> 2] + (not flipped >> below & 1) * later
-                h += not flipped & (5 << (s - 1))
-                hs += not (flipped | with_top) & (5 << (s - 1))
-                flipped |= 1 << s
-                at += 4
-                terms += (h + (not flipped & beside) - hs) << at
-            offsets.append(terms + hs * ones + (h - 1 << shift))
-        suffixes[rest] = tuple(orders), tuple(offsets)
-    ones_hi = ones >> 4 * (p + 1) << 4 * (p + 1)
-    ones_lo = ones - ones_hi
-    # the walk, one depth at a time: word, P, head, ht and the digits t <
-    # len(word), with n's place, its 8s, j and r added when n is flipped;
-    # each node's digit at its own place t joins part as it is extended
-    prefixes = [((), 0, 0, 0, 0)]
-    for t in range(p):
-        prefixes = [
-            (word + (s,), flipped | 1 << s, head + (not flipped & (5 << (s - 1))),
-             ht + (not (flipped | with_top) & (5 << (s - 1))),
-             part + (s == n and places[t] + (not flipped >> below & 1) * later))
-            for word, flipped, head, ht, part in prefixes
-            for part in [part + ((head + (not flipped & beside) - ht) << 4 * t)]
+def _level_codes(n: int, words: bool = False) -> list | set:
+    # The distinct final states of a walk over the words of 1..n, one flip
+    # depth at a time; with `words`, each word, in permutations order, with
+    # its final state.  Child c_i = word[:i] + (top,) + word[i:], i = 0..n,
+    # top = n + 1, has its flips tested against the set c_i flipped before
+    # them: word[t] sees P_t (the set of word[:t]) when t < i and P_t | {top}
+    # when t >= i, and top sees P_i.  So c_i has K_i = d_i + ht_n - 1 kinks,
+    # d_i = head_i + [n not in P_i] - ht_i, where head_t counts the flips of
+    # word[:t] that open a block on P_t and ht_t the same flips on
+    # P_t | {top}.  After t flips the state (P_t, head_t, ht_t, d_0..d_(t-1),
+    # n's place j and r) fixes all that follows, so without `words` the word
+    # stays () and equal states merge; j = r = 0 until n flips.
+    with_top = 1 << n + 1
+    states = [((), 0, 0, 0, (), (0, 0))]
+    for t in range(n):
+        states = (list if words else set)(
+            (word + (s,) if words else word, flipped | 1 << s, head + (not flipped & 5 << s - 1),
+             ht + (not (flipped | with_top) & 5 << s - 1), digits,
+             (t + 1, 1 - (flipped >> n - 1 & 1)) if s == n else jr)
+            for word, flipped, head, ht, digits, jr in states
+            for digits in [digits + (head + (not flipped >> n & 1) - ht,)]
             for s in range(1, n + 1) if not flipped >> s & 1
-        ]
-    return [
-        (word, part + ((head + (not flipped & beside) - ht) << 4 * p)
-         + (ht - 1) * ones_lo + (head - 1) * ones_hi + (head << shift), *suffixes[flipped])
-        for word, flipped, head, ht, part in prefixes
-    ]
+        )
+    # n is flipped, so d_n = head - ht
+    final = [(word, (head, ht, digits + (head - ht,), jr))
+             for word, _, head, ht, digits, jr in states]
+    return final if words else {state for _, state in final}
 
 
 def tree_label_consistency(n_max: int) -> ConsistencyReport:
@@ -349,46 +293,35 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     the child word with the label the rule predicts at that position.
     Each child label is read off the child word alone, every flip tested
     against what the child itself flipped before it, so the rule, whose
-    only input is the parent's label, cannot vouch for itself.  The
-    n + 1 child labels of a word pack into one integer, its child code,
-    and the word's own label packs above it.  A walk over the words of
-    a level builds each prefix of n - 3 flips once, with the share of
-    the packed pair that the six words extending it have in common; the last three flips come from a table of the 3! orders of
-    each free set and their offsets, built once per level and per call.
-    A level's distinct pairs are collected by one set update per prefix,
-    and the rule is judged as labels, once per distinct pair.  Only a
-    level with a mismatching pair is walked a second time, to list the
-    words of that pair in word order.  Mismatches are report content,
+    only input is the parent's label, cannot vouch for itself.  A walk
+    over the words of a level keeps only its distinct states, and the
+    rule is judged once per distinct final state; only a level with a
+    mismatch is walked again word by word, to list the words of each
+    mismatching state in word order.  Mismatches are report content,
     not errors; a correct rule yields none.
     """
-    # K_i <= max_kinks(9) = 4 < 8, so every child fits its base-16 digit
     if check_int(n_max, 2, "n_max") > 9:
-        raise ValueError("the cross-check scans (n+1)! children per level; keep n_max <= 9")
+        raise ValueError("a failing level's re-walk reads all n! words; keep n_max <= 9")
     checked = 0
     mismatches: list[LabelMismatch] = []
     for n in range(2, n_max):
-        shift = 4 * (n + 1)
-        pairs: set[int] = set()
-        for _, shared, _, offsets in _level_codes(n):
-            pairs.update(map(shared.__add__, offsets))
-            checked += (n + 1) * len(offsets)
-        # packed pair -> its mismatching positions
-        wrong: dict[int, list[tuple]] = {}
-        for pair in pairs:
-            label = pair >> shift
-            # child i's digit read as a plain (max_pos, kinks, max_first)
-            direct = [(i, pair >> 4 * i - 4 & 7, pair >> 4 * i - 1 & 1) for i in range(1, n + 2)]
-            children = succession_children(TreeLabel(label >> 4, label & 7, label >> 3 & 1), n)
+        checked += (n + 1) * factorial(n)
+        # final state -> its mismatching positions
+        wrong: dict[tuple, list[tuple]] = {}
+        for state in _level_codes(n):
+            head, ht, digits, (j, r) = state
+            # child i as a plain (max_pos, kinks, max_first)
+            direct = [(i, d + ht - 1, int(i <= j)) for i, d in enumerate(digits, 1)]
+            children = succession_children(TreeLabel(j, head - 1, r), n)
             if children != direct:
                 # position by position, a missing or extra rule child against None
-                wrong[pair] = [
+                wrong[state] = [
                     (position, child, actual and TreeLabel(*actual))
                     for position, (child, actual) in enumerate(zip_longest(children, direct), 1)
                     if actual != child
                 ]
         if wrong:
-            for prefix, shared, orders, offsets in _level_codes(n):
-                for order, offset in zip(orders, offsets):
-                    for bad in wrong.get(shared + offset, ()):
-                        mismatches.append(LabelMismatch(n, prefix + order, *bad))
+            for word, state in _level_codes(n, words=True):
+                for bad in wrong.get(state, ()):
+                    mismatches.append(LabelMismatch(n, word, *bad))
     return ConsistencyReport(checked, tuple(mismatches))

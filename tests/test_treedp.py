@@ -410,52 +410,48 @@ def _children_read_off_words(word):
     return [_word_label(word[:i] + top + word[i:]) for i in range(len(word) + 1)]
 
 
-def _level_words(n):
-    # the records of `_level_codes` expanded to one (word, label, code) per
-    # word: each order of a prefix's free set extends it by one word, whose
-    # label sits above the n + 1 code digits of the shared part plus the
-    # order's offset
-    shift = 4 * (n + 1)
-    for prefix, shared, orders, offsets in _level_codes(n):
-        for order, offset in zip(orders, offsets):
-            pair = shared + offset
-            label = pair >> shift
-            yield prefix + order, (label >> 4, label & 7, label >> 3 & 1), pair & (1 << shift) - 1
+def _decoded(state):
+    # a final state of `_level_codes` as the word's label and its n + 1
+    # child labels: child i has d_i + ht - 1 kinks and max_first [i <= j]
+    head, ht, digits, (j, r) = state
+    children = [TreeLabel(i, d + ht - 1, int(i <= j)) for i, d in enumerate(digits, 1)]
+    return TreeLabel(j, head - 1, r), children
 
 
-def _with_pair(word, change):
-    # `_level_codes` with the packed pair of one word replaced by change(pair)
+def _with_child_kinks(word, index, count):
+    # `_level_codes` with child `index` of one word read at `count` kinks,
+    # in the judging pass and the word mode alike
     exact = kinks.treedp._level_codes
 
-    def walk(n):
-        for prefix, shared, orders, offsets in exact(n):
-            if len(word) == n and word[: len(prefix)] == prefix:
-                i = orders.index(word[len(prefix) :])
-                offset = change(shared + offsets[i]) - shared
-                offsets = offsets[:i] + (offset,) + offsets[i + 1 :]
-            yield prefix, shared, orders, offsets
+    def change(state):
+        head, ht, digits, jr = state
+        return head, ht, digits[:index] + (count - ht + 1,) + digits[index + 1 :], jr
+
+    def walk(n, words=False):
+        walked = [(w, change(state) if w == word else state) for w, state in exact(n, words=True)]
+        return walked if words else {state for _, state in walked}
 
     return walk
 
 
 def test_level_codes_match_the_child_words():
-    # the walk's words come in permutations order, and each code packs the
-    # labels read off the n + 1 child words, child i as the base-16 digit
-    # kinks + 8 max_first at 16^i
+    # the word mode lists every word in permutations order, and each final
+    # state decodes to the labels read off the word and its n + 1 child words
     for n in range(2, 9):
-        words = []
-        for word, label, code in _level_words(n):
-            words.append(word)
-            assert label == _word_label(word), word
-            children = _children_read_off_words(word)
-            assert [c.max_pos for c in children] == list(range(1, n + 2))
-            packed = sum((c.kinks + 8 * c.max_first) << (4 * i) for i, c in enumerate(children))
-            assert code == packed, word
-        assert words == list(permutations(range(1, n + 1)))
-    # a record is a prefix of n - 3 flips and the 3! orders of what it leaves
-    for prefix, _, orders, offsets in _level_codes(6):
-        assert len(prefix) == 3 and len(orders) == len(offsets) == 6
-        assert orders == tuple(permutations(sorted({1, 2, 3, 4, 5, 6} - set(prefix))))
+        walked = _level_codes(n, words=True)
+        assert [word for word, _ in walked] == list(permutations(range(1, n + 1)))
+        for word, state in walked:
+            assert _decoded(state) == (_word_label(word), _children_read_off_words(word)), word
+
+
+def test_level_codes_keep_one_state_per_label():
+    # the judging pass holds the distinct final states of the word mode,
+    # and under the walk's exact child labels a label has one state
+    assert [len(_level_codes(n)) for n in range(2, 9)] == [2, 5, 10, 17, 26, 37, 50]
+    for n in range(2, 8):
+        walked = _level_codes(n, words=True)
+        assert _level_codes(n) == {state for _, state in walked}
+        assert len({_word_label(word) for word, _ in walked}) == len(_level_codes(n))
 
 
 @pytest.mark.parametrize("n_max", range(2, 9))
@@ -585,17 +581,16 @@ def test_label_consistency_asks_the_rule_once_per_parent_label():
 
 def test_label_consistency_judges_each_code_of_a_label():
     # (2, 1, 3, 4) shares its label (4, 0, 0) with one word before it and
-    # two after: one digit flipped in its code alone must report that word
-    # alone, and the later words, back at the original code, nothing
-    word, label, digit = (2, 1, 3, 4), (4, 0, 0), 2
+    # two after: one child changed in its final state alone must report
+    # that word alone, and the later words, still at the exact state, nothing
+    word, label, index = (2, 1, 3, 4), (4, 0, 0), 2
     same = [w for w in permutations(range(1, 5)) if _word_label(w) == label]
     assert same == [(1, 2, 3, 4), word, (2, 3, 1, 4), (3, 2, 1, 4)]
-    flipped = _with_pair(word, lambda pair: pair ^ 1 << 4 * digit)
-    with mock.patch.object(kinks.treedp, "_level_codes", flipped):
+    with mock.patch.object(kinks.treedp, "_level_codes", _with_child_kinks(word, index, 0)):
         report = tree_label_consistency(5)
-    child = _children_read_off_words(word)[digit]
+    child = _children_read_off_words(word)[index]
     assert child == TreeLabel(3, 1, 1)
-    assert report.mismatches == (LabelMismatch(4, word, digit + 1, child, TreeLabel(3, 0, 1)),)
+    assert report.mismatches == (LabelMismatch(4, word, index + 1, child, TreeLabel(3, 0, 1)),)
 
 
 def test_no_state_outlives_a_call():
@@ -616,8 +611,9 @@ def test_no_state_outlives_a_call():
     assert len(words) > 1
     assert [(m.n, m.word, m.position) for m in report.mismatches] == [(6, w, 1) for w in words]
     assert tree_label_consistency(7).ok
-    # and the walk yields the same triples on a second call
-    assert list(_level_words(6)) == list(_level_words(6))
+    # and the walk returns the same states, and words, on a second call
+    assert _level_codes(6) == _level_codes(6)
+    assert _level_codes(6, words=True) == _level_codes(6, words=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -626,23 +622,20 @@ def test_no_state_outlives_a_call():
     data=st.data(),
 )
 def test_label_consistency_reports_a_corrupted_code_as_the_naive_check(word, data):
-    # one child digit of one word's code changed, and the naive check made
-    # to read that child's label as the changed digit decodes
+    # one child's kinks in one word's final state changed, and the naive
+    # check made to read that child's label so; a state holds no child's
+    # max_first, which follows from n's place
     n, word = len(word), tuple(word)
     index = data.draw(st.integers(0, n), label="index")
     child = word[:index] + (n + 1,) + word[index:]
     exact = _word_label(child)
-    digit = data.draw(
-        st.integers(0, 15).filter(lambda g: g != exact.kinks + 8 * exact.max_first), label="digit"
-    )
-    corrupt = TreeLabel(index + 1, digit & 7, digit >> 3)
+    count = data.draw(st.integers(-1, 8).filter(lambda k: k != exact.kinks), label="kinks")
+    corrupt = exact._replace(kinks=count)
 
     def read(w):
         return corrupt if w == child else _word_label(w)
 
-    place = 4 * index
-    changed = _with_pair(word, lambda pair: pair + (digit - (pair >> place & 15) << place))
-    with mock.patch.object(kinks.treedp, "_level_codes", changed):
+    with mock.patch.object(kinks.treedp, "_level_codes", _with_child_kinks(word, index, count)):
         fast = tree_label_consistency(n + 1)
     with mock.patch.object(helpers, "_word_label", read):
         naive = naive_label_consistency(n + 1)
@@ -655,14 +648,15 @@ def test_label_consistency_walks_each_level_once_under_the_exact_rule():
     exact = kinks.treedp._level_codes
     walked = []
 
-    def spy(n):
-        walked.append(n)
-        return exact(n)
+    def spy(n, words=False):
+        walked.append((n, words))
+        return exact(n, words)
 
     with mock.patch.object(kinks.treedp, "_level_codes", spy):
         assert tree_label_consistency(8).ok
-        assert walked == [2, 3, 4, 5, 6, 7]
-        # a wrong rule child at level 5 walks that level, and it alone, again
+        assert walked == [(n, False) for n in range(2, 8)]
+        # a wrong rule child at level 5 walks that level, and it alone,
+        # again, word by word
         walked.clear()
         rule = kinks.treedp.succession_children
 
@@ -674,7 +668,30 @@ def test_label_consistency_walks_each_level_once_under_the_exact_rule():
 
         with mock.patch.object(kinks.treedp, "succession_children", wrong):
             assert not tree_label_consistency(8).ok
-        assert walked == [2, 3, 4, 5, 5, 6, 7]
+        assert walked == [(2, False), (3, False), (4, False), (5, False), (5, True), (6, False),
+                          (7, False)]
+
+
+def test_label_consistency_lists_a_wrong_level_7_child_word_by_word():
+    # the re-walk of a level above 6: every word of the label, in
+    # permutations order, reports the one wrong child
+    exact = kinks.treedp.succession_children
+    target = TreeLabel(4, 1, 0)
+
+    def wrong(label, n):
+        children = exact(label, n)
+        if (label, n) == (target, 7):
+            children[3] = children[3]._replace(kinks=children[3].kinks + 1)
+        return children
+
+    with mock.patch.object(kinks.treedp, "succession_children", wrong):
+        report = tree_label_consistency(8)
+    words = [w for w in permutations(range(1, 8)) if _word_label(w) == target]
+    assert len(words) > 1
+    assert report.mismatches == tuple(
+        LabelMismatch(7, w, 4, TreeLabel(4, 3, 1), TreeLabel(4, 2, 1)) for w in words
+    )
+    assert report.checked == sum(factorial(n) * (n + 1) for n in range(2, 8))
 
 
 def test_label_consistency_guards_factorial_scan():
