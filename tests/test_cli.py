@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -30,10 +31,12 @@ from kinks import (
     CoefficientError,
     ConvergenceRow,
     CountTable,
+    History,
     TreeLabel,
     TruncPoly,
     dp_table,
     enumerate_histories,
+    kink_count,
     max_kinks,
     series_table,
 )
@@ -628,6 +631,28 @@ def test_enumerate_of_no_words_builds_no_site_table(capsys):
         tracemalloc.stop()
     assert result == (0, "", "")
     assert peak < 1 << 20, peak
+
+
+def test_enumerate_first_word_at_twenty_thousand_sites_fits_one_gib():
+    # each depth of the walk holds one suspended `_moves`, not a list of
+    # every kept flip, so the first word costs O(n) per depth
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(kinks.genfunc.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "kinks", "enumerate", "--n", "20000", "--d", "3", "--limit", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    [line] = run.stdout.splitlines()
+    word = tuple(map(int, line.split(",")))
+    assert sorted(word) == list(range(1, 20001))
+    assert kink_count(History(word)) == 3
 
 def _reference_stdout(n, d, limit):
     # written apart from the CLI: one str per site, one line per word

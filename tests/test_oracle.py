@@ -211,7 +211,7 @@ def test_moves_count_the_room_left_as_the_nearest_flipped_sites_give_it():
             for rem in range(max_kinks(n) + 2):
                 for cap in (0, 1, 2, 5):
                     wanted = _plain_moves(seen, rem, cap, n)
-                    assert _moves(seen, rem, cap, n, full) == wanted, (n, seen, rem, cap)
+                    assert list(_moves(seen, rem, cap, n, full)) == wanted, (n, seen, rem, cap)
 
 
 def _plain_walk(n, d):
@@ -255,6 +255,20 @@ def test_enumerate_memory_stays_bounded_on_a_long_stream():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n, d, bound", [(400, 3, 2**20), (1000, 1, 4 * 2**20)])
+def test_enumerate_first_word_costs_no_list_of_flips_per_depth(n, d, bound):
+    # the walk to the first word takes the first kept flip at each depth
+    # and leaves the others unlisted
+    tracemalloc.start()
+    try:
+        first = next(enumerate_histories(n, d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kink_count(first) == d
+    assert peak < bound, peak
 
 
 def test_enumerate_limit():
@@ -328,7 +342,7 @@ def _inject(monkeypatch, fault, in_tail):
     exact, done = kinks.oracle._moves, []
 
     def faulty(seen, rem, cap, n, full):
-        moves = exact(seen, rem, cap, n, full)
+        moves = list(exact(seen, rem, cap, n, full))
         free = bin(full ^ seen).count("1")
         if not done and moves and seen and 2 <= free and (free <= 5) == in_tail:
             done.append(seen)
@@ -473,7 +487,7 @@ def test_moves_keep_exactly_the_flips_that_can_still_reach_d():
                     kinks_after[order[0]].add(_word_kinks(prefix + order))
                 done = _word_kinks(prefix)
                 cap = max(map(max, kinks_after.values())) - done if rem else 0
-                moves = _moves(seen, rem, cap, n, full)
+                moves = list(_moves(seen, rem, cap, n, full))
                 kept = [s for s in sorted(kinks_after) if d in kinks_after[s]]
                 assert [bit.bit_length() - 1 for bit, _, _ in moves] == kept, (n, d, prefix)
                 for bit, rem2, cap2 in moves:
