@@ -36,9 +36,9 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .core import check_int, max_kinks
+from .core import max_kinks
 from .genfunc import convergence_report
-from .oracle import DEFAULT_BRUTE_CEILING, enumerate_histories
+from .oracle import DEFAULT_BRUTE_CEILING, MAX_BRUTE_CEILING, enumerate_histories
 from .treedp import dp_table
 from .verify import ENV_BRUTE_CEILING, ROUTES, Route, run_verification
 
@@ -59,9 +59,14 @@ def _brute_ceiling() -> int:
     if raw is None:
         return DEFAULT_BRUTE_CEILING
     try:
-        return check_int(int(raw), 1, ENV_BRUTE_CEILING)
+        ceiling = int(raw)
     except ValueError:
-        raise UsageError(f"{ENV_BRUTE_CEILING} must be a positive integer, got {raw!r}")
+        ceiling = 0
+    if not 1 <= ceiling <= MAX_BRUTE_CEILING:
+        raise UsageError(
+            f"{ENV_BRUTE_CEILING} must be an integer from 1 to {MAX_BRUTE_CEILING}, got {raw!r}"
+        )
+    return ceiling
 
 
 # ---------------------------------------------------------------------------

@@ -229,17 +229,33 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
 
 
 def _closed_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[tuple[int, ...]]:
-    # count(n, k) for k = lo..min(top, max_kinks(n)) and each n in lengths, by
-    # closed_form's sum: the powers i^n, i >= 1, once per row, then O(k)
-    # products per entry
+    # count(n, k) for k = lo..cut, cut = min(top, max_kinks(n)), and each n in
+    # lengths, by closed_form's sum.  A row builds the powers i^n, i >= 1, and
+    # one binomial product, the weights [x^j] (1-x)^(n+2) (1+x)^(2k-n) at
+    # k = cut; each lower k's weights are those of k + 1 divided by (1+x)^2,
+    # cut at x^k, in place: f_j = e_j - 2 f_(j-1) - f_(j-2), no big products.
+    # The sums run down from the top, one dot product each, and are gated
+    # up from lo, so a row fails at its lowest bad entry.  A single entry
+    # costs one product and one sum; a row with lo > cut computes nothing
     for n in lengths:
         cut = min(top, max_kinks(n))
+        if lo > cut:
+            yield ()
+            continue
         powers = _powers(n, cut + 1)[1:]
-        row = []
-        for k in range(lo, cut + 1):
-            total = sum(map(mul, reversed(_binomial_product(2 * k - n, n + 2, k)), powers))
-            row.append(_exact_count(total, 2**k, "power sum at n={}, d={}", n, k) << (n - 1 - k))
-        yield tuple(row)
+        e = _binomial_product(2 * cut - n, n + 2, cut)
+        sums = [sum(map(mul, reversed(e), powers))]
+        for k in range(cut - 1, lo - 1, -1):
+            f, g = 0, 1  # f_(j-2) and f_(j-1), from f_(-1) = 0 and f_0 = e_0 = 1
+            for j in range(1, k + 1):
+                f, g = g, e[j] - 2 * g - f
+                e[j] = g
+            del e[k + 1 :]
+            sums.append(sum(map(mul, reversed(e), powers)))
+        yield tuple(
+            _exact_count(total, 2**k, "power sum at n={}, d={}", n, k) << (n - 1 - k)
+            for k, total in zip(range(lo, cut + 1), reversed(sums))
+        )
 
 
 def closed_form(n: int, d: int) -> int:
@@ -262,7 +278,10 @@ def closed_form(n: int, d: int) -> int:
     (Foata-Strehl), so it must divide by 2^d exactly, else
     CoefficientError.  The cost is O(d) big powers and products at any n:
     the d + 1 powers i^n, the even ones as shifts, and one product of each
-    with its e_k; above max_kinks(n) the count is zero at once.
+    with its e_k; above max_kinks(n) the count is zero at once.  A whole
+    row of the `closed` route builds its e_k with one product at its top
+    d and reaches each lower d by one division by (1+x)^2, which takes
+    only sums; a single entry, as here, still costs one product.
 
     >>> closed_form(5, 1)
     88
@@ -317,20 +336,24 @@ def convergence_report(
     start = 2 * check_int(d, 0, "d") + 1
     check_int(n_max, start, "n_max")
     rows = []
+    gaps = []  # (|exact - estimate|, estimate), both ints from n = 2d + 1 on
     for n in range(start, n_max + 1):
         exact = table.count(n, d)
-        estimate = asymptotic_estimate(n, d)  # an integer from n = 2d + 1 on
-        deviation = Fraction(abs(exact - estimate.numerator), estimate.numerator)
-        rows.append(ConvergenceRow(n, exact, estimate, deviation))
+        estimate = asymptotic_estimate(n, d)
+        gap = (abs(exact - estimate.numerator), estimate.numerator)
+        rows.append(ConvergenceRow(n, exact, estimate, Fraction(*gap)))
+        gaps.append(gap)
     if d == 0:
         off = next((r for r in rows if r.deviation != 0), None)
         if off is not None:
             raise ValueError(f"estimate is not exact at d = 0, n = {off.n}")
     else:
-        window = [r for r in rows if r.n >= 4 * d + 4]
-        for prev, cur in zip(window, window[1:]):
-            if not cur.deviation < prev.deviation:
-                raise ValueError(f"deviation fails to shrink at n = {cur.n} for d = {d}")
+        # from n = 4d + 5 on, |e - s| / s at n below its value at n - 1,
+        # decided as g s' < g' s over ints, each estimate s positive
+        for n in range(4 * d + 5, n_max + 1):
+            (g, s), (g2, s2) = gaps[n - start - 1 : n - start + 1]
+            if not g2 * s < g * s2:
+                raise ValueError(f"deviation fails to shrink at n = {n} for d = {d}")
     if threshold is not None and rows[-1].deviation > threshold:
         raise ValueError(
             f"deviation {float(rows[-1].deviation):.3e} at n = {n_max} "

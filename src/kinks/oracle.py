@@ -21,12 +21,22 @@ from .core import CountTable, History, check_int, max_kinks
 __all__ = ["DEFAULT_BRUTE_CEILING", "brute_force_table", "backtrack_count", "enumerate_histories"]
 
 #: The pass over the flipped sets makes about n 2^(n-1) big-integer
-#: additions: 1.0-1.2 ms at n = 9, 2.3-2.6 ms at n = 10, 5.0-6.0 ms at
-#: n = 11 and 11-12 ms at n = 12 (best of 5, 2-core VM, Python 3.11).
+#: additions: 0.55-0.89 ms at n = 9, 1.8-2.0 ms at n = 10, 4.0-4.5 ms at
+#: n = 11 and 5.9-10 ms at n = 12 (best of 5, 2-core VM, Python 3.11).
 #: The ceiling is the scan's domain, so `count --all-methods` prints a
 #: `brute:` line at n <= 11 only; anything larger needs an explicit
 #: opt-in via `ceiling`.
 DEFAULT_BRUTE_CEILING = 11
+
+#: The most that the environment variable KINKS_BRUTE_CEILING may ask of
+#: both oracle routes, so that no CLI request runs unbounded.  In a child
+#: process (2-core VM, Python 3.11, peak RSS): the scan of n = 16 takes
+#: 0.30 s (21 MiB) and of n = 17 0.58 s (26 MiB); the backtracking rows
+#: of n = 15 and 16 take 1.4 s (32 MiB) and 3.0 s (60 MiB), and
+#: `table --max-n 16 --method backtrack` about 5.5 s.  At 60 the scan's
+#: table ran for 1 min 51 s and reached 1.08 GiB before it was killed.
+#: The library's `ceiling` and `brute_ceiling` arguments are not bounded.
+MAX_BRUTE_CEILING = 16
 
 #: Enumeration reads every completion of a state with at most _TAIL_SITES
 #: free sites from a memo of _TAIL_MEMO states, least recently used
@@ -58,8 +68,10 @@ def _brute_row(n: int) -> list[int]:
     # of blocks opened over every order of `seen`, packed one digit of
     # `width` bits per count of blocks: no count exceeds n!, so no digit
     # carries.  Each set adds its histogram to every set with one more
-    # site s, one digit up when neither neighbour of s is in the set.
-    # Bit s marks site s, so the odd entries of `hist` stay 0.
+    # site, one digit up when neither neighbour of that site is in the
+    # set.  Only the unflipped sites are walked, lowest bit first, and
+    # `bit << 1 | bit >> 1` probes a site's two neighbours.  Bit s marks
+    # site s, so the odd entries of `hist` stay 0.
     width = factorial(n).bit_length()
     full = ((1 << n) - 1) << 1
     hist = [0] * (full + 1)
@@ -67,9 +79,11 @@ def _brute_row(n: int) -> list[int]:
     for seen in range(0, full, 2):
         stay = hist[seen]
         opened = stay << width
-        for s in range(1, n + 1):
-            if not seen >> s & 1:
-                hist[seen | 1 << s] += stay if seen & (5 << (s - 1)) else opened
+        free = full ^ seen
+        while free:
+            bit = free & -free
+            free ^= bit
+            hist[seen | bit] += stay if seen & (bit << 1 | bit >> 1) else opened
     # the first flip opens the initial block, which is not a kink
     digit = (1 << width) - 1
     counts = [hist[full] >> (width * (d + 1)) & digit for d in range(max_kinks(n) + 1)]

@@ -225,9 +225,14 @@ def run_verification(
 
     def differ(label, rows, against, reference):
         # the first entry of the (n, row) pairs that is not reference(n)'s,
-        # None standing in for an entry that one of the two rows lacks
+        # None standing in for an entry that one of the two rows lacks;
+        # each row is compared whole with its reference, read once, and
+        # its entries are scanned only if the two differ
         for n, row in rows:
-            for d, (value, expected) in enumerate(zip_longest(row, reference(n))):
+            ref = reference(n)
+            if row == ref:
+                continue
+            for d, (value, expected) in enumerate(zip_longest(row, ref)):
                 if value != expected:
                     return f"{label} row {n} at d = {d}: {value}, {against} {expected}"
         return None

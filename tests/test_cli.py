@@ -177,6 +177,18 @@ def test_brute_ceiling_env_override(capsys, monkeypatch):
     assert out == "32\n"
     monkeypatch.setenv("KINKS_BRUTE_CEILING", "junk")
     assert run_cli(capsys, "count", "--n", "4", "--d", "0", "--method", "brute")[0] == 2
+    # above 16 every request exits 2 before any route runs, the scan's too
+    for raw in ("17", "60"):
+        monkeypatch.setenv("KINKS_BRUTE_CEILING", raw)
+        for argv in (("count", "--n", "4", "--d", "0", "--method", "brute"),
+                     ("table", "--max-n", "60", "--method", "brute"), ("verify",)):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: KINKS_BRUTE_CEILING must be an integer from 1 to 16, got '{raw}'\n"
+            )
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "16")
+    assert run_cli(capsys, "count", "--n", "12", "--d", "3", "--method", "brute") == (
+        0, f"{dp_table(12).count(12, 3)}\n", ""
+    )
 
 
 def test_brute_count_scans_only_its_own_length(capsys, monkeypatch):
@@ -968,6 +980,20 @@ def test_verify_golden_checks_name_the_row_and_both_values():
         "golden_dp": "recurrence row 7 at d = 2: 2880, reference 2881",
         "golden_brute": "scan row 7 at d = 2: 2880, reference 2881",
         "golden_series": "series row 7 at d = 2: 2880, reference 2881",
+    }
+
+
+def test_verify_golden_checks_fail_a_short_reference_row():
+    # a reference row that stops early: the whole-row comparison differs,
+    # and the entry scan reports the first entry that only the route has
+    golden = {**kinks.verify.GOLDEN_ROWS, 7: kinks.verify.GOLDEN_ROWS[7][:3]}
+    results = kinks.verify.run_verification(
+        max_n_brute=7, max_n_dp=12, t_order=8, v_order=3, golden_rows=golden
+    )
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "golden_dp": "recurrence row 7 at d = 3: 272, reference None",
+        "golden_brute": "scan row 7 at d = 3: 272, reference None",
+        "golden_series": "series row 7 at d = 3: 272, reference None",
     }
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kinks.genfunc
+import kinks.verify
 from kinks import (
     CoefficientError,
     CountTable,
@@ -303,6 +304,52 @@ def test_closed_form_matches_the_rational_forms_to_400():
 def test_closed_form_matches_the_truncated_recurrences(n, d):
     # zeros above max_kinks(n) included
     assert closed_form(n, d) == DP200_12.count(n, d)
+
+
+@st.composite
+def _closed_scopes(draw):
+    # a range of lengths inside 1..120 and a band lo..top of kinks, top at
+    # or above lo, either of them above some rows' max_kinks
+    start = draw(st.integers(1, 120))
+    stop = draw(st.integers(start, 120))
+    lo = draw(st.integers(0, 62))
+    return range(start, stop + 1), lo, draw(st.integers(lo, 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closed_scopes())
+@example((range(1, 121), 0, 59))  # every whole row to 120
+@example((range(90, 121), 7, 7))  # lo = top: one entry per row
+@example((range(1, 41), 3, 64))  # top above every max_kinks
+@example((range(1, 31), 20, 25))  # lo above max_kinks(n) for n <= 40: empty rows
+def test_closed_rows_step_down_to_the_entries_of_closed_form(scope):
+    # a row's weights are built once at its top d and divided down by
+    # (1+x)^2; each entry must still be closed_form's own single entry
+    lengths, lo, top = scope
+    rows = list(kinks.genfunc._closed_rows(lengths, lo, top))
+    assert rows == [
+        tuple(closed_form(n, d) for d in range(lo, min(top, max_kinks(n)) + 1)) for n in lengths
+    ]
+
+
+def test_verify_closed_forms_names_the_row_of_a_moved_top_weight(monkeypatch):
+    # row 37's top product, (1+x)^-1 (1-x)^39 to x^18, with e_1 one too big:
+    # every lower weight of the row is stepped from it, so the sum at d = 1
+    # moves by 1^37 and fails its gate; no other check reads that product
+    exact = kinks.genfunc._binomial_product
+
+    def moved(a, b, top):
+        e = exact(a, b, top)
+        if (a, b, top) == (-1, 39, 18):
+            e[1] += 1
+        return e
+
+    monkeypatch.setattr(kinks.genfunc, "_binomial_product", moved)
+    failed = {r.name: r.detail for r in kinks.verify.run_verification() if not r.passed}
+    assert list(failed) == ["closed_forms"]
+    assert re.fullmatch(
+        r"CoefficientError: power sum at n=37, d=1 is \d+, not 2 times a count", failed["closed_forms"]
+    )
 
 
 def test_closed_form_gate_rejects_a_corrupted_power_sum_weight(monkeypatch):
