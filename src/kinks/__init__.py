@@ -3,10 +3,10 @@
 A chain of n spin sites flips from all minus to all plus one site at a
 time; the order of flips is a history.  Flips that open a new plus block
 are kinks, and histories are counted by chain length n and kink number d
-through five independent routes that must agree: exhaustive scanning,
-pruned backtracking, generating-tree recurrences, closed-form series
-expansion, and an explicit formula, a sum of powers i^n with
-polynomial weights.
+through five routes that must agree: exhaustive scanning, pruned
+backtracking, generating-tree recurrences, closed-form series expansion,
+and an explicit formula, a sum of powers i^n with polynomial weights,
+which shares its binomial and power helpers with the series route.
 """
 
 # The package surface is each module's __all__, declared there only.

@@ -336,24 +336,20 @@ def convergence_report(
     start = 2 * check_int(d, 0, "d") + 1
     check_int(n_max, start, "n_max")
     rows = []
-    gaps = []  # (|exact - estimate|, estimate), both ints from n = 2d + 1 on
     for n in range(start, n_max + 1):
         exact = table.count(n, d)
-        estimate = asymptotic_estimate(n, d)
-        gap = (abs(exact - estimate.numerator), estimate.numerator)
-        rows.append(ConvergenceRow(n, exact, estimate, Fraction(*gap)))
-        gaps.append(gap)
+        estimate = asymptotic_estimate(n, d)  # an int s from n = 2d + 1 on
+        s = estimate.numerator
+        rows.append(ConvergenceRow(n, exact, estimate, Fraction(abs(exact - s), s)))
     if d == 0:
         off = next((r for r in rows if r.deviation != 0), None)
         if off is not None:
             raise ValueError(f"estimate is not exact at d = 0, n = {off.n}")
     else:
-        # from n = 4d + 5 on, |e - s| / s at n below its value at n - 1,
-        # decided as g s' < g' s over ints, each estimate s positive
-        for n in range(4 * d + 5, n_max + 1):
-            (g, s), (g2, s2) = gaps[n - start - 1 : n - start + 1]
-            if not g2 * s < g * s2:
-                raise ValueError(f"deviation fails to shrink at n = {n} for d = {d}")
+        # from n = 4d + 5 on, the deviation at n is below its value at n - 1
+        for before, row in zip(rows[4 * d + 4 - start :], rows[4 * d + 5 - start :]):
+            if not row.deviation < before.deviation:
+                raise ValueError(f"deviation fails to shrink at n = {row.n} for d = {d}")
     if threshold is not None and rows[-1].deviation > threshold:
         raise ValueError(
             f"deviation {float(rows[-1].deviation):.3e} at n = {n_max} "

@@ -257,33 +257,37 @@ class ConsistencyReport(NamedTuple):
         return not self.mismatches
 
 
-def _level_codes(n: int, words: bool = False) -> list | set:
+def _level_codes(n: int, words: bool = False) -> dict:
     # The distinct final states of a walk over the words of 1..n, one flip
-    # depth at a time; with `words`, each word, in permutations order, with
-    # its final state.  Child c_i = word[:i] + (top,) + word[i:], i = 0..n,
-    # top = n + 1, has its flips tested against the set c_i flipped before
-    # them: word[t] sees P_t (the set of word[:t]) when t < i and P_t | {top}
-    # when t >= i, and top sees P_i.  So c_i has K_i = d_i + ht_n - 1 kinks,
-    # d_i = head_i + [n not in P_i] - ht_i, where head_t counts the flips of
-    # word[:t] that open a block on P_t and ht_t the same flips on
-    # P_t | {top}.  After t flips the state (P_t, head_t, ht_t, d_0..d_(t-1),
-    # n's place j and r) fixes all that follows, so without `words` the word
-    # stays () and equal states merge; j = r = 0 until n flips.
+    # depth at a time, each with its number of words; with `words`, each
+    # (word, final state), in permutations order.  Child c_i = word[:i] +
+    # (top,) + word[i:], i = 0..n, top = n + 1, has its flips tested against
+    # the set c_i flipped before them: word[t] sees P_t (the set of word[:t])
+    # when t < i and P_t | {top} when t >= i, and top sees P_i.  So c_i has
+    # K_i = d_i + ht_n - 1 kinks, d_i = head_i + [n not in P_i] - ht_i, where
+    # head_t counts the flips of word[:t] that open a block on P_t and ht_t
+    # the same flips on P_t | {top}.  After t flips the state (P_t, head_t,
+    # ht_t, d_0..d_(t-1), n's place j and r) fixes all that follows, so
+    # without `words` the word stays () and equal states merge, their counts
+    # added; j = r = 0 until n flips.
     with_top = 1 << n + 1
-    states = [((), 0, 0, 0, (), (0, 0))]
+    states = {((), 0, 0, 0, (), (0, 0)): 1}
     for t in range(n):
-        states = (list if words else set)(
-            (word + (s,) if words else word, flipped | 1 << s, head + (not flipped & 5 << s - 1),
-             ht + (not (flipped | with_top) & 5 << s - 1), digits,
-             (t + 1, 1 - (flipped >> n - 1 & 1)) if s == n else jr)
-            for word, flipped, head, ht, digits, jr in states
-            for digits in [digits + (head + (not flipped >> n & 1) - ht,)]
-            for s in range(1, n + 1) if not flipped >> s & 1
-        )
-    # n is flipped, so d_n = head - ht
-    final = [(word, (head, ht, digits + (head - ht,), jr))
-             for word, _, head, ht, digits, jr in states]
-    return final if words else {state for _, state in final}
+        step = {}
+        for (word, flipped, head, ht, digits, jr), count in states.items():
+            digits += (head + (not flipped >> n & 1) - ht,)
+            for s in range(1, n + 1):
+                if not flipped >> s & 1:
+                    state = (word + (s,) if words else word, flipped | 1 << s,
+                             head + (not flipped & 5 << s - 1),
+                             ht + (not (flipped | with_top) & 5 << s - 1), digits,
+                             (t + 1, 1 - (flipped >> n - 1 & 1)) if s == n else jr)
+                    step[state] = step.get(state, 0) + count
+        states = step
+    # every site is flipped, so states stay distinct; n is flipped, so d_n = head - ht
+    final = {(word, (head, ht, digits + (head - ht,), jr)): count
+             for (word, _, head, ht, digits, jr), count in states.items()}
+    return final if words else {state: count for (_, state), count in final.items()}
 
 
 def tree_label_consistency(n_max: int) -> ConsistencyReport:
@@ -295,21 +299,26 @@ def tree_label_consistency(n_max: int) -> ConsistencyReport:
     Each child label is read off the child word alone, every flip tested
     against what the child itself flipped before it, so the rule, whose
     only input is the parent's label, cannot vouch for itself.  A walk
-    over the words of a level keeps only its distinct states, and the
-    rule is judged once per distinct final state; only a level with a
+    over the words of a level keeps only its distinct states, each with
+    its number of words, and the rule is judged once per distinct final
+    state; `checked` counts n + 1 children per word.  A level whose walk
+    does not reach n! words raises ArithmeticError.  Only a level with a
     mismatch is walked again word by word, to list the words of each
-    mismatching state in word order.  Mismatches are report content,
-    not errors; a correct rule yields none.
+    mismatching state in word order.  Mismatches are report content.
     """
     if check_int(n_max, 2, "n_max") > 9:
         raise ValueError("a failing level's re-walk reads all n! words; keep n_max <= 9")
     checked = 0
     mismatches: list[LabelMismatch] = []
     for n in range(2, n_max):
-        checked += (n + 1) * factorial(n)
+        level = _level_codes(n)
+        words = sum(level.values())
+        if words != factorial(n):
+            raise ArithmeticError(f"the label walk of level {n} reaches {words} words, not {n}!")
+        checked += (n + 1) * words
         # final state -> its mismatching positions
         wrong: dict[tuple, list[tuple]] = {}
-        for state in _level_codes(n):
+        for state in level:
             head, ht, digits, (j, r) = state
             # child i as a plain (max_pos, kinks, max_first)
             direct = [(i, d + ht - 1, int(i <= j)) for i, d in enumerate(digits, 1)]

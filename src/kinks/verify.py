@@ -138,37 +138,31 @@ GOLDEN_ROWS: dict[int, tuple[int, ...]] = {
 }
 
 
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named verification outcome; detail holds the counterexample.
 
     `seconds` is the check's wall time and `traceback` the full trace of a
     check that crashed ("" otherwise).  Neither takes part in equality, the
-    hash or the repr, which stay deterministic.  Results are immutable.
+    hash or the repr, which stay deterministic.
     """
 
-    __slots__ = ("name", "passed", "detail", "seconds", "traceback")
-
-    def __init__(self, name: str, passed: bool, detail="", seconds=0.0, traceback=""):
-        for slot, value in zip(self.__slots__, (name, passed, detail, seconds, traceback)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return CheckResult, tuple(getattr(self, slot) for slot in self.__slots__)
-
-    def _key(self) -> tuple[str, bool, str]:
-        return self.name, self.passed, self.detail
+    name: str
+    passed: bool
+    detail: str = ""
+    seconds: float = 0.0
+    traceback: str = ""
 
     def __eq__(self, other):
-        return self._key() == other._key() if type(other) is CheckResult else NotImplemented
+        return self[:3] == other[:3] if type(other) is CheckResult else NotImplemented
+
+    def __ne__(self, other):  # tuple's own != reads all five fields
+        return self[:3] != other[:3] if type(other) is CheckResult else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self[:3])
 
     def __repr__(self):
-        return "CheckResult(name={!r}, passed={!r}, detail={!r})".format(*self._key())
+        return "CheckResult(name={!r}, passed={!r}, detail={!r})".format(*self[:3])
 
 
 def run_verification(

@@ -4,6 +4,7 @@ import argparse
 import csv
 import errno
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import re
 import resource
 import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -922,6 +924,28 @@ def test_verify_tree_labels_notices_a_rule_with_the_wrong_number_of_children(mon
     assert len(results) == 11
 
 
+def _never_flipping_site_1():
+    # `_level_codes` with its flips drawn from sites 2..n: no word completes
+    exact = kinks.treedp._level_codes
+    source = textwrap.dedent(inspect.getsource(exact))
+    assert source.count("range(1, n + 1)") == 1
+    namespace = dict(exact.__globals__)
+    exec(source.replace("range(1, n + 1)", "range(2, n + 1)"), namespace)
+    return namespace[exact.__name__]
+
+
+@pytest.mark.parametrize("make_walk", [lambda: lambda n, words=False: {}, _never_flipping_site_1],
+                         ids=["no-states", "no-site-1"])
+def test_verify_tree_labels_fails_a_walk_that_reaches_no_word(monkeypatch, make_walk):
+    # the rule judged on no state must not pass: the walk's counts are the gate
+    monkeypatch.setattr(kinks.treedp, "_level_codes", make_walk())
+    results = kinks.verify.run_verification()
+    assert len(results) == 11
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "tree_labels": "ArithmeticError: the label walk of level 2 reaches 0 words, not 2!"
+    }
+
+
 def test_verify_tree_labels_reports_a_failed_band_gate_in_one_line(capsys, monkeypatch):
     # a kink bound one short at n = 11 trips the label walk's zero-band gate;
     # the recurrence rows come from an unpatched build, so only the walk sees it
@@ -1361,6 +1385,34 @@ def test_asym_json_format(capsys):
     assert payload["d"] == 1
     assert payload["rows"][0]["n"] == 3
     assert payload["rows"][0]["exact"] == "2"
+
+
+# SHA-256 of `kinks asym --d D --max-n 200 --format F` stdout, taken while the
+# deviation's decay was still decided on a separate list of integer gaps
+_ASYM_MAX_N_200_SHA256 = {
+    (0, "csv"): "5526f333c8c6a3ac92c927f934ea3386880b24fa9815def0ebec9f4d777aca12",
+    (0, "json"): "ca243a3dd31361456dee6893b123ca2f83ede63323c8e151eeca2bd738717841",
+    (0, "text"): "2cd518cbd8cb72b2c03e50f8e06c2165b9377ed532df0ed3dc9d6baca88fe37d",
+    (1, "csv"): "0e1860aef53743c28b679eef6d05d06547aaa86823d4daef2f9404581de1fa07",
+    (1, "json"): "1d5fd31b88e207c2af68f41fbb5b1cb639e12f825b23690db0ef1fc24990fabd",
+    (1, "text"): "80f173fe4b1096f1fc2435f4b6d9b7dbdf50edaf96e938a52c9d3e53459f9b59",
+    (2, "csv"): "b9a471241f94962befad561f20713075989160c1ea118023a621229d3b3d188a",
+    (2, "json"): "c8aad9bfca5a80dc8e330af5f6894e776c257836966bc2d708906104d2873ded",
+    (2, "text"): "7d33aedd23192c1c535e3474d3a32e14fa38d8efada2279efd61b4eb41908780",
+    (3, "csv"): "5e2ffbb4b6e8a6d4586993699701d5ce13e6a224122f071482c3c2502950e8f8",
+    (3, "json"): "62acc0e2c8b0b7a5e7d36a6cf9f260e884ba4610c3b8cd42106eb146f2041c3d",
+    (3, "text"): "29d7678741710399b9b51c7145cdf8afd08a15e16777bb960287e5fa25e66eb2",
+    (4, "csv"): "4be785f9dcab7a516e1ebb32eff25decbbb0b8261e8bcbbff52829b7646ae146",
+    (4, "json"): "1e9d18eae6741ac88da6b5ce7e8be6fd2f7521ecaf3dffe320532304ae877110",
+    (4, "text"): "1f3fb62861a8a8a88c268eb63c5b8c925e4167a6d328931d817f7b8a5df0809a",
+}
+
+
+@pytest.mark.parametrize("d, fmt", sorted(_ASYM_MAX_N_200_SHA256))
+def test_asym_bytes_at_max_n_200_are_pinned(capsys, d, fmt):
+    code, out, err = run_cli(capsys, "asym", "--d", str(d), "--max-n", "200", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _ASYM_MAX_N_200_SHA256[d, fmt]
 
 
 @pytest.mark.parametrize("d, max_n", [(0, 3), (1, 8), (1, 40), (3, 7), (5, 79)])

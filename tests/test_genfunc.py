@@ -576,6 +576,9 @@ def test_convergence_report_two_kinks_shrinks():
 def test_convergence_report_threshold_violation():
     with pytest.raises(ValueError):
         convergence_report(1, 10, threshold=Fraction(1, 10**9), table=DP40)
+    # a final deviation equal to the threshold does not exceed it
+    last = convergence_report(1, 10, table=DP40)[-1].deviation
+    assert convergence_report(1, 10, threshold=last, table=DP40)[-1].deviation == last
 
 
 def test_convergence_report_notices_a_deviation_that_stops_shrinking():
@@ -584,6 +587,12 @@ def test_convergence_report_notices_a_deviation_that_stops_shrinking():
     rows = {n: DP40.row(n) for n in range(1, 13)}
     rows[9] = (rows[9][0], 2 * 2**15, *rows[9][2:])
     with pytest.raises(ValueError, match="deviation fails to shrink at n = 9 for d = 1"):
+        convergence_report(1, 12, table=CountTable(rows))
+    # c(10, 1) moved to 2^17 - 4 * 1152: the deviation 1152 / 2^15 of n = 9
+    # again, which is not strictly smaller
+    rows = {n: DP40.row(n) for n in range(1, 13)}
+    rows[10] = (rows[10][0], 2**17 - 4 * 1152, *rows[10][2:])
+    with pytest.raises(ValueError, match="deviation fails to shrink at n = 10 for d = 1"):
         convergence_report(1, 12, table=CountTable(rows))
 
 

@@ -100,10 +100,14 @@ def test_check_results_ignore_seconds_and_traceback():
     fast = CheckResult("tree_labels", False, "boom", 0.001, "")
     slow = CheckResult("tree_labels", False, "boom", seconds=9.5, traceback="Traceback ...")
     assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+    assert not (fast != slow)  # tuple's own != would read the seconds
+    assert not (fast == CheckResult("tree_labels", False, "bang"))
     assert fast != CheckResult("tree_labels", False, "bang")
     assert fast != CheckResult("tree_labels", True, "boom")
     assert fast != ("tree_labels", False, "boom")
     assert CheckResult("x", True) == CheckResult("x", True, "")
+    twin = pickle.loads(pickle.dumps(slow))
+    assert (twin.seconds, twin.traceback) == (9.5, "Traceback ...") and twin == fast
 
 
 def _fresh(code):

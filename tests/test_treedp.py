@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations, product
 from math import factorial
 from pathlib import Path
@@ -429,7 +430,7 @@ def _with_child_kinks(word, index, count):
 
     def walk(n, words=False):
         walked = [(w, change(state) if w == word else state) for w, state in exact(n, words=True)]
-        return walked if words else {state for _, state in walked}
+        return dict.fromkeys(walked, 1) if words else Counter(s for _, s in walked)
 
     return walk
 
@@ -446,12 +447,27 @@ def test_level_codes_match_the_child_words():
 
 def test_level_codes_keep_one_state_per_label():
     # the judging pass holds the distinct final states of the word mode,
-    # and under the walk's exact child labels a label has one state
+    # each with its number of words, and under the walk's exact child
+    # labels a label has one state
     assert [len(_level_codes(n)) for n in range(2, 9)] == [2, 5, 10, 17, 26, 37, 50]
     for n in range(2, 8):
         walked = _level_codes(n, words=True)
-        assert _level_codes(n) == {state for _, state in walked}
+        assert set(walked.values()) == {1}
+        assert _level_codes(n) == Counter(state for _, state in walked)
         assert len({_word_label(word) for word, _ in walked}) == len(_level_codes(n))
+
+
+def test_level_codes_count_the_nodes_of_each_label():
+    # the words per decoded label are the label tree's node counts, level by level
+    state = root_state()
+    for n in range(2, 9):
+        nodes = Counter()
+        for code, count in _level_codes(n).items():
+            nodes[_decoded(code)[0]] += count
+        for (j, k, r), count in nodes.items():
+            assert state.counts[r][k][j - 1] == count, (n, j, k, r)
+        assert sum(nodes.values()) == state.total() == factorial(n)  # no node is missed
+        state = advance_level(state)
 
 
 @pytest.mark.parametrize("n_max", range(2, 9))
