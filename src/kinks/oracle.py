@@ -6,7 +6,11 @@ the histories with a prescribed kink count by growing plus blocks site by
 site.  Whether a flip opens a block depends only on the set flipped
 before it, so the scan sums over chains of flipped sets: one pass over
 the sets carries the histogram of every order of each set to each set
-with one more site.
+with one more site.  The backtracking counts on collapsed chains, where
+each flipped block is one site: a flip opens a block only when no
+neighbour is flipped, so collapsing a block changes neither the
+unflipped runs nor what any later flip does, and one memo serves every
+length and kink count of a table.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import islice
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import CountTable, History, check_int, max_kinks
 
@@ -32,9 +36,12 @@ DEFAULT_BRUTE_CEILING = 11
 #: both oracle routes, so that no CLI request runs unbounded.  In a child
 #: process (2-core VM, Python 3.11, peak RSS): the scan of n = 16 takes
 #: 0.30 s (21 MiB) and of n = 17 0.58 s (26 MiB); the backtracking rows
-#: of n = 15 and 16 take 1.4 s (32 MiB) and 3.0 s (60 MiB), and
-#: `table --max-n 16 --method backtrack` about 5.5 s.  At 60 the scan's
-#: table ran for 1 min 51 s and reached 1.08 GiB before it was killed.
+#: of n = 15 and 16 take 0.11 s (17 MiB) and 0.20 s (20 MiB), and
+#: `table --max-n 16 --method backtrack`, one memo for all its rows,
+#: 0.26-0.40 s (20 MiB) with the interpreter's start (1.1 s, 2.2 s and
+#: 3.0-3.7 s at 32, 60 and 105 MiB with a memo per count).  At 60 the
+#: scan's table ran for 1 min 51 s and reached 1.08 GiB before it was
+#: killed.
 #: The library's `ceiling` and `brute_ceiling` arguments are not bounded.
 MAX_BRUTE_CEILING = 16
 
@@ -186,7 +193,8 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
 
     @lru_cache(maxsize=_TAIL_MEMO)
     def tails(seen: int, rem: int, cap: int) -> tuple[tuple[int, ...], ...]:
-        # keyed like `backtrack_count`'s walk: rem does not follow from seen
+        # keyed by rem too: it does not follow from seen, since a flip
+        # that joins two blocks spends no credit
         if seen == full:
             return ((),)
         words: list[tuple[int, ...]] = []
@@ -214,30 +222,47 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
                 seen ^= 1 << head.pop()
 
 
+def _backtrack_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
+    # backtrack_count(n, d) for d = lo..min(top, max_kinks(n)), each n in
+    # lengths, from one memo that dies with the call: a walk on a collapsed
+    # chain of m sites is keyed (seen, rem, cap, m), so every length and
+    # kink count that collapses to it shares it
+    @cache
+    def walk(seen: int, rem: int, cap: int, m: int) -> int:
+        full = ((1 << m) - 1) << 1
+        if seen == full:
+            return 1
+        total = 0
+        for bit, rem2, cap2 in _moves(seen, rem, cap, m, full):
+            near = seen & (bit << 1 | bit >> 1)
+            if near:
+                # the flip and, if it joins two blocks, the upper one go:
+                # the sites above them move down
+                k = near.bit_count()
+                total += walk(seen & bit - 1 | seen >> k & -bit, rem2, cap2, m - k)
+            else:
+                total += walk(seen | bit, rem2, cap2, m)
+        return total
+
+    for n in lengths:
+        yield [walk(0, d + 1, (n + 1) // 2, n) for d in range(lo, min(top, max_kinks(n)) + 1)]
+
+
 def backtrack_count(n: int, d: int) -> int:
     """Number of histories `enumerate_histories(n, d)` would yield.
 
     The same pruned search over `_moves`, counted instead of yielded: a
     walk returns 1 once every site is flipped and otherwise sums the
-    walks after each kept flip.  Sub-walks from the same flipped set and
-    credits are counted once.
+    walks after each kept flip.  The walk runs on collapsed chains: a
+    flip that grows a block drops its own site, and one more when it joins
+    two blocks, so each flipped block stays a single site.  That is exact,
+    since a flip opens a block only when no neighbour is flipped, and
+    collapsing keeps the unflipped runs, and so the credits and the room.
+    Sub-walks from the same collapsed chain and credits are counted once.
 
     >>> backtrack_count(5, 1)
     88
     """
     _check_kinks(n, d)
-    full = ((1 << n) - 1) << 1
-
-    @cache
-    def walk(seen: int, rem: int, cap: int) -> int:
-        # cap follows from seen while rem > 0 and is 0 after, so the key
-        # is (seen, rem); rem does not follow from seen, since a flip
-        # that joins two blocks spends no credit
-        if seen == full:
-            return 1
-        total = 0
-        for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
-            total += walk(seen | bit, rem2, cap2)
-        return total
-
-    return walk(0, d + 1, (n + 1) // 2)
+    [[count]] = _backtrack_rows((n,), d, d)
+    return count

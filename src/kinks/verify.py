@@ -95,10 +95,7 @@ ROUTES = {route.name: route for route in (
     Route(
         "backtrack",
         "backtracking",
-        lambda lengths, lo, top: (
-            [oracle.backtrack_count(n, d) for d in range(lo, min(top, max_kinks(n)) + 1)]
-            for n in lengths
-        ),
+        lambda lengths, lo, top: oracle._backtrack_rows(lengths, lo, top),
         bounded=True,
         capped=True,
     ),

@@ -263,12 +263,13 @@ def test_single_method_outside_its_domain_exits_two(capsys, monkeypatch):
 def test_table_routes_look_functions_up_when_called(capsys, monkeypatch):
     argv = ("table", "--max-n", "5", "--format", "csv")
     before = {m: run_cli(capsys, *argv, "--method", m)[1] for m in ("closed", "backtrack")}
-    # the closed table reads whole rows, not closed_form entry by entry
-    def sevens(lengths, lo, top):
-        return ((7,) * (max_kinks(n) + 1) for n in lengths)
+    # the closed and backtracking tables read whole rows, not closed_form
+    # or backtrack_count entry by entry
+    def rows_of(value):
+        return lambda lengths, lo, top: ((value,) * (max_kinks(n) + 1) for n in lengths)
 
-    monkeypatch.setattr("kinks.genfunc._closed_rows", sevens)
-    monkeypatch.setattr("kinks.oracle.backtrack_count", lambda n, d: 9)
+    monkeypatch.setattr("kinks.genfunc._closed_rows", rows_of(7))
+    monkeypatch.setattr("kinks.oracle._backtrack_rows", rows_of(9))
     for method, stub in (("closed", "7"), ("backtrack", "9")):
         code, out, _ = run_cli(capsys, *argv, "--method", method)
         assert code == 0
@@ -829,10 +830,15 @@ def test_verify_method_agreement_compares_scan_rows_above_the_recurrence_scope(m
 
 
 def test_verify_method_agreement_notices_a_wrong_backtracking_count(monkeypatch):
-    exact = kinks.oracle.backtrack_count
-    monkeypatch.setattr(
-        kinks.oracle, "backtrack_count", lambda n, d: exact(n, d) + ((n, d) == (7, 2))
-    )
+    exact = kinks.oracle._backtrack_rows
+
+    def wrong(lengths, lo, top):
+        for n, row in zip(lengths, exact(lengths, lo, top)):
+            if n == 7 and lo <= 2 < lo + len(row):
+                row[2 - lo] += 1
+            yield row
+
+    monkeypatch.setattr(kinks.oracle, "_backtrack_rows", wrong)
     results = kinks.verify.run_verification(max_n_brute=7, max_n_dp=12, t_order=8, v_order=3)
     assert {r.name: r.detail for r in results if not r.passed} == {
         "method_agreement": "backtracking row 7 at d = 2: 2881, recurrence 2880"
@@ -1122,14 +1128,13 @@ def _moved_counts(route, n, d, to):
         return _recurrence_with(n, lambda row: tuple(move(row)))
     if route == "brute":
         return _scan_with(n, move)
-    if route == "backtrack":
-        exact = kinks.oracle.backtrack_count
-        return kinks.oracle, "backtrack_count", lambda m, k: (
-            exact(m, k) + (m == n) * ((k == to) - (k == d))
-        )
-    if route == "closed":
-        exact = kinks.genfunc._closed_rows
-        return kinks.genfunc, "_closed_rows", lambda lengths, lo, top: (
+    if route in ("backtrack", "closed"):
+        module, name = {
+            "backtrack": (kinks.oracle, "_backtrack_rows"),
+            "closed": (kinks.genfunc, "_closed_rows"),
+        }[route]
+        exact = getattr(module, name)
+        return module, name, lambda lengths, lo, top: (
             tuple(move(row, lo)) if m == n and lo <= min(d, to) and max(d, to) < lo + len(row)
             else row
             for m, row in zip(lengths, exact(lengths, lo, top))

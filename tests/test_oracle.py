@@ -29,7 +29,7 @@ from kinks import (
     max_kinks,
 )
 from kinks.core import _opened, _word_kinks
-from kinks.oracle import _brute_row, _moves
+from kinks.oracle import _backtrack_rows, _brute_row, _moves
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -212,6 +212,46 @@ def test_moves_count_the_room_left_as_the_nearest_flipped_sites_give_it():
                 for cap in (0, 1, 2, 5):
                     wanted = _plain_moves(seen, rem, cap, n)
                     assert list(_moves(seen, rem, cap, n, full)) == wanted, (n, seen, rem, cap)
+
+
+def _runs_room(seen, n):
+    # the room of the unflipped runs of `seen`, recounted run by run
+    bounds = [0, *(s for s in range(1, n + 1) if seen >> s & 1), n + 1]
+    return sum(_gap_capacity(lo, hi, n) for lo, hi in zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, 2**n - 1), st.integers(0, n), st.integers(0, n)
+        )
+    )
+)
+@example((3, 0b011, 1, 1))  # sites 1 and 2 flipped side by side
+@example((6, 0b011011, 0, 0))
+def test_moves_flip_one_free_site_for_any_flipped_set(args):
+    # any flipped set, adjacent flipped sites included, which the counting
+    # walk's collapsed chains never hold
+    n, sites, rem, cap = args
+    seen, full = sites << 1, ((1 << n) - 1) << 1
+    moves = list(_moves(seen, rem, cap, n, full))
+    bits = [bit for bit, _, _ in moves]
+    assert bits == sorted(set(bits))
+    for bit, rem2, cap2 in moves:
+        assert bit & (bit - 1) == 0 and bit & full and not bit & seen
+        fresh = not seen & (bit << 1 | bit >> 1)
+        assert rem or not fresh
+        room = cap - _runs_room(seen, n) + _runs_room(seen | bit, n)
+        assert (rem2, cap2) == (rem - fresh, room if rem - fresh else 0)
+    kept = []
+    for s in range(1, n + 1):
+        bit = 1 << s
+        fresh = not seen & (bit << 1 | bit >> 1)
+        room = cap - _runs_room(seen, n) + _runs_room(seen | bit, n)
+        if not seen & bit and (rem or not fresh) and (rem == fresh or room >= rem - fresh):
+            kept.append(bit)
+    assert bits == kept
 
 
 def _plain_walk(n, d):
@@ -457,6 +497,50 @@ def test_backtrack_matches_the_recurrences_at_every_n_to_eleven():
     for n in range(1, 12):
         for d in range(max_kinks(n) + 1):
             assert backtrack_count(n, d) == dp.count(n, d), (n, d)
+
+
+def _uncollapsed_count(n, d):
+    # the counting walk on whole chains, one memo per (n, d), keyed by
+    # the flipped set itself
+    full = ((1 << n) - 1) << 1
+
+    @cache
+    def walk(seen, rem, cap):
+        if seen == full:
+            return 1
+        return sum(walk(seen | bit, rem2, cap2) for bit, rem2, cap2 in _moves(seen, rem, cap, n, full))
+
+    return walk(0, d + 1, (n + 1) // 2)
+
+
+def test_backtrack_rows_match_the_uncollapsed_walk_to_eleven():
+    rows = list(_backtrack_rows(range(1, 12), 0, 5))
+    assert rows == [
+        [_uncollapsed_count(n, d) for d in range(max_kinks(n) + 1)] for n in range(1, 12)
+    ]
+
+
+def test_backtrack_rows_are_the_recurrence_rows_to_sixteen():
+    dp = dp_table(16)
+    rows = _backtrack_rows(range(1, 17), 0, max_kinks(16))
+    assert [tuple(row) for row in rows] == [dp.row(n) for n in range(1, 17)]
+
+
+def test_backtrack_rows_are_empty_above_the_band():
+    # lo above min(top, max_kinks(n)) gives an empty row, as the closed rows do
+    assert list(_backtrack_rows(range(1, 7), 2, 5)) == [[], [], [], [], [16], [272]]
+    assert list(_backtrack_rows((9, 10), 3, 2)) == [[], []]
+    assert list(_backtrack_rows((9,), 5, 9)) == [[]]
+
+
+def test_backtrack_rows_keep_no_memo_between_calls(monkeypatch):
+    # each call walks afresh, so a rebound `_moves` reaches the next call
+    exact = list(_backtrack_rows(range(1, 8), 0, 3))
+    monkeypatch.setattr(kinks.oracle, "_moves", lambda *state: iter(()))
+    assert list(_backtrack_rows(range(1, 8), 0, 3)) == [[0] * len(row) for row in exact]
+    assert backtrack_count(7, 2) == 0
+    monkeypatch.undo()
+    assert list(_backtrack_rows(range(1, 8), 0, 3)) == exact
 
 
 def _wanted_states(n, d):
