@@ -32,13 +32,11 @@ import stat
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import chain, islice
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .core import max_kinks
 from .genfunc import convergence_report
-from .oracle import DEFAULT_BRUTE_CEILING, MAX_BRUTE_CEILING, enumerate_histories
+from .oracle import DEFAULT_BRUTE_CEILING, MAX_BRUTE_CEILING, _emit_groups
 from .treedp import dp_table
 from .verify import ENV_BRUTE_CEILING, ROUTES, Route, run_verification
 
@@ -231,19 +229,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_chain(args)
     if args.d > max_kinks(args.n):
         raise UsageError(f"--d must be at most {max_kinks(args.n)} for --n {args.n}")
-    histories = enumerate_histories(args.n, args.d, args.limit)
-    # Digits run together up to n = 9, comma-separated beyond.  Each site is
-    # made a string once, when the first word arrives, so a stream of no
-    # words costs nothing at any n; the loop below drains the stream and
-    # runs at most once.  Each line is picked and joined by two C calls (at
-    # n = 1 the pick is the one-digit str itself, which joins to itself),
-    # and a stream holds one block of 1024 lines at most.
-    for first in histories:
-        sep, sites = "" if args.n <= 9 else ",", [str(s) for s in range(args.n + 1)]
-        lines = (sep.join(itemgetter(*h.word)(sites)) for h in chain((first,), histories))
-        while block := list(islice(lines, 1024)):
-            block.append("")
-            sys.stdout.write("\n".join(block))  # looked up per block: redirect_stdout sees it
+    # Digits run together up to n = 9, comma-separated beyond.  The walk
+    # hands over each head with the text of every completion of its state,
+    # built once per memo entry with the separator leading each site, so a
+    # line costs one concatenation inside one C-level join, and a write
+    # holds one head's lines, at most 5! = 120.  Each site of a head is
+    # made a string once, when the first group arrives, and --limit 0
+    # starts no walk, so a stream of no words costs nothing at any n.
+    sep, left, sites = "" if args.n <= 9 else ",", args.limit, None
+    groups = _emit_groups(args.n, args.d, lambda s: sep + str(s), "") if left != 0 else ()
+    for head, lines in groups:
+        sites = sites or [str(s) for s in range(args.n + 1)]
+        if left is not None:
+            lines = lines[:left]
+            left -= len(lines)
+        lead = sep.join(map(sites.__getitem__, head))
+        sys.stdout.write(lead + ("\n" + lead).join(lines) + "\n")  # redirect_stdout sees it
+        if left == 0:
+            break
     return 0
 
 

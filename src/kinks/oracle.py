@@ -6,11 +6,14 @@ the histories with a prescribed kink count by growing plus blocks site by
 site.  Whether a flip opens a block depends only on the set flipped
 before it, so the scan sums over chains of flipped sets: one pass over
 the sets carries the histogram of every order of each set to each set
-with one more site.  The backtracking counts on collapsed chains, where
-each flipped block is one site: a flip opens a block only when no
-neighbour is flipped, so collapsing a block changes neither the
-unflipped runs nor what any later flip does, and one memo serves every
-length and kink count of a table.
+with one more site, and the pass of the longest chain holds every
+shorter row.  The backtracking counts on collapsed chains, where each
+flipped block is one site: a flip opens a block only when no neighbour
+is flipped, so collapsing a block changes neither the unflipped runs nor
+what any later flip does, and one memo serves every length and kink
+count of a table.  The enumeration is one walk with two renderings: it
+yields each head with every completion of its state, memoized as tuples
+of sites for `enumerate_histories` or as text for the CLI's lines.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import islice
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CountTable, History, check_int, max_kinks
 
@@ -47,16 +50,17 @@ MAX_BRUTE_CEILING = 16
 
 #: Enumeration reads every completion of a state with at most _TAIL_SITES
 #: free sites from a memo of _TAIL_MEMO states, least recently used
-#: dropped first.  An entry holds at most 5! = 120 completions (10.6 KiB),
-#: so the memo never holds more than about 5.3 MiB; unbounded, it grows on.
+#: dropped first.  An entry holds at most 5! = 120 completions (10.6 KiB,
+#: as tuples of five sites or as their text at six-digit sites), so the
+#: memo never holds more than about 5.3 MiB; unbounded, it grows on.
 _TAIL_SITES, _TAIL_MEMO = 5, 512
 
 
 def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> CountTable:
     """Classify all n! histories by kink count for every n up to n_max.
 
-    Each row is one pass over the 2^n sets of flipped sites, so every
-    word counts once without being built.
+    One pass over the 2^n_max sets of flipped sites gives every row, so
+    every word counts once without being built.
 
     >>> brute_force_table(4).row(4)
     (8, 16)
@@ -66,21 +70,29 @@ def brute_force_table(n_max: int, *, ceiling: int = DEFAULT_BRUTE_CEILING) -> Co
             f"n_max = {n_max} exceeds the exhaustive-scan ceiling {ceiling}; "
             "raise the ceiling explicitly to attempt it"
         )
-    return CountTable({n: tuple(_brute_row(n)) for n in range(1, n_max + 1)})
+    lengths = range(1, n_max + 1)
+    return CountTable(dict(zip(lengths, map(tuple, _brute_rows(lengths, 0, max_kinks(n_max))))))
 
 
-def _brute_row(n: int) -> list[int]:
-    # One pass over the flipped sets, each before every set that holds
-    # it, since a subset is the smaller int.  hist[seen] is the histogram
-    # of blocks opened over every order of `seen`, packed one digit of
-    # `width` bits per count of blocks: no count exceeds n!, so no digit
-    # carries.  Each set adds its histogram to every set with one more
-    # site, one digit up when neither neighbour of that site is in the
-    # set.  Only the unflipped sites are walked, lowest bit first, and
-    # `bit << 1 | bit >> 1` probes a site's two neighbours.  Bit s marks
-    # site s, so the odd entries of `hist` stay 0.
-    width = factorial(n).bit_length()
-    full = ((1 << n) - 1) << 1
+def _brute_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
+    # The counts d = lo..min(top, max_kinks(n)) of each n in lengths, from
+    # one pass over the flipped sets of the longest chain, each before
+    # every set that holds it, since a subset is the smaller int.
+    # hist[seen] is the histogram of blocks opened over every order of
+    # `seen`, packed one digit of `width` bits per count of blocks: no
+    # count exceeds the longest chain's n!, so no digit carries.  Each set
+    # adds its histogram to every set with one more site, one digit up
+    # when neither neighbour of that site is in the set.  Only the
+    # unflipped sites are walked, lowest bit first, and `bit << 1 | bit >>
+    # 1` probes a site's two neighbours.  Bit s marks site s, so the odd
+    # entries of `hist` stay 0.  The subsets of sites 1..m are the ints
+    # below 2^(m+1), so the pass meets them first, and site m + 1 stays
+    # unflipped in each, as a chain of m sites has no site m + 1: the
+    # entry of the set 1..m is row m.
+    lengths = list(lengths)
+    longest = max(lengths, default=0)
+    width = factorial(longest).bit_length()
+    full = ((1 << longest) - 1) << 1
     hist = [0] * (full + 1)
     hist[0] = 1
     for seen in range(0, full, 2):
@@ -93,10 +105,12 @@ def _brute_row(n: int) -> list[int]:
             hist[seen | bit] += stay if seen & (bit << 1 | bit >> 1) else opened
     # the first flip opens the initial block, which is not a kink
     digit = (1 << width) - 1
-    counts = [hist[full] >> (width * (d + 1)) & digit for d in range(max_kinks(n) + 1)]
-    if sum(counts) != factorial(n):
-        raise ArithmeticError(f"exhaustive scan of length {n} does not count {n}! words")
-    return counts
+    for n in lengths:
+        packed = hist[((1 << n) - 1) << 1]
+        counts = [packed >> (width * (d + 1)) & digit for d in range(max_kinks(n) + 1)]
+        if sum(counts) != factorial(n):
+            raise ArithmeticError(f"exhaustive scan of length {n} does not count {n}! words")
+        yield counts[lo : top + 1]
 
 
 def _check_kinks(n: int, d: int) -> None:
@@ -172,19 +186,23 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> Iterator[tuple[i
             yield low, rem2, cap2
 
 
-def _emit_words(n: int, d: int) -> Iterator[History]:
-    # depth-first with an explicit stack of one suspended `_moves` per
-    # depth, so every word is yielded from this one frame.
-    # Once at most _TAIL_SITES sites are free, every completion of the
-    # state comes from `tails`, shared by every head that leaves it.
+def _emit_groups(
+    n: int, d: int, unit: Callable[[int], Sequence], empty: Sequence
+) -> Iterator[tuple[list[int], tuple[Sequence, ...]]]:
+    # Yields each head with every completion of its state, in word order.
+    # Depth-first with an explicit stack of one suspended `_moves` per
+    # depth, so every group is yielded from this one frame.  Once at most
+    # _TAIL_SITES sites are free, every completion of the state comes from
+    # `tails`, shared by every head that leaves it, and built of `unit(s)`
+    # per flip of site s, ending in `empty`: `(s,)` and `()` for the
+    # library's words, a site's text and "" for the CLI's lines.  The head
+    # is the walk's own list, valid until the next group is asked for.
     # `site` checks each flip as it is appended, to a head or to a
     # completion: a single bit, of a site of 1..n not yet flipped.  Each
-    # word is then a permutation of 1..n by induction, so `History._proven`
-    # wraps a head's completions, all in one call, without sorting them
-    # again, and the check costs one test per walk step, shared by every
-    # word that extends it.
+    # word is then a permutation of 1..n by induction, and the check costs
+    # one test per walk step, shared by every word that extends it.
+    _check_kinks(n, d)
     full = ((1 << n) - 1) << 1
-    proven = History._proven
 
     def site(seen: int, bit: int) -> int:
         if bit & (bit - 1) or not bit & (full ^ seen):  # seen is a subset of full
@@ -192,15 +210,14 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
         return bit.bit_length() - 1
 
     @lru_cache(maxsize=_TAIL_MEMO)
-    def tails(seen: int, rem: int, cap: int) -> tuple[tuple[int, ...], ...]:
+    def tails(seen: int, rem: int, cap: int) -> tuple[Sequence, ...]:
         # keyed by rem too: it does not follow from seen, since a flip
         # that joins two blocks spends no credit
         if seen == full:
-            return ((),)
-        words: list[tuple[int, ...]] = []
+            return (empty,)
+        words: list[Sequence] = []
         for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
-            s = site(seen, bit)
-            words += [(s, *tail) for tail in tails(seen | bit, rem2, cap2)]
+            words += map(unit(site(seen, bit)).__add__, tails(seen | bit, rem2, cap2))
         return tuple(words)
 
     head: list[int] = []
@@ -213,13 +230,21 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
             if len(head) < n - _TAIL_SITES:
                 pending.append(iter(_moves(seen, rem, cap, n, full)))
                 break
-            yield from proven(tuple(head), tails(seen, rem, cap))
+            yield head, tails(seen, rem, cap)
             seen ^= bit
             head.pop()
         else:
             pending.pop()
             if head:
                 seen ^= 1 << head.pop()
+
+
+def _emit_words(n: int, d: int) -> Iterator[History]:
+    # the walk's completions as tuples of sites; each word is proven a
+    # permutation by the walk's checks, so `History._proven` wraps a head's
+    # completions, all in one call, without sorting them again
+    for head, tails in _emit_groups(n, d, lambda s: (s,), ()):
+        yield from History._proven(tuple(head), tails)
 
 
 def _backtrack_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:

@@ -89,7 +89,7 @@ ROUTES = {route.name: route for route in (
     Route(
         "brute",
         "scan",
-        lambda lengths, lo, top: (oracle._brute_row(n)[lo : top + 1] for n in lengths),
+        lambda lengths, lo, top: oracle._brute_rows(lengths, lo, top),
         bounded=True,
     ),
     Route(

@@ -194,16 +194,16 @@ def test_brute_ceiling_env_override(capsys, monkeypatch):
 
 
 def test_brute_count_scans_only_its_own_length(capsys, monkeypatch):
-    scanned, exact = [], kinks.oracle._brute_row
+    scanned, exact = [], kinks.oracle._brute_rows
 
-    def recorded(n):
-        scanned.append(n)
-        return exact(n)
+    def recorded(lengths, lo, top):
+        scanned.append(list(lengths))
+        return exact(lengths, lo, top)
 
-    monkeypatch.setattr(kinks.oracle, "_brute_row", recorded)
+    monkeypatch.setattr(kinks.oracle, "_brute_rows", recorded)
     assert run_cli(capsys, "count", "--n", "7", "--d", "2", "--method", "brute") == (0, "2880\n", "")
     assert run_cli(capsys, "count", "--n", "7", "--d", "5", "--method", "brute") == (0, "0\n", "")
-    assert scanned == [7, 7]
+    assert scanned == [[7], [7]]
 
 
 def _covering_methods(n, d, ceiling):
@@ -678,14 +678,65 @@ def _reference_stdout(n, d, limit):
 @pytest.mark.parametrize(
     "n, d, limit",
     [(12, 3, limit) for limit in (0, 1, 1023, 1024, 1025, 2048, 2049)]
-    + [(9, 2, 1500), (10, 2, 1500), (8, 2, None), (10, 0, None)],
+    + [(9, 2, 1500), (10, 2, 1500), (8, 2, None), (10, 0, None)]
+    # the heads of one flip (n <= 6) at every d
+    + [(n, d, None) for n in range(1, 7) for d in range(max_kinks(n) + 1)]
+    # the separator switch, at d = 0 and d = max_kinks(n)
+    + [(n, d, 3000) for n in (9, 10) for d in (0, max_kinks(n))],
 )
 def test_enumerate_writes_the_same_bytes_across_blocks(capsys, n, d, limit):
-    # (8, 2) without --limit streams all 24,576 words, many blocks of lines;
+    # (8, 2) without --limit streams all 24,576 words, many groups of lines;
     # n = 10 is the shortest chain whose sites are comma-separated
     argv = ["enumerate", "--n", str(n), "--d", str(d)]
     argv += [] if limit is None else ["--limit", str(limit)]
     assert run_cli(capsys, *argv) == (0, _reference_stdout(n, d, limit), "")
+
+
+def _group_ends(n, d, most):
+    # the word counts at which the walk's groups end, up to the first past
+    # `most`: the CLI writes one group per write and cuts the last one at
+    # --limit
+    ends = [0]
+    for _, completions in kinks.oracle._emit_groups(n, d, lambda s: (s,), ()):
+        ends.append(ends[-1] + len(completions))
+        if ends[-1] > most:
+            break
+    return ends[1:]
+
+
+@pytest.mark.parametrize("n, d", [(9, 2), (10, 2), (11, 5), (12, 3)])
+def test_enumerate_cuts_the_last_group_at_the_limit(capsys, n, d):
+    # on a group boundary and one word either side of it: the first three
+    # boundaries and the first one past 1024 words
+    ends = _group_ends(n, d, 1024)
+    for end in [*ends[:3], ends[-1]]:
+        for limit in (end - 1, end, end + 1):
+            argv = ["enumerate", "--n", str(n), "--d", str(d), "--limit", str(limit)]
+            assert run_cli(capsys, *argv) == (0, _reference_stdout(n, d, limit), ""), limit
+
+
+def _cli_stdout(argv):
+    # the exit code and stdout of one in-process request
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_kinks(n)))),
+    st.integers(0, 3000),
+)
+@example((12, 0), 3000)
+@example((12, 5), 3000)
+@example((1, 0), 0)
+def test_enumerate_text_rendering_equals_the_library_stream(nd, limit):
+    # the CLI's text completions, joined per head, against the words of
+    # the library's tuple completions, one str per site
+    n, d = nd
+    argv = ["enumerate", "--n", str(n), "--d", str(d), "--limit", str(limit)]
+    assert _cli_stdout(argv) == (0, _reference_stdout(n, d, limit))
 
 
 def test_enumerate_into_a_closed_pipe_exits_one_quietly():
@@ -815,14 +866,14 @@ def test_verify_passes_a_recurrence_scope_below_the_scan(capsys, max_n_dp):
 
 
 def test_verify_method_agreement_compares_scan_rows_above_the_recurrence_scope(monkeypatch):
-    exact = kinks.oracle._brute_row
+    exact = kinks.oracle._brute_rows
 
-    def corrupted(n):
-        row = exact(n)
-        row[0] += n == 9
-        return row
+    def corrupted(lengths, lo, top):
+        for n, row in zip(lengths, exact(lengths, lo, top)):
+            row[0] += n == 9
+            yield row
 
-    monkeypatch.setattr(kinks.oracle, "_brute_row", corrupted)
+    monkeypatch.setattr(kinks.oracle, "_brute_rows", corrupted)
     results = kinks.verify.run_verification(max_n_brute=9, max_n_dp=5, t_order=8, v_order=3)
     by_name = {r.name: r for r in results}
     assert by_name["method_agreement"].detail == "scan row 9 at d = 0: 257, recurrence 256"
@@ -1029,8 +1080,13 @@ def test_verify_golden_checks_fail_a_short_reference_row():
 
 def _scan_with(n, corrupt):
     # a patch of the exhaustive scan that passes row n through `corrupt`
-    exact = kinks.oracle._brute_row
-    return kinks.oracle, "_brute_row", lambda m: corrupt(exact(m)) if m == n else exact(m)
+    exact = kinks.oracle._brute_rows
+
+    def corrupted(lengths, lo, top):
+        for m, row in zip(lengths, exact(lengths, lo, top)):
+            yield corrupt(row) if m == n else row
+
+    return kinks.oracle, "_brute_rows", corrupted
 
 
 @pytest.mark.parametrize(
@@ -1197,13 +1253,13 @@ def test_verify_timings_go_to_stderr_and_leave_stdout_unchanged(capsys):
 
 
 def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
-    exact = kinks.oracle._brute_row
+    exact = kinks.oracle._brute_rows
 
-    def slow(n):
-        time.sleep(0.05 * (n == 4))
-        return exact(n)
+    def slow(lengths, lo, top):
+        time.sleep(0.05 * (4 in lengths))
+        yield from exact(lengths, lo, top)
 
-    monkeypatch.setattr(kinks.oracle, "_brute_row", slow)
+    monkeypatch.setattr(kinks.oracle, "_brute_rows", slow)
     start = time.perf_counter()
     results = kinks.verify.run_verification(max_n_brute=4, max_n_dp=12, t_order=8, v_order=3)
     wall = time.perf_counter() - start
@@ -1216,7 +1272,7 @@ def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
 @pytest.mark.parametrize(
     "evaluator, table, check, readers",
     [
-        ("oracle._brute_row", "brute table n = 2..4, d <= 1", "golden_brute", ["method_agreement"]),
+        ("oracle._brute_rows", "brute table n = 2..4, d <= 1", "golden_brute", ["method_agreement"]),
         (
             "treedp._kink_rows",
             "dp table n = 1..12, d <= 5",

@@ -91,8 +91,8 @@ def test_only_core_checks_for_exact_ints():
 
 #: each route's entry points: the functions whose reach is the route
 ROUTE_ENTRIES = {
-    "scan": {"_brute_row"},
-    "walk": {"backtrack_count", "_backtrack_rows", "_emit_words"},
+    "scan": {"_brute_rows"},
+    "walk": {"backtrack_count", "_backtrack_rows", "_emit_groups", "_emit_words"},
     "recurrence": {"_kink_rows"},
     "label tree": {"_label_levels"},
     "series": {"_series_rows"},

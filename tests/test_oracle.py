@@ -29,7 +29,7 @@ from kinks import (
     max_kinks,
 )
 from kinks.core import _opened, _word_kinks
-from kinks.oracle import _backtrack_rows, _brute_row, _moves
+from kinks.oracle import _backtrack_rows, _brute_rows, _emit_groups, _moves
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -62,7 +62,17 @@ def _dp14():
 @pytest.mark.parametrize("n", range(1, 15))
 def test_set_pass_rows_equal_the_recurrences(n):
     # past the CLI's ceiling too: the pass makes about n 2^(n-1) additions
-    assert _brute_row(n) == list(_dp14().row(n))
+    assert list(_brute_rows((n,), 0, max_kinks(n))) == [list(_dp14().row(n))]
+
+
+def test_one_set_pass_reads_every_row_of_a_table():
+    # the sets of sites 1..m come first in the pass of the longest chain,
+    # whose digits are as wide as its n!; each row is cut to lo..top
+    rows = [list(_dp14().row(n)) for n in range(1, 15)]
+    assert list(_brute_rows(range(1, 15), 0, 6)) == rows
+    assert list(_brute_rows((3, 9, 5), 1, 2)) == [rows[2][1:3], rows[8][1:3], rows[4][1:3]]
+    assert list(_brute_rows(range(1, 7), 2, 5)) == [[], [], [], [], [16], [272]]
+    assert list(_brute_rows((), 0, 3)) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,13 +100,14 @@ def test_split_scan_fault_check_catches_a_corrupted_tail(monkeypatch):
 
 
 def test_split_scan_fault_check_catches_a_corrupted_head(monkeypatch):
-    # a pass that never carries the set {1} on, at length 7, loses the 6!
-    # words that flip site 1 first
-    full7 = ((1 << 7) - 1) << 1
+    # a pass of length 8 that never carries the set {7} on loses, at
+    # length 7, the 6! words that flip site 7 first; the shorter rows
+    # never hold site 7
+    full8 = ((1 << 8) - 1) << 1
 
     def corrupted(*args):
-        if args == (0, full7, 2):
-            return [seen for seen in builtins.range(*args) if seen != 1 << 1]
+        if args == (0, full8, 2):
+            return [seen for seen in builtins.range(*args) if seen != 1 << 7]
         return builtins.range(*args)
 
     monkeypatch.setattr(kinks.oracle, "range", corrupted, raising=False)
@@ -309,6 +320,26 @@ def test_enumerate_first_word_costs_no_list_of_flips_per_depth(n, d, bound):
         tracemalloc.stop()
     assert kink_count(first) == d
     assert peak < bound, peak
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_one_walk_renders_sites_as_tuples_and_as_text(n):
+    # the same groups, heads and completions from both renderings, each
+    # text completion the sites of its tuple, the separator leading each
+    sep = "" if n <= 9 else ","
+    for d in range(max_kinks(n) + 1):
+        sites = _emit_groups(n, d, lambda s: (s,), ())
+        text = _emit_groups(n, d, lambda s: sep + str(s), "")
+        for (head, tails), (text_head, text_tails) in islice(zip(sites, text), 200):
+            assert head == text_head and 1 <= len(head) == max(1, n - 5)
+            assert text_tails == tuple("".join(sep + str(s) for s in tail) for tail in tails)
+            assert all(sorted(head + list(tail)) == list(range(1, n + 1)) for tail in tails)
+
+
+def test_the_walk_checks_the_kink_count_itself():
+    # the CLI reaches the walk without enumerate_histories
+    with pytest.raises(ValueError, match="^kink count 2 out of range 0..1 for n = 4$"):
+        next(_emit_groups(4, 2, str, ""))
 
 
 def test_enumerate_limit():
