@@ -5,12 +5,14 @@ order in which the sites flip.  Each flip either grows an existing block
 of plus sites or starts a new block somewhere else; every new block after
 the first one is a kink.  Histories are classified by the number d of
 kinks they create, and this module is the single source of truth for what
-d means.
+d means, and of how a route's rows pair with chain lengths (`_paired`): one
+row per length asked for, or ArithmeticError, in the library and the CLI.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import zip_longest
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "History",
@@ -34,6 +36,15 @@ def check_int(value: int, least: int, what: str) -> int:
     if type(value) is not int or value < least:
         raise ValueError(f"{what} must be an int of at least {least}, got {value!r}")
     return value
+
+
+def _paired(label: str, lengths: range, rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # (n, row) for each n of `lengths`, each row a tuple; too few or too many rows are a fault
+    for n, row in zip_longest(lengths, rows):
+        if n is None or row is None:
+            got = f"no row for n = {n} of" if row is None else "more rows than"
+            raise ArithmeticError(f"{label} gave {got} n = {lengths.start}..{lengths.stop - 1}")
+        yield n, tuple(row)
 
 
 def max_kinks(n: int) -> int:

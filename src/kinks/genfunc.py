@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import TruncPoly, TSeries
-from .core import CountTable, check_int, max_kinks
+from .core import CountTable, _paired, check_int, max_kinks
 
 __all__ = [
     "CoefficientError",
@@ -112,11 +112,12 @@ def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int
         yield row
 
 
-def _whole_rows(t_order: int, v_order: int) -> Iterator[list[int]]:
-    # rows n = 2..t_order, entries d = 0..v_order: the series starts at t^2
+def _whole_rows(label: str, t_order: int, v_order: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # (n, row) for n = 2..t_order, entries d = 0..v_order: the series starts at t^2
     check_int(t_order, 2, "t_order")
     check_int(v_order, 0, "v_order")
-    return _series_rows(range(2, t_order + 1), 0, v_order)
+    lengths = range(2, t_order + 1)
+    return _paired(label, lengths, _series_rows(lengths, 0, v_order))
 
 
 def bivariate_series(t_order: int, v_order: int) -> TSeries:
@@ -149,8 +150,8 @@ def bivariate_series(t_order: int, v_order: int) -> TSeries:
     row.  The counts are [t^n w^d] / 4^d; a nonzero remainder or a
     negative value raises CoefficientError.  Every coefficient is an int.
     """
-    rows = _whole_rows(t_order, v_order)
-    counts = [TruncPoly.zero(v_order)] * 2 + [TruncPoly(row, v_order) for row in rows]
+    rows = _whole_rows("bivariate_series", t_order, v_order)
+    counts = [TruncPoly.zero(v_order)] * 2 + [TruncPoly(row, v_order) for _, row in rows]
     return TSeries(counts, t_order, v_order)
 
 
@@ -166,8 +167,8 @@ def series_table(t_order: int, v_order: int) -> CountTable:
     >>> series_table(4, 1).row(4)
     (8, 16)
     """
-    rows = _whole_rows(t_order, v_order)
-    return CountTable({n: tuple(row[: max_kinks(n) + 1]) for n, row in enumerate(rows, 2)})
+    rows = _whole_rows("series_table", t_order, v_order)
+    return CountTable({n: row[: max_kinks(n) + 1] for n, row in rows})
 
 
 def series_count(n: int, d: int) -> int:
@@ -212,7 +213,9 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
         for _ in range(d + 2 - i):
             denom = [a - 2 * i * b for a, b in zip(denom + [0], [0] + denom)]
     top = max(len(denom) - 1, 2)
-    column = [0, 0] + [row[0] for row in _series_rows(range(2, top + len(denom)), d, d)]
+    lengths = range(2, top + len(denom))
+    rows = _paired("fixed_kinks_series", lengths, _series_rows(lengths, d, d))
+    column = [0, 0] + [row[0] for _, row in rows]
     numer = [
         sum(q * column[n - i] for i, q in enumerate(denom[: n + 1])) for n in range(len(column))
     ]

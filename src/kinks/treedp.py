@@ -36,7 +36,7 @@ from math import factorial
 from operator import add, lshift
 from typing import Iterator, NamedTuple
 
-from .core import CountTable, TreeLabel, check_int, max_kinks
+from .core import CountTable, TreeLabel, _paired, check_int, max_kinks
 
 __all__ = [
     "LevelState",
@@ -184,29 +184,30 @@ def advance_level(state: LevelState) -> LevelState:
     return LevelState(m, tuple(tuple(map(tuple, new[: m // 2 + 1])) for new in (new0, new1)))
 
 
-def _kink_rows(n_max: int, d_max: int | None) -> Iterator[tuple[int, ...]]:
-    # rows n = 1..n_max of the kink marginals, each cut at
-    # min(d_max, max_kinks(n)); a band needs only itself and the one below,
-    # so a cut row is exact.  One list holds the row and is updated in
-    # place from the top band down, so c[k - 1] is still row n - 1's when
-    # c[k] reads it; a zero is appended first when the cut widens.  Row
-    # sums are the fault check: n! when whole, at most n! when cut.
+def _kink_rows(lengths: range, lo: int, top: int) -> Iterator[tuple[int, ...]]:
+    # entries d = lo..min(top, max_kinks(n)) of the kink marginals for each n
+    # of the ascending range `lengths`, every row from n = 1 on cut at that
+    # top: a band needs only itself and the one below.  One list holds the
+    # row, updated in place from the top band down, so c[k - 1] is still row
+    # n - 1's when c[k] reads it; a zero is appended first when the cut
+    # widens.  Row sums are the fault check: n! when whole, <= n! when cut.
     row = [1]
     fact = 1
-    for n in range(1, n_max + 1):
+    for n in range(1, lengths.stop):
         most = max_kinks(n)
-        top = most if d_max is None else min(d_max, most)
+        cut = min(top, most)
         if n > 1:
             fact *= n
-            if len(row) <= top:
+            if len(row) <= cut:
                 row.append(0)
-            for k in range(top, 0, -1):
+            for k in range(cut, 0, -1):
                 row[k] = (2 * k + 2) * row[k] + (n - 2 * k) * row[k - 1]
             row[0] *= 2
         total = sum(row)
-        if total > fact or (top == most and total != fact):
+        if total > fact or (cut == most and total != fact):
             raise ArithmeticError(f"recurrence row {n} fails its sum check against {n}!")
-        yield tuple(row)
+        if n in lengths:
+            yield tuple(row[lo:])
 
 
 def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
@@ -219,7 +220,7 @@ def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
     throughout).  With `d_max`, row n is cut at min(d_max, max_kinks(n)),
     as `series_table` cuts at its v_order; the bands k <= d_max need no
     band above them.  A row that fails its sum check (n! when whole, at
-    most n! when cut) raises ArithmeticError.
+    most n! when cut), or a row too few or too many, raises ArithmeticError.
 
     >>> dp_table(4).row(4)
     (8, 16)
@@ -227,9 +228,9 @@ def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
     (512, 128512, 1304832)
     """
     check_int(n_max, 1, "n_max")
-    if d_max is not None:
-        check_int(d_max, 0, "d_max")
-    return CountTable(dict(enumerate(_kink_rows(n_max, d_max), start=1)))
+    top = max_kinks(n_max) if d_max is None else check_int(d_max, 0, "d_max")
+    lengths = range(1, n_max + 1)
+    return CountTable(dict(_paired("dp_table", lengths, _kink_rows(lengths, 0, top))))
 
 
 class LabelMismatch(NamedTuple):

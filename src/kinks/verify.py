@@ -12,14 +12,14 @@ through its one entry of `ROUTES`, as `kinks count` and `kinks table` do.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from math import factorial
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import genfunc, oracle, treedp
 from .algebra import TruncPoly
-from .core import CountTable, check_int, max_kinks
+from .core import CountTable, _paired, check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series
 from .oracle import DEFAULT_BRUTE_CEILING
 from .treedp import tree_label_consistency
@@ -28,16 +28,6 @@ __all__ = ["GOLDEN_ROWS", "CheckResult", "run_verification"]
 
 
 ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
-Row = tuple[int, ...]
-
-
-def _paired(label: str, lengths: range, rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, Row]]:
-    # (n, row) for each n of `lengths`, each row a tuple; too few or too many rows are a fault
-    for n, row in zip_longest(lengths, rows):
-        if n is None or row is None:
-            got = f"no row for n = {n} of" if row is None else "more rows than"
-            raise ArithmeticError(f"{label} gave {got} n = {lengths.start}..{lengths.stop - 1}")
-        yield n, tuple(row)
 
 
 class Route(NamedTuple):
@@ -46,9 +36,9 @@ class Route(NamedTuple):
 
     `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
     counts d = lo..min(top, max_kinks(n)); `count`, `table` and `verify`
-    read them through `pairs`, which hands each row on as a tuple.  The
-    domain is n >= least_n, and n <= the brute ceiling if `bounded`, and
-    d <= max_kinks(n) if `capped`."""
+    read them through `pairs`, which pairs them with `lengths` in
+    `core._paired`, as the library tables do.  The domain is n >= least_n,
+    and n <= the brute ceiling if `bounded`, and d <= max_kinks(n) if `capped`."""
 
     name: str
     word: str
@@ -72,7 +62,7 @@ class Route(NamedTuple):
         parts += ["d <= (n - 1) // 2"] if self.capped else []
         return " and ".join(parts) or "every n and d"
 
-    def pairs(self, lengths: range, lo: int, top: int) -> Iterator[tuple[int, Row]]:
+    def pairs(self, lengths: range, lo: int, top: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(n, row) for each n of `lengths`; too few or too many rows raise ArithmeticError."""
         return _paired(f"the {self.name} route", lengths, self.rows(lengths, lo, top))
 
@@ -99,15 +89,7 @@ ROUTES = {route.name: route for route in (
         bounded=True,
         capped=True,
     ),
-    Route(
-        "dp",
-        "recurrence",
-        # the recurrence starts at n = 1, each row cut at top: O(top) integers held
-        lambda lengths, lo, top: (
-            row[lo:]
-            for row in islice(treedp._kink_rows(lengths.stop - 1, top), lengths.start - 1, None)
-        ),
-    ),
+    Route("dp", "recurrence", lambda lengths, lo, top: treedp._kink_rows(lengths, lo, top)),
     Route(
         "gf",
         "series",

@@ -495,8 +495,8 @@ def test_a_gate_that_fires_mid_stream_leaves_the_rows_before_it(
     full = run_cli(capsys, *argv)[1]
     rows = kinks.treedp._kink_rows
 
-    def gated(n_max, d_max):
-        yield from rows(6, d_max)  # rows 1..6, then the gate fires at row 7
+    def gated(lengths, lo, top):
+        yield from rows(range(lengths.start, 7), lo, top)  # rows up to 6, then the gate fires at 7
         raise ArithmeticError("recurrence row 7 fails its sum check against 7!")
 
     monkeypatch.setattr("kinks.treedp._kink_rows", gated)
@@ -916,8 +916,8 @@ def test_verify_exact_algebra_notices_a_corrupted_binomial_product(monkeypatch):
 def _recurrence_with(n, corrupt):
     # a patch of the recurrence's rows that passes row n through `corrupt`
     exact = kinks.treedp._kink_rows
-    return kinks.treedp, "_kink_rows", lambda n_max, d_max: (
-        corrupt(row) if m == n else row for m, row in enumerate(exact(n_max, d_max), 1)
+    return kinks.treedp, "_kink_rows", lambda lengths, lo, top: (
+        corrupt(row) if m == n else row for m, row in zip(lengths, exact(lengths, lo, top))
     )
 
 
@@ -1006,8 +1006,10 @@ def test_verify_tree_labels_fails_a_walk_that_reaches_no_word(monkeypatch, make_
 def test_verify_tree_labels_reports_a_failed_band_gate_in_one_line(capsys, monkeypatch):
     # a kink bound one short at n = 11 trips the label walk's zero-band gate;
     # the recurrence rows come from an unpatched build, so only the walk sees it
-    rows = list(kinks.treedp._kink_rows(12, None))
-    monkeypatch.setattr(kinks.treedp, "_kink_rows", lambda n_max, d_max: iter(rows[:n_max]))
+    rows = list(kinks.treedp._kink_rows(range(1, 13), 0, 5))
+    monkeypatch.setattr(
+        kinks.treedp, "_kink_rows", lambda lengths, lo, top: (rows[n - 1][lo:] for n in lengths)
+    )
     monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 - (n == 11))
     code, out, err = run_cli(capsys, "verify", *SMALL_VERIFY)
     assert code == 1
@@ -1359,6 +1361,32 @@ def test_a_route_that_gives_too_few_or_too_many_rows_fails(
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     detail = _stream_error(source, fault, first, last)
     assert code == 1 and failed[0] == f"FAIL {reader}: ArithmeticError: {detail}"
+
+
+#: each library table builder, its evaluator and the lengths the call asks it for
+TABLE_BUILDERS = {
+    "brute_force_table": (lambda: kinks.brute_force_table(6), kinks.oracle, "_brute_rows", 1, 6),
+    "dp_table": (lambda: dp_table(6), kinks.treedp, "_kink_rows", 1, 6),
+    "series_table": (lambda: series_table(8, 3), kinks.genfunc, "_series_rows", 2, 8),
+    "bivariate_series": (lambda: kinks.bivariate_series(8, 3), kinks.genfunc, "_series_rows", 2, 8),
+    "fixed_kinks_series": (
+        lambda: kinks.fixed_kinks_series(2, 12), kinks.genfunc, "_series_rows", 2, 12
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+@pytest.mark.parametrize("builder", sorted(TABLE_BUILDERS))
+def test_a_library_table_from_too_few_or_too_many_rows_raises(monkeypatch, builder, fault):
+    # each builder pairs its rows with its lengths as the CLI does, naming itself
+    build, module, evaluator, first, last = TABLE_BUILDERS[builder]
+    exact = getattr(module, evaluator)
+    monkeypatch.setattr(
+        module, evaluator, lambda *args: iter(STREAM_FAULTS[fault](list(exact(*args))))
+    )
+    with pytest.raises(ArithmeticError) as raised:
+        build()
+    assert str(raised.value) == _stream_error(builder, fault, first, last)
 
 
 @pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
@@ -1787,8 +1815,8 @@ def test_table_writers_and_parsers_past_the_int_digit_limit(capsys, monkeypatch)
         assert texts == expected
         assert int(expected["csv"].split(",")[-1]) == 10**5000
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
-    # the recurrence route's rows n = 1 and 2, of which `table --max-n 2` exports the second
-    monkeypatch.setattr("kinks.treedp._kink_rows", lambda n_max, d_max: iter([(1,), table.row(2)]))
+    # the recurrence route's row n = 2, the one row that `table --max-n 2` exports
+    monkeypatch.setattr("kinks.treedp._kink_rows", lambda lengths, lo, top: iter([table.row(2)]))
     for fmt, text in expected.items():
         assert run_cli(capsys, "table", "--max-n", "2", "--format", fmt) == (0, text, "")
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit

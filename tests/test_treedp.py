@@ -336,6 +336,20 @@ def test_dp_count_route_matches_the_closed_form(n, d):
     assert kinks.cli.ROUTES["dp"].count(n, d) == closed_form(n, d), (n, d)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    ends=st.tuples(st.integers(1, 80), st.integers(1, 80)).map(sorted),
+    cuts=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+)
+def test_recurrence_rows_of_any_lengths_and_cut_match_the_closed_form(ends, cuts):
+    # the evaluator's (lengths, lo, top) contract against an independent formula
+    (a, b), (lo, top) = ends, cuts
+    assert list(kinks.treedp._kink_rows(range(a, b), lo, top)) == [
+        tuple(closed_form(n, d) for d in range(lo, min(top, max_kinks(n)) + 1))
+        for n in range(a, b)
+    ]
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 80))
 def test_label_tree_marginals_and_moments_match_the_recurrence(n):
