@@ -6,7 +6,8 @@
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
 ArithmeticError such as CoefficientError, a route giving fewer or more
-rows than asked, or `enumerate`'s walk flipping a site twice or outside
+rows than asked or a `count` row other than one count (or none above
+max_kinks(n)), or `enumerate`'s walk flipping a site twice or outside
 1..n, as one `error:` line on stderr, without a traceback), 2 on usage
 or range errors, such as a row asked of a method outside its domain.
 Any other exception is a fault, and exits 1 with its traceback.  A

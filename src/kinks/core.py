@@ -5,14 +5,15 @@ order in which the sites flip.  Each flip either grows an existing block
 of plus sites or starts a new block somewhere else; every new block after
 the first one is a kink.  Histories are classified by the number d of
 kinks they create, and this module is the single source of truth for what
-d means, and of how a route's rows pair with chain lengths (`_paired`): one
-row per length asked for, or ArithmeticError, in the library and the CLI.
+d means, of how a route's rows pair with chain lengths (`_paired`: one row
+per length) and of how entry d is read off them (`_column`: one count, none
+above max_kinks(n)), else ArithmeticError, in the library and the CLI.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "History",
@@ -45,6 +46,15 @@ def _paired(label: str, lengths: range, rows: Iterable[Sequence[int]]) -> Iterat
             got = f"no row for n = {n} of" if row is None else "more rows than"
             raise ArithmeticError(f"{label} gave {got} n = {lengths.start}..{lengths.stop - 1}")
         yield n, tuple(row)
+
+
+def _column(label: str, rows: Callable, lengths: range, d: int) -> Iterator[int]:
+    # entry d of each row of rows(lengths, d, d), paired by _paired: a row of
+    # one count, or an empty one above max_kinks(n); any other width is a fault
+    for n, row in _paired(label, lengths, rows(lengths, d, d)):
+        if len(row) != 1 and (row or d <= max_kinks(n)):
+            raise ArithmeticError(f"{label} gave {len(row)} counts for n = {n}, d = {d}")
+        yield row[0] if row else 0
 
 
 def max_kinks(n: int) -> int:
@@ -153,11 +163,7 @@ def tree_label(h: History) -> TreeLabel:
     >>> tree_label(History((1, 3, 4, 2)))
     TreeLabel(max_pos=3, kinks=1, max_first=0)
     """
-    return _word_label(h.word)
-
-
-def _word_label(word: Sequence[int]) -> TreeLabel:
-    # the label of a word already known to be a permutation of 1..n
+    word = h.word
     n = len(word)
     if n < 2:
         raise ValueError("labels need length >= 2: max_first is undefined at n = 1")

@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import TruncPoly, TSeries
-from .core import CountTable, _paired, check_int, max_kinks
+from .core import CountTable, _column, _paired, check_int, max_kinks
 
 __all__ = [
     "CoefficientError",
@@ -185,7 +185,7 @@ def series_count(n: int, d: int) -> int:
     """
     check_int(n, 2, "n")  # the series starts at t^2
     check_int(d, 0, "d")
-    [[count]] = _series_rows((n,), d, d)
+    [count] = _column("series_count", _series_rows, range(n, n + 1), d)
     return count
 
 
@@ -213,9 +213,7 @@ def fixed_kinks_series(d: int, n_max: int) -> tuple[int, ...]:
         for _ in range(d + 2 - i):
             denom = [a - 2 * i * b for a, b in zip(denom + [0], [0] + denom)]
     top = max(len(denom) - 1, 2)
-    lengths = range(2, top + len(denom))
-    rows = _paired("fixed_kinks_series", lengths, _series_rows(lengths, d, d))
-    column = [0, 0] + [row[0] for _, row in rows]
+    column = [0, 0, *_column("fixed_kinks_series", _series_rows, range(2, top + len(denom)), d)]
     numer = [
         sum(q * column[n - i] for i, q in enumerate(denom[: n + 1])) for n in range(len(column))
     ]
@@ -291,10 +289,9 @@ def closed_form(n: int, d: int) -> int:
     >>> closed_form(12, 5)
     22368256
     """
-    top = max_kinks(n)  # first, so that n < 1 raises n's error at any d
-    if check_int(d, 0, "d") > top:
-        return 0
-    [[count]] = _closed_rows((n,), d, d)
+    check_int(n, 1, "n")  # first, so that n < 1 raises n's error at any d
+    check_int(d, 0, "d")
+    [count] = _column("closed_form", _closed_rows, range(n, n + 1), d)
     return count
 
 

@@ -23,7 +23,7 @@ from itertools import islice
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import CountTable, History, _paired, check_int, max_kinks
+from .core import CountTable, History, _column, _paired, check_int, max_kinks
 
 __all__ = ["DEFAULT_BRUTE_CEILING", "brute_force_table", "backtrack_count", "enumerate_histories"]
 
@@ -290,5 +290,5 @@ def backtrack_count(n: int, d: int) -> int:
     88
     """
     _check_kinks(n, d)
-    [[count]] = _backtrack_rows((n,), d, d)
+    [count] = _column("backtrack_count", _backtrack_rows, range(n, n + 1), d)
     return count

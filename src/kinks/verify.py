@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import genfunc, oracle, treedp
 from .algebra import TruncPoly
-from .core import CountTable, _paired, check_int, max_kinks
+from .core import CountTable, _column, _paired, check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series
 from .oracle import DEFAULT_BRUTE_CEILING
 from .treedp import tree_label_consistency
@@ -35,9 +35,9 @@ class Route(NamedTuple):
     it, its rows and its domain.
 
     `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
-    counts d = lo..min(top, max_kinks(n)); `count`, `table` and `verify`
-    read them through `pairs`, which pairs them with `lengths` in
-    `core._paired`, as the library tables do.  The domain is n >= least_n,
+    counts d = lo..min(top, max_kinks(n)); `table` and `verify` pair them
+    with `lengths` in `core._paired` (`pairs`), and `count` reads entry d in
+    `core._column`, as the library does.  The domain is n >= least_n,
     and n <= the brute ceiling if `bounded`, and d <= max_kinks(n) if `capped`."""
 
     name: str
@@ -67,9 +67,9 @@ class Route(NamedTuple):
         return _paired(f"the {self.name} route", lengths, self.rows(lengths, lo, top))
 
     def count(self, n: int, d: int) -> int:
-        """The count at (n, d): row n cut to d alone, empty above max_kinks(n)."""
-        [(_, row)] = self.pairs(range(n, n + 1), d, d)
-        return row[0] if row else 0
+        """The count at (n, d), entry d of row n read by `core._column`."""
+        [count] = _column(f"the {self.name} route", self.rows, range(n, n + 1), d)
+        return count
 
 
 #: Every method, named once.  Each entry looks its evaluator up in the

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations, zip_longest
 
 import kinks.treedp
-from kinks.core import _word_label
+from kinks import History, tree_label
 from kinks.treedp import ConsistencyReport, LabelMismatch
 
 # Reference counts rows[n][d] for n = 2..10 (published table).
@@ -96,6 +96,11 @@ def naive_table(n_max: int) -> dict[int, tuple[int, ...]]:
     return rows
 
 
+def word_label(word: tuple[int, ...]) -> kinks.TreeLabel:
+    """The generating-tree label of a word, read through `History`."""
+    return tree_label(History(word))
+
+
 def naive_label_consistency(n_max: int) -> ConsistencyReport:
     """The rule check built child word by child word, asking the rule per parent."""
     checked = 0
@@ -103,8 +108,8 @@ def naive_label_consistency(n_max: int) -> ConsistencyReport:
     for n in range(2, n_max):
         top = (n + 1,)
         for word in permutations(range(1, n + 1)):
-            children = kinks.treedp.succession_children(_word_label(word), n)
-            direct = [_word_label(word[:i] + top + word[i:]) for i in range(n + 1)]
+            children = kinks.treedp.succession_children(word_label(word), n)
+            direct = [word_label(word[:i] + top + word[i:]) for i in range(n + 1)]
             checked += n + 1
             # None stands for a child the rule lacks or a rule child too many
             for pos, (child, actual) in enumerate(zip_longest(children, direct), 1):

@@ -1422,6 +1422,85 @@ def test_an_evaluator_that_drops_rows_exits_one(
     assert run_cli(capsys, *argv)[::2] == (1, f"error: {error}\n")
 
 
+#: a stream whose rows each hold no count, or each hold their counts twice
+WIDTH_FAULTS = {
+    "empty": lambda rows: [() for _ in rows],
+    "wide": lambda rows: [(*row, *row) for row in rows],
+}
+
+
+def _width_error(source, fault, n, d):
+    return f"{source} gave {0 if fault == 'empty' else 2} counts for n = {n}, d = {d}"
+
+
+def _cut_above_max_kinks(rows):
+    # the evaluator `rows` with every entry above max_kinks(n) dropped
+    return lambda lengths, lo, top: [
+        row[: max(0, max_kinks(n) + 1 - lo)] for n, row in zip(lengths, rows(lengths, lo, top))
+    ]
+
+
+@pytest.mark.parametrize("fault", sorted(WIDTH_FAULTS))
+@pytest.mark.parametrize("method", METHODS)
+def test_a_route_whose_row_holds_no_count_or_two_fails_count(capsys, monkeypatch, method, fault):
+    # entry d = 1 of row 5 exists, so a row without it, or with two
+    # counts, is a fault: one error line that names the route, n and d
+    route = kinks.verify.ROUTES[method]
+    rows = lambda lengths, lo, top: iter(WIDTH_FAULTS[fault](list(route.rows(lengths, lo, top))))
+    monkeypatch.setitem(kinks.verify.ROUTES, method, route._replace(rows=rows))
+    error = f"error: {_width_error(f'the {method} route', fault, 5, 1)}\n"
+    for argv in (("--method", method), ("--all-methods",)):
+        assert run_cli(capsys, "count", "--n", "5", "--d", "1", *argv) == (1, "", error)
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if not kinks.verify.ROUTES[m].capped])
+def test_a_route_whose_row_is_empty_above_max_kinks_counts_zero(capsys, method):
+    assert list(kinks.verify.ROUTES[method].rows(range(5, 6), 3, 3)) in ([()], [[]])
+    assert run_cli(capsys, "count", "--n", "5", "--d", "3", "--method", method) == (0, "0\n", "")
+
+
+#: each library reader of entry d, its call, its evaluator, the lengths it
+#: asks for and its d
+ENTRY_READERS = {
+    "closed_form": (lambda: kinks.closed_form(5, 1), kinks.genfunc, "_closed_rows", 5, 5, 1),
+    "series_count": (lambda: kinks.series_count(5, 1), kinks.genfunc, "_series_rows", 5, 5, 1),
+    "backtrack_count": (
+        lambda: kinks.backtrack_count(5, 1), kinks.oracle, "_backtrack_rows", 5, 5, 1
+    ),
+    "fixed_kinks_series": (
+        lambda: kinks.fixed_kinks_series(0, 8), kinks.genfunc, "_series_rows", 2, 3, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STREAM_FAULTS) + sorted(WIDTH_FAULTS))
+@pytest.mark.parametrize("reader", sorted(ENTRY_READERS))
+def test_a_library_entry_from_a_faulty_stream_raises(monkeypatch, reader, fault):
+    # a row too few or too many, or a first row of no count or of two,
+    # raises ArithmeticError that names the reader
+    call, module, evaluator, first, last, d = ENTRY_READERS[reader]
+    exact = getattr(module, evaluator)
+    faulty = (STREAM_FAULTS | WIDTH_FAULTS)[fault]
+    monkeypatch.setattr(module, evaluator, lambda *args: iter(faulty(list(exact(*args)))))
+    with pytest.raises(ArithmeticError) as raised:
+        call()
+    if fault in STREAM_FAULTS:
+        assert str(raised.value) == _stream_error(reader, fault, first, last)
+    else:
+        assert str(raised.value) == _width_error(reader, fault, first, d)
+
+
+def test_a_library_entry_reads_an_empty_row_above_max_kinks_as_zero(monkeypatch):
+    # the series rows hold their zeros above max_kinks(n); without them each
+    # reader gives the same counts, and closed_form's rows never hold them
+    column = kinks.fixed_kinks_series(2, 12)
+    monkeypatch.setattr(
+        kinks.genfunc, "_series_rows", _cut_above_max_kinks(kinks.genfunc._series_rows)
+    )
+    assert kinks.series_count(5, 3) == 0 == kinks.closed_form(5, 3)
+    assert kinks.fixed_kinks_series(2, 12) == column
+
+
 def test_verify_crashed_check_keeps_its_traceback(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

@@ -101,8 +101,9 @@ ROUTE_ENTRIES = {
 
 #: the package functions outside core that two routes both reach.  The
 #: series entry is 4^d times the closed power sum, through the same
-#: binomial products, so their agreement is not independent evidence;
-#: every other pair shares nothing but core.
+#: binomial products, so their agreement checks code, not mathematics: of
+#: the five routes, four are independent.  Every other pair shares nothing
+#: but core.
 SHARED = {
     frozenset({"series", "closed"}): {"_powers", "_binomial_product", "_exact_count"},
 }

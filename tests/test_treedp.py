@@ -29,10 +29,10 @@ from kinks import (
     tree_label,
     tree_label_consistency,
 )
-from kinks.core import _opened, _word_label
+from kinks.core import _opened
 from kinks.treedp import LabelMismatch, _label_levels, _level_codes
 import helpers
-from helpers import naive_label_consistency
+from helpers import naive_label_consistency, word_label
 
 
 def test_succession_rule_reference_cases():
@@ -422,7 +422,7 @@ def test_label_consistency_reports_a_wrong_rule_child(monkeypatch):
 
 def _children_read_off_words(word):
     top = (len(word) + 1,)
-    return [_word_label(word[:i] + top + word[i:]) for i in range(len(word) + 1)]
+    return [word_label(word[:i] + top + word[i:]) for i in range(len(word) + 1)]
 
 
 def _decoded(state):
@@ -456,7 +456,7 @@ def test_level_codes_match_the_child_words():
         walked = _level_codes(n, words=True)
         assert [word for word, _ in walked] == list(permutations(range(1, n + 1)))
         for word, state in walked:
-            assert _decoded(state) == (_word_label(word), _children_read_off_words(word)), word
+            assert _decoded(state) == (word_label(word), _children_read_off_words(word)), word
 
 
 def test_level_codes_keep_one_state_per_label():
@@ -468,7 +468,7 @@ def test_level_codes_keep_one_state_per_label():
         walked = _level_codes(n, words=True)
         assert set(walked.values()) == {1}
         assert _level_codes(n) == Counter(state for _, state in walked)
-        assert len({_word_label(word) for word, _ in walked}) == len(_level_codes(n))
+        assert len({word_label(word) for word, _ in walked}) == len(_level_codes(n))
 
 
 def test_level_codes_count_the_nodes_of_each_label():
@@ -500,7 +500,7 @@ def test_label_consistency_matches_the_child_by_child_check(n_max):
 def test_label_consistency_reports_a_corrupted_rule_as_the_naive_check(parent, field, data):
     # corrupt one field of one child of a label that occurs at level n
     n = len(parent)
-    target = _word_label(tuple(parent))
+    target = word_label(tuple(parent))
     index = data.draw(st.integers(0, n), label="index")
     exact = kinks.treedp.succession_children
 
@@ -605,7 +605,7 @@ def test_label_consistency_asks_the_rule_once_per_parent_label():
 
     with mock.patch.object(kinks.treedp, "succession_children", counted):
         assert tree_label_consistency(8).ok
-    labels = {(n, _word_label(w)) for n in range(2, 8) for w in permutations(range(1, n + 1))}
+    labels = {(n, word_label(w)) for n in range(2, 8) for w in permutations(range(1, n + 1))}
     assert sorted(asked) == sorted(labels)
 
 
@@ -614,7 +614,7 @@ def test_label_consistency_judges_each_code_of_a_label():
     # two after: one child changed in its final state alone must report
     # that word alone, and the later words, still at the exact state, nothing
     word, label, index = (2, 1, 3, 4), (4, 0, 0), 2
-    same = [w for w in permutations(range(1, 5)) if _word_label(w) == label]
+    same = [w for w in permutations(range(1, 5)) if word_label(w) == label]
     assert same == [(1, 2, 3, 4), word, (2, 3, 1, 4), (3, 2, 1, 4)]
     with mock.patch.object(kinks.treedp, "_level_codes", _with_child_kinks(word, index, 0)):
         report = tree_label_consistency(5)
@@ -637,7 +637,7 @@ def test_no_state_outlives_a_call():
 
     with mock.patch.object(kinks.treedp, "succession_children", wrong):
         report = tree_label_consistency(7)
-    words = [w for w in permutations(range(1, 7)) if _word_label(w) == target]
+    words = [w for w in permutations(range(1, 7)) if word_label(w) == target]
     assert len(words) > 1
     assert [(m.n, m.word, m.position) for m in report.mismatches] == [(6, w, 1) for w in words]
     assert tree_label_consistency(7).ok
@@ -658,16 +658,16 @@ def test_label_consistency_reports_a_corrupted_code_as_the_naive_check(word, dat
     n, word = len(word), tuple(word)
     index = data.draw(st.integers(0, n), label="index")
     child = word[:index] + (n + 1,) + word[index:]
-    exact = _word_label(child)
+    exact = word_label(child)
     count = data.draw(st.integers(-1, 8).filter(lambda k: k != exact.kinks), label="kinks")
     corrupt = exact._replace(kinks=count)
 
     def read(w):
-        return corrupt if w == child else _word_label(w)
+        return corrupt if w == child else word_label(w)
 
     with mock.patch.object(kinks.treedp, "_level_codes", _with_child_kinks(word, index, count)):
         fast = tree_label_consistency(n + 1)
-    with mock.patch.object(helpers, "_word_label", read):
+    with mock.patch.object(helpers, "word_label", read):
         naive = naive_label_consistency(n + 1)
     assert repr(fast) == repr(naive)
     assert fast == naive
@@ -716,7 +716,7 @@ def test_label_consistency_lists_a_wrong_level_7_child_word_by_word():
 
     with mock.patch.object(kinks.treedp, "succession_children", wrong):
         report = tree_label_consistency(8)
-    words = [w for w in permutations(range(1, 8)) if _word_label(w) == target]
+    words = [w for w in permutations(range(1, 8)) if word_label(w) == target]
     assert len(words) > 1
     assert report.mismatches == tuple(
         LabelMismatch(7, w, 4, TreeLabel(4, 3, 1), TreeLabel(4, 2, 1)) for w in words
