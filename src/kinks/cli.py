@@ -32,6 +32,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
+from decimal import MIN_EMIN, Context, Decimal
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
@@ -293,9 +294,12 @@ def _asym_text(args: argparse.Namespace) -> str:
         raise UsageError("--d must be nonnegative")
     if args.max_n < 2 * args.d + 1:
         raise UsageError(f"--max-n must be at least {2 * args.d + 1}")
+    six, tiny = Context(prec=6, Emin=MIN_EMIN), sys.float_info.min
     for r in convergence_report(args.d, args.max_n, table=dp_table(args.max_n, args.d)):
-        deviation = f"{float(r.deviation):.6g}" if r.deviation else "0"
-        cells.append((r.n, str(r.exact), str(int(r.estimate)), deviation))
+        # a float, save below the normal floats: there six digits of its exact value
+        x = r.deviation
+        x = six.normalize(six.divide(Decimal(x.numerator), x.denominator)) if 0 < x < tiny else float(x)
+        cells.append((r.n, str(r.exact), str(int(r.estimate)), f"{x:.6g}"))
     if args.format == "csv":
         return "".join(",".join(map(str, c)) + "\n" for c in cells)
     if args.format == "json":

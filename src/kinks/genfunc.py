@@ -7,17 +7,17 @@ power of 2, so the substitution v = 4w turns each term into integer
 series (Catalan series for sqrt(1-4w) and its reciprocals).  One
 generator, `_series_rows`, reads the coefficients of t^n w^k off that
 identity, through one binomial product per entry after Lagrange
-inversion at w = z/(1+z)^2, in plain ints, and gates each as 4^k times
-a count: `bivariate_series` and `series_table` take whole rows from it,
-O(D^2) operations per row at v-order D, and `series_count` takes a
-single entry, O(d) operations at any n.  Fixing the kink number gives a
-rational function of t for every d, derived here from that series, one
-explicit formula gives every count as a sum of d + 1 powers i^n with
-polynomial weights (`closed_form`), and the counts grow like
-2^(n-2d-1) (d+1)^n, the formula's top term, which this module also
-evaluates and checks.  Every count is computed in plain ints; Fraction
-remains only in the growth estimate and its deviations, whose values
-are rational.
+inversion at w = z/(1+z)^2, in plain ints, gates each as 4^k times a
+count and, like every evaluator, cuts row n at max_kinks(n):
+`bivariate_series` and `series_table` take whole rows, O(D^2) operations
+per row at v-order D, and `series_count` one entry, O(d) operations at
+any n.  Fixing the kink number gives a rational function of t for every
+d, derived here from that series, one explicit formula gives every count
+as a sum of d + 1 powers i^n with polynomial weights (`closed_form`),
+and the counts grow like 2^(n-2d-1) (d+1)^n, the formula's top term,
+which this module also evaluates and checks.  Every count is computed
+in plain ints; Fraction remains only in the growth estimate and its
+deviations, whose values are rational.
 """
 
 from __future__ import annotations
@@ -78,13 +78,12 @@ def _binomial_product(a: int, b: int, top: int) -> list[int]:
     return e[: top + 1]
 
 
-def _series_weights(n: int, top: int) -> list[int]:
-    # u_j = (a_j - b~_j) / 2^(n-3) for j = 0..top, row n's weights (bivariate_series):
-    # with q_i = i^(n-1), 4 a_j / 2^(n-1) = n (q_(j+1) - q_j) and
-    # 4 b_j / 2^(n-1) = (n-2-2j) q_(j+1) + (n+2j) q_j
-    q = _powers(n - 1, top + 1)
+def _series_weights(n: int, q: list[int]) -> list[int]:
+    # u_j = (a_j - b~_j) / 2^(n-3) for j = 0..len(q) - 2, row n's weights
+    # (bivariate_series): with q_i = i^(n-1), 4 a_j / 2^(n-1) = n (q_(j+1) - q_j)
+    # and 4 b_j / 2^(n-1) = (n-2-2j) q_(j+1) + (n+2j) q_j
     u, b, tilde = [], 0, 0
-    for j in range(top + 1):
+    for j in range(len(q) - 1):
         last, b = b, (n - 2 - 2 * j) * q[j + 1] + (n + 2 * j) * q[j]
         tilde = b - last - tilde
         u.append(n * (q[j + 1] - q[j]) - tilde)
@@ -92,7 +91,7 @@ def _series_weights(n: int, top: int) -> list[int]:
 
 
 def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
-    # [t^n v^k] = [t^n w^k] / 4^k for k = lo..top and each n in lengths, with
+    # [t^n v^k] = [t^n w^k] / 4^k for k = lo..min(top, max_kinks(n)), n in lengths, with
     # [t^n w^k] = 2^(n-2) sum_j u_j [z^(k-j)] (1+z)^(2k-n+1) (1-z)^n (bivariate_series);
     # u once per row, then one dot product per entry, each through the 4^k gate.
     # In _series_weights' units U = A - B (1-z)/(1+z), with A = sum_j n (q_(j+1) -
@@ -102,18 +101,19 @@ def _series_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int
     # j = 0 it is 2 q_1 - 2n q_0 = 2 q_1, as q_0 = 0^(n-1) = 0 for n >= 2.  So
     # (1+z) U = 2 (1-z)^2 Q' with Q = sum_i q_i z^i, and since i q_i = i^n the
     # entry is 2^(n-1) sum_i i^n [z^(k+1-i)] (1+z)^(2k-n) (1-z)^(n+2): 4^k times
-    # closed_form's power sum at every (n, k)
+    # closed_form's power sum at every (n, k), which is 0 above max_kinks(n)
     for n in lengths:
-        u = _series_weights(n, top)
+        cut = min(top, max_kinks(n))
+        u = _series_weights(n, _powers(n - 1, cut + 1)) if lo <= cut else []
         row = []
-        for k in range(lo, top + 1):
+        for k in range(lo, cut + 1):
             numer = sum(map(mul, u, reversed(_binomial_product(2 * k - n + 1, n, k)))) << (n - 2)
             row.append(_exact_count(numer, 4**k, "coefficient of t^{} w^{}", n, k))
         yield row
 
 
 def _whole_rows(label: str, t_order: int, v_order: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    # (n, row) for n = 2..t_order, entries d = 0..v_order: the series starts at t^2
+    # (n, row) for n = 2..t_order, d = 0..min(v_order, max_kinks(n)): the series starts at t^2
     check_int(t_order, 2, "t_order")
     check_int(v_order, 0, "v_order")
     lengths = range(2, t_order + 1)
@@ -148,7 +148,8 @@ def bivariate_series(t_order: int, v_order: int) -> TSeries:
     weights once from the powers i^(n-1); each entry then costs a
     three-term recurrence and one dot product, O(v_order^2) operations per
     row.  The counts are [t^n w^d] / 4^d; a nonzero remainder or a
-    negative value raises CoefficientError.  Every coefficient is an int.
+    negative value raises CoefficientError.  The rows end at max_kinks(n),
+    above which the sum vanishes.  Every coefficient is an int.
     """
     rows = _whole_rows("bivariate_series", t_order, v_order)
     counts = [TruncPoly.zero(v_order)] * 2 + [TruncPoly(row, v_order) for _, row in rows]
@@ -160,15 +161,14 @@ def series_table(t_order: int, v_order: int) -> CountTable:
 
     Rows cover n = 2..t_order; each row stores d up to
     min(v_order, max_kinks(n)), so rows are complete whenever v_order
-    reaches max_kinks(n).  The rows are those of `bivariate_series`, read
-    from the same generator, which gates every entry, the zeros above
-    max_kinks(n) included, as 4^d times a nonnegative count.
+    reaches max_kinks(n).  The rows are those of `bivariate_series`, kept
+    as the generator cuts them, each entry gated as 4^d times a
+    nonnegative count.
 
     >>> series_table(4, 1).row(4)
     (8, 16)
     """
-    rows = _whole_rows("series_table", t_order, v_order)
-    return CountTable({n: row[: max_kinks(n) + 1] for n, row in rows})
+    return CountTable(dict(_whole_rows("series_table", t_order, v_order)))
 
 
 def series_count(n: int, d: int) -> int:
@@ -178,7 +178,7 @@ def series_count(n: int, d: int) -> int:
     powers i^(n-1) for i <= d + 1, the weights for j <= d, the binomial
     product to z^d and one dot product, so the cost is O(d) operations at
     any n.  The result must be 4^d times a nonnegative count, else
-    CoefficientError.
+    CoefficientError.  Above max_kinks(n) the row is empty: the count is 0.
 
     >>> series_count(10, 3)
     1841152

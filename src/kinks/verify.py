@@ -35,7 +35,8 @@ class Route(NamedTuple):
     it, its rows and its domain.
 
     `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
-    counts d = lo..min(top, max_kinks(n)); `table` and `verify` pair them
+    counts d = lo..min(top, max_kinks(n)): every evaluator cuts its own
+    rows, so each entry is one call of it.  `table` and `verify` pair them
     with `lengths` in `core._paired` (`pairs`), and `count` reads entry d in
     `core._column`, as the library does.  The domain is n >= least_n,
     and n <= the brute ceiling if `bounded`, and d <= max_kinks(n) if `capped`."""
@@ -90,15 +91,7 @@ ROUTES = {route.name: route for route in (
         capped=True,
     ),
     Route("dp", "recurrence", lambda lengths, lo, top: treedp._kink_rows(lengths, lo, top)),
-    Route(
-        "gf",
-        "series",
-        # each row cut at its own max_kinks: the series has entries, all zero, above it
-        lambda lengths, lo, top: (
-            row for n in lengths for row in genfunc._series_rows((n,), lo, min(top, max_kinks(n)))
-        ),
-        least_n=2,
-    ),
+    Route("gf", "series", lambda lengths, lo, top: genfunc._series_rows(lengths, lo, top), least_n=2),
     Route("closed", "closed form", lambda lengths, lo, top: genfunc._closed_rows(lengths, lo, top)),
 )}
 

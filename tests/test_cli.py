@@ -1433,13 +1433,6 @@ def _width_error(source, fault, n, d):
     return f"{source} gave {0 if fault == 'empty' else 2} counts for n = {n}, d = {d}"
 
 
-def _cut_above_max_kinks(rows):
-    # the evaluator `rows` with every entry above max_kinks(n) dropped
-    return lambda lengths, lo, top: [
-        row[: max(0, max_kinks(n) + 1 - lo)] for n, row in zip(lengths, rows(lengths, lo, top))
-    ]
-
-
 @pytest.mark.parametrize("fault", sorted(WIDTH_FAULTS))
 @pytest.mark.parametrize("method", METHODS)
 def test_a_route_whose_row_holds_no_count_or_two_fails_count(capsys, monkeypatch, method, fault):
@@ -1490,15 +1483,13 @@ def test_a_library_entry_from_a_faulty_stream_raises(monkeypatch, reader, fault)
         assert str(raised.value) == _width_error(reader, fault, first, d)
 
 
-def test_a_library_entry_reads_an_empty_row_above_max_kinks_as_zero(monkeypatch):
-    # the series rows hold their zeros above max_kinks(n); without them each
-    # reader gives the same counts, and closed_form's rows never hold them
-    column = kinks.fixed_kinks_series(2, 12)
-    monkeypatch.setattr(
-        kinks.genfunc, "_series_rows", _cut_above_max_kinks(kinks.genfunc._series_rows)
-    )
+def test_a_library_entry_reads_an_empty_row_above_max_kinks_as_zero():
+    # the series and closed rows end at max_kinks(n), so each reader reads
+    # the empty row above it as 0, and so does the column d = 2 below n = 5
+    for rows in (kinks.genfunc._series_rows, kinks.genfunc._closed_rows):
+        assert [*map(tuple, rows(range(2, 6), 3, 3))] == [(), (), (), ()]
     assert kinks.series_count(5, 3) == 0 == kinks.closed_form(5, 3)
-    assert kinks.fixed_kinks_series(2, 12) == column
+    assert kinks.fixed_kinks_series(2, 12) == tuple(dp_table(12).count(n, 2) for n in range(2, 13))
 
 
 def test_verify_crashed_check_keeps_its_traceback(capsys, monkeypatch):
@@ -1553,6 +1544,24 @@ def test_asym_json_format(capsys):
     assert payload["d"] == 1
     assert payload["rows"][0]["n"] == 3
     assert payload["rows"][0]["exact"] == "2"
+
+
+@pytest.mark.parametrize("fmt", kinks.cli.FORMATS)
+def test_asym_deviations_below_the_normal_floats_keep_six_digits(capsys, fmt):
+    # 2n/2^n at d = 1 drops below the normal floats at n = 1077, where a
+    # float would print 1.67982e-322 at n = 1080 and 0 at n = 1100
+    code, out, _ = run_cli(capsys, "asym", "--d", "1", "--max-n", "1100", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        deviations = {row["n"]: row["deviation"] for row in json.loads(out)["rows"]}
+    else:
+        cells = [line.split("," if fmt == "csv" else None) for line in out.splitlines()[1:]]
+        deviations = {int(c[0]): c[-1] for c in cells}
+    assert f"{float(Fraction(2 * 1076, 2**1076)):.6g}" == deviations[1076] == "2.65807e-321"
+    assert (deviations[1080], deviations[1100]) == ("1.66747e-322", "1.61967e-328")
+    # those six digits are the exact values' own
+    assert round(Fraction(2 * 1080, 2**1080) * 10**327) == 166747
+    assert round(Fraction(2 * 1100, 2**1100) * 10**333) == 161967
 
 
 # SHA-256 of `kinks asym --d D --max-n 200 --format F` stdout, taken while the

@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,10 +57,15 @@ def test_series_table_reproduces_reference_rows():
 
 
 def test_series_vanishes_above_max_kinks():
+    # the dot product _series_rows forms for [t^n w^k], 2^(n-2) sum_j u_j
+    # [z^(k-j)] (1+z)^(2k-n+1) (1-z)^n, is 0 above max_kinks(n), where its
+    # rows end and bivariate_series pads them with zeros
+    for n in range(2, 41):
+        for k in range(max_kinks(n) + 1, 13):
+            u = _series_weights(n, [i ** (n - 1) for i in range(k + 2)])
+            assert sum(map(mul, u, reversed(_binomial_product(2 * k - n + 1, n, k)))) == 0, (n, k)
     series = bivariate_series(9, 9)
-    ninth = series.coeffs[9]
-    for d in range(max_kinks(9) + 1, 10):
-        assert ninth.coeffs[d] == 0
+    assert series.coeffs[9].coeffs[max_kinks(9) + 1 :] == (0,) * 5
     assert not series.coeffs[0]
     assert not series.coeffs[1]
 
@@ -121,7 +127,8 @@ def test_pair_coefficients_match_their_convolution_sum():
         b = [pair(j, n - 3) for j in range(13)]
         a = [pair(j, n - 2) - (1 + 2 * j) * bj for j, bj in enumerate(b)]
         weights = [a[j] - sum(b[i] * ratio[j - i] for i in range(j + 1)) for j in range(13)]
-        assert [u * 2**n for u in _series_weights(n, 12)] == [8 * c for c in weights], n
+        u = _series_weights(n, [i ** (n - 1) for i in range(14)])
+        assert [x * 2**n for x in u] == [8 * c for c in weights], n
 
 
 def test_binomial_product_matches_the_two_binomial_series():
@@ -218,9 +225,9 @@ def test_fixed_kinks_series_rejects_a_corrupted_column(monkeypatch):
     exact = kinks.genfunc._series_rows
 
     def bumped(lengths, lo, top):
-        # the last entry of row 8 one too large
+        # the entry of row 8 one too large; the rows below n = 2d + 1 are empty
         for n, row in zip(lengths, exact(lengths, lo, top)):
-            yield row[:-1] + [row[-1] + (n == 8)]
+            yield [c + (n == 8) for c in row]
 
     monkeypatch.setattr(kinks.genfunc, "_series_rows", bumped)
     with pytest.raises(CoefficientError, match="d = 2 of the series does not fit"):
@@ -456,23 +463,16 @@ def _formal(position):
     return _Formal({tuple(int(k == position) for k in range(23)): 1})
 
 
-def test_series_weights_fold_into_the_closed_form_weights_at_every_n(monkeypatch):
+def test_series_weights_fold_into_the_closed_form_weights_at_every_n():
     # _series_weights run on a formal n and formal q_i gives each u_j as a
     # linear form in the q with coefficients in Z[n]; (1+z) U = 2 (1-z)^2 Q'
     # then holds at every z^j, j >= 1, identically in n, and at z^0 up to
-    # -2n q_0, which is 0 because q_0 = 0^(n-1) = 0 for n >= 2.  The stub
-    # checks that the weights ask for exactly those powers, q_i = i^(n-1)
-    # for i = 0..21; the entries d + 1 - i then fold into closed_form's
-    # power sum, 4^d times it at every (n, d)
-    n, q, asked = _formal(0), [_formal(i + 1) for i in range(22)], []
-
-    def powers(e, top):
-        asked.append((e, top))
-        return q[: top + 1]
-
-    monkeypatch.setattr(kinks.genfunc, "_powers", powers)
-    u = _series_weights(n, 20)
-    assert asked == [(n - 1, 21)]
+    # -2n q_0, which is 0 because q_0 = 0^(n-1) = 0 for n >= 2.  _series_rows
+    # passes the powers q_i = i^(n-1), so the entries d + 1 - i then fold
+    # into closed_form's power sum, 4^d times it at every (n, d)
+    n, q = _formal(0), [_formal(i + 1) for i in range(22)]
+    u = _series_weights(n, q)
+    assert len(u) == 21
     for j in range(1, 21):
         assert u[j] + u[j - 1] == 2 * ((j + 1) * q[j + 1] - 2 * j * q[j] + (j - 1) * q[j - 1]), j
     assert u[0] - 2 * q[1] == -2 * n * q[0]
@@ -522,17 +522,19 @@ def test_extraction_gate_rejects_non_counts():
 def test_series_gate_rejects_a_corrupted_expansion(monkeypatch):
     exact = kinks.genfunc._series_weights
 
-    def off_by_one(n, top):
-        u = exact(n, top)
-        d = {2: 2, 7: 3}.get(n, top + 1)
-        if d <= top:
+    def off_by_one(n, q):
+        u = exact(n, q)
+        d = {2: 2, 7: 3}.get(n, len(u))
+        if d < len(u):
             # u_d meets [z^0] = 1, so entry d moves by 2^(n-2): by 1 at (2, 2)
             # and by 32 at (7, 3), off the multiples of 4^2 and 4^3
             u[d] += 1
         return u
 
     monkeypatch.setattr(kinks.genfunc, "_series_weights", off_by_one)
-    with pytest.raises(CoefficientError, match=r"t\^2 w\^2"):
+    # row 2 ends at max_kinks(2) = 0, so its weights stop at u_0 and never
+    # meet the fault at (2, 2): the first bad entry is t^7 w^3
+    with pytest.raises(CoefficientError, match=r"t\^7 w\^3"):
         bivariate_series(8, 3)
     with pytest.raises(CoefficientError, match=r"t\^7 w\^3"):
         series_count(7, 3)

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinks.cli
+import kinks.genfunc
+import kinks.oracle
 import kinks.treedp
 from kinks import (
     History,
@@ -342,12 +344,24 @@ def test_dp_count_route_matches_the_closed_form(n, d):
     cuts=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
 )
 def test_recurrence_rows_of_any_lengths_and_cut_match_the_closed_form(ends, cuts):
-    # the evaluator's (lengths, lo, top) contract against an independent formula
+    # every evaluator's (lengths, lo, top) contract: one row per n, cut by the
+    # evaluator itself to d = lo..min(top, max_kinks(n)), equal to that slice
+    # of the recurrence row, which is checked against an independent formula
     (a, b), (lo, top) = ends, cuts
-    assert list(kinks.treedp._kink_rows(range(a, b), lo, top)) == [
-        tuple(closed_form(n, d) for d in range(lo, min(top, max_kinks(n)) + 1))
-        for n in range(a, b)
-    ]
+    expected = {n: DP80.row(n)[lo : top + 1] for n in range(a, b)}
+    for n, row in expected.items():
+        assert len(row) == max(0, min(top, max_kinks(n)) - lo + 1), (n, lo, top)
+        assert row == tuple(closed_form(n, d) for d in range(lo, lo + len(row))), n
+    evaluators = {
+        kinks.oracle._brute_rows: range(a, min(b, 10)),
+        kinks.oracle._backtrack_rows: range(a, min(b, 10)),
+        kinks.treedp._kink_rows: range(a, b),
+        kinks.genfunc._series_rows: range(max(a, 2), b),  # the series starts at t^2
+        kinks.genfunc._closed_rows: range(a, b),
+    }
+    for rows, lengths in evaluators.items():
+        got = [tuple(row) for row in rows(lengths, lo, top)]
+        assert got == [expected[n] for n in lengths], (rows.__name__, lengths, lo, top)
 
 
 @settings(max_examples=25, deadline=None)
