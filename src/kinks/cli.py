@@ -9,8 +9,9 @@ ArithmeticError such as CoefficientError, a route giving fewer or more
 rows than asked or a `count` row other than one count (or none above
 max_kinks(n)), or `enumerate`'s walk flipping a site twice or outside
 1..n, as one `error:` line on stderr, without a traceback), 2 on usage
-or range errors, such as a row asked of a method outside its domain.
-Any other exception is a fault, and exits 1 with its traceback.  A
+or range errors, such as a row asked of a method outside its domain or
+a `verify --max-n-brute` above KINKS_BRUTE_CEILING.  Any other
+exception is a fault, and exits 1 with its traceback.  A
 reader that closes stdout early (`kinks table ... | head -c 20`) also
 gives exit 1, with nothing on stderr; any other failure to write stdout
 (a full disk) gives exit 1 and one `error: cannot write stdout:` line.
@@ -55,9 +56,7 @@ class WriteError(Exception):
 
 
 def _brute_ceiling() -> int:
-    raw = os.environ.get(ENV_BRUTE_CEILING)
-    if raw is None:
-        return DEFAULT_BRUTE_CEILING
+    raw = os.environ.get(ENV_BRUTE_CEILING, str(DEFAULT_BRUTE_CEILING))
     try:
         ceiling = int(raw)
     except ValueError:
@@ -257,20 +256,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n_brute > (ceiling := _brute_ceiling()):
+        raise UsageError(f"--max-n-brute must be at most {ENV_BRUTE_CEILING} = {ceiling}")
     scope = {name: value for name, value in vars(args).items() if name in _VERIFY_DEFAULTS}
-    results = run_verification(**scope, brute_ceiling=_brute_ceiling())
-    failed = 0
+    results = run_verification(**scope)
     for result in results:
-        if result.passed:
-            print(f"PASS {result.name}")
-        else:
-            failed += 1
-            print(f"FAIL {result.name}: {result.detail}")
+        print(f"PASS {result.name}" if result.passed else f"FAIL {result.name}: {result.detail}")
         # timings and traces go to stderr, so stdout stays byte-identical
         if args.timings:
             print(f"{result.name} {result.seconds:.6f}", file=sys.stderr)
         if result.traceback:
             print(result.traceback, end="", file=sys.stderr)
+    failed = sum(not result.passed for result in results)
     print(f"{len(results)} checks, {len(results) - failed} passed, {failed} failed")
     return 1 if failed else 0
 
@@ -368,9 +365,15 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _ExactForm]]:
         verify,
         *[
             verify.add_argument(
-                f"--{flag}", type=int, default=_VERIFY_DEFAULTS[flag.replace("-", "_")]
+                f"--{flag}", type=int, default=_VERIFY_DEFAULTS[flag.replace("-", "_")], help=bounds
             )
-            for flag in ("max-n-brute", "max-n-dp", "t-order", "v-order")
+            for flag, bounds in (
+                ("max-n-brute", "last n of the scan, the backtracking and (to 8) the rule check;"
+                 f" at most {ENV_BRUTE_CEILING}"),
+                ("max-n-dp", "last n of the recurrence, formula and label-tree rows, and of the growth checks"),
+                ("t-order", "last n of the series rows, and the powers of s in exact_algebra"),
+                ("v-order", "the order in w of exact_algebra, which no other check reads"),
+            )
         ],
         verify.add_argument(
             "--timings",

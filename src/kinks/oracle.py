@@ -45,7 +45,7 @@ DEFAULT_BRUTE_CEILING = 11
 #: 3.0-3.7 s at 32, 60 and 105 MiB with a memo per count).  At 60 the
 #: scan's table ran for 1 min 51 s and reached 1.08 GiB before it was
 #: killed.
-#: The library's `ceiling` and `brute_ceiling` arguments are not bounded.
+#: The library's `ceiling` argument is not bounded.
 MAX_BRUTE_CEILING = 16
 
 #: Enumeration reads every completion of a state with at most _TAIL_SITES

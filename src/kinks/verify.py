@@ -21,7 +21,6 @@ from . import genfunc, oracle, treedp
 from .algebra import TruncPoly
 from .core import CountTable, _column, _paired, check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series
-from .oracle import DEFAULT_BRUTE_CEILING
 from .treedp import tree_label_consistency
 
 __all__ = ["GOLDEN_ROWS", "CheckResult", "run_verification"]
@@ -143,7 +142,6 @@ def run_verification(
     max_n_dp: int = 60,
     t_order: int = 20,
     v_order: int = 6,
-    brute_ceiling: int = DEFAULT_BRUTE_CEILING,
     golden_rows: dict[int, tuple[int, ...]] | None = None,
 ) -> list[CheckResult]:
     """Run every cross-check and return one result per named check, in the
@@ -153,24 +151,23 @@ def run_verification(
     notices corruption).  A row comparison fails at its first differing
     entry, with the detail "{word} row {n} at d = {d}: {value}, {against}
     {expected}" (None for an entry that one row lacks).  Each route's rows
-    are one table of its `ROUTES` entry at its scope in `scopes`, built
-    once and charged to its first reader, so the seconds sum to the run;
-    if a build fails, that check fails and so does every later reader.
+    are one table of whole rows at its scope in `scopes`, the scan's and
+    the backtracking's n = 2..max_n_brute unclipped, built once and charged
+    to its first reader, so the seconds sum to the run; if a build fails,
+    that check fails and so does every later reader.  `v_order` scopes
+    `exact_algebra` alone.
     """
     check_int(max_n_brute, 2, "max_n_brute")
     check_int(max_n_dp, 2, "max_n_dp")
     check_int(t_order, 2, "t_order")
     check_int(v_order, 0, "v_order")
-    check_int(brute_ceiling, 1, "brute_ceiling")
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
 
-    # the lengths each route's checks read, every row whole but the series'
-    scan = min(max_n_brute, brute_ceiling)
-    dp_top = max(max_n_dp, scan)  # every scanned row has its recurrence row
+    # the lengths each route's checks read, every row whole
     scopes = {
-        "brute": range(2, scan + 1),
-        "backtrack": range(2, min(scan, 9) + 1),
-        "dp": range(1, dp_top + 1),
+        "brute": range(2, max_n_brute + 1),
+        "backtrack": range(2, max_n_brute + 1),
+        "dp": range(1, max(max_n_dp, max_n_brute) + 1),  # every scanned row has its recurrence row
         "gf": range(2, min(t_order, max(10, max_n_dp)) + 1),  # golden_series reads to 10
         "closed": range(1, max_n_dp + 1),
     }
@@ -181,7 +178,7 @@ def run_verification(
         # fails too, with a detail that names the route and its scope
         if method not in tables:
             lengths = scopes[method]
-            top = v_order if method == "gf" else max_kinks(lengths.stop - 1)
+            top = max_kinks(lengths.stop - 1)
             scope = f"n = {lengths.start}..{lengths.stop - 1}, d <= {top}"
             tables[method] = f"{method} table {scope} is missing: {reader} did not build it"
             tables[method] = CountTable(dict(ROUTES[method].pairs(lengths, 0, top)))
@@ -235,7 +232,7 @@ def run_verification(
     def tree_labels():
         # the succession rule against direct labels, then the label tree
         # it generates against the recurrence rows
-        report = tree_label_consistency(min(8, max_n_brute))
+        report = tree_label_consistency(max(3, min(8, max_n_brute)))  # level 2 at least
         if not report.ok:
             first = report.mismatches[0]
             return (
@@ -289,18 +286,17 @@ def run_verification(
             power = power * catalan * catalan
         return None
 
-    cut, published = v_order + 1, range(2, 11)  # the series' rows end at d = v_order
+    published = range(2, 11)
     checks = {  # run in this order; each returns None or the first mismatch
         "golden_dp": lambda: agree("dp", "reference", golden.__getitem__, published),
         "golden_brute": lambda: agree("brute", "reference", golden.__getitem__, published),
-        "golden_series": lambda: agree("gf", "reference", lambda n: golden[n][:cut], published),
+        "golden_series": lambda: agree("gf", "reference", golden.__getitem__, published),
         "method_agreement": lambda: (
             agree("brute", "recurrence", recurrence) or agree("backtrack", "recurrence", recurrence)
         ),
         "partition_identity": partition_identity,
-        # every series row, cut or whole, against the recurrence's
         "series_partition": lambda: agree(
-            "gf", "recurrence", lambda n: recurrence(n)[:cut], range(2, min(t_order, max_n_dp) + 1)
+            "gf", "recurrence", recurrence, range(2, min(t_order, max_n_dp) + 1)
         ),
         "rational_forms": rational_forms,
         "closed_forms": lambda: agree("closed", "recurrence", recurrence),

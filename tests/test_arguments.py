@@ -73,8 +73,8 @@ ENTRY_POINTS = {
     ),
     "run_verification": (
         run_verification,
-        {"max_n_brute": 4, "max_n_dp": 6, "t_order": 4, "v_order": 1, "brute_ceiling": 4},
-        {"max_n_brute": 2, "max_n_dp": 2, "t_order": 2, "v_order": 0, "brute_ceiling": 1},
+        {"max_n_brute": 4, "max_n_dp": 6, "t_order": 4, "v_order": 1},
+        {"max_n_brute": 2, "max_n_dp": 2, "t_order": 2, "v_order": 0},
     ),
     "TruncPoly": (partial(TruncPoly, (1, 2, 3)), {"order": 2}, {"order": 0}),
     "TSeries": (partial(TSeries, ()), {"t_order": 2, "v_order": 1}, {"t_order": 0, "v_order": 0}),
@@ -116,9 +116,8 @@ def test_every_integer_argument_may_sit_at_its_bound(name):
 @example(("CountTable.count", {"d": True}))
 @example(("run_verification", {"v_order": True}))
 @example(("run_verification", {"max_n_brute": 4.0}))  # a TypeError before the gate
-# brute_force_table took a float ceiling, and run_verification blamed n_max for a bool one
+# brute_force_table took a float ceiling
 @example(("brute_force_table", {"ceiling": 4.5}))
-@example(("run_verification", {"brute_ceiling": True}))
 # an order-1 polynomial, and a TypeError from a slice
 @example(("TruncPoly", {"order": True}))
 @example(("TruncPoly", {"order": 2.0}))

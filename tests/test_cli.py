@@ -1240,6 +1240,92 @@ def test_verify_fails_a_check_when_one_count_moves_between_kink_classes(scope, d
             assert "tree_labels" in failed
 
 
+def test_verify_refuses_a_scan_above_the_brute_ceiling(capsys, monkeypatch):
+    # the ceiling bounds --max-n-brute with one line, never a silently shorter scan
+    monkeypatch.delenv("KINKS_BRUTE_CEILING", raising=False)
+    assert run_cli(capsys, "verify", "--max-n-brute", "12") == (
+        2, "", "error: --max-n-brute must be at most KINKS_BRUTE_CEILING = 11\n"
+    )
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "1")
+    assert run_cli(capsys, "verify") == (
+        2, "", "error: --max-n-brute must be at most KINKS_BRUTE_CEILING = 1\n"
+    )
+
+
+def test_verify_help_says_what_each_scope_flag_bounds(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "the rule check; at most KINKS_BRUTE_CEILING" in text
+    assert "--v-order V_ORDER the order in w of exact_algebra, which no other check reads" in text
+
+
+def test_verify_scans_and_backtracks_to_the_max_n_brute_it_is_given(capsys, monkeypatch):
+    read = {}
+    for name in ("_brute_rows", "_backtrack_rows"):
+        def recorded(lengths, lo, top, exact=getattr(kinks.oracle, name), name=name):
+            read.setdefault(name, []).append(lengths)
+            return exact(lengths, lo, top)
+
+        monkeypatch.setattr(kinks.oracle, name, recorded)
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "12")
+    code, out, err = run_cli(capsys, "verify", "--max-n-brute", "12")
+    assert (code, err, out.splitlines()[-1]) == (0, "", "11 checks, 11 passed, 0 failed")
+    assert read == {"_brute_rows": [range(2, 13)], "_backtrack_rows": [range(2, 13)]}
+
+
+def test_verify_series_partition_compares_whole_series_rows(monkeypatch):
+    # one count of row 17 moves from d = 7 to d = 8, both above the default
+    # v_order = 6, which no longer cuts the series rows
+    exact = kinks.genfunc._series_rows
+
+    def moved(lengths, lo, top):
+        for n, row in zip(lengths, exact(lengths, lo, top)):
+            if n == 17 and lo <= 7 and top >= 8:
+                row[7 - lo] -= 1
+                row[8 - lo] += 1
+            yield row
+
+    monkeypatch.setattr(kinks.genfunc, "_series_rows", moved)
+    results = kinks.verify.run_verification()
+    reference = dp_table(17).count(17, 7)
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        "series_partition": f"series row 17 at d = 7: {reference - 1}, recurrence {reference}"
+    }
+
+
+def test_verify_method_agreement_reads_the_backtracking_past_nine(capsys, monkeypatch):
+    monkeypatch.setattr(*_moved_counts("backtrack", 10, 2, 3))
+    monkeypatch.setenv("KINKS_BRUTE_CEILING", "10")
+    code, out, _ = run_cli(capsys, "verify", "--max-n-brute", "10")
+    reference = dp_table(10).count(10, 2)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        f"FAIL method_agreement: backtracking row 10 at d = 2: {reference - 1}, "
+        f"recurrence {reference}"
+    ]
+
+
+def test_verify_judges_level_two_of_the_rule_at_the_smallest_scan(capsys, monkeypatch):
+    # at --max-n-brute 2 the rule is still judged on level 2's six children
+    exact = kinks.treedp.succession_children
+
+    def wrong(label, n):
+        children = exact(label, n)
+        if n == 2 and label == TreeLabel(2, 0, 0):
+            children[0] = children[0]._replace(kinks=0)
+        return children
+
+    monkeypatch.setattr(kinks.treedp, "succession_children", wrong)
+    code, out, _ = run_cli(capsys, "verify", "--max-n-brute", "2")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "FAIL tree_labels: word (1, 2) at position 1: "
+        "rule TreeLabel(max_pos=1, kinks=0, max_first=1), "
+        "direct TreeLabel(max_pos=1, kinks=1, max_first=1)"
+    ]
+
+
 SMALL_VERIFY = ("--max-n-brute", "4", "--max-n-dp", "12", "--t-order", "8", "--v-order", "3")
 
 
