@@ -1,7 +1,9 @@
 """Command-line front end: compute, enumerate, verify, and export.
 
-`count` reads one entry of `verify.ROUTES`, `table` its rows n =
-2..max_n, and `verify` every entry at its own scope.
+`count` reads one entry of `routes.ROUTES`, `table` its rows n =
+2..max_n, and `verify` every entry at its own scope.  A request imports
+only the modules it runs: `count` and `table` the route they read,
+`enumerate` the oracle, `asym` the series module, and `verify` all.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
@@ -33,18 +35,14 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from decimal import MIN_EMIN, Context, Decimal
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .core import max_kinks
-from .genfunc import convergence_report
-from .oracle import DEFAULT_BRUTE_CEILING, MAX_BRUTE_CEILING, _emit_groups
+from .core import DEFAULT_BRUTE_CEILING, max_kinks
+from .routes import ENV_BRUTE_CEILING, MAX_BRUTE_CEILING, ROUTES, VERIFY_DEFAULTS, Route
 from .treedp import dp_table
-from .verify import ENV_BRUTE_CEILING, ROUTES, Route, run_verification
 
 FORMATS = ("csv", "json", "text")
-_VERIFY_DEFAULTS = run_verification.__kwdefaults__  # read at import: a wrapper keeps none
 
 
 class UsageError(Exception):
@@ -69,7 +67,7 @@ def _brute_ceiling() -> int:
 
 
 # ---------------------------------------------------------------------------
-# counting routes (each one entry of verify.ROUTES)
+# counting routes (each one entry of routes.ROUTES)
 
 
 def _route(method: str, n: int, d: int, ceiling: int) -> Route:
@@ -237,6 +235,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # holds one head's lines, at most 5! = 120.  Each site of a head is
     # made a string once, when the first group arrives, and --limit 0
     # starts no walk, so a stream of no words costs nothing at any n.
+    from .oracle import _emit_groups
+
     sep, left, sites = "" if args.n <= 9 else ",", args.limit, None
     groups = _emit_groups(args.n, args.d, lambda s: sep + str(s), "") if left != 0 else ()
     for head, lines in groups:
@@ -256,9 +256,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verification
+
     if args.max_n_brute > (ceiling := _brute_ceiling()):
         raise UsageError(f"--max-n-brute must be at most {ENV_BRUTE_CEILING} = {ceiling}")
-    scope = {name: value for name, value in vars(args).items() if name in _VERIFY_DEFAULTS}
+    scope = {name: value for name, value in vars(args).items() if name in VERIFY_DEFAULTS}
     results = run_verification(**scope)
     for result in results:
         print(f"PASS {result.name}" if result.passed else f"FAIL {result.name}: {result.detail}")
@@ -284,6 +286,10 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 def _asym_text(args: argparse.Namespace) -> str:
     # the header, then one row of cells per n, rendered in the format asked
+    from decimal import MIN_EMIN, Context, Decimal
+
+    from .genfunc import convergence_report
+
     cells = [("n", "exact", "estimate", "deviation")]
     # convergence_report's own gate, naming the flags, ahead of that of the
     # table built for it
@@ -365,7 +371,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _ExactForm]]:
         verify,
         *[
             verify.add_argument(
-                f"--{flag}", type=int, default=_VERIFY_DEFAULTS[flag.replace("-", "_")], help=bounds
+                f"--{flag}", type=int, default=VERIFY_DEFAULTS[flag.replace("-", "_")], help=bounds
             )
             for flag, bounds in (
                 ("max-n-brute", "last n of the scan, the backtracking and (to 8) the rule check;"

@@ -69,6 +69,16 @@ def max_kinks(n: int) -> int:
     return (check_int(n, 1, "n") - 1) // 2
 
 
+#: The exhaustive scan's default domain, n <= 11, read by the oracle's
+#: `brute_force_table` and by the CLI's brute ceiling, which must not load
+#: the oracle to learn it.  The pass over the flipped sets makes about
+#: n 2^(n-1) big-integer additions: 0.55-0.89 ms at n = 9, 1.8-2.0 ms at
+#: n = 10, 4.0-4.5 ms at n = 11 and 5.9-10 ms at n = 12 (best of 5, 2-core
+#: VM, Python 3.11).  So `count --all-methods` prints a `brute:` line at
+#: n <= 11 only; anything larger needs an explicit opt-in via `ceiling`.
+DEFAULT_BRUTE_CEILING = 11
+
+
 class _HistoryWord(NamedTuple):  # History's fields: a NamedTuple body may not define __new__
     word: tuple[int, ...]
 

@@ -22,12 +22,15 @@ deviations, whose values are rational.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .algebra import TruncPoly, TSeries
 from .core import CountTable, _column, _paired, check_int, max_kinks
+
+if TYPE_CHECKING:  # for the annotations: each is imported where one is built, by no count
+    from fractions import Fraction
+
+    from .algebra import TSeries
 
 __all__ = [
     "CoefficientError",
@@ -151,6 +154,8 @@ def bivariate_series(t_order: int, v_order: int) -> TSeries:
     negative value raises CoefficientError.  The rows end at max_kinks(n),
     above which the sum vanishes.  Every coefficient is an int.
     """
+    from .algebra import TruncPoly, TSeries
+
     rows = _whole_rows("bivariate_series", t_order, v_order)
     counts = [TruncPoly.zero(v_order)] * 2 + [TruncPoly(row, v_order) for _, row in rows]
     return TSeries(counts, t_order, v_order)
@@ -302,6 +307,8 @@ def asymptotic_estimate(n: int, d: int) -> Fraction:
     (not rounded) so deviations from true counts can be compared without
     floating-point tolerances.  At d = 0 the estimate equals the count.
     """
+    from fractions import Fraction
+
     check_int(n, 1, "n")
     shift = n - 2 * check_int(d, 0, "d") - 1
     power = (d + 1) ** n
@@ -333,6 +340,8 @@ def convergence_report(
     must not exceed it.  Violations raise ValueError.  `table` supplies
     the exact counts of column d up to n_max, for example dp_table(n_max, d).
     """
+    from fractions import Fraction
+
     start = 2 * check_int(d, 0, "d") + 1
     check_int(n_max, start, "n_max")
     rows = []

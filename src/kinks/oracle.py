@@ -23,30 +23,9 @@ from itertools import islice
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import CountTable, History, _column, _paired, check_int, max_kinks
+from .core import DEFAULT_BRUTE_CEILING, CountTable, History, _column, _paired, check_int, max_kinks
 
 __all__ = ["DEFAULT_BRUTE_CEILING", "brute_force_table", "backtrack_count", "enumerate_histories"]
-
-#: The pass over the flipped sets makes about n 2^(n-1) big-integer
-#: additions: 0.55-0.89 ms at n = 9, 1.8-2.0 ms at n = 10, 4.0-4.5 ms at
-#: n = 11 and 5.9-10 ms at n = 12 (best of 5, 2-core VM, Python 3.11).
-#: The ceiling is the scan's domain, so `count --all-methods` prints a
-#: `brute:` line at n <= 11 only; anything larger needs an explicit
-#: opt-in via `ceiling`.
-DEFAULT_BRUTE_CEILING = 11
-
-#: The most that the environment variable KINKS_BRUTE_CEILING may ask of
-#: both oracle routes, so that no CLI request runs unbounded.  In a child
-#: process (2-core VM, Python 3.11, peak RSS): the scan of n = 16 takes
-#: 0.30 s (21 MiB) and of n = 17 0.58 s (26 MiB); the backtracking rows
-#: of n = 15 and 16 take 0.11 s (17 MiB) and 0.20 s (20 MiB), and
-#: `table --max-n 16 --method backtrack`, one memo for all its rows,
-#: 0.26-0.40 s (20 MiB) with the interpreter's start (1.1 s, 2.2 s and
-#: 3.0-3.7 s at 32, 60 and 105 MiB with a memo per count).  At 60 the
-#: scan's table ran for 1 min 51 s and reached 1.08 GiB before it was
-#: killed.
-#: The library's `ceiling` argument is not bounded.
-MAX_BRUTE_CEILING = 16
 
 #: Enumeration reads every completion of a state with at most _TAIL_SITES
 #: free sites from a memo of _TAIL_MEMO states, least recently used

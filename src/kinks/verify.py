@@ -6,7 +6,8 @@ published reference rows and with each other; the suite also exercises
 the structural identities (partition into kink classes, succession-rule
 consistency, the label tree's marginals against the recurrence rows,
 growth-estimate decay, exact series arithmetic).  Every route is read
-through its one entry of `ROUTES`, as `kinks count` and `kinks table` do.
+through its one entry of `routes.ROUTES`, as `kinks count` and `kinks
+table` do.
 """
 
 from __future__ import annotations
@@ -15,84 +16,19 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import factorial
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
-from . import genfunc, oracle, treedp
 from .algebra import TruncPoly
-from .core import CountTable, _column, _paired, check_int, max_kinks
+from .core import CountTable, _paired, check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series
+from .routes import ROUTES, VERIFY_DEFAULTS
 from .treedp import tree_label_consistency
+# after the lines that load them: `from . import` asks the package first,
+# and a name it lacks loads the package's whole surface
+from . import genfunc, treedp
 
 __all__ = ["GOLDEN_ROWS", "CheckResult", "run_verification"]
 
-
-ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
-
-
-class Route(NamedTuple):
-    """One counting method: its name, the word verify's row details use for
-    it, its rows and its domain.
-
-    `rows(lengths, lo, top)` yields, for each n of the range `lengths`, the
-    counts d = lo..min(top, max_kinks(n)): every evaluator cuts its own
-    rows, so each entry is one call of it.  `table` and `verify` pair them
-    with `lengths` in `core._paired` (`pairs`), and `count` reads entry d in
-    `core._column`, as the library does.  The domain is n >= least_n,
-    and n <= the brute ceiling if `bounded`, and d <= max_kinks(n) if `capped`."""
-
-    name: str
-    word: str
-    rows: Callable[[range, int, int], Iterable[Sequence[int]]]
-    least_n: int = 1
-    bounded: bool = False
-    capped: bool = False
-
-    def covers(self, n: int, d: int, ceiling: int) -> bool:
-        """Whether (n, d) lies in the domain under the brute ceiling."""
-        return (
-            n >= self.least_n
-            and not (self.bounded and n > ceiling)
-            and not (self.capped and d > max_kinks(n))
-        )
-
-    def domain(self, ceiling: int) -> str:
-        """The domain in words, as the CLI's range errors print it."""
-        parts = [f"n >= {self.least_n}"] if self.least_n > 1 else []
-        parts += [f"n <= {ENV_BRUTE_CEILING} = {ceiling}"] if self.bounded else []
-        parts += ["d <= (n - 1) // 2"] if self.capped else []
-        return " and ".join(parts) or "every n and d"
-
-    def pairs(self, lengths: range, lo: int, top: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(n, row) for each n of `lengths`; too few or too many rows raise ArithmeticError."""
-        return _paired(f"the {self.name} route", lengths, self.rows(lengths, lo, top))
-
-    def count(self, n: int, d: int) -> int:
-        """The count at (n, d), entry d of row n read by `core._column`."""
-        [count] = _column(f"the {self.name} route", self.rows, range(n, n + 1), d)
-        return count
-
-
-#: Every method, named once.  Each entry looks its evaluator up in the
-#: evaluator's own module when it runs, so rebinding it there reaches
-#: `count`, `table` and `verify` alike.
-ROUTES = {route.name: route for route in (
-    Route(
-        "brute",
-        "scan",
-        lambda lengths, lo, top: oracle._brute_rows(lengths, lo, top),
-        bounded=True,
-    ),
-    Route(
-        "backtrack",
-        "backtracking",
-        lambda lengths, lo, top: oracle._backtrack_rows(lengths, lo, top),
-        bounded=True,
-        capped=True,
-    ),
-    Route("dp", "recurrence", lambda lengths, lo, top: treedp._kink_rows(lengths, lo, top)),
-    Route("gf", "series", lambda lengths, lo, top: genfunc._series_rows(lengths, lo, top), least_n=2),
-    Route("closed", "closed form", lambda lengths, lo, top: genfunc._closed_rows(lengths, lo, top)),
-)}
 
 #: Reference counts by (n, d) for n = 2..10, the published table the
 #: implementation must reproduce exactly.
@@ -138,10 +74,10 @@ class CheckResult(NamedTuple):
 
 def run_verification(
     *,
-    max_n_brute: int = 9,
-    max_n_dp: int = 60,
-    t_order: int = 20,
-    v_order: int = 6,
+    max_n_brute: int = VERIFY_DEFAULTS["max_n_brute"],
+    max_n_dp: int = VERIFY_DEFAULTS["max_n_dp"],
+    t_order: int = VERIFY_DEFAULTS["t_order"],
+    v_order: int = VERIFY_DEFAULTS["v_order"],
     golden_rows: dict[int, tuple[int, ...]] | None = None,
 ) -> list[CheckResult]:
     """Run every cross-check and return one result per named check, in the

@@ -43,6 +43,7 @@ from kinks import (
     series_table,
 )
 from kinks.cli import _TABLE_FORMATTERS, _unlimited_int_digits, main
+from kinks.routes import VERIFY_DEFAULTS
 from helpers import GOLDEN
 
 METHODS = tuple(kinks.verify.ROUTES)
@@ -521,7 +522,7 @@ def test_asym_output_is_all_or_nothing(capsys, monkeypatch, tmp_path):
     def failing(*args, **kwargs):
         raise ArithmeticError("growth row fails")
 
-    monkeypatch.setattr("kinks.cli.convergence_report", failing)
+    monkeypatch.setattr("kinks.genfunc.convergence_report", failing)
     target.write_text("old\n")
     assert run_cli(capsys, *argv) == (1, "", "error: growth row fails\n")
     assert target.read_text() == "old\n"
@@ -1217,19 +1218,19 @@ def _moved_counts(route, n, d, to):
 @given(data=st.data())
 def test_verify_fails_a_check_when_one_count_moves_between_kink_classes(scope, data):
     # whatever route and cell inside the verify scope: each evaluator's own
-    # gate passes, so verify's whole-row comparisons must see the move
-    full = {**dict(max_n_brute=9, max_n_dp=60, t_order=20, v_order=6), **scope}
+    # gate passes, so verify's whole-row comparisons must see the move.  Every
+    # row is compared whole, the series row above v_order too
+    full = {**VERIFY_DEFAULTS, **scope}
     last = {
         "brute": full["max_n_brute"],
-        "backtrack": min(full["max_n_brute"], 9),
+        "backtrack": full["max_n_brute"],
         "dp": full["max_n_dp"],
         "gf": min(full["t_order"], full["max_n_dp"]),
         "closed": full["max_n_dp"],
     }
     for route in kinks.verify.ROUTES:  # every route, so that a new one has to join
         n = data.draw(st.integers(3, last[route]), label=f"{route}: n")
-        top = min(max_kinks(n), full["v_order"]) if route == "gf" else max_kinks(n)
-        d = data.draw(st.integers(0, top - 1), label=f"{route}: d")
+        d = data.draw(st.integers(0, max_kinks(n) - 1), label=f"{route}: d")
         d, to = data.draw(st.sampled_from([(d, d + 1), (d + 1, d)]), label=f"{route}: (d, to)")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(*_moved_counts(route, n, d, to))
@@ -1699,7 +1700,7 @@ def test_asym_text_columns_end_where_their_headers_end(capsys, d, max_n):
 def test_asym_text_widens_n_past_four_places(capsys, monkeypatch):
     # rows made up for the layout alone: a real table to n = 10000 is tens of MB
     rows = [ConvergenceRow(n, n, 2 * n, Fraction(1, 2)) for n in (9999, 10000)]
-    monkeypatch.setattr(kinks.cli, "convergence_report", lambda *args, **kw: rows)
+    monkeypatch.setattr(kinks.genfunc, "convergence_report", lambda *args, **kw: rows)
     monkeypatch.setattr(kinks.cli, "dp_table", lambda *args: None)
     code, out, _ = run_cli(capsys, "asym", "--d", "1", "--max-n", "10000", "--format", "text")
     assert code == 0

@@ -1,8 +1,14 @@
 """The package's import graph: the counting routes stay independent."""
 
 import ast
+import os
+import subprocess
+import sys
+from importlib import import_module
 from itertools import combinations
 from pathlib import Path
+
+import pytest
 
 import kinks
 
@@ -20,11 +26,12 @@ ALLOWED = {
     "oracle": {"core"},
     "treedp": {"core"},
     "genfunc": {"core", "algebra"},
+    "routes": {"core"},
 }
 
-#: the modules that may import several routes: the cross-checks, the front
-#: end, and the package's own re-exports
-SEVERAL_ROUTES = {"verify", "cli", "__init__"}
+#: the modules that may import several routes: the table of routes, the
+#: cross-checks, the front end, and the package's own surface
+SEVERAL_ROUTES = {"routes", "verify", "cli", "__init__"}
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -42,6 +49,19 @@ def _package_imports(path: Path) -> set[str]:
             found.update(
                 alias.name.split(".")[1] for alias in node.names if alias.name.startswith("kinks.")
             )
+    return found
+
+
+def _named_modules(path: Path) -> set[str]:
+    # the kinks modules a file names as strings, to be imported when first
+    # used: each `_module("kinks.<stem>")` of the routes, and each stem of
+    # the package's library
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_module":
+            found.add(node.args[0].value.split(".")[1])
+        elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_LIBRARY":
+            found.update(ast.literal_eval(node.value))
     return found
 
 
@@ -63,7 +83,11 @@ def _int_type_checks(path: Path) -> list[int]:
 
 
 SOURCES = sorted(Path(kinks.__file__).parent.glob("*.py"))
-GRAPH = {path.stem: _package_imports(path) for path in SOURCES}
+#: the kinks modules each module imports, by an import statement anywhere
+#: in it, or by name, on first use
+EAGER = {path.stem: _package_imports(path) for path in SOURCES}
+NAMED = {path.stem: _named_modules(path) for path in SOURCES}
+GRAPH = {stem: EAGER[stem] | NAMED[stem] for stem in EAGER}
 
 
 def test_every_module_is_parsed():
@@ -71,8 +95,17 @@ def test_every_module_is_parsed():
 
 
 def test_routes_import_only_what_they_are_allowed():
-    assert {name: GRAPH[name] - allowed for name, allowed in ALLOWED.items()} == {
+    assert {name: EAGER[name] - allowed for name, allowed in ALLOWED.items()} == {
         name: set() for name in ALLOWED
+    }
+
+
+def test_only_the_routes_and_the_surface_name_modules_as_strings():
+    # the table of routes names each route's module, and the package each
+    # library module; every other edge is an import statement
+    library = set(GRAPH) - {"__init__", "__main__", "cli", "routes"}
+    assert {name: named for name, named in NAMED.items() if named} == {
+        "routes": ROUTE_MODULES, "__init__": library,
     }
 
 
@@ -178,23 +211,11 @@ def test_every_private_helper_has_a_user_in_the_package():
     assert unused == set()
 
 
-def _star_imports(path: Path) -> list[str]:
-    # the modules a file star-imports, in order
-    return [
-        node.module
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom) and node.level
-        and [alias.name for alias in node.names] == ["*"]
-    ]
-
-
 def test_the_package_surface_is_its_modules_all():
-    # each public name is declared once, in its module's __all__: the package
-    # star-imports every library module and re-exports exactly those names,
-    # each the module's own object
-    star = _star_imports(Path(kinks.__file__))
-    assert set(star) == set(GRAPH) - {"__init__", "__main__", "cli"}  # all but the front ends
-    modules = [getattr(kinks, name) for name in star]
+    # each public name is declared once, in its module's __all__: the first
+    # touch of the package loads every library module and binds exactly
+    # those names, each the module's own object
+    modules = [import_module(f"kinks.{stem}") for stem in kinks._LIBRARY]
     assert all(isinstance(module.__all__, list) for module in modules)
     names = [name for module in modules for name in module.__all__]
     assert kinks.__all__ == [*names, "__version__"]
@@ -210,3 +231,83 @@ def test_the_package_surface_is_its_modules_all():
     exec("from kinks import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(kinks.__all__)
+
+
+def _child(program: str, *argv: str) -> subprocess.CompletedProcess:
+    # a fresh `python -S`, with this one's -O level, that finds the package
+    # and no KINKS_BRUTE_CEILING
+    env = {k: v for k, v in os.environ.items() if k != "KINKS_BRUTE_CEILING"}
+    env["PYTHONPATH"] = str(Path(kinks.__file__).parent.parent)
+    flags = ["-O"] * sys.flags.optimize
+    return subprocess.run(
+        [sys.executable, "-S", *flags, "-c", program, *argv],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+
+
+#: the exit code of main(argv), then every module loaded, as stderr's last line
+_LOADED = """
+import sys
+from kinks.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, *sorted(sys.modules), file=sys.stderr)
+"""
+
+#: what no counting route needs: the series ring, and the rationals of the
+#: growth estimate and its deviations
+NO_ROUTE = {"kinks.algebra", "fractions", "decimal"}
+EVERY_MODULE = {f"kinks.{stem}" for stem in GRAPH if stem not in ("__init__", "__main__")}
+
+#: each request, the modules it must load and those it must not
+REQUESTS = {
+    "count dp": (
+        ("count", "--n", "10", "--d", "3", "--method", "dp"),
+        {"kinks.cli", "kinks.routes", "kinks.treedp"},
+        {"kinks.verify", "kinks.genfunc", "kinks.oracle", *NO_ROUTE},
+    ),
+    "table dp": (
+        ("table", "--max-n", "30", "--method", "dp", "--format", "json"),
+        {"kinks.treedp"},
+        {"kinks.verify", "kinks.genfunc", "kinks.oracle", *NO_ROUTE},
+    ),
+    "count gf": (
+        ("count", "--n", "10", "--d", "3", "--method", "gf"),
+        {"kinks.genfunc"},
+        {"kinks.verify", "kinks.oracle", *NO_ROUTE},
+    ),
+    "count closed": (
+        ("count", "--n", "60", "--d", "7", "--method", "closed"),
+        {"kinks.genfunc"},
+        {"kinks.verify", "kinks.oracle", *NO_ROUTE},
+    ),
+    "enumerate": (
+        ("enumerate", "--n", "7", "--d", "2", "--limit", "5"),
+        {"kinks.oracle"},
+        {"kinks.genfunc", "kinks.verify", *NO_ROUTE},
+    ),
+    "verify": (("verify", "--max-n-dp", "20"), EVERY_MODULE, set()),
+}
+
+
+@pytest.mark.parametrize("request_name", REQUESTS)
+def test_a_request_loads_only_the_modules_it_runs(request_name):
+    argv, loaded, absent = REQUESTS[request_name]
+    code, *modules = _child(_LOADED, *argv).stderr.splitlines()[-1].split()
+    assert code == "0"
+    assert sorted(loaded - set(modules)) == []
+    assert sorted(absent & set(modules)) == []
+
+
+def test_the_package_loads_its_library_at_the_first_touch_of_its_surface():
+    program = """
+import sys
+loaded = lambda: " ".join(sorted(m for m in sys.modules if m.startswith("kinks.")))
+import kinks
+print(loaded())
+from kinks import dp_table
+print(loaded())
+"""
+    bare, touched = _child(program).stdout.split("\n")[:2]
+    # the library, and the table of routes that verify reads
+    assert (bare, touched.split()) == ("", sorted(f"kinks.{stem}" for stem in (*kinks._LIBRARY, "routes")))

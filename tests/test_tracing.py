@@ -16,8 +16,10 @@ import pytest
 
 import kinks.algebra
 import kinks.cli
+import kinks.genfunc  # the tracer reads every module it wraps from sys.modules,
 import kinks.oracle
 import kinks.treedp
+import kinks.verify  # and neither loads with the CLI
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
