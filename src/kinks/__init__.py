@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 #: The package surface is each library module's __all__, declared there
 #: only, in this order.
-_LIBRARY = ("algebra", "core", "genfunc", "oracle", "treedp", "verify")
+_LIBRARY = ("algebra", "core", "genfunc", "oracle", "recurrence", "treedp", "verify")
 
 
 def __getattr__(name: str) -> object:

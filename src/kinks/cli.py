@@ -4,6 +4,10 @@
 2..max_n, and `verify` every entry at its own scope.  A request imports
 only the modules it runs: `count` and `table` the route they read,
 `enumerate` the oracle, `asym` the series module, and `verify` all.
+Each subcommand's options are one table, `_COMMANDS`.  An argument list
+in its exact form (`_parse_exact`) is read from that table alone; only
+any other (`--help`, a usage error, an abbreviation) imports argparse,
+whose parser `build_parser` builds from the same table.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
@@ -29,18 +33,21 @@ byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import stat
 import sys
 from contextlib import contextmanager
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import DEFAULT_BRUTE_CEILING, max_kinks
+from .recurrence import dp_table
 from .routes import ENV_BRUTE_CEILING, MAX_BRUTE_CEILING, ROUTES, VERIFY_DEFAULTS, Route
-from .treedp import dp_table
+
+if TYPE_CHECKING:
+    import argparse
 
 FORMATS = ("csv", "json", "text")
 
@@ -81,14 +88,14 @@ def _route(method: str, n: int, d: int, ceiling: int) -> Route:
 # count
 
 
-def _check_chain(args: argparse.Namespace) -> None:
+def _check_chain(args: SimpleNamespace) -> None:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     if args.d < 0:
         raise UsageError("--d must be nonnegative")
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     _check_chain(args)
     n, d, ceiling = args.n, args.d, _brute_ceiling()
     if not args.all_methods:
@@ -202,7 +209,7 @@ def _output(path: str | None) -> Iterator[Callable[[str], object]]:
             os.unlink(pending)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     ceiling, lengths = _brute_ceiling(), range(2, args.max_n + 1)  # the series starts at n = 2
@@ -222,7 +229,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # enumerate
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be nonnegative")
     _check_chain(args)
@@ -255,7 +262,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # verify
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .verify import run_verification
 
     if args.max_n_brute > (ceiling := _brute_ceiling()):
@@ -278,13 +285,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # asym
 
 
-def _cmd_asym(args: argparse.Namespace) -> int:
+def _cmd_asym(args: SimpleNamespace) -> int:
     with _output(args.output) as write:
         write(_asym_text(args))
     return 0
 
 
-def _asym_text(args: argparse.Namespace) -> str:
+def _asym_text(args: SimpleNamespace) -> str:
     # the header, then one row of cells per n, rendered in the format asked
     from decimal import MIN_EMIN, Context, Decimal
 
@@ -319,60 +326,57 @@ def _asym_text(args: argparse.Namespace) -> str:
 # parser and entry points
 
 
-# the actions by long option string, every dest's default, the required dests
-_ExactForm = tuple[dict[str, argparse.Action], dict[str, object], frozenset[str]]
+class _Option(NamedTuple):
+    """One option of a subcommand: what `build_parser` gives argparse's
+    add_argument, and what `_parse_exact` reads.  `store_true` marks a
+    flag, which takes no value and defaults to False."""
+
+    flag: str
+    type: Callable[[str], object] | None = None
+    default: object = None
+    required: bool = False
+    choices: Iterable[str] | None = None
+    help: str | None = None
+    short: str | None = None
+    metavar: str | None = None
+    store_true: bool = False
+
+    @property
+    def dest(self) -> str:
+        """The namespace attribute, as argparse derives it from the flag."""
+        return self.flag[2:].replace("-", "_")
 
 
-@cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _ExactForm]]:
-    # the top-level parser, and the exact form of each subcommand by name
-    parser = argparse.ArgumentParser(
-        prog="kinks",
-        description="Exact counting and enumeration of chain flip histories by kink number.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_OUTPUT = _Option("--output", short="-o", metavar="PATH", help="write here instead of stdout")
 
-    forms: dict[str, _ExactForm] = {}
-    count = sub.add_parser("count", help="exact count of histories at one (n, d)")
-    forms["count"] = _exact_form(
-        count,
-        count.add_argument("--n", type=int, required=True, help="chain length"),
-        count.add_argument("--d", type=int, required=True, help="kink count"),
-        count.add_argument("--method", choices=ROUTES, default="dp"),
-        count.add_argument(
+#: Every subcommand, named once: its line in the top-level help, the
+#: function that runs it, and its options in the order its --help lists
+#: them.  argparse and the exact form both read this table.
+_COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Option, ...]]] = {
+    "count": ("exact count of histories at one (n, d)", _cmd_count, (
+        _Option("--n", int, required=True, help="chain length"),
+        _Option("--d", int, required=True, help="kink count"),
+        _Option("--method", choices=ROUTES, default="dp"),
+        _Option(
             "--all-methods",
-            action="store_true",
+            store_true=True,
             help="print one line per applicable method; exit 1 if they disagree",
         ),
-        func=_cmd_count,
-    )
-
-    table = sub.add_parser("table", help="export the count table for n = 2..max-n")
-    forms["table"] = _exact_form(
-        table,
-        table.add_argument("--max-n", type=int, required=True),
-        table.add_argument("--method", choices=ROUTES, default="dp"),
-        table.add_argument("--format", choices=FORMATS, default="csv"),
-        table.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout"),
-        func=_cmd_table,
-    )
-
-    enum = sub.add_parser("enumerate", help="list the histories at one (n, d)")
-    forms["enumerate"] = _exact_form(
-        enum,
-        enum.add_argument("--n", type=int, required=True),
-        enum.add_argument("--d", type=int, required=True),
-        enum.add_argument("--limit", type=int, help="stop after this many histories"),
-        func=_cmd_enumerate,
-    )
-
-    verify = sub.add_parser("verify", help="run the cross-validation suite")
-    forms["verify"] = _exact_form(
-        verify,
-        *[
-            verify.add_argument(
-                f"--{flag}", type=int, default=VERIFY_DEFAULTS[flag.replace("-", "_")], help=bounds
-            )
+    )),
+    "table": ("export the count table for n = 2..max-n", _cmd_table, (
+        _Option("--max-n", int, required=True),
+        _Option("--method", choices=ROUTES, default="dp"),
+        _Option("--format", choices=FORMATS, default="csv"),
+        _OUTPUT,
+    )),
+    "enumerate": ("list the histories at one (n, d)", _cmd_enumerate, (
+        _Option("--n", int, required=True),
+        _Option("--d", int, required=True),
+        _Option("--limit", int, help="stop after this many histories"),
+    )),
+    "verify": ("run the cross-validation suite", _cmd_verify, (
+        *(
+            _Option(f"--{flag}", int, default=VERIFY_DEFAULTS[flag.replace("-", "_")], help=bounds)
             for flag, bounds in (
                 ("max-n-brute", "last n of the scan, the backtracking and (to 8) the rule check;"
                  f" at most {ENV_BRUTE_CEILING}"),
@@ -380,80 +384,100 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _ExactForm]]:
                 ("t-order", "last n of the series rows, and the powers of s in exact_algebra"),
                 ("v-order", "the order in w of exact_algebra, which no other check reads"),
             )
-        ],
-        verify.add_argument(
+        ),
+        _Option(
             "--timings",
-            action="store_true",
+            store_true=True,
             help="write one 'name seconds' line per check to stderr",
         ),
-        func=_cmd_verify,
+    )),
+    "asym": ("exact counts against the growth estimate", _cmd_asym, (
+        _Option("--d", int, required=True),
+        _Option("--max-n", int, required=True),
+        _Option("--format", choices=FORMATS, default="csv"),
+        _OUTPUT,
+    )),
+}
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `_COMMANDS`, built once per process."""
+    import argparse  # only an argument list off the exact form needs it
+
+    parser = argparse.ArgumentParser(
+        prog="kinks",
+        description="Exact counting and enumeration of chain flip histories by kink number.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for option in options:
+            if option.store_true:
+                command.add_argument(option.flag, action="store_true", help=option.help)
+            else:
+                command.add_argument(
+                    *filter(None, (option.flag, option.short)),
+                    type=option.type,
+                    default=option.default,
+                    required=option.required,
+                    choices=option.choices,
+                    help=option.help,
+                    metavar=option.metavar,
+                )
+        command.set_defaults(func=func)
+    return parser
+
+
+@cache
+def _exact_form(name: str) -> tuple[dict[str, _Option], dict[str, object], frozenset[str]]:
+    # subcommand NAME's options by flag, the namespace of its defaults, and
+    # the dests it requires
+    _, func, options = _COMMANDS[name]
+    defaults = {o.dest: False if o.store_true else o.default for o in options}
+    return (
+        {option.flag: option for option in options},
+        defaults | {"command": name, "func": func},
+        frozenset(option.dest for option in options if option.required),
     )
 
-    asym = sub.add_parser("asym", help="exact counts against the growth estimate")
-    forms["asym"] = _exact_form(
-        asym,
-        asym.add_argument("--d", type=int, required=True),
-        asym.add_argument("--max-n", type=int, required=True),
-        asym.add_argument("--format", choices=FORMATS, default="csv"),
-        asym.add_argument("--output", "-o", metavar="PATH", help="write here instead of stdout"),
-        func=_cmd_asym,
-    )
 
-    return parser, forms
-
-
-def _exact_form(
-    command: argparse.ArgumentParser, *actions: argparse.Action, **defaults: object
-) -> _ExactForm:
-    """Give COMMAND the DEFAULTS, and return what _parse_exact reads of
-    its ACTIONS, each a store or store_true action."""
-    command.set_defaults(**defaults)
-    options = {s: a for a in actions for s in a.option_strings if s.startswith("--")}
-    required = frozenset(a.dest for a in actions if a.required)
-    return options, {a.dest: a.default for a in actions} | defaults, required
-
-
-def _parse_exact(form: _ExactForm, tokens: list[str]) -> argparse.Namespace | None:
-    """The namespace that argparse gives TOKENS when each is a whole long
-    option string of the command, followed by one value that does not
-    start with '-' unless the option is a flag, and every required option
-    is given; None for anything else, which argparse then reads."""
-    options, defaults, required = form
+def _parse_exact(name: str, tokens: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse gives subcommand NAME and TOKENS when
+    each token is a whole long option string of the command, followed by
+    one value that does not start with '-' unless the option is a flag,
+    and every required option is given; None for anything else, which
+    argparse then reads."""
+    options, defaults, required = _exact_form(name)
     given: dict[str, object] = {}
     tokens_left = iter(tokens)
     for token in tokens_left:
-        action = options.get(token)
-        if action is None:
+        option = options.get(token)
+        if option is None:
             return None
-        if action.nargs == 0:  # a flag
-            given[action.dest] = action.const
+        if option.store_true:
+            given[option.dest] = True
             continue
         raw = next(tokens_left, "-")  # a missing value falls back too
         if raw.startswith("-"):
             return None
         # type, then choices, as argparse applies them; a repeat overwrites
         try:
-            value = raw if action.type is None else action.type(raw)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = raw if option.type is None else option.type(raw)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if option.choices is not None and value not in option.choices:
             return None
-        given[action.dest] = value
+        given[option.dest] = value
     if not required <= given.keys():
         return None
-    return argparse.Namespace(**(defaults | given))
+    return SimpleNamespace(**(defaults | given))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    parser, forms = _parsers()
-    args = _parse_exact(forms[argv[0]], argv[1:]) if argv and argv[0] in forms else None
+def _parse(argv: list[str]) -> SimpleNamespace:
+    args = _parse_exact(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
     if args is None:  # help, usage errors, abbreviations: argparse's own
-        return parser.parse_args(argv)
-    args.command = argv[0]
+        return build_parser().parse_args(argv, SimpleNamespace())
     return args
 
 

@@ -104,7 +104,7 @@ ROUTES = {route.name: route for route in (
     Route(
         "dp",
         "recurrence",
-        lambda lengths, lo, top: _module("kinks.treedp")._kink_rows(lengths, lo, top),
+        lambda lengths, lo, top: _module("kinks.recurrence")._kink_rows(lengths, lo, top),
     ),
     Route(
         "gf",

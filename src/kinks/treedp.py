@@ -1,32 +1,26 @@
-"""Polynomial-time exact counting via the generating tree of labels.
+"""The generating tree of labels: the verify suite's reference for the rows.
 
 Every history of length n + 1 arises from exactly one history of length n
 by inserting the new largest site into the flip schedule, and the label
 (max_pos, kinks, max_first) of the child depends only on the label of the
 parent and the insertion position.  Counting labels level by level with
-big integers therefore counts histories without enumerating them.
+big integers therefore counts histories without enumerating them; the
+kink marginals alone follow a row recurrence, which `recurrence` holds.
 
-The kink marginals of the tree need no labels: a node (j, k, 0) has j
-children at k + 1 kinks, and over the level the max_pos j of the
-max_first = 0 nodes with k kinks sums to (n - 1 - 2k) c(n, k), so
-
-    c(n+1, k) = (2k + 2) c(n, k) + (n + 1 - 2k) c(n, k-1).
-
-`dp_table` counts by that row recurrence; the label tree itself is the
-verify suite's reference for the rows.  The tree is walked on packed
-columns: for each max_first r and max_pos j one integer holds the counts
-of every kink band, band k in the field of W bits at k W, so a level step
-is two running sums over n + 1 integers, and "one kink more" is a shift
-by W.  The walk (`_label_levels`) fixes W from (n_max + 1)!, which bounds
-every count it reaches.  `advance_level` is its one-step adapter on
-`LevelState`: the same step, `_label_step`, taken one kink band at a
-time, with no fields and no width, the shift done by pairing band k
-with band k - 1.  `tree_label_consistency` checks the succession rule
-against the labels of the child words.  After t flips of a word, a few
-numbers (the flipped set, the blocks opened with and without n + 1, the
-partial child kinks, n's place) fix every child label, so a walk that
-keeps only the distinct states of each depth judges the rule once per
-distinct final state: once per label under a correct rule.
+The tree is walked on packed columns: for each max_first r and max_pos j
+one integer holds the counts of every kink band, band k in the field of
+W bits at k W, so a level step is two running sums over n + 1 integers,
+and "one kink more" is a shift by W.  The walk (`_label_levels`) fixes W
+from (n_max + 1)!, which bounds every count it reaches.  `advance_level`
+is its one-step adapter on `LevelState`: the same step, `_label_step`,
+taken one kink band at a time, with no fields and no width, the shift
+done by pairing band k with band k - 1.  `tree_label_consistency` checks
+the succession rule against the labels of the child words.  After t flips
+of a word, a few numbers (the flipped set, the blocks opened with and
+without n + 1, the partial child kinks, n's place) fix every child
+label, so a walk that keeps only the distinct states of each depth
+judges the rule once per distinct final state: once per label under a
+correct rule.
 """
 
 from __future__ import annotations
@@ -36,14 +30,16 @@ from math import factorial
 from operator import add, lshift
 from typing import Iterator, NamedTuple
 
-from .core import CountTable, TreeLabel, _paired, check_int, max_kinks
+from .core import TreeLabel, check_int, max_kinks
+# bound here for the benchmark's tracer, which wraps treedp.dp_table by name;
+# no code of this module calls it
+from .recurrence import dp_table
 
 __all__ = [
     "LevelState",
     "root_state",
     "succession_children",
     "advance_level",
-    "dp_table",
     "tree_label_consistency",
     "LabelMismatch",
     "ConsistencyReport",
@@ -182,55 +178,6 @@ def advance_level(state: LevelState) -> LevelState:
     held = (k for k, bands in enumerate(zip(new0, new1)) if any(chain(*bands)))
     _check_bands(sum(1 << k for k in held), 1, m)  # bit k set: new band k holds a node
     return LevelState(m, tuple(tuple(map(tuple, new[: m // 2 + 1])) for new in (new0, new1)))
-
-
-def _kink_rows(lengths: range, lo: int, top: int) -> Iterator[tuple[int, ...]]:
-    # entries d = lo..min(top, max_kinks(n)) of the kink marginals for each n
-    # of the ascending range `lengths`, every row from n = 1 on cut at that
-    # top: a band needs only itself and the one below.  One list holds the
-    # row, updated in place from the top band down, so c[k - 1] is still row
-    # n - 1's when c[k] reads it; a zero is appended first when the cut
-    # widens.  Row sums are the fault check: n! when whole, <= n! when cut.
-    row = [1]
-    fact = 1
-    for n in range(1, lengths.stop):
-        most = max_kinks(n)
-        cut = min(top, most)
-        if n > 1:
-            fact *= n
-            if len(row) <= cut:
-                row.append(0)
-            for k in range(cut, 0, -1):
-                row[k] = (2 * k + 2) * row[k] + (n - 2 * k) * row[k - 1]
-            row[0] *= 2
-        total = sum(row)
-        if total > fact or (cut == most and total != fact):
-            raise ArithmeticError(f"recurrence row {n} fails its sum check against {n}!")
-        if n in lengths:
-            yield tuple(row[lo:])
-
-
-def dp_table(n_max: int, d_max: int | None = None) -> CountTable:
-    """Exact counts for every n up to n_max via the kink-marginal recurrence.
-
-    Row 1 is the single one-site history, and row n + 1 follows from row n
-    by the recurrence of the module docstring: about n * d products of a
-    big integer by a small one, for rows of at most d + 1 entries.
-    Entries are exact at any size (the arithmetic is big-integer
-    throughout).  With `d_max`, row n is cut at min(d_max, max_kinks(n)),
-    as `series_table` cuts at its v_order; the bands k <= d_max need no
-    band above them.  A row that fails its sum check (n! when whole, at
-    most n! when cut), or a row too few or too many, raises ArithmeticError.
-
-    >>> dp_table(4).row(4)
-    (8, 16)
-    >>> dp_table(10, 2).row(10)
-    (512, 128512, 1304832)
-    """
-    check_int(n_max, 1, "n_max")
-    top = max_kinks(n_max) if d_max is None else check_int(d_max, 0, "d_max")
-    lengths = range(1, n_max + 1)
-    return CountTable(dict(_paired("dp_table", lengths, _kink_rows(lengths, 0, top))))
 
 
 class LabelMismatch(NamedTuple):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import kinks.cli
 import kinks.genfunc
 import kinks.oracle
+import kinks.recurrence
 import kinks.treedp
 import kinks.verify
 from kinks import (
@@ -494,13 +495,13 @@ def test_a_gate_that_fires_mid_stream_leaves_the_rows_before_it(
 ):
     argv = ("table", "--max-n", "12", "--format", fmt)
     full = run_cli(capsys, *argv)[1]
-    rows = kinks.treedp._kink_rows
+    rows = kinks.recurrence._kink_rows
 
     def gated(lengths, lo, top):
         yield from rows(range(lengths.start, 7), lo, top)  # rows up to 6, then the gate fires at 7
         raise ArithmeticError("recurrence row 7 fails its sum check against 7!")
 
-    monkeypatch.setattr("kinks.treedp._kink_rows", gated)
+    monkeypatch.setattr("kinks.recurrence._kink_rows", gated)
     error = "error: recurrence row 7 fails its sum check against 7!\n"
     marker, skip = row_7
     assert run_cli(capsys, *argv) == (1, full[: full.index(marker) + skip], error)
@@ -539,7 +540,7 @@ def test_an_unwritable_output_exits_two_before_any_row_is_computed(
     def unreachable(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr("kinks.treedp._kink_rows", unreachable)
+    monkeypatch.setattr("kinks.recurrence._kink_rows", unreachable)
     monkeypatch.setattr("kinks.cli.dp_table", unreachable)
     kept = tmp_path / "kept.csv"
     kept.write_text("old\n")
@@ -916,8 +917,8 @@ def test_verify_exact_algebra_notices_a_corrupted_binomial_product(monkeypatch):
 
 def _recurrence_with(n, corrupt):
     # a patch of the recurrence's rows that passes row n through `corrupt`
-    exact = kinks.treedp._kink_rows
-    return kinks.treedp, "_kink_rows", lambda lengths, lo, top: (
+    exact = kinks.recurrence._kink_rows
+    return kinks.recurrence, "_kink_rows", lambda lengths, lo, top: (
         corrupt(row) if m == n else row for m, row in zip(lengths, exact(lengths, lo, top))
     )
 
@@ -1006,11 +1007,7 @@ def test_verify_tree_labels_fails_a_walk_that_reaches_no_word(monkeypatch, make_
 
 def test_verify_tree_labels_reports_a_failed_band_gate_in_one_line(capsys, monkeypatch):
     # a kink bound one short at n = 11 trips the label walk's zero-band gate;
-    # the recurrence rows come from an unpatched build, so only the walk sees it
-    rows = list(kinks.treedp._kink_rows(range(1, 13), 0, 5))
-    monkeypatch.setattr(
-        kinks.treedp, "_kink_rows", lambda lengths, lo, top: (rows[n - 1][lo:] for n in lengths)
-    )
+    # the recurrence reads max_kinks in its own module, so only the walk sees it
     monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 - (n == 11))
     code, out, err = run_cli(capsys, "verify", *SMALL_VERIFY)
     assert code == 1
@@ -1363,7 +1360,7 @@ def test_verify_charges_the_shared_tables_to_their_first_readers(monkeypatch):
     [
         ("oracle._brute_rows", "brute table n = 2..4, d <= 1", "golden_brute", ["method_agreement"]),
         (
-            "treedp._kink_rows",
+            "recurrence._kink_rows",
             "dp table n = 1..12, d <= 5",
             "golden_dp",
             [
@@ -1453,7 +1450,7 @@ def test_a_route_that_gives_too_few_or_too_many_rows_fails(
 #: each library table builder, its evaluator and the lengths the call asks it for
 TABLE_BUILDERS = {
     "brute_force_table": (lambda: kinks.brute_force_table(6), kinks.oracle, "_brute_rows", 1, 6),
-    "dp_table": (lambda: dp_table(6), kinks.treedp, "_kink_rows", 1, 6),
+    "dp_table": (lambda: dp_table(6), kinks.recurrence, "_kink_rows", 1, 6),
     "series_table": (lambda: series_table(8, 3), kinks.genfunc, "_series_rows", 2, 8),
     "bivariate_series": (lambda: kinks.bivariate_series(8, 3), kinks.genfunc, "_series_rows", 2, 8),
     "fixed_kinks_series": (
@@ -1493,9 +1490,9 @@ def test_a_label_walk_that_gives_too_few_or_too_many_rows_fails_tree_labels(monk
     [
         (kinks.genfunc, "_closed_rows", 5, ("table", "--max-n", "8", "--method", "closed"),
          "the closed route gave no row for n = 7 of n = 2..8"),
-        (kinks.treedp, "_kink_rows", -1, ("table", "--max-n", "5"),
+        (kinks.recurrence, "_kink_rows", -1, ("table", "--max-n", "5"),
          "the dp route gave no row for n = 5 of n = 2..5"),
-        (kinks.treedp, "_kink_rows", -1, ("count", "--n", "9", "--d", "2"),
+        (kinks.recurrence, "_kink_rows", -1, ("count", "--n", "9", "--d", "2"),
          "the dp route gave no row for n = 9 of n = 9..9"),
     ],
     ids=["closed-table", "dp-table", "dp-count"],
@@ -1824,8 +1821,12 @@ def test_subcommand_dispatch_parses_like_the_top_level_parser(argv):
     assert parsed == expected
 
 
-_FORMS = kinks.cli._parsers()[1]
-_OPTIONS = sorted({s for options, _, _ in _FORMS.values() for s in options}) + ["-o", "-h"]
+#: each subcommand's options by flag, read from the CLI's option table
+_FORMS = {
+    name: {option.flag: option for option in options}
+    for name, (_, _, options) in kinks.cli._COMMANDS.items()
+}
+_OPTIONS = sorted({s for options in _FORMS.values() for s in options}) + ["-o", "-h"]
 _TOKENS = st.sampled_from(
     _OPTIONS
     + [option[:4] for option in _OPTIONS if len(option) > 4]  # abbreviations
@@ -1839,14 +1840,14 @@ _VALUES = st.one_of(
 )
 
 
-def _value(action):
-    # the tokens after ACTION's option that the exact form takes: a value,
-    # or none for a flag
-    if action.nargs == 0:
+def _value(option):
+    # the tokens after OPTION that the exact form takes: a value, or none
+    # for a flag
+    if option.store_true:
         return st.just([])
-    if action.choices is not None:
-        return st.sampled_from(sorted(action.choices)).map(lambda v: [v])
-    if action.type is int:
+    if option.choices is not None:
+        return st.sampled_from(sorted(option.choices)).map(lambda v: [v])
+    if option.type is int:
         return st.integers(0, 12).map(lambda v: [str(v)])
     return st.sampled_from([["out.csv"], [""], ["a=b"]])
 
@@ -1860,11 +1861,10 @@ def _argv(draw):
     # by '=', or an option given again
     command = draw(st.sampled_from([*_FORMS, "bogus"]))
     argv = [command]
-    options = _FORMS[command][0] if command in _FORMS else {}
+    options = _FORMS.get(command, {})
     for option in draw(st.permutations(sorted(options))):
-        action = options[option]
-        if draw(st.integers(0, 9)) < (8 if action.required else 4):
-            value = draw(_value(action)) if draw(st.integers(0, 5)) else [draw(_VALUES)]
+        if draw(st.integers(0, 9)) < (8 if options[option].required else 4):
+            value = draw(_value(options[option])) if draw(st.integers(0, 5)) else [draw(_VALUES)]
             argv += [option, *value]
     for _ in range(draw(st.integers(0, 2))):
         edit, i = draw(st.integers(0, 4)), draw(st.integers(1, len(argv)))
@@ -1991,7 +1991,7 @@ def test_table_writers_and_parsers_past_the_int_digit_limit(capsys, monkeypatch)
         assert int(expected["csv"].split(",")[-1]) == 10**5000
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
     # the recurrence route's row n = 2, the one row that `table --max-n 2` exports
-    monkeypatch.setattr("kinks.treedp._kink_rows", lambda lengths, lo, top: iter([table.row(2)]))
+    monkeypatch.setattr("kinks.recurrence._kink_rows", lambda lengths, lo, top: iter([table.row(2)]))
     for fmt, text in expected.items():
         assert run_cli(capsys, "table", "--max-n", "2", "--format", fmt) == (0, text, "")
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit

@@ -12,6 +12,7 @@ import kinks.cli
 import kinks.core
 import kinks.genfunc
 import kinks.oracle
+import kinks.recurrence
 import kinks.treedp
 
 
@@ -19,6 +20,7 @@ def test_module_doctests():
     for module in (
         kinks.core,
         kinks.oracle,
+        kinks.recurrence,
         kinks.treedp,
         kinks.algebra,
         kinks.genfunc,
@@ -60,8 +62,8 @@ def test_counting_routes_construct_no_fraction(monkeypatch):
     kinks.genfunc.series_table(30, 8)
     for d in range(9):
         kinks.genfunc.series_count(60, d)
-        kinks.treedp.dp_table(60, d)
-    kinks.treedp.dp_table(60)
+        kinks.recurrence.dp_table(60, d)
+    kinks.recurrence.dp_table(60)
     for d in range(5):
         kinks.oracle.backtrack_count(9, d)
     kinks.oracle.brute_force_table(8)

@@ -12,19 +12,23 @@ import pytest
 
 import kinks
 
-#: modules that hold a counting route: the oracles, the recurrences, and
-#: the series and closed forms
-ROUTE_MODULES = {"oracle", "treedp", "genfunc"}
+#: modules that hold an entry of `routes.ROUTES`: the oracles, the row
+#: recurrence, and the series and closed forms.  The label tree, verify's
+#: reference for the recurrence rows, is `treedp`.
+ROUTE_MODULES = {"oracle", "recurrence", "genfunc"}
 
 #: the package modules each of these may import.  genfunc's edge to
 #: algebra is the one left: `bivariate_series` builds a `TSeries`, and the
 #: benchmark's tracer binds `bivariate_series`, so it stays until a change
-#: to the benchmark lets ROADMAP item 4 delete it.
+#: to the benchmark lets ROADMAP item 4 delete it.  treedp's edge to the
+#: recurrence binds `dp_table`, which the tracer wraps as `treedp.dp_table`;
+#: it goes when ROADMAP item 1 re-points the tracer.
 ALLOWED = {
     "core": set(),
     "algebra": {"core"},
     "oracle": {"core"},
-    "treedp": {"core"},
+    "recurrence": {"core"},
+    "treedp": {"core", "recurrence"},
     "genfunc": {"core", "algebra"},
     "routes": {"core"},
 }
@@ -258,43 +262,53 @@ print(code, *sorted(sys.modules), file=sys.stderr)
 #: growth estimate and its deviations
 NO_ROUTE = {"kinks.algebra", "fractions", "decimal"}
 EVERY_MODULE = {f"kinks.{stem}" for stem in GRAPH if stem not in ("__init__", "__main__")}
+#: what only an argument list off the exact form needs
+NO_PARSE = {"argparse"}
 
 #: each request, the modules it must load and those it must not
 REQUESTS = {
     "count dp": (
         ("count", "--n", "10", "--d", "3", "--method", "dp"),
-        {"kinks.cli", "kinks.routes", "kinks.treedp"},
-        {"kinks.verify", "kinks.genfunc", "kinks.oracle", *NO_ROUTE},
+        {"kinks.cli", "kinks.routes", "kinks.recurrence"},
+        {"kinks.verify", "kinks.genfunc", "kinks.oracle", "kinks.treedp", *NO_ROUTE, *NO_PARSE},
+        0,
     ),
     "table dp": (
         ("table", "--max-n", "30", "--method", "dp", "--format", "json"),
-        {"kinks.treedp"},
-        {"kinks.verify", "kinks.genfunc", "kinks.oracle", *NO_ROUTE},
+        {"kinks.recurrence"},
+        {"kinks.verify", "kinks.genfunc", "kinks.oracle", "kinks.treedp", *NO_ROUTE, *NO_PARSE},
+        0,
     ),
     "count gf": (
         ("count", "--n", "10", "--d", "3", "--method", "gf"),
         {"kinks.genfunc"},
-        {"kinks.verify", "kinks.oracle", *NO_ROUTE},
+        {"kinks.verify", "kinks.oracle", "kinks.treedp", *NO_ROUTE, *NO_PARSE},
+        0,
     ),
     "count closed": (
         ("count", "--n", "60", "--d", "7", "--method", "closed"),
         {"kinks.genfunc"},
-        {"kinks.verify", "kinks.oracle", *NO_ROUTE},
+        {"kinks.verify", "kinks.oracle", "kinks.treedp", *NO_ROUTE, *NO_PARSE},
+        0,
     ),
     "enumerate": (
         ("enumerate", "--n", "7", "--d", "2", "--limit", "5"),
         {"kinks.oracle"},
-        {"kinks.genfunc", "kinks.verify", *NO_ROUTE},
+        {"kinks.genfunc", "kinks.verify", "kinks.treedp", *NO_ROUTE, *NO_PARSE},
+        0,
     ),
-    "verify": (("verify", "--max-n-dp", "20"), EVERY_MODULE, set()),
+    "verify": (("verify", "--max-n-dp", "20"), EVERY_MODULE, set(), 0),
+    # off the exact form, argparse reads the argument list
+    "help": (("--help",), NO_PARSE, set(), 0),
+    "usage error": (("count", "--n", "10"), NO_PARSE, set(), 2),
 }
 
 
 @pytest.mark.parametrize("request_name", REQUESTS)
 def test_a_request_loads_only_the_modules_it_runs(request_name):
-    argv, loaded, absent = REQUESTS[request_name]
+    argv, loaded, absent, exit_code = REQUESTS[request_name]
     code, *modules = _child(_LOADED, *argv).stderr.splitlines()[-1].split()
-    assert code == "0"
+    assert code == str(exit_code)
     assert sorted(loaded - set(modules)) == []
     assert sorted(absent & set(modules)) == []
 

@@ -63,7 +63,6 @@ UNREACHED = {
     "algebra.TSeries.one": "acceptance 08: the unit of the inverse round trip",
     "algebra.TSeries._check": "acceptance 08: a product checks both truncation orders",
     "algebra.TSeries.__repr__": "public API: the repr of a TSeries",
-    "cli.build_parser": "public API: the CLI's argparse parser",
     "cli.entry": "public API: the console script `kinks`",
     "core.History.__new__": "public API: the checked constructor of a History",
     "core.History._proven": "acceptance 02: the words of enumerate_histories",

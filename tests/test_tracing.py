@@ -14,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+# the tracer reads every module it wraps from sys.modules, and importing
+# the CLI loads none of the others, treedp included
 import kinks.algebra
 import kinks.cli
-import kinks.genfunc  # the tracer reads every module it wraps from sys.modules,
+import kinks.genfunc
 import kinks.oracle
 import kinks.treedp
-import kinks.verify  # and neither loads with the CLI
+import kinks.verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

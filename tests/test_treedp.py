@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import kinks.cli
 import kinks.genfunc
 import kinks.oracle
+import kinks.recurrence
 import kinks.treedp
 from kinks import (
     History,
@@ -355,7 +356,7 @@ def test_recurrence_rows_of_any_lengths_and_cut_match_the_closed_form(ends, cuts
     evaluators = {
         kinks.oracle._brute_rows: range(a, min(b, 10)),
         kinks.oracle._backtrack_rows: range(a, min(b, 10)),
-        kinks.treedp._kink_rows: range(a, b),
+        kinks.recurrence._kink_rows: range(a, b),
         kinks.genfunc._series_rows: range(max(a, 2), b),  # the series starts at t^2
         kinks.genfunc._closed_rows: range(a, b),
     }
@@ -390,7 +391,7 @@ def test_label_walk_yields_the_recurrence_rows(n_max):
 def test_recurrence_row_sum_check_raises(monkeypatch):
     # a kink bound one short at n = 7 drops the top band of a row taken
     # as whole, so the row no longer sums to 7!
-    monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 - (n == 7))
+    monkeypatch.setattr(kinks.recurrence, "max_kinks", lambda n: (n - 1) // 2 - (n == 7))
     with pytest.raises(ArithmeticError, match="row 7 fails its sum check"):
         dp_table(9)
     dp_table(6)
@@ -400,10 +401,10 @@ def test_recurrence_cut_row_surplus_raises(monkeypatch):
     # a kink bound one too high leaves the rows exact but cut from n = 3 at
     # d_max = 1; sweeping the bands twice then applies the step to band 1
     # twice, which puts row 3 at 4 + (4 * 2 + 1 * 2) > 3!
-    monkeypatch.setattr(kinks.treedp, "max_kinks", lambda n: (n - 1) // 2 + 1)
+    monkeypatch.setattr(kinks.recurrence, "max_kinks", lambda n: (n - 1) // 2 + 1)
     dp_table(9, 1)
     twice = lambda *args: [*range(*args), *range(*args)] if len(args) == 3 else range(*args)
-    monkeypatch.setattr(kinks.treedp, "range", twice, raising=False)
+    monkeypatch.setattr(kinks.recurrence, "range", twice, raising=False)
     with pytest.raises(ArithmeticError, match="row 3 fails its sum check"):
         dp_table(9, 1)
 
