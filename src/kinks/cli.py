@@ -4,10 +4,11 @@
 2..max_n, and `verify` every entry at its own scope.  A request imports
 only the modules it runs: `count` and `table` the route they read,
 `enumerate` the oracle, `asym` the series module, and `verify` all.
-Each subcommand's options are one table, `_COMMANDS`.  An argument list
-in its exact form (`_parse_exact`) is read from that table alone; only
-any other (`--help`, a usage error, an abbreviation) imports argparse,
-whose parser `build_parser` builds from the same table.
+Each subcommand's options are one table, `_COMMANDS`: their flags and
+the keywords of argparse's `add_argument`.  An argument list in its
+exact form (`_parse_exact`) is read from those keywords alone; only any
+other (`--help`, a usage error, an abbreviation) imports argparse, whose
+parser `build_parser` builds by passing them through.
 
 Exit codes: 0 on success, 1 when a verification or cross-method
 comparison finds a mismatch or an internal invariant check fails (an
@@ -40,11 +41,11 @@ import sys
 from contextlib import contextmanager
 from functools import cache
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .core import DEFAULT_BRUTE_CEILING, max_kinks
 from .recurrence import dp_table
-from .routes import ENV_BRUTE_CEILING, MAX_BRUTE_CEILING, ROUTES, VERIFY_DEFAULTS, Route
+from .routes import ENV_BRUTE_CEILING, MAX_BRUTE_CEILING, ROUTES, VERIFY_DEFAULTS, VERIFY_LEAST, Route
 
 if TYPE_CHECKING:
     import argparse
@@ -267,6 +268,9 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
     if args.max_n_brute > (ceiling := _brute_ceiling()):
         raise UsageError(f"--max-n-brute must be at most {ENV_BRUTE_CEILING} = {ceiling}")
+    for name, least in VERIFY_LEAST.items():
+        if getattr(args, name) < least:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {least}")
     scope = {name: value for name, value in vars(args).items() if name in VERIFY_DEFAULTS}
     results = run_verification(**scope)
     for result in results:
@@ -326,57 +330,36 @@ def _asym_text(args: SimpleNamespace) -> str:
 # parser and entry points
 
 
-class _Option(NamedTuple):
-    """One option of a subcommand: what `build_parser` gives argparse's
-    add_argument, and what `_parse_exact` reads.  `store_true` marks a
-    flag, which takes no value and defaults to False."""
-
-    flag: str
-    type: Callable[[str], object] | None = None
-    default: object = None
-    required: bool = False
-    choices: Iterable[str] | None = None
-    help: str | None = None
-    short: str | None = None
-    metavar: str | None = None
-    store_true: bool = False
-
-    @property
-    def dest(self) -> str:
-        """The namespace attribute, as argparse derives it from the flag."""
-        return self.flag[2:].replace("-", "_")
-
-
-_OUTPUT = _Option("--output", short="-o", metavar="PATH", help="write here instead of stdout")
+_OUTPUT = (("--output", "-o"), {"metavar": "PATH", "help": "write here instead of stdout"})
 
 #: Every subcommand, named once: its line in the top-level help, the
 #: function that runs it, and its options in the order its --help lists
-#: them.  argparse and the exact form both read this table.
-_COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Option, ...]]] = {
+#: them, each as its flags, the long one first, and the keywords of
+#: argparse's add_argument.  argparse and the exact form both read them.
+_COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[tuple[tuple[str, ...], dict], ...]]] = {
     "count": ("exact count of histories at one (n, d)", _cmd_count, (
-        _Option("--n", int, required=True, help="chain length"),
-        _Option("--d", int, required=True, help="kink count"),
-        _Option("--method", choices=ROUTES, default="dp"),
-        _Option(
-            "--all-methods",
-            store_true=True,
-            help="print one line per applicable method; exit 1 if they disagree",
-        ),
+        (("--n",), {"type": int, "required": True, "help": "chain length"}),
+        (("--d",), {"type": int, "required": True, "help": "kink count"}),
+        (("--method",), {"choices": ROUTES, "default": "dp"}),
+        (("--all-methods",), {
+            "action": "store_true",
+            "help": "print one line per applicable method; exit 1 if they disagree",
+        }),
     )),
     "table": ("export the count table for n = 2..max-n", _cmd_table, (
-        _Option("--max-n", int, required=True),
-        _Option("--method", choices=ROUTES, default="dp"),
-        _Option("--format", choices=FORMATS, default="csv"),
+        (("--max-n",), {"type": int, "required": True}),
+        (("--method",), {"choices": ROUTES, "default": "dp"}),
+        (("--format",), {"choices": FORMATS, "default": "csv"}),
         _OUTPUT,
     )),
     "enumerate": ("list the histories at one (n, d)", _cmd_enumerate, (
-        _Option("--n", int, required=True),
-        _Option("--d", int, required=True),
-        _Option("--limit", int, help="stop after this many histories"),
+        (("--n",), {"type": int, "required": True}),
+        (("--d",), {"type": int, "required": True}),
+        (("--limit",), {"type": int, "help": "stop after this many histories"}),
     )),
     "verify": ("run the cross-validation suite", _cmd_verify, (
         *(
-            _Option(f"--{flag}", int, default=VERIFY_DEFAULTS[flag.replace("-", "_")], help=bounds)
+            ((f"--{flag}",), {"type": int, "default": VERIFY_DEFAULTS[flag.replace("-", "_")], "help": bounds})
             for flag, bounds in (
                 ("max-n-brute", "last n of the scan, the backtracking and (to 8) the rule check;"
                  f" at most {ENV_BRUTE_CEILING}"),
@@ -385,16 +368,12 @@ _COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple[_Option,
                 ("v-order", "the order in w of exact_algebra, which no other check reads"),
             )
         ),
-        _Option(
-            "--timings",
-            store_true=True,
-            help="write one 'name seconds' line per check to stderr",
-        ),
+        (("--timings",), {"action": "store_true", "help": "write one 'name seconds' line per check to stderr"}),
     )),
     "asym": ("exact counts against the growth estimate", _cmd_asym, (
-        _Option("--d", int, required=True),
-        _Option("--max-n", int, required=True),
-        _Option("--format", choices=FORMATS, default="csv"),
+        (("--d",), {"type": int, "required": True}),
+        (("--max-n",), {"type": int, "required": True}),
+        (("--format",), {"choices": FORMATS, "default": "csv"}),
         _OUTPUT,
     )),
 }
@@ -412,33 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, func, options) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
-        for option in options:
-            if option.store_true:
-                command.add_argument(option.flag, action="store_true", help=option.help)
-            else:
-                command.add_argument(
-                    *filter(None, (option.flag, option.short)),
-                    type=option.type,
-                    default=option.default,
-                    required=option.required,
-                    choices=option.choices,
-                    help=option.help,
-                    metavar=option.metavar,
-                )
+        for flags, keywords in options:
+            command.add_argument(*flags, **keywords)
         command.set_defaults(func=func)
     return parser
 
 
 @cache
-def _exact_form(name: str) -> tuple[dict[str, _Option], dict[str, object], frozenset[str]]:
-    # subcommand NAME's options by flag, the namespace of its defaults, and
-    # the dests it requires
+def _exact_form(name: str) -> tuple[dict[str, tuple[str, dict]], dict[str, object], frozenset[str]]:
+    # subcommand NAME's (dest, keywords) by long flag, the namespace of its
+    # defaults, and the dests it requires; each dest is the long flag's
+    # name, as argparse derives it, and a flag defaults to False
     _, func, options = _COMMANDS[name]
-    defaults = {o.dest: False if o.store_true else o.default for o in options}
+    by_flag = {flags[0]: (flags[0][2:].replace("-", "_"), keywords) for flags, keywords in options}
+    defaults = {
+        dest: False if keywords.get("action") == "store_true" else keywords.get("default")
+        for dest, keywords in by_flag.values()
+    }
     return (
-        {option.flag: option for option in options},
+        by_flag,
         defaults | {"command": name, "func": func},
-        frozenset(option.dest for option in options if option.required),
+        frozenset(dest for dest, keywords in by_flag.values() if keywords.get("required")),
     )
 
 
@@ -452,23 +425,24 @@ def _parse_exact(name: str, tokens: list[str]) -> SimpleNamespace | None:
     given: dict[str, object] = {}
     tokens_left = iter(tokens)
     for token in tokens_left:
-        option = options.get(token)
-        if option is None:
+        if token not in options:
             return None
-        if option.store_true:
-            given[option.dest] = True
+        dest, keywords = options[token]
+        if keywords.get("action") == "store_true":
+            given[dest] = True
             continue
         raw = next(tokens_left, "-")  # a missing value falls back too
         if raw.startswith("-"):
             return None
         # type, then choices, as argparse applies them; a repeat overwrites
         try:
-            value = raw if option.type is None else option.type(raw)
+            value = keywords.get("type", str)(raw)
         except ValueError:
             return None
-        if option.choices is not None and value not in option.choices:
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
             return None
-        given[option.dest] = value
+        given[dest] = value
     if not required <= given.keys():
         return None
     return SimpleNamespace(**(defaults | given))

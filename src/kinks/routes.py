@@ -33,6 +33,10 @@ MAX_BRUTE_CEILING = 16
 #: The scope of `run_verification` and of `kinks verify` when none is given.
 VERIFY_DEFAULTS = {"max_n_brute": 9, "max_n_dp": 60, "t_order": 20, "v_order": 6}
 
+#: The least value of each scope argument; `run_verification` and `kinks
+#: verify` both refuse a smaller one.
+VERIFY_LEAST = {"max_n_brute": 2, "max_n_dp": 2, "t_order": 2, "v_order": 0}
+
 
 def _module(name: str) -> ModuleType:
     # the module `name`, read from sys.modules; the first reader imports it

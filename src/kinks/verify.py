@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .algebra import TruncPoly
 from .core import CountTable, _paired, check_int, max_kinks
 from .genfunc import convergence_report, fixed_kinks_series
-from .routes import ROUTES, VERIFY_DEFAULTS
+from .routes import ROUTES, VERIFY_DEFAULTS, VERIFY_LEAST
 from .treedp import tree_label_consistency
 # after the lines that load them: `from . import` asks the package first,
 # and a name it lacks loads the package's whole surface
@@ -93,10 +93,10 @@ def run_verification(
     that check fails and so does every later reader.  `v_order` scopes
     `exact_algebra` alone.
     """
-    check_int(max_n_brute, 2, "max_n_brute")
-    check_int(max_n_dp, 2, "max_n_dp")
-    check_int(t_order, 2, "t_order")
-    check_int(v_order, 0, "v_order")
+    check_int(max_n_brute, VERIFY_LEAST["max_n_brute"], "max_n_brute")
+    check_int(max_n_dp, VERIFY_LEAST["max_n_dp"], "max_n_dp")
+    check_int(t_order, VERIFY_LEAST["t_order"], "t_order")
+    check_int(v_order, VERIFY_LEAST["v_order"], "v_order")
     golden = GOLDEN_ROWS if golden_rows is None else golden_rows
 
     # the lengths each route's checks read, every row whole

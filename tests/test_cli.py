@@ -1250,6 +1250,17 @@ def test_verify_refuses_a_scan_above_the_brute_ceiling(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--max-n-brute", "1", 2), ("--max-n-dp", "1", 2), ("--t-order", "1", 2), ("--v-order", "-1", 0)],
+)
+def test_verify_range_errors_name_the_flags(capsys, monkeypatch, flag, value, least):
+    # a scope below its least value is refused by the CLI, naming the flag
+    # as count's, table's, enumerate's and asym's range errors do
+    monkeypatch.delenv("KINKS_BRUTE_CEILING", raising=False)
+    assert run_cli(capsys, "verify", flag, value) == (2, "", f"error: {flag} must be at least {least}\n")
+
+
 def test_verify_help_says_what_each_scope_flag_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "--help")
     text = " ".join(out.split())
@@ -1730,6 +1741,88 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def _literal_parser():
+    # the CLI's parser written out as literal argparse calls: every option's
+    # flags, type, default, required, choices, help and metavar, in order
+    methods, formats = ("brute", "backtrack", "dp", "gf", "closed"), ("csv", "json", "text")
+    parser = argparse.ArgumentParser(
+        prog="kinks",
+        description="Exact counting and enumeration of chain flip histories by kink number.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    count = sub.add_parser("count", help="exact count of histories at one (n, d)")
+    count.add_argument("--n", type=int, default=None, required=True, choices=None, help="chain length", metavar=None)
+    count.add_argument("--d", type=int, default=None, required=True, choices=None, help="kink count", metavar=None)
+    count.add_argument("--method", type=None, default="dp", required=False, choices=methods, help=None, metavar=None)
+    count.add_argument(
+        "--all-methods",
+        action="store_true",
+        help="print one line per applicable method; exit 1 if they disagree",
+    )
+    table = sub.add_parser("table", help="export the count table for n = 2..max-n")
+    table.add_argument("--max-n", type=int, default=None, required=True, choices=None, help=None, metavar=None)
+    table.add_argument("--method", type=None, default="dp", required=False, choices=methods, help=None, metavar=None)
+    table.add_argument("--format", type=None, default="csv", required=False, choices=formats, help=None, metavar=None)
+    table.add_argument(
+        "--output", "-o", type=None, default=None, required=False, choices=None,
+        help="write here instead of stdout", metavar="PATH",
+    )
+    enum = sub.add_parser("enumerate", help="list the histories at one (n, d)")
+    enum.add_argument("--n", type=int, default=None, required=True, choices=None, help=None, metavar=None)
+    enum.add_argument("--d", type=int, default=None, required=True, choices=None, help=None, metavar=None)
+    enum.add_argument(
+        "--limit", type=int, default=None, required=False, choices=None,
+        help="stop after this many histories", metavar=None,
+    )
+    verify = sub.add_parser("verify", help="run the cross-validation suite")
+    verify.add_argument(
+        "--max-n-brute", type=int, default=9, required=False, choices=None,
+        help="last n of the scan, the backtracking and (to 8) the rule check; at most KINKS_BRUTE_CEILING",
+        metavar=None,
+    )
+    verify.add_argument(
+        "--max-n-dp", type=int, default=60, required=False, choices=None,
+        help="last n of the recurrence, formula and label-tree rows, and of the growth checks", metavar=None,
+    )
+    verify.add_argument(
+        "--t-order", type=int, default=20, required=False, choices=None,
+        help="last n of the series rows, and the powers of s in exact_algebra", metavar=None,
+    )
+    verify.add_argument(
+        "--v-order", type=int, default=6, required=False, choices=None,
+        help="the order in w of exact_algebra, which no other check reads", metavar=None,
+    )
+    verify.add_argument("--timings", action="store_true", help="write one 'name seconds' line per check to stderr")
+    asym = sub.add_parser("asym", help="exact counts against the growth estimate")
+    asym.add_argument("--d", type=int, default=None, required=True, choices=None, help=None, metavar=None)
+    asym.add_argument("--max-n", type=int, default=None, required=True, choices=None, help=None, metavar=None)
+    asym.add_argument("--format", type=None, default="csv", required=False, choices=formats, help=None, metavar=None)
+    asym.add_argument(
+        "--output", "-o", type=None, default=None, required=False, choices=None,
+        help="write here instead of stdout", metavar="PATH",
+    )
+    return parser
+
+
+def _help_text(parser, argv):
+    # what PARSER prints for ARGV, which asks for help, at a fixed width
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out):
+        with pytest.raises(SystemExit) as exit:
+            parser.parse_args(argv)
+    assert exit.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in kinks.cli._COMMANDS)], ids=" ".join)
+def test_help_is_that_of_the_literal_parser(argv):
+    # two parsers, not stored text: argparse lays help out differently
+    # from one Python to the next
+    expected = _help_text(_literal_parser(), argv)
+    assert _help_text(kinks.cli.build_parser(), argv) == expected
+    assert expected.startswith("usage: kinks")
+
+
 # argv that take the exact form: whole long options after the subcommand,
 # each with one value that does not start with '-', or a flag
 _EXACT_CORPUS = [
@@ -1821,9 +1914,10 @@ def test_subcommand_dispatch_parses_like_the_top_level_parser(argv):
     assert parsed == expected
 
 
-#: each subcommand's options by flag, read from the CLI's option table
+#: each subcommand's add_argument keywords by long flag, read from the
+#: CLI's option table
 _FORMS = {
-    name: {option.flag: option for option in options}
+    name: {flags[0]: keywords for flags, keywords in options}
     for name, (_, _, options) in kinks.cli._COMMANDS.items()
 }
 _OPTIONS = sorted({s for options in _FORMS.values() for s in options}) + ["-o", "-h"]
@@ -1840,14 +1934,14 @@ _VALUES = st.one_of(
 )
 
 
-def _value(option):
-    # the tokens after OPTION that the exact form takes: a value, or none
-    # for a flag
-    if option.store_true:
+def _value(keywords):
+    # the tokens after the option of add_argument KEYWORDS that the exact
+    # form takes: a value, or none for a flag
+    if keywords.get("action") == "store_true":
         return st.just([])
-    if option.choices is not None:
-        return st.sampled_from(sorted(option.choices)).map(lambda v: [v])
-    if option.type is int:
+    if "choices" in keywords:
+        return st.sampled_from(sorted(keywords["choices"])).map(lambda v: [v])
+    if keywords.get("type") is int:
         return st.integers(0, 12).map(lambda v: [str(v)])
     return st.sampled_from([["out.csv"], [""], ["a=b"]])
 
@@ -1863,7 +1957,7 @@ def _argv(draw):
     argv = [command]
     options = _FORMS.get(command, {})
     for option in draw(st.permutations(sorted(options))):
-        if draw(st.integers(0, 9)) < (8 if options[option].required else 4):
+        if draw(st.integers(0, 9)) < (8 if options[option].get("required") else 4):
             value = draw(_value(options[option])) if draw(st.integers(0, 5)) else [draw(_VALUES)]
             argv += [option, *value]
     for _ in range(draw(st.integers(0, 2))):
