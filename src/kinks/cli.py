@@ -237,23 +237,37 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
     if args.d > max_kinks(args.n):
         raise UsageError(f"--d must be at most {max_kinks(args.n)} for --n {args.n}")
     # Digits run together up to n = 9, comma-separated beyond.  The walk
-    # hands over each head with the text of every completion of its state,
-    # built once per memo entry with the separator leading each site, so a
-    # line costs one concatenation inside one C-level join, and a write
-    # holds one head's lines, at most 5! = 120.  Each site of a head is
-    # made a string once, when the first group arrives, and --limit 0
-    # starts no walk, so a stream of no words costs nothing at any n.
+    # hands over each head with the block of every completion of its
+    # state: their lines joined by "\n", the separator leading each site.
+    # A memo entry's block is built once, by putting each flip's text in
+    # front of every line of the block after it and joining the sibling
+    # blocks, so a line costs no concatenation of its own.  A group is
+    # written as one string, its head put in front of every line by one
+    # replace, so a write holds at most 5! = 120 lines.  Every line of a
+    # block orders the same free sites, so its line count is its length
+    # over a word's line less the head.  Each site of a head is made a
+    # string once, when the first group arrives, and --limit 0 starts no
+    # walk, so a stream of no words costs nothing at any n.
     from .oracle import _emit_groups
 
+    def prefix(s: int, block: str) -> str:
+        text = sep + str(s)
+        return text + block.replace("\n", "\n" + text)
+
     sep, left, sites = "" if args.n <= 9 else ",", args.limit, None
-    groups = _emit_groups(args.n, args.d, lambda s: sep + str(s), "") if left != 0 else ()
-    for head, lines in groups:
-        sites = sites or [str(s) for s in range(args.n + 1)]
-        if left is not None:
-            lines = lines[:left]
-            left -= len(lines)
+    write = sys.stdout.write  # looked up per request, so redirect_stdout sees it
+    groups = _emit_groups(args.n, args.d, prefix, "\n".join, "") if left != 0 else ()
+    for head, block in groups:
+        if sites is None:
+            sites = [str(s) for s in range(args.n + 1)]
+            line = len(sep.join(sites[1:])) + 1  # a word and its newline
         lead = sep.join(map(sites.__getitem__, head))
-        sys.stdout.write(lead + ("\n" + lead).join(lines) + "\n")  # redirect_stdout sees it
+        if left is not None:
+            lines = (len(block) + 1) // (line - len(lead))
+            if lines > left:
+                block, lines = "\n".join(block.split("\n", left)[:left]), left
+            left -= lines
+        write(lead + block.replace("\n", "\n" + lead) + "\n")
         if left == 0:
             break
     return 0

@@ -7,21 +7,22 @@ site.  Whether a flip opens a block depends only on the set flipped
 before it, so the scan sums over chains of flipped sets: one pass over
 the sets carries the histogram of every order of each set to each set
 with one more site, and the pass of the longest chain holds every
-shorter row.  The backtracking counts on collapsed chains, where each
-flipped block is one site: a flip opens a block only when no neighbour
-is flipped, so collapsing a block changes neither the unflipped runs nor
-what any later flip does, and one memo serves every length and kink
-count of a table.  The enumeration is one walk with two renderings: it
-yields each head with every completion of its state, memoized as tuples
-of sites for `enumerate_histories` or as text for the CLI's lines.
+shorter row.  The backtracking counts on run shapes: a flip opens a
+block only when no neighbour is flipped, so what it does depends only on
+its run of unflipped sites and its place there, and a walk is keyed by
+the multiset of run lengths (the two end runs apart) and the blocks still
+to open; one memo serves every length and kink count of a table.  The
+enumeration is one walk with two renderings: it yields each head with a
+block of every completion of its state, memoized as tuples of sites for
+`enumerate_histories` or as lines of text for the CLI.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import islice
+from itertools import chain, islice
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import DEFAULT_BRUTE_CEILING, CountTable, History, _column, _paired, check_int, max_kinks
 
@@ -29,9 +30,10 @@ __all__ = ["DEFAULT_BRUTE_CEILING", "brute_force_table", "backtrack_count", "enu
 
 #: Enumeration reads every completion of a state with at most _TAIL_SITES
 #: free sites from a memo of _TAIL_MEMO states, least recently used
-#: dropped first.  An entry holds at most 5! = 120 completions (10.6 KiB,
-#: as tuples of five sites or as their text at six-digit sites), so the
-#: memo never holds more than about 5.3 MiB; unbounded, it grows on.
+#: dropped first.  An entry holds at most 5! = 120 completions: 10.5 KiB
+#: as tuples of five sites, or 4.3 KiB as one string of their lines at
+#: six-digit sites.  So the memo never holds more than about 5.3 MiB of
+#: tuples or 2.2 MiB of text; unbounded, it grows on.
 _TAIL_SITES, _TAIL_MEMO = 5, 512
 
 
@@ -133,13 +135,12 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> Iterator[tuple[i
     always has a completion, by growth alone, so it is kept unchecked and
     carries `cap = 0`.  At `rem = 0` growth is the only move.  The flips
     come lazily, so a walk that takes the first kept flip pays for no
-    others.  Taking every flip, `backtrack_count` runs within 2% of a list
-    (rows 2..9 at every d, and (11, 3), best of 41, 2-core VM, Python 3.11).
+    others.
 
-    Room: a run of L unflipped sites that touches `ends` chain ends holds
-    r // 2 new blocks, for its reach r = L - 1 + ends (the whole chain:
-    (n + 1) // 2).  So a chain end counts as a flipped site one step past
-    it, at -1 or n + 2, and a run's reach is the distance between the two
+    Room: a run of unflipped sites holds r // 2 new blocks for its reach
+    r, as `_backtrack_rows` states it for runs; the whole chain holds
+    (n + 1) // 2.  Here a chain end counts as a flipped site one step past
+    it, at -1 or n + 2, so a run's reach is the distance between the two
     flipped sites that bound it, less 2.  A flip splits its run of reach
     x + y + 2 into parts of reach x and y, where an empty part next to a
     flipped site has reach -1 and room 0, so it takes
@@ -167,20 +168,27 @@ def _moves(seen: int, rem: int, cap: int, n: int, full: int) -> Iterator[tuple[i
 
 
 def _emit_groups(
-    n: int, d: int, unit: Callable[[int], Sequence], empty: Sequence
-) -> Iterator[tuple[list[int], tuple[Sequence, ...]]]:
-    # Yields each head with every completion of its state, in word order.
-    # Depth-first with an explicit stack of one suspended `_moves` per
-    # depth, so every group is yielded from this one frame.  Once at most
-    # _TAIL_SITES sites are free, every completion of the state comes from
-    # `tails`, shared by every head that leaves it, and built of `unit(s)`
-    # per flip of site s, ending in `empty`: `(s,)` and `()` for the
-    # library's words, a site's text and "" for the CLI's lines.  The head
-    # is the walk's own list, valid until the next group is asked for.
-    # `site` checks each flip as it is appended, to a head or to a
-    # completion: a single bit, of a site of 1..n not yet flipped.  Each
-    # word is then a permutation of 1..n by induction, and the check costs
-    # one test per walk step, shared by every word that extends it.
+    n: int,
+    d: int,
+    prefix: Callable[[int, Any], Any] = lambda s, words: map((s,).__add__, words),
+    join: Callable[[list[Any]], Any] = lambda parts: tuple(chain(*parts)),
+    leaf: Any = ((),),
+) -> Iterator[tuple[list[int], Any]]:
+    # Yields each head with the block of every completion of its state, in
+    # word order.  Depth-first with an explicit stack of one suspended
+    # `_moves` per depth, so every group is yielded from this one frame.
+    # Once at most _TAIL_SITES sites are free, the state's block comes from
+    # `tails`, shared by every head that leaves it: `prefix(s, block)` puts
+    # the flip of site s in front of every completion of the block after
+    # it, `join` chains the blocks of sibling flips, and `leaf` is the
+    # block of the one empty completion.  By default a block is a tuple of
+    # words, each a tuple of sites, as `enumerate_histories` yields them;
+    # the CLI's blocks are text.  The head is the walk's own list, valid
+    # until the next group is asked for.  `site` checks each flip as it is
+    # appended, to a head or to a completion: a single bit, of a site of
+    # 1..n not yet flipped.  Each word is then a permutation of 1..n by
+    # induction, and the check costs one test per walk step, shared by
+    # every word that extends it.
     _check_kinks(n, d)
     full = ((1 << n) - 1) << 1
 
@@ -190,25 +198,25 @@ def _emit_groups(
         return bit.bit_length() - 1
 
     @lru_cache(maxsize=_TAIL_MEMO)
-    def tails(seen: int, rem: int, cap: int) -> tuple[Sequence, ...]:
+    def tails(seen: int, rem: int, cap: int) -> Any:
         # keyed by rem too: it does not follow from seen, since a flip
         # that joins two blocks spends no credit
         if seen == full:
-            return (empty,)
-        words: list[Sequence] = []
+            return leaf
+        blocks = []
         for bit, rem2, cap2 in _moves(seen, rem, cap, n, full):
-            words += map(unit(site(seen, bit)).__add__, tails(seen | bit, rem2, cap2))
-        return tuple(words)
+            blocks.append(prefix(site(seen, bit), tails(seen | bit, rem2, cap2)))
+        return join(blocks)
 
     head: list[int] = []
-    seen = 0
-    pending = [iter(_moves(0, d + 1, (n + 1) // 2, n, full))]
+    seen, depth = 0, n - _TAIL_SITES
+    pending = [_moves(0, d + 1, (n + 1) // 2, n, full)]
     while pending:
         for bit, rem, cap in pending[-1]:
             head.append(site(seen, bit))
             seen |= bit
-            if len(head) < n - _TAIL_SITES:
-                pending.append(iter(_moves(seen, rem, cap, n, full)))
+            if len(head) < depth:
+                pending.append(_moves(seen, rem, cap, n, full))
                 break
             yield head, tails(seen, rem, cap)
             seen ^= bit
@@ -223,47 +231,107 @@ def _emit_words(n: int, d: int) -> Iterator[History]:
     # the walk's completions as tuples of sites; each word is proven a
     # permutation by the walk's checks, so `History._proven` wraps a head's
     # completions, all in one call, without sorting them again
-    for head, tails in _emit_groups(n, d, lambda s: (s,), ()):
+    for head, tails in _emit_groups(n, d):
         yield from History._proven(tuple(head), tails)
 
 
 def _backtrack_rows(lengths: Iterable[int], lo: int, top: int) -> Iterator[list[int]]:
     # backtrack_count(n, d) for d = lo..min(top, max_kinks(n)), each n in
-    # lengths, from one memo that dies with the call: a walk on a collapsed
-    # chain of m sites is keyed (seen, rem, cap, m), so every length and
-    # kink count that collapses to it shares it
+    # lengths, from one memo that dies with the call.  A flip opens a block
+    # iff no neighbour is flipped, so what it does depends only on its own
+    # run of unflipped sites and its place there: the runs fill
+    # independently.  A walk is keyed by its run shape, the end runs a <= b
+    # (interchangeable by reflection) and the interior runs, sorted; by
+    # rem, the blocks still to open; and by the shape's room, which the
+    # shape fixes.  Every length and kink count that reaches a shape shares
+    # its walk.  Equal runs make one move times their number, and so do
+    # the two mirror-image places of a run.
+    #
+    # Moves: in an end run of L sites, the flip next to the block grows it
+    # and leaves an end run of L - 1; a flip with x < L - 1 sites between
+    # it and the chain end opens a block and leaves an end run of x and an
+    # interior run of L - 1 - x.  In an interior run of L, the two end
+    # flips grow a block and leave L - 1 sites (at L = 1 the run vanishes
+    # and two blocks join); any other flip opens a block and leaves
+    # interior runs of x and L - 1 - x, both at least 1.  The first flip
+    # opens the initial block, which is not a kink, and leaves the end
+    # runs x and n - 1 - x.
+    #
+    # Room: the most blocks a run can still open, one at every other site
+    # from the chain end of an end run or from the second site of an
+    # interior one, is r // 2 for its reach r: L for an end run of L sites
+    # and L - 1 for an interior one.  A growth leaves reach r - 1, and so
+    # takes one from the room when r is even (a join, at L = 1, takes
+    # none); a split leaves reaches x and y with x + y = r - 2, and so
+    # takes 1 + (x & y & 1).  A move is pruned when it leaves less room
+    # than blocks to open.
     @cache
-    def walk(seen: int, rem: int, cap: int, m: int) -> int:
-        full = ((1 << m) - 1) << 1
-        if seen == full:
+    def walk(a: int, b: int, inner: tuple[int, ...], rem: int, room: int) -> int:
+        if not b and not inner:
             return 1
         total = 0
-        for bit, rem2, cap2 in _moves(seen, rem, cap, m, full):
-            near = seen & (bit << 1 | bit >> 1)
-            if near:
-                # the flip and, if it joins two blocks, the upper one go:
-                # the sites above them move down
-                k = near.bit_count()
-                total += walk(seen & bit - 1 | seen >> k & -bit, rem2, cap2, m - k)
-            else:
-                total += walk(seen | bit, rem2, cap2, m)
+        for run, other in ((a, b), (b, a)) if a < b else ((a, b),):
+            if not run:
+                continue
+            part, grown = 0, run - 1
+            if (left := room - (not run & 1)) >= rem:
+                if grown <= other:
+                    part = walk(grown, other, inner, rem, left)
+                else:
+                    part = walk(other, grown, inner, rem, left)
+            for x in range(grown) if rem else ():
+                if (left := room - 1 - (x & (grown - 1 - x) & 1)) >= rem - 1:
+                    runs = tuple(sorted(inner + (grown - x,)))
+                    if x <= other:
+                        part += walk(x, other, runs, rem - 1, left)
+                    else:
+                        part += walk(other, x, runs, rem - 1, left)
+            total += part if a < b else 2 * part
+        for i, run in enumerate(inner):
+            if i and run == inner[i - 1]:
+                continue
+            part, rest = 0, inner[:i] + inner[i + 1 :]
+            if run == 1:
+                part = walk(a, b, rest, rem, room)
+            elif (left := room - (run & 1)) >= rem:
+                part = 2 * walk(a, b, tuple(sorted(rest + (run - 1,))), rem, left)
+            for x in range(1, (run + 1) // 2) if rem else ():
+                y = run - 1 - x
+                if (left := room - 1 - (not (x | y) & 1)) >= rem - 1:
+                    runs = tuple(sorted(rest + (x, y)))
+                    part += (1 if x == y else 2) * walk(a, b, runs, rem - 1, left)
+            total += inner.count(run) * part
         return total
 
     for n in lengths:
-        yield [walk(0, d + 1, (n + 1) // 2, n) for d in range(lo, min(top, max_kinks(n)) + 1)]
+        most = max_kinks(n)
+        row = [
+            sum([
+                (1 if 2 * x == n - 1 else 2) * walk(x, n - 1 - x, (), d, room)
+                for x in range((n + 1) // 2)
+                if (room := x // 2 + (n - 1 - x) // 2) >= d
+            ])
+            for d in range(lo, min(top, most) + 1)
+        ]
+        total, fact = sum(row), factorial(n)
+        if total > fact or (lo == 0 and top >= most and total != fact):
+            raise ArithmeticError(f"backtracking row {n} fails its sum check against {n}!")
+        yield row
 
 
 def backtrack_count(n: int, d: int) -> int:
     """Number of histories `enumerate_histories(n, d)` would yield.
 
-    The same pruned search over `_moves`, counted instead of yielded: a
-    walk returns 1 once every site is flipped and otherwise sums the
-    walks after each kept flip.  The walk runs on collapsed chains: a
-    flip that grows a block drops its own site, and one more when it joins
-    two blocks, so each flipped block stays a single site.  That is exact,
-    since a flip opens a block only when no neighbour is flipped, and
-    collapsing keeps the unflipped runs, and so the credits and the room.
-    Sub-walks from the same collapsed chain and credits are counted once.
+    The same pruned search, counted instead of yielded, on run shapes: a
+    flip opens a block only when no neighbour is flipped, so what it does
+    depends only on its run of unflipped sites and its place there.  A
+    walk is therefore keyed by the two end runs, unordered, the interior
+    runs, sorted, and the blocks still to open; it returns 1 once every
+    site is flipped and otherwise sums the walks after each flip that
+    leaves room for the blocks still to open.  Flips that leave the same
+    shape are counted once, times their number, and so are sub-walks from
+    the same shape.  A count above n! raises ArithmeticError, as does a
+    whole row of `_backtrack_rows` that does not sum to n!.
 
     >>> backtrack_count(5, 1)
     88

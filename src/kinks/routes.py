@@ -21,11 +21,12 @@ ENV_BRUTE_CEILING = "KINKS_BRUTE_CEILING"
 #: both oracle routes, so that no CLI request runs unbounded.  In a child
 #: process (2-core VM, Python 3.11, peak RSS): the scan of n = 16 takes
 #: 0.30 s (21 MiB) and of n = 17 0.58 s (26 MiB); the backtracking rows
-#: of n = 15 and 16 take 0.11 s (17 MiB) and 0.20 s (20 MiB), and
-#: `table --max-n 16 --method backtrack`, one memo for all its rows,
-#: 0.26-0.40 s (20 MiB) with the interpreter's start (1.1 s, 2.2 s and
-#: 3.0-3.7 s at 32, 60 and 105 MiB with a memo per count).  At 60 the
-#: scan's table ran for 1 min 51 s and reached 1.08 GiB before it was
+#: of n = 15 and 16, and `table --max-n 16 --method backtrack`, one memo
+#: for all its rows, take 0.07-0.09 s (14 MiB) with the interpreter's
+#: start (0.21-0.28 s at 15-18 MiB on collapsed chains, and 3.0-3.7 s at
+#: 105 MiB for the table with a memo per count).  Every backtracking row
+#: to n = 20 / 24 / 28 takes 0.3 / 1.4 / 5.2 s (20 / 38 / 79 MiB).  At 60
+#: the scan's table ran for 1 min 51 s and reached 1.08 GiB before it was
 #: killed.
 #: The library's `ceiling` argument is not bounded.
 MAX_BRUTE_CEILING = 16

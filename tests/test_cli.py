@@ -699,7 +699,7 @@ def _group_ends(n, d, most):
     # `most`: the CLI writes one group per write and cuts the last one at
     # --limit
     ends = [0]
-    for _, completions in kinks.oracle._emit_groups(n, d, lambda s: (s,), ()):
+    for _, completions in kinks.oracle._emit_groups(n, d):
         ends.append(ends[-1] + len(completions))
         if ends[-1] > most:
             break
@@ -725,19 +725,35 @@ def _cli_stdout(argv):
     return code, out.getvalue()
 
 
+@st.composite
+def _chain_and_limit(draw):
+    # (n, d) with n <= 12, and a limit: 0, 1, one that cuts inside a group
+    # or ends on its last word, any other up to 3000, or none where the
+    # whole stream is short (n <= 8)
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, max_kinks(n)))
+    ends = _group_ends(n, d, 3000)
+    inside = st.sampled_from(ends).flatmap(lambda end: st.integers(max(end - 120, 0), end))
+    choices = [st.sampled_from((0, 1)), inside, st.integers(0, 3000)]
+    limit = draw(st.one_of(*choices, *[st.none()] * (n <= 8)))
+    return n, d, limit
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, max_kinks(n)))),
-    st.integers(0, 3000),
-)
-@example((12, 0), 3000)
-@example((12, 5), 3000)
-@example((1, 0), 0)
-def test_enumerate_text_rendering_equals_the_library_stream(nd, limit):
-    # the CLI's text completions, joined per head, against the words of
-    # the library's tuple completions, one str per site
-    n, d = nd
-    argv = ["enumerate", "--n", str(n), "--d", str(d), "--limit", str(limit)]
+@given(_chain_and_limit())
+@example((12, 0, 3000))
+@example((12, 5, 3000))
+@example((1, 0, 0))
+@example((11, 2, 1))
+@example((10, 2, 120))  # inside the second head's 90 completions
+@example((8, 2, None))
+def test_enumerate_text_rendering_equals_the_library_stream(case):
+    # the CLI's text blocks, each head put in front of their lines and cut
+    # at --limit, against the words of the library's tuple completions,
+    # one str per site
+    n, d, limit = case
+    argv = ["enumerate", "--n", str(n), "--d", str(d)]
+    argv += [] if limit is None else ["--limit", str(limit)]
     assert _cli_stdout(argv) == (0, _reference_stdout(n, d, limit))
 
 

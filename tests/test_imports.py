@@ -129,7 +129,8 @@ def test_only_core_checks_for_exact_ints():
 #: each route's entry points: the functions whose reach is the route
 ROUTE_ENTRIES = {
     "scan": {"_brute_rows"},
-    "walk": {"backtrack_count", "_backtrack_rows", "_emit_groups", "_emit_words"},
+    "backtracking": {"backtrack_count", "_backtrack_rows"},
+    "enumeration": {"_emit_groups", "_emit_words"},
     "recurrence": {"_kink_rows"},
     "label tree": {"_label_levels"},
     "series": {"_series_rows"},
@@ -139,10 +140,13 @@ ROUTE_ENTRIES = {
 #: the package functions outside core that two routes both reach.  The
 #: series entry is 4^d times the closed power sum, through the same
 #: binomial products, so their agreement checks code, not mathematics: of
-#: the five routes, four are independent.  Every other pair shares nothing
-#: but core.
+#: the five counting routes, four are independent.  The backtracking and
+#: the enumeration share only the check of (n, d): the backtracking walks
+#: run shapes, the enumeration the flipped sites through `_moves`.  Every
+#: other pair shares nothing but core.
 SHARED = {
     frozenset({"series", "closed"}): {"_powers", "_binomial_product", "_exact_count"},
+    frozenset({"backtracking", "enumeration"}): {"_check_kinks"},
 }
 
 
@@ -176,7 +180,8 @@ def test_the_routes_share_only_the_declared_functions():
         route: {f for f in _reach(entries, functions) if functions[f][0] != "core"}
         for route, entries in ROUTE_ENTRIES.items()
     }
-    assert reach["walk"] >= {"_moves", "_check_kinks"} and "_label_step" in reach["label tree"]
+    assert reach["enumeration"] >= {"_moves", "_check_kinks"} and "_label_step" in reach["label tree"]
+    assert "_moves" not in reach["backtracking"]
     shared = {frozenset(pair): reach[pair[0]] & reach[pair[1]] for pair in combinations(reach, 2)}
     assert {pair: names for pair, names in shared.items() if names} == SHARED
 

@@ -30,6 +30,7 @@ from kinks import (
 )
 from kinks.core import _opened, _word_kinks
 from kinks.oracle import _backtrack_rows, _brute_rows, _emit_groups, _moves
+from kinks.recurrence import _kink_rows
 from helpers import F4_D0_WORDS, F4_D1_WORDS, GOLDEN, naive_table
 
 
@@ -322,24 +323,34 @@ def test_enumerate_first_word_costs_no_list_of_flips_per_depth(n, d, bound):
     assert peak < bound, peak
 
 
+def _text_prefix(sep):
+    # the CLI's text rendering: a site's text in front of every line of a block
+    def prefix(s, block):
+        text = sep + str(s)
+        return text + block.replace("\n", "\n" + text)
+
+    return prefix
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_one_walk_renders_sites_as_tuples_and_as_text(n):
-    # the same groups, heads and completions from both renderings, each
-    # text completion the sites of its tuple, the separator leading each
+    # the same groups, heads and completions from both renderings: each
+    # text block holds one line per tuple completion, in order, the sites
+    # of that tuple with the separator leading each
     sep = "" if n <= 9 else ","
     for d in range(max_kinks(n) + 1):
-        sites = _emit_groups(n, d, lambda s: (s,), ())
-        text = _emit_groups(n, d, lambda s: sep + str(s), "")
-        for (head, tails), (text_head, text_tails) in islice(zip(sites, text), 200):
+        sites = _emit_groups(n, d)
+        text = _emit_groups(n, d, _text_prefix(sep), "\n".join, "")
+        for (head, tails), (text_head, block) in islice(zip(sites, text), 200):
             assert head == text_head and 1 <= len(head) == max(1, n - 5)
-            assert text_tails == tuple("".join(sep + str(s) for s in tail) for tail in tails)
+            assert block.split("\n") == ["".join(sep + str(s) for s in tail) for tail in tails]
             assert all(sorted(head + list(tail)) == list(range(1, n + 1)) for tail in tails)
 
 
 def test_the_walk_checks_the_kink_count_itself():
     # the CLI reaches the walk without enumerate_histories
     with pytest.raises(ValueError, match="^kink count 2 out of range 0..1 for n = 4$"):
-        next(_emit_groups(4, 2, str, ""))
+        next(_emit_groups(4, 2, _text_prefix(""), "\n".join, ""))
 
 
 def test_enumerate_limit():
@@ -564,12 +575,74 @@ def test_backtrack_rows_are_empty_above_the_band():
     assert list(_backtrack_rows((9,), 5, 9)) == [[]]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 22), st.integers(0, 11), st.integers(0, 11))
+@example(22, 0, 10)
+@example(1, 0, 0)
+def test_run_shape_rows_are_the_recurrence_rows_to_twenty_two(last, lo, top):
+    # every cut of every row n <= last from one walk, against the
+    # recurrence; the lengths may also come as a tuple, in any order
+    lengths = range(1, last + 1)
+    rows = [tuple(row) for row in _backtrack_rows(lengths, lo, top)]
+    assert rows == [row[lo:] for row in _kink_rows(lengths, 0, top)]
+    assert [tuple(row) for row in _backtrack_rows((last, 1), lo, top)] == [rows[-1], rows[0]]
+
+
+def _walk_with_a_wrong_move(monkeypatch):
+    # rebinds the `cache` that `_backtrack_rows` wraps its walk in, so that
+    # the walk of every shape with an interior run of two or more sites
+    # also counts one flip that takes that whole run; returns the shapes
+    # the wrong move was made from
+    made = []
+
+    def faulty(walk):
+        cached = cache(walk)
+
+        def counted(a, b, inner, rem, room):
+            count = cached(a, b, inner, rem, room)
+            for i, run in enumerate(inner):
+                if run > 1:
+                    made.append((a, b, inner, rem))
+                    return count + cached(a, b, inner[:i] + inner[i + 1 :], rem, room - (run - 1) // 2)
+            return count
+
+        return counted
+
+    monkeypatch.setattr(kinks.oracle, "cache", faulty)
+    return made
+
+
+def test_backtrack_row_sum_gate_catches_a_wrong_move(monkeypatch, capsys):
+    # rows 1..3 hold no interior run of two sites, and row 4 is the first
+    # that the wrong move changes
+    made = _walk_with_a_wrong_move(monkeypatch)
+    with pytest.raises(ArithmeticError, match=r"^backtracking row 4 fails its sum check against 4!$"):
+        list(_backtrack_rows(range(1, 8), 0, 3))
+    assert made
+    # a cut row may sum below n!, but not above it: row 5 at d <= 1 counts
+    # 16 + 106 = 122 words
+    with pytest.raises(ArithmeticError, match=r"^backtracking row 5 fails its sum check against 5!$"):
+        list(_backtrack_rows((5,), 0, 1))
+    code = kinks.cli.main(["table", "--max-n", "9", "--method", "backtrack"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "error: backtracking row 4 fails its sum check against 4!\n")
+    assert out == "n,d,count\n" + "".join(
+        f"{n},{d},{c}\n" for n in range(2, 4) for d, c in enumerate(dp_table(3).row(n))
+    )
+
+
 def test_backtrack_rows_keep_no_memo_between_calls(monkeypatch):
-    # each call walks afresh, so a rebound `_moves` reaches the next call
+    # each call wraps its own walk in `cache`, so a rebound `cache` reaches
+    # the next call: a walk that counts nothing gives empty cut rows, and
+    # whole rows that fail the gate
     exact = list(_backtrack_rows(range(1, 8), 0, 3))
-    monkeypatch.setattr(kinks.oracle, "_moves", lambda *state: iter(()))
-    assert list(_backtrack_rows(range(1, 8), 0, 3)) == [[0] * len(row) for row in exact]
+    monkeypatch.setattr(kinks.oracle, "cache", lambda walk: lambda *shape: 0)
+    assert list(_backtrack_rows(range(3, 8), 1, 3)) == [[0] * len(row[1:]) for row in exact[2:]]
     assert backtrack_count(7, 2) == 0
+    with pytest.raises(ArithmeticError, match="^backtracking row 1 fails its sum check against 1!$"):
+        list(_backtrack_rows(range(1, 8), 0, 3))
+    with pytest.raises(ArithmeticError, match="^backtracking row 7 fails its sum check against 7!$"):
+        list(_backtrack_rows((7,), 0, max_kinks(7)))  # whole at top = max_kinks(n)
     monkeypatch.undo()
     assert list(_backtrack_rows(range(1, 8), 0, 3)) == exact
 
